@@ -7,8 +7,7 @@ from .cft import (check_kn_identity, check_kr_identity, euler_Li2,
                   fusion_field_match, gepner_levels, modular_data, n2_spectrum,
                   quantum_dimension, rogers_L, verlinde_fusion)
 from .charsum import AlphaTuple, build_alpha_set, full_alpha_set, jacobi_sum
-from .counting import (ClassHistogram, DiagonalVariety, class_histogram,
-                       count_affine, count_projective)
+from .counting import DiagonalVariety, count_affine, count_projective
 from .cyclo import (CycInt, GroupRingElement, cyclotomic_polynomial,
                     cyclotomic_unit, delta_determinant, euler_phi,
                     hecke_weight, regulator_matrix, s_element)
@@ -27,14 +26,14 @@ from .zeta import (CongruentZeta, LocalFactor, check_functional_equation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaTuple", "BadReductionError", "CapacityError", "ClassHistogram",
-    "CongruentZeta", "CycInt", "DiagonalVariety", "FieldTable",
+    "AlphaTuple", "BadReductionError", "CapacityError", "CongruentZeta",
+    "CycInt", "DiagonalVariety", "FieldTable",
     "GroupRingElement", "HeckeCharacter", "InvariantViolationError",
     "LSeriesCoefficients", "LocalFactor", "LocalFactorCollection",
     "MatchReport", "PrimalityError", "SplitPrimeIdeal", "ValidationError",
     "build_alpha_set", "check_functional_equation", "check_kn_identity",
-    "check_kr_identity", "check_riemann_hypothesis", "class_histogram",
-    "congruent_zeta", "count_affine", "count_projective",
+    "check_kr_identity", "check_riemann_hypothesis", "congruent_zeta",
+    "count_affine", "count_projective",
     "cyclotomic_polynomial", "cyclotomic_unit", "delta_determinant",
     "dirichlet_coefficients", "dlog", "euler_Li2", "euler_phi",
     "expected_degrees", "full_alpha_set", "fusion_field_match", "gepner_levels",

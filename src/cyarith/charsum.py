@@ -7,8 +7,9 @@ The Jacobi sum
     j_q(alpha) = 1/(q-1) * sum over (u_i) in (F_q^*)^{s+1}, sum u_i = 0,
                  of prod_i chi_{alpha_i}(u_i)
 
-is evaluated exactly in Z[mu_m] via the shared dlog-class histogram; a
-direct-summation path over the raw tuples is kept as the oracle.
+is evaluated exactly in Z[mu_m] by a chain of two-variable sums read off
+one (dlog(1-v), dlog v) class table per field; a direct-summation path
+over the raw tuples is kept as the oracle.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .counting import ClassHistogram, DiagonalVariety, HISTOGRAM_BUDGET
+from .counting import DiagonalVariety
 from .cyclo import CycInt
 from .errors import BadReductionError, CapacityError, InvariantViolationError, ValidationError
 from .ffield import FieldTable, is_prime
@@ -120,40 +121,89 @@ def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
 
 # -- Jacobi sums -------------------------------------------------------------------
 
+DIRECT_SUM_BUDGET = 1 << 28     # (q-1)^s cap for the direct-summation oracle
+
+
+def dlog_pair_table(f: FieldTable, M: int) -> np.ndarray:
+    """C[i, j] = #{v in F_q minus {0, 1} : dlog(1-v) = i, dlog(v) = j mod M}.
+
+    Every two-variable Jacobi sum with characters of order dividing M is a
+    weighted read of this table.  v -> 1-v permutes F_q minus {0, 1}, so
+    both marginals must equal the dlog class sizes less the excluded v = 1.
+    """
+    q = f.q
+    if (q - 1) % M:
+        raise ValidationError(f"character order {M} does not divide q-1 = {q - 1}")
+    v = np.arange(2, q, dtype=np.int64)
+    if f.r == 1:
+        one_minus_v = f.p + 1 - v
+    else:
+        neg = (f.p - f.digits[v]) % f.p
+        neg[:, 0] = (neg[:, 0] + 1) % f.p
+        one_minus_v = neg @ f.ppow
+    flat = (f.dlog[one_minus_v] % M) * M + f.dlog[v] % M
+    table = np.bincount(flat, minlength=M * M).reshape(M, M)
+    sizes = (q - 1) // M - (np.arange(M) == 0)
+    if not (np.array_equal(table.sum(0), sizes) and np.array_equal(table.sum(1), sizes)):
+        raise InvariantViolationError("pair table marginals are not the dlog class sizes")
+    return table
+
+
+def _unit_sum(table: np.ndarray, q: int, m: int, exps) -> CycInt:
+    """One row of unit_sums on a table already folded to modulus m.
+
+    Weil's reduction to two-variable sums: with psi_k = chi_0 ... chi_k,
+    A_k = sum over u_0 + ... + u_k = 1 and Z_k = sum over u_0 + ... + u_k = 0
+    obey A_{k+1} = A_k J2(psi_k, chi_{k+1}) + Z_k and
+    Z_{k+1} = psi_k(-1) (q-1) A_k when psi_{k+1} is trivial, else 0.
+    """
+    half = (q - 1) // 2 if q % 2 else 0          # dlog(-1)
+    k = np.arange(m)
+
+    def at_minus_one(e: int) -> int:
+        return 1 if e * half % m == 0 else -1
+
+    a, z, psi = CycInt.one(m), CycInt.zero(m), exps[0] % m
+    for e in exps[1:]:
+        classes = (psi * k[:, None] + e * k[None, :]) % m
+        j2 = np.zeros(m, dtype=np.int64)
+        np.add.at(j2, classes.ravel(), table.ravel())
+        nxt = (psi + e) % m
+        z_next = (q - 1) * at_minus_one(psi) * a if nxt == 0 else CycInt.zero(m)
+        a = a * CycInt.from_exponent_counts(m, j2.tolist()) + z
+        z, psi = z_next, nxt
+    return at_minus_one(psi) * a
+
+
+def unit_sums(f: FieldTable, rows) -> list[CycInt]:
+    """For each row (m, (e_0..e_k)): the sum over units u_0..u_k of F_q with
+    u_0 + ... + u_k = -1 of prod_i xi_m^(e_i * dlog u_i), exact in Z[mu_m].
+
+    One pair table serves every row; it is built once at the lcm of the
+    row moduli and folded down to each modulus.
+    """
+    big_m = math.lcm(*(m for m, _ in rows))
+    table = dlog_pair_table(f, big_m)
+    folded = {m: table.reshape(big_m // m, m, big_m // m, m).sum(axis=(0, 2))
+              for m in {m for m, _ in rows}}
+    return [_unit_sum(folded[m], f.q, m, exps) for m, exps in rows]
+
 
 def _char_multipliers(alpha: AlphaTuple, m: int) -> list[int]:
     """Integers e_i with chi_{alpha_i}(g^s) = xi_m^(e_i * s)."""
     return [m * n // alpha.den for n in alpha.nums]
 
 
-def _to_cyc(buckets: list[int], q: int, m: int) -> CycInt:
-    scaled = []
-    for w in buckets:
-        if w % (q - 1):
-            raise InvariantViolationError(
-                "character sum not divisible by q-1; scaling orbits broken")
-        scaled.append(w // (q - 1))
-    return CycInt.from_exponent_counts(m, scaled)
+def jacobi_sums(f: FieldTable, alphas) -> list[CycInt]:
+    """Exact j_q(alpha) in Z[mu_m], m the conductor, for every alpha: scaling
+    the last coordinate away leaves the unit sum of the first s characters."""
+    return unit_sums(f, [(a.conductor, _char_multipliers(a, a.conductor)[:-1])
+                         for a in alphas])
 
 
-def jacobi_sum(f: FieldTable, alpha: AlphaTuple, hist: ClassHistogram) -> CycInt:
-    """Exact j_q(alpha) in Z[mu_m] from a precomputed class histogram."""
-    if hist.field is not f and (hist.field.p, hist.field.r, hist.field.g) != (f.p, f.r, f.g):
-        raise ValidationError("histogram was built over a different field")
-    if len(alpha.nums) != len(hist.orders):
-        raise ValidationError("tuple length does not match histogram arity")
-    for d, l in zip(alpha.entry_denominators(), hist.orders):
-        if l % d:
-            raise ValidationError(f"entry denominator {d} does not divide order {l}")
-    m = alpha.conductor
-    mult = _char_multipliers(alpha, m)
-    exps = np.zeros(hist.counts.shape, dtype=np.int64)
-    grids = np.indices(hist.counts.shape)
-    for e_i, grid in zip(mult, grids):
-        exps += e_i * grid
-    exps %= m
-    buckets = [int(hist.counts[exps == e].sum()) for e in range(m)]
-    return _to_cyc(buckets, f.q, m)
+def jacobi_sum(f: FieldTable, alpha: AlphaTuple) -> CycInt:
+    """Exact j_q(alpha) in Z[mu_m]; see jacobi_sums."""
+    return jacobi_sums(f, [alpha])[0]
 
 
 def jacobi_sum_direct(f: FieldTable, alpha: AlphaTuple) -> CycInt:
@@ -161,7 +211,7 @@ def jacobi_sum_direct(f: FieldTable, alpha: AlphaTuple) -> CycInt:
     s1 = len(alpha.nums)
     s = s1 - 1
     q, p = f.q, f.p
-    if (q - 1) ** s > HISTOGRAM_BUDGET:
+    if (q - 1) ** s > DIRECT_SUM_BUDGET:
         raise CapacityError("direct Jacobi summation exceeds the enumeration budget")
     for d in alpha.entry_denominators():
         if (q - 1) % d:
@@ -202,4 +252,6 @@ def jacobi_sum_direct(f: FieldTable, alpha: AlphaTuple) -> CycInt:
         cnt = np.bincount(e[mask], minlength=m)
         for k in range(m):
             buckets[k] += int(cnt[k])
-    return _to_cyc(buckets, q, m)
+    if any(b % (q - 1) for b in buckets):
+        raise InvariantViolationError("character sum not divisible by q-1")
+    return CycInt.from_exponent_counts(m, [b // (q - 1) for b in buckets])

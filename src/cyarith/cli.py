@@ -36,8 +36,8 @@ from functools import partial
 from pathlib import Path
 
 from . import cft
-from .charsum import AlphaTuple, full_alpha_set, jacobi_sum
-from .counting import DiagonalVariety, class_histogram, count_affine, count_projective
+from .charsum import AlphaTuple, full_alpha_set, jacobi_sums
+from .counting import DiagonalVariety, count_projective
 from .cyclo import CycInt, cyclotomic_unit, delta_determinant, hecke_weight, s_element
 from .errors import CapacityError, InvariantViolationError, ValidationError
 from .ffield import is_prime, make_field
@@ -308,9 +308,10 @@ def _cmd_count(args) -> None:
             skipped.append(p)
             continue
         f = make_field(p, cfg.extension)
+        n = count_projective(v, f)
         rows.append({"p": p, "r": cfg.extension, "q": f.q,
-                     "projective_points": str(count_projective(v, f)),
-                     "affine_points": str(count_affine(v, f))})
+                     "projective_points": str(n),
+                     "affine_points": str(1 + (f.q - 1) * n)})
     payload = {"exponents": list(v.exponents),
                "dimension": v.complex_dim,
                "calabi_yau": v.is_calabi_yau,
@@ -345,7 +346,10 @@ def _parse_alpha(args, exps: tuple[int, ...]) -> AlphaTuple | None:
         nums = tuple(int(t) for t in raw.split(","))
     except ValueError:
         raise ValidationError(f"cannot parse alpha {raw!r}")
-    return AlphaTuple(nums, den)
+    alpha = AlphaTuple(nums, den)
+    if len(nums) != len(exps) or any(n % d for d, n in zip(alpha.entry_denominators(), exps)):
+        raise ValidationError(f"alpha {raw!r} is not in the degree set of {exps}")
+    return alpha
 
 
 def _cmd_jacobi(args) -> None:
@@ -366,15 +370,13 @@ def _cmd_jacobi(args) -> None:
         while (p ** r - 1) % m:
             r += 1
     f = make_field(p, r)
-    hist = class_histogram(v, f)
     if single is not None:
         alphas = [single]
     else:
         aset = full_alpha_set(v, p)
         alphas = [o[0] for o in aset.orbits] if args.orbits else list(aset.tuples)
     entries = []
-    for a in alphas:
-        j = jacobi_sum(f, a, hist)
+    for a, j in zip(alphas, jacobi_sums(f, alphas)):
         # Weil bound check: |J|^2 = q^{s-2} for s nonzero entries
         target = CycInt.from_int(j.m, f.q ** (len(a.nums) - 2))
         z = j.embed(1)

@@ -1,4 +1,4 @@
-"""Point counts and dlog-class histograms for diagonal projective hypersurfaces.
+"""Point counts for diagonal projective hypersurfaces.
 
 A diagonal hypersurface is the zero locus of sum_i x_i^{n_i} in projective
 coordinates (x_0 : ... : x_s).  Projective counts divide out the scaling
@@ -11,7 +11,6 @@ kept as the independent oracle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -23,8 +22,6 @@ from .ffield import FieldTable, is_prime
 
 DIRECT_ENUM_BUDGET = 1 << 25    # affine grid cells for the exhaustive oracle
 CONVOLUTION_BUDGET = 1 << 26    # q^2 cap for the additive-convolution path
-HISTOGRAM_BUDGET = 1 << 28      # (q-1)^s cap for histogram enumeration
-HISTOGRAM_BINS_BOUND = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -181,91 +178,3 @@ def count_projective(v: DiagonalVariety, f: FieldTable, method: str = "convoluti
         raise InvariantViolationError(
             f"affine count {na} is not 1 mod q-1; scaling torsor broken")
     return (na - 1) // (f.q - 1)
-
-
-# -- dlog-class histogram ---------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ClassHistogram:
-    """counts[(c_0..c_s)] = number of tuples in (F_q^*)^{s+1} with sum 0 and
-    dlog(u_i) = c_i mod orders[i]."""
-
-    field: FieldTable
-    orders: tuple[int, ...]
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def _hyperplane_unit_tuples(q: int, k: int) -> int:
-    """#{(u_1..u_k) in (F_q^*)^k : sum u_i = 0}, closed form."""
-    return ((q - 1) ** k + (-1) ** k * (q - 1)) // q
-
-
-def class_histogram(v: DiagonalVariety, f: FieldTable) -> ClassHistogram:
-    """Bin all nonzero hyperplane tuples by per-coordinate dlog residues.
-
-    One pass over (q-1)^s free coordinates, shared afterwards by every
-    character sum over this field.
-    """
-    s1 = len(v.exponents)
-    s = s1 - 1
-    q, p = f.q, f.p
-    if (q - 1) ** s > HISTOGRAM_BUDGET:
-        raise CapacityError(f"histogram enumeration capped at (q-1)^s <= {HISTOGRAM_BUDGET}")
-    orders = tuple(math.gcd(n, q - 1) for n in v.exponents)
-    bins = math.prod(orders)
-    if bins > HISTOGRAM_BINS_BOUND:
-        raise CapacityError(f"histogram bin count capped at {HISTOGRAM_BINS_BOUND}")
-
-    strides = [1] * s1
-    for i in range(s1 - 2, -1, -1):
-        strides[i] = strides[i + 1] * orders[i + 1]
-    cls = [np.where(f.dlog >= 0, f.dlog, 0) % l for l in orders]
-
-    U = np.arange(1, q, dtype=np.int64)
-    nv = min(3, s)
-    flat = np.zeros(bins, dtype=np.int64)
-
-    # class contribution of the vectorised free coordinates
-    vcls = np.zeros((1,) * nv, dtype=np.int64)
-    for j in range(nv):
-        i = s - nv + j
-        vcls = vcls + (cls[i][U] * strides[i]).reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j))
-
-    if f.r == 1:
-        vsum = np.zeros((1,) * nv, dtype=np.int64)
-        for j in range(nv):
-            vsum = vsum + U.reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j))
-        for prefix in product(range(1, q), repeat=s - nv):
-            dep = (-(sum(prefix) + vsum)) % p
-            mask = dep != 0
-            idx = vcls + cls[s][dep] * strides[s]
-            for i, u in enumerate(prefix):
-                idx = idx + int(cls[i][u]) * strides[i]
-            flat += np.bincount(idx[mask], minlength=bins)
-    else:
-        dig, r = f.digits, f.r
-        vdig = np.zeros((1,) * nv + (r,), dtype=np.int32)
-        for j in range(nv):
-            vdig = vdig + dig[U].reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j) + (r,))
-        for prefix in product(range(1, q), repeat=s - nv):
-            part = np.zeros(r, dtype=np.int32)
-            for u in prefix:
-                part = part + dig[u]
-            dep = (((p - (part + vdig)) % p) @ f.ppow)
-            mask = dep != 0
-            idx = vcls + cls[s][dep] * strides[s]
-            for i, u in enumerate(prefix):
-                idx = idx + int(cls[i][u]) * strides[i]
-            flat += np.bincount(idx[mask], minlength=bins)
-
-    expected = _hyperplane_unit_tuples(q, s1)
-    got = int(flat.sum())
-    if got != expected:
-        raise InvariantViolationError(
-            f"histogram mass {got} != closed-form hyperplane count {expected}")
-    return ClassHistogram(field=f, orders=orders, counts=flat.reshape(orders))

@@ -154,28 +154,17 @@ def _tables_from_generator(p: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     return dl, exp
 
 
-def make_prime_field(p: int) -> FieldTable:
-    """F_p with the smallest positive generator of the full unit group."""
+def make_prime_field(p: int, g: int | None = None) -> FieldTable:
+    """F_p tabulated on generator g, by default the smallest positive
+    generator of the full unit group."""
     if not is_prime(p):
         raise PrimalityError(f"{p} is not prime")
     if p > PRIME_FIELD_BOUND:
         raise CapacityError(f"prime field bound is {PRIME_FIELD_BOUND}, got {p}")
-    if p == 2:
-        g = 1
-    else:
-        factors = prime_factors(p - 1)
-        g = next(x for x in range(2, p) if _has_full_order(x, p, factors))
-    dl, exp = _tables_from_generator(p, g)
-    return FieldTable(p=p, r=1, q=p, modulus=(0, 1), g=g, dlog=dl, exp=exp)
-
-
-def prime_field_with_generator(p: int, g: int) -> FieldTable:
-    """F_p tabulated on an explicitly chosen generator (testing hook)."""
-    if not is_prime(p):
-        raise PrimalityError(f"{p} is not prime")
-    if p > PRIME_FIELD_BOUND:
-        raise CapacityError(f"prime field bound is {PRIME_FIELD_BOUND}, got {p}")
-    if not 1 <= g < p or (p > 2 and not _has_full_order(g, p, prime_factors(p - 1))):
+    factors = prime_factors(p - 1)
+    if g is None:
+        g = next((x for x in range(2, p) if _has_full_order(x, p, factors)), 1)
+    elif not 1 <= g < p or not _has_full_order(g, p, factors):
         raise ValidationError(f"{g} does not generate F_{p}^*")
     dl, exp = _tables_from_generator(p, g)
     return FieldTable(p=p, r=1, q=p, modulus=(0, 1), g=g, dlog=dl, exp=exp)

@@ -15,14 +15,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .charsum import AlphaTuple, full_alpha_set
+from .charsum import AlphaTuple, full_alpha_set, unit_sums
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
-from .errors import CapacityError, InvariantViolationError, ValidationError
+from .errors import InvariantViolationError, ValidationError
 from .ffield import FieldTable, is_prime, make_prime_field
 from .zeta import LocalFactor, local_factor_middle
-
-IDEAL_SUM_BUDGET = 1 << 24   # grid cells for the rank-(r-1) enumeration
 
 
 def splitting_data(p: int, m: int) -> tuple[int, int]:
@@ -61,13 +59,16 @@ class SplitPrimeIdeal:
         if t < 0 or (self.p - 1) // math.gcd(t, self.p - 1) != self.m:
             raise ValidationError(f"c={self.c} does not have exact order {self.m}")
 
+    @property
+    def tau_inv(self) -> int:
+        """chi_p(u) = xi^(tau_inv * dlog u), where c = g^(tau (p-1)/m)."""
+        tau = int(self.field.dlog[self.c]) // ((self.p - 1) // self.m)
+        return pow(tau, -1, self.m)
+
     def char_exponent_table(self) -> np.ndarray:
         """dc[u] with chi_p(u) = xi^dc[u]; dc[0] is a junk slot (masked off)."""
-        t = int(self.field.dlog[self.c])
-        tau = t // ((self.p - 1) // self.m)
-        tau_inv = pow(tau, -1, self.m)
         dlog = np.maximum(self.field.dlog, 0)
-        return (dlog * tau_inv) % self.m
+        return (dlog * self.tau_inv) % self.m
 
 
 def split_prime_ideals(p: int, m: int) -> tuple[SplitPrimeIdeal, ...]:
@@ -92,33 +93,28 @@ def power_residue_char(ideal: SplitPrimeIdeal, u: int) -> CycInt:
     return CycInt.root(ideal.m, j)
 
 
-def ideal_jacobi_sum(ideal: SplitPrimeIdeal, a: tuple[int, ...]) -> CycInt:
+def ideal_jacobi_sums(ideals, vectors) -> list[CycInt]:
     """J_a(p) = (-1)^(r+1) * sum over units u_1..u_r with sum(u) = -1 of
-    prod chi(u_i)^(a_i), exact in Z[mu_m]."""
-    p, m = ideal.p, ideal.m
-    r = len(a)
-    if r < 1:
+    prod chi(u_i)^(a_i), exact in Z[mu_m], for every ideal and every a.
+
+    The ideals must lie over one prime; one pair table serves all sums.
+    """
+    ideals, vectors = tuple(ideals), list(vectors)
+    if any(len(a) < 1 for a in vectors):
         raise ValidationError("rank must be at least 1")
-    a = tuple(x % m for x in a)
-    sign = (-1) ** (r + 1)
-    dc = ideal.char_exponent_table()
-    if r == 1:
-        return sign * CycInt.root(m, a[0] * int(dc[(p - 1) % p]) % m)
-    if (p - 1) ** (r - 1) > IDEAL_SUM_BUDGET:
-        raise CapacityError(f"rank-{r} ideal sum too large at p={p}")
-    units = np.arange(1, p, dtype=np.int64)
-    grids = np.indices((p - 1,) * (r - 1))
-    tot = np.zeros(grids[0].shape, dtype=np.int64)
-    exps = np.zeros(grids[0].shape, dtype=np.int64)
-    for ai, g in zip(a[:-1], grids):
-        u = units[g]
-        tot += u
-        exps += ai * dc[u]
-    last = (-1 - tot) % p
-    mask = last != 0
-    exps = (exps + a[-1] * dc[last]) % m
-    counts = np.bincount(exps[mask].ravel(), minlength=m)
-    return sign * CycInt.from_exponent_counts(m, {k: int(c) for k, c in enumerate(counts)})
+    if not ideals:
+        return []
+    if len({(i.p, i.m) for i in ideals}) != 1:
+        raise ValidationError("ideals must lie over one prime of one conductor")
+    m = ideals[0].m
+    rows = [(m, [x * ideal.tau_inv % m for x in a]) for ideal in ideals for a in vectors]
+    sums = unit_sums(ideals[0].field, rows)
+    return [(-1) ** (len(e) + 1) * j for (_, e), j in zip(rows, sums)]
+
+
+def ideal_jacobi_sum(ideal: SplitPrimeIdeal, a: tuple[int, ...]) -> CycInt:
+    """J_a(p) for one ideal; see ideal_jacobi_sums."""
+    return ideal_jacobi_sums([ideal], [a])[0]
 
 
 def ideal_product_jacobi_sum(ideals, a) -> CycInt:
@@ -175,12 +171,8 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
     aset = full_alpha_set(v, p)
     reps = _galois_orbit_reps(aset.tuples, m)
     ideals = split_prime_ideals(p, m)
-    hecke_side = Counter()
-    for ideal in ideals:
-        for rep in reps:
-            scale = m // rep.den
-            a = tuple(n * scale % m for n in rep.nums[1:])
-            hecke_side[ideal_jacobi_sum(ideal, a).lift(m)] += 1
+    vectors = [tuple(n * (m // rep.den) % m for n in rep.nums[1:]) for rep in reps]
+    hecke_side = Counter(ideal_jacobi_sums(ideals, vectors))
 
     sign = None
     for candidate in (1, -1):
@@ -347,8 +339,7 @@ class HeckeCharacter:
     def local_factor(self, p: int) -> list[CycInt]:
         """prod over ideals above p of (1 - J_a(ideal) t), coefficients in Z[mu_m]."""
         poly = [CycInt.one(self.m)]
-        for ideal in split_prime_ideals(p, self.m):
-            j = ideal_jacobi_sum(ideal, self.a).lift(self.m)
+        for j in ideal_jacobi_sums(split_prime_ideals(p, self.m), [self.a]):
             poly = [c for c in poly] + [CycInt.zero(self.m)]
             for i in range(len(poly) - 2, -1, -1):
                 poly[i + 1] = poly[i + 1] - j * poly[i]

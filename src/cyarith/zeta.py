@@ -13,8 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .charsum import AlphaTuple, full_alpha_set, jacobi_sum
-from .counting import DiagonalVariety, class_histogram
+from .charsum import AlphaTuple, full_alpha_set, jacobi_sums
+from .counting import DiagonalVariety
 from .cyclo import CycInt
 from .errors import InvariantViolationError, ValidationError
 from .ffield import make_field
@@ -54,7 +54,6 @@ class CongruentZeta:
     variety: DiagonalVariety
     p: int
     middle: LocalFactor
-    hodge: dict[str, int] | None = None
 
     @property
     def trivial_factors(self) -> tuple[tuple[int, int], ...]:
@@ -115,9 +114,8 @@ def local_factor_middle(v: DiagonalVariety, p: int,
     orbits: list[tuple[CycInt, int]] = []
     for f in sorted(by_f):
         field = make_field(p, f)
-        hist = class_histogram(v, field)
-        for rep in by_f[f]:
-            j = root_sign * jacobi_sum(field, rep, hist)
+        for rep, jac in zip(by_f[f], jacobi_sums(field, by_f[f])):
+            j = root_sign * jac
             if j * j.conj() != CycInt.from_int(j.m, field.q ** n):
                 raise InvariantViolationError(
                     f"|J|^2 != q^{n} for {rep.nums}/{rep.den} at p={p}, f={f}")
@@ -131,11 +129,9 @@ def local_factor_middle(v: DiagonalVariety, p: int,
 
 
 def congruent_zeta(v: DiagonalVariety, p: int,
-                   max_root_field: int | None = None,
-                   hodge: dict[str, int] | None = None) -> CongruentZeta:
+                   max_root_field: int | None = None) -> CongruentZeta:
     return CongruentZeta(variety=v, p=p,
-                         middle=local_factor_middle(v, p, max_root_field),
-                         hodge=hodge)
+                         middle=local_factor_middle(v, p, max_root_field))
 
 
 def predicted_count(z: CongruentZeta, r: int) -> int:

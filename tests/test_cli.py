@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, schemas, caching."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,13 @@ def test_jacobi_json(capsys):
     assert e["conductor"] == 5
 
 
+def test_jacobi_alpha_outside_degree_set(capsys):
+    # wrong arity, and an entry denominator (6) not dividing its exponent (3)
+    assert run(["jacobi", "-d", "5", "-n", "3", "-p", "11", "--alpha", "1,1,1,2"]) == 1
+    assert run(["jacobi", "--exponents", "3,3,3", "-p", "7", "--alpha", "1,2,3",
+                "--den", "6"]) == 1
+
+
 def test_jacobi_lifts_extension(capsys):
     # order-5 characters need F_16 at p=2; picked up without an explicit -r
     doc = _json_out(capsys, ["jacobi", "-d", "5", "-n", "3", "-p", "2",
@@ -106,7 +114,8 @@ def test_zeta_truncated_schema(capsys, tmp_path):
 
 
 def test_zeta_capacity_hint(capsys):
-    assert run(["zeta", "-d", "5", "-n", "3", "-p", "7", "--no-cache"]) == 1
+    # p = 37 has residue degree 4 mod 5 and 37^4 exceeds the extension-field bound
+    assert run(["zeta", "-d", "5", "-n", "3", "-p", "37", "--no-cache"]) == 1
     assert "--max-root-field" in capsys.readouterr().err
 
 
@@ -231,3 +240,17 @@ def test_console_script_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "bad reduction" in proc.stderr
+
+
+def test_hecke_cutoff_300(capsys):
+    # rank-4 ideal sums at p = 271 and 281
+    doc = _json_out(capsys, ["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "300"])
+    _validate("hecke", doc)
+    assert doc["split_primes"][-2:] == [271, 281]
+    a = [int(c) for c in doc["coefficients"]]      # rational for this character
+    for p in (271, 281):
+        assert 0 < abs(a[p - 1]) <= 4 * p ** 1.5    # four ideals, |J| = p^(3/2)
+    for i in range(2, 151):
+        for j in range(2, 300 // i + 1):
+            if math.gcd(i, j) == 1:
+                assert a[i * j - 1] == a[i - 1] * a[j - 1]

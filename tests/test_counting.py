@@ -2,10 +2,9 @@
 
 import pytest
 
-from cyarith import (DiagonalVariety, class_histogram, count_affine,
-                     count_projective, make_field)
-from cyarith.counting import _hyperplane_unit_tuples
-from cyarith.errors import BadReductionError, CapacityError, ValidationError
+from cyarith import DiagonalVariety, count_affine, count_projective, make_field
+from cyarith.charsum import unit_sums
+from cyarith.errors import BadReductionError, ValidationError
 
 
 def test_variety_validation():
@@ -76,11 +75,15 @@ def test_methods_agree():
 @pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_hyperplane_tuple_closed_form(p, r, k):
+    # with every character trivial, (q-1) times the Jacobi kernel's unit sum
+    # counts the unit k-tuples on the hyperplane sum = 0
     from itertools import product
     f = make_field(p, r)
     brute = sum(1 for t in product(range(1, f.q), repeat=k)
                 if _sum_indices(f, t) == 0)
-    assert brute == _hyperplane_unit_tuples(f.q, k)
+    [trivial] = unit_sums(f, [(1, [0] * (k - 1))])
+    assert brute == ((f.q - 1) ** k + (-1) ** k * (f.q - 1)) // f.q
+    assert brute == (f.q - 1) * trivial.rational_value()
 
 
 def _sum_indices(f, t):
@@ -88,18 +91,6 @@ def _sum_indices(f, t):
     for x in t:
         acc = f.add(acc, x)
     return acc
-
-
-def test_class_histogram_total(quintic, f11):
-    hist = class_histogram(quintic, f11)
-    assert hist.total == _hyperplane_unit_tuples(11, 5) == 9090
-    assert hist.orders == (5, 5, 5, 5, 5)
-
-
-def test_histogram_capacity():
-    v = DiagonalVariety.fermat(5, 3)
-    with pytest.raises(CapacityError):
-        class_histogram(v, make_field(7, 4))   # (2400)^4 free coordinates
 
 
 def test_bad_reduction_raises(quintic):

@@ -6,7 +6,7 @@ import sympy
 
 from cyarith import dlog, is_prime, make_field
 from cyarith.errors import CapacityError, PrimalityError, ValidationError
-from cyarith.ffield import make_extension_field, prime_field_with_generator
+from cyarith.ffield import make_extension_field, make_prime_field
 
 
 def test_is_prime_agrees_with_sympy():
@@ -92,14 +92,14 @@ def test_vectorised_ops_match_scalar():
 
 
 def test_alternate_generator_field(f11):
-    g7 = prime_field_with_generator(11, 7)
+    g7 = make_prime_field(11, 7)
     assert g7.g == 7
     # same field, different log tables; multiplication must agree
     for x in range(11):
         for y in range(11):
             assert f11.mul(x, y) == g7.mul(x, y)
     with pytest.raises(ValidationError):
-        prime_field_with_generator(11, 3)   # order 5, not a generator
+        make_prime_field(11, 3)             # order 5, not a generator
 
 
 def test_validation_and_capacity():

@@ -1,0 +1,35 @@
+"""Byte-for-byte pins of `--json --deterministic` CLI output.
+
+The files under tests/golden/ were written by the enumeration-based Jacobi
+sums that preceded the two-variable recursion, one per command below
+(`python -m cyarith.cli <command> --json --deterministic --jobs 1
+--no-cache`).  A refactor must reproduce every one exactly.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from cyarith.cli import run
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+GOLDEN = {
+    "jacobi_quintic_p11_orbits": "jacobi -d 5 -n 3 -p 11 --orbits",
+    "jacobi_cubic_p2_r2": "jacobi --exponents 3,3,3 -p 2 -r 2",
+    "jacobi_236_p7": "jacobi --exponents 2,3,6 -p 7",
+    "zeta_quintic_p2_11": "zeta -d 5 -n 3 -p 2,11",
+    "zeta_quintic_p7_truncated": "zeta -d 5 -n 3 -p 7 --max-root-field 100",
+    "match_quintic_p11": "match -d 5 -n 3 -p 11",
+    "hecke_m5_cutoff100": "hecke -m 5 --a 1,1,1,1 --cutoff 100",
+    "lseries_quintic_cutoff30": "lseries -d 5 -n 3 --cutoff 30",
+    "count_cubic_p2_13_r2": "count --exponents 3,3,3 -p 2..13 -r 2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name, capsys):
+    argv = GOLDEN[name].split() + ["--json", "--deterministic", "--jobs", "1", "--no-cache"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert out == (GOLDEN_DIR / f"{name}.json").read_bytes()

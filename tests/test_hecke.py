@@ -2,10 +2,12 @@
 Hasse-Weil vs Hecke multiset match."""
 
 import math
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyarith import (DiagonalVariety, HeckeCharacter, count_projective,
+from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, count_projective,
                      dirichlet_coefficients, hasse_weil_collection,
                      ideal_jacobi_sum, make_field, match_hasse_weil,
                      partial_sum_eval, power_residue_char, split_prime_ideals,
@@ -83,6 +85,36 @@ def test_ideal_jacobi_sum_degenerate():
     for ideal in split_prime_ideals(11, 5):
         j = ideal_jacobi_sum(ideal, (1, 4))
         assert j.rational_value() == 1
+
+
+def _ideal_sum_brute(ideal, a):
+    """J_a(ideal) from its definition; chi(u) is read off by matching
+    u^((p-1)/m) against the powers of the label c, without dlog tables."""
+    p, m = ideal.p, ideal.m
+    power_of_c = {pow(ideal.c, j, p): j for j in range(m)}
+    chi = [0] + [power_of_c[pow(u, (p - 1) // m, p)] for u in range(1, p)]
+    counts = [0] * m
+    for head in product(range(1, p), repeat=len(a) - 1):
+        last = (-1 - sum(head)) % p
+        if last:
+            counts[sum(x * chi[u] for x, u in zip(a, head + (last,))) % m] += 1
+    return (-1) ** (len(a) + 1) * CycInt.from_exponent_counts(m, counts)
+
+
+@st.composite
+def _ideal_and_vector(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    m = draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
+    ideal = draw(st.sampled_from(split_prime_ideals(p, m)))
+    a = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+    return ideal, tuple(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ideal_and_vector())
+def test_ideal_jacobi_sum_matches_brute_force(case):
+    ideal, a = case
+    assert ideal_jacobi_sum(ideal, a) == _ideal_sum_brute(ideal, a)
 
 
 def test_match_hasse_weil(quintic, quintic_lf11, quintic_lf31):

@@ -127,3 +127,15 @@ def test_expected_degrees():
     assert k3[2] == 22
     curve = expected_degrees(None, 1)
     assert curve[1] == 2
+
+
+@pytest.mark.parametrize("p,r", [(7, 4), (13, 1), (19, 2)])
+def test_quintic_complete_at_large_residue_fields(quintic, p, r):
+    # orbit sums over F_{7^4}, F_{13^4} and F_{19^2}; N_r ties the orbits of
+    # length dividing r to an independent point count
+    z = congruent_zeta(quintic, p)
+    assert z.middle.degree == 204
+    sign, _ = check_functional_equation(z.middle)
+    assert sign == 1
+    for k in {1, r}:
+        assert predicted_count(z, k) == count_projective(quintic, make_field(p, k))
