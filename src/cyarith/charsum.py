@@ -16,13 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .counting import DiagonalVariety
 from .cyclo import CycInt
 from .errors import BadReductionError, CapacityError, InvariantViolationError, ValidationError
 from .ffield import FieldTable, is_prime
+
+if TYPE_CHECKING:
+    from .counting import DiagonalVariety
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import sys
+import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -236,9 +237,14 @@ def _factor_record(exps: tuple[int, ...], lf: LocalFactor) -> dict:
 
 def _write_cache(path: Path, exps: tuple[int, ...], lf: LocalFactor) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(_factor_record(exps, lf), indent=1) + "\n")
-    tmp.replace(path)   # atomic swap; concurrent writers of the same entry agree
+    # one temp file per writer: a shared name lets one writer's replace move
+    # another's half-written file into place
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(json.dumps(_factor_record(exps, lf), indent=1) + "\n")
+        tmp.replace(path)   # atomic swap; concurrent writers of the same entry agree
+    finally:
+        tmp.unlink(missing_ok=True)     # still there only if the write or replace failed
 
 
 def _load_cache(path: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
@@ -482,7 +488,36 @@ def _cmd_zeta(args) -> None:
         _emit_table(args, lines)
 
 
-# -- subcommand: lseries --------------------------------------------------------------
+# -- subcommands: lseries, hecke ------------------------------------------------------
+
+
+def _emit_dirichlet(args, coeffs, head: dict, title: str) -> None:
+    """a_1..a_cutoff as CSV (the default), JSON (head, the coefficients and
+    the --eval-at partial sum) or a table of the nonzero a_n."""
+    a = [coeffs.a(n) for n in range(1, coeffs.cutoff + 1)]
+    partial_sum = None
+    if args.eval_at is not None:
+        res = partial_sum_eval(coeffs, args.eval_at)
+        val = complex(res.value)
+        partial_sum = {"s": res.s,
+                       "value": {"re": val.real, "im": val.imag},
+                       "tail_bound": res.tail_bound if math.isfinite(res.tail_bound) else None}
+    fmt = _fmt(args, "csv")
+    if fmt == "csv":
+        _emit_csv(args, ["n", "a_n"], [[n, _coeff_str(an)] for n, an in enumerate(a, 1)])
+    elif fmt == "json":
+        payload = {**head, "coefficients": [_coeff_str(an) for an in a]}
+        if partial_sum is not None:
+            payload["partial_sum"] = partial_sum
+        _emit_json(args, payload)
+    else:
+        lines = [title] + [f"  a_{n} = {_coeff_str(an)}" for n, an in enumerate(a, 1) if an]
+        if partial_sum is not None:
+            tb = partial_sum["tail_bound"]
+            tail = f"{tb:.3g}" if tb is not None else "unbounded"
+            lines.append(f"  sum a_n n^-s at s = {partial_sum['s']}: "
+                         f"{partial_sum['value']['re']:.6f} (tail <= {tail})")
+        _emit_table(args, lines)
 
 
 def _cmd_lseries(args) -> None:
@@ -492,42 +527,14 @@ def _cmd_lseries(args) -> None:
     v = cfg.variety
     coll = hasse_weil_collection(v, cfg.cutoff)
     coeffs = dirichlet_coefficients(coll, cfg.cutoff)
-    extra = {}
-    if args.eval_at is not None:
-        res = partial_sum_eval(coeffs, args.eval_at)
-        val = complex(res.value)
-        tb = res.tail_bound if math.isfinite(res.tail_bound) else None
-        extra["partial_sum"] = {"s": res.s,
-                                "value": {"re": val.real, "im": val.imag},
-                                "tail_bound": tb}
-    fmt = _fmt(args, "csv")
-    if fmt == "csv":
-        _emit_csv(args, ["n", "a_n"],
-                  [[n, _coeff_str(coeffs.a(n))] for n in range(1, cfg.cutoff + 1)])
-    elif fmt == "json":
-        payload = {"exponents": list(v.exponents),
-                   "cutoff": cfg.cutoff,
-                   "weight": coeffs.weight,
-                   "bad_primes": list(coeffs.bad_primes),
-                   "omitted_primes": list(coeffs.omitted_primes),
-                   "coefficients": [_coeff_str(coeffs.a(n))
-                                    for n in range(1, cfg.cutoff + 1)],
-                   **extra}
-        _emit_json(args, payload)
-    else:
-        lines = [f"L-series of {v.exponents}, weight {coeffs.weight}, "
-                 f"n <= {cfg.cutoff}, bad primes {list(coeffs.bad_primes)}"]
-        lines += [f"  a_{n} = {_coeff_str(coeffs.a(n))}"
-                  for n in range(1, cfg.cutoff + 1) if coeffs.a(n)]
-        if extra:
-            ps = extra["partial_sum"]
-            tail = f"{ps['tail_bound']:.3g}" if ps["tail_bound"] is not None else "unbounded"
-            lines.append(f"  sum a_n n^-s at s = {ps['s']}: {ps['value']['re']:.6f} "
-                         f"(tail <= {tail})")
-        _emit_table(args, lines)
-
-
-# -- subcommand: hecke ---------------------------------------------------------------
+    head = {"exponents": list(v.exponents),
+            "cutoff": cfg.cutoff,
+            "weight": coeffs.weight,
+            "bad_primes": list(coeffs.bad_primes),
+            "omitted_primes": list(coeffs.omitted_primes)}
+    _emit_dirichlet(args, coeffs, head,
+                    f"L-series of {v.exponents}, weight {coeffs.weight}, "
+                    f"n <= {cfg.cutoff}, bad primes {list(coeffs.bad_primes)}")
 
 
 def _cmd_hecke(args) -> None:
@@ -539,35 +546,15 @@ def _cmd_hecke(args) -> None:
         raise ValidationError(f"cannot parse exponent vector {args.a!r}")
     chi = HeckeCharacter(args.conductor, a)
     coeffs = dirichlet_coefficients(chi, args.cutoff)
-    extra = {}
-    if args.eval_at is not None:
-        res = partial_sum_eval(coeffs, args.eval_at)
-        val = complex(res.value)
-        tb = res.tail_bound if math.isfinite(res.tail_bound) else None
-        extra["partial_sum"] = {"s": res.s,
-                                "value": {"re": val.real, "im": val.imag},
-                                "tail_bound": tb}
-    fmt = _fmt(args, "csv")
-    if fmt == "csv":
-        _emit_csv(args, ["n", "a_n"],
-                  [[n, _coeff_str(coeffs.a(n))] for n in range(1, args.cutoff + 1)])
-    elif fmt == "json":
-        payload = {"conductor": chi.m,
-                   "a": list(chi.a),
-                   "weight": chi.weight,
-                   "cutoff": args.cutoff,
-                   "bad_primes": list(coeffs.bad_primes),
-                   "omitted_primes": list(coeffs.omitted_primes),
-                   "split_primes": [p for p, _ in coeffs.included_primes],
-                   "coefficients": [_coeff_str(coeffs.a(n))
-                                    for n in range(1, args.cutoff + 1)],
-                   **extra}
-        _emit_json(args, payload)
-    else:
-        lines = [f"Hecke character m = {chi.m}, a = {chi.a}, weight {chi.weight}"]
-        lines += [f"  a_{n} = {_coeff_str(coeffs.a(n))}"
-                  for n in range(1, args.cutoff + 1) if coeffs.a(n)]
-        _emit_table(args, lines)
+    head = {"conductor": chi.m,
+            "a": list(chi.a),
+            "weight": chi.weight,
+            "cutoff": args.cutoff,
+            "bad_primes": list(coeffs.bad_primes),
+            "omitted_primes": list(coeffs.omitted_primes),
+            "split_primes": [p for p, _ in coeffs.included_primes]}
+    _emit_dirichlet(args, coeffs, head,
+                    f"Hecke character m = {chi.m}, a = {chi.a}, weight {chi.weight}")
 
 
 # -- subcommand: match ---------------------------------------------------------------

@@ -5,23 +5,27 @@ coordinates (x_0 : ... : x_s).  Projective counts divide out the scaling
 torus: N = (N_affine - 1) / (q - 1), which is exact for every finite field
 because the fibres of the quotient map are full G_m-torsors.
 
-The fast counting path convolves per-coordinate power-value multisets over
-the additive group of F_q; the direct path enumerates the affine grid and is
-kept as the independent oracle.
+Affine counts come from Weil's formula: the hyperplane count q^s plus (q-1)
+times the Jacobi sums j_q(alpha) of the admissible character tuples, all
+from the one kernel charsum.jacobi_sums (Weil 1949; Ireland-Rosen ch. 8
+section 7).  count_affine_direct enumerates the affine grid and is kept as
+the independent oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
+from .charsum import build_alpha_set, jacobi_sums
+from .cyclo import CycInt
 from .errors import CapacityError, InvariantViolationError, ValidationError
 from .ffield import FieldTable, is_prime
 
 DIRECT_ENUM_BUDGET = 1 << 25    # affine grid cells for the exhaustive oracle
-CONVOLUTION_BUDGET = 1 << 26    # q^2 cap for the additive-convolution path
 
 
 @dataclass(frozen=True)
@@ -73,66 +77,7 @@ class DiagonalVariety:
 # -- affine solution counting ----------------------------------------------------
 
 
-def _power_value_counts(f: FieldTable, n: int) -> np.ndarray:
-    """counts[v] = #{x in F_q : x^n = v}, indexed by element index v."""
-    e = np.arange(f.q - 1, dtype=np.int64)
-    vals = f.exp[(e * n) % (f.q - 1)]
-    c = np.bincount(vals, minlength=f.q).astype(np.int64)
-    c[0] += 1
-    return c
-
-
-def _group_convolve(f: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[w] = sum_u a[u] * b[w - u] over the additive group of F_q."""
-    q = f.q
-    if f.r == 1:
-        full = np.convolve(a, b)
-        out = full[:q].copy()
-        out[: q - 1] += full[q:]
-        return out
-    out = np.zeros(q, dtype=a.dtype)
-    for u in range(q):
-        au = a[u]
-        if au:
-            idx = ((f.digits - f.digits[u]) % f.p) @ f.ppow
-            out += au * b[idx]
-    return out
-
-
-def _convolve_exact_lists(f: FieldTable, a: list[int], b: list[int]) -> list[int]:
-    # arbitrary-precision fallback when int64 could overflow
-    q = f.q
-    out = [0] * q
-    if f.r == 1:
-        for u, au in enumerate(a):
-            if au:
-                for w in range(q):
-                    out[(u + w) % q] += au * b[w]
-        return out
-    for u, au in enumerate(a):
-        if au:
-            idx = ((f.digits - f.digits[u]) % f.p) @ f.ppow
-            for w in range(q):
-                out[w] += au * b[int(idx[w])]
-    return out
-
-
-def _affine_count_convolution(v: DiagonalVariety, f: FieldTable) -> int:
-    if f.q * f.q > CONVOLUTION_BUDGET:
-        raise CapacityError(f"convolution path capped at q^2 <= {CONVOLUTION_BUDGET}")
-    counts = [_power_value_counts(f, n) for n in v.exponents]
-    if f.q ** len(counts) < 2**62:
-        acc = counts[0]
-        for c in counts[1:]:
-            acc = _group_convolve(f, acc, c)
-        return int(acc[0])
-    acc = [int(x) for x in counts[0]]
-    for c in counts[1:]:
-        acc = _convolve_exact_lists(f, acc, [int(x) for x in c])
-    return acc[0]
-
-
-def _affine_count_direct(v: DiagonalVariety, f: FieldTable) -> int:
+def count_affine_direct(v: DiagonalVariety, f: FieldTable) -> int:
     """Exhaustive enumeration of the full affine grid (the counting oracle)."""
     s1 = len(v.exponents)
     q = f.q
@@ -163,17 +108,27 @@ def _affine_count_direct(v: DiagonalVariety, f: FieldTable) -> int:
     return total
 
 
-def count_affine(v: DiagonalVariety, f: FieldTable, method: str = "convolution") -> int:
-    if method == "convolution":
-        return _affine_count_convolution(v, f)
-    if method == "direct":
-        return _affine_count_direct(v, f)
-    raise ValidationError(f"unknown counting method {method!r}")
+def count_affine(v: DiagonalVariety, f: FieldTable) -> int:
+    """Number of affine F_q solutions by Weil's formula
+
+        N = q^s + (q-1) * sum over alpha in build_alpha_set(v, f) of j_q(alpha),
+
+    which needs only gcd(n_i, q-1), so it also holds when p divides an n_i.
+    The Jacobi-sum total must be a rational integer; rational_value() checks it.
+    """
+    q, s = f.q, v.ambient_dim
+    tuples = build_alpha_set(v, f).tuples
+    if not tuples:
+        return q**s
+    sums = jacobi_sums(f, tuples)
+    big_m = math.lcm(*(j.m for j in sums))
+    total = sum((j.lift(big_m) for j in sums), CycInt.zero(big_m))
+    return q**s + (q - 1) * total.rational_value()
 
 
-def count_projective(v: DiagonalVariety, f: FieldTable, method: str = "convolution") -> int:
+def count_projective(v: DiagonalVariety, f: FieldTable) -> int:
     """Number of projective F_q points; exact-quotient check included."""
-    na = count_affine(v, f, method)
+    na = count_affine(v, f)
     if (na - 1) % (f.q - 1):
         raise InvariantViolationError(
             f"affine count {na} is not 1 mod q-1; scaling torsor broken")

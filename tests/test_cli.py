@@ -4,12 +4,14 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from cyarith import DiagonalVariety
 from cyarith.cli import run
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -34,6 +36,11 @@ def test_count_json(capsys):
     doc = _json_out(capsys, ["count", "-d", "5", "-n", "3", "-p", "11"])
     _validate("count", doc)
     assert doc["counts"][0]["projective_points"] == "1925"
+
+
+def test_count_quintic_past_convolution_cap(capsys):
+    doc = _json_out(capsys, ["count", "-d", "5", "-n", "3", "-p", "101", "-r", "2"])
+    assert doc["counts"][0]["projective_points"] == "1061585385175"
 
 
 def test_count_bad_prime_strict(capsys):
@@ -139,6 +146,35 @@ def test_cache_roundtrip_and_corruption(capsys, tmp_path):
     assert entry.exists()                         # rewritten after recompute
 
 
+def test_concurrent_cache_writers(tmp_path):
+    from cyarith.cli import _cache_path, _load_cache, _write_cache
+    from cyarith.zeta import local_factor_middle
+
+    v = DiagonalVariety.fermat(3, 1)
+    lf = local_factor_middle(v, 7)
+    path = _cache_path(tmp_path, v.exponents, 7)
+    start, errors = threading.Barrier(4), []
+
+    def writer():
+        start.wait()
+        try:
+            for _ in range(50):
+                _write_cache(path, v.exponents, lf)
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert errors == []
+    loaded = _load_cache(path, v.exponents, 7)
+    assert (loaded.coeffs, loaded.orbits) == (lf.coeffs, lf.orbits)
+    assert [x.name for x in tmp_path.iterdir()] == [path.name]
+
+
 def test_lseries_csv_and_eval(capsys):
     code = run(["lseries", "-d", "3", "-n", "1", "--cutoff", "20", "--csv",
                 "--deterministic"])
@@ -151,6 +187,12 @@ def test_lseries_csv_and_eval(capsys):
                              "--eval-at", "2.5"])
     _validate("lseries", doc)
     assert doc["partial_sum"]["s"] == 2.5
+
+
+def test_hecke_table_eval(capsys):
+    assert run(["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "31", "--table",
+                "--eval-at", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("  sum a_n n^-s at s = 3.0: ")
 
 
 def test_hecke_json(capsys):

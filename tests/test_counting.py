@@ -1,10 +1,17 @@
-"""Point counts of diagonal hypersurfaces: oracle values and method agreement."""
+"""Point counts of diagonal hypersurfaces: oracle values and Weil's formula
+against exhaustive enumeration."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cyarith import DiagonalVariety, count_affine, count_projective, make_field
+from cyarith import (DiagonalVariety, congruent_zeta, count_affine, count_projective,
+                     make_field, predicted_count)
 from cyarith.charsum import unit_sums
+from cyarith.counting import DIRECT_ENUM_BUDGET, count_affine_direct
 from cyarith.errors import BadReductionError, ValidationError
+
+# r > 1, p = 2, and primes dividing exponents in 2..6
+ORACLE_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1), (5, 2)]
 
 
 def test_variety_validation():
@@ -63,13 +70,24 @@ def test_affine_projective_relation(quintic):
         assert na - 1 == np_ * (f.q - 1)
 
 
-def test_methods_agree():
-    for exps, p, r in [((3, 3, 3), 7, 1), ((4, 4, 4, 4), 3, 2),
-                       ((2, 3, 6), 5, 1), ((5, 5, 5, 5, 5), 2, 2)]:
-        v = DiagonalVariety(exps)
-        f = make_field(p, r)
-        assert count_affine(v, f, method="direct") == \
-            count_affine(v, f, method="convolution")
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(ORACLE_FIELDS),
+       exps=st.lists(st.integers(2, 6), min_size=3, max_size=5))
+@example(field=(3, 2), exps=[3, 6, 2])
+@example(field=(2, 3), exps=[2, 4, 6, 3])
+def test_weil_formula_matches_enumeration(field, exps):
+    f = make_field(*field)
+    assert f.q ** len(exps) <= DIRECT_ENUM_BUDGET
+    v = DiagonalVariety(tuple(exps))
+    assert count_affine(v, f) == count_affine_direct(v, f)
+
+
+def test_counts_past_the_old_convolution_cap(quintic, cubic):
+    # q^2 > 2^26 at both fields; the count must equal the zeta prediction
+    n2 = count_projective(quintic, make_field(101, 2))
+    assert n2 == predicted_count(congruent_zeta(quintic, 101), 2) == 1061585385175
+    n1 = count_projective(cubic, make_field(8209))
+    assert n1 == predicted_count(congruent_zeta(cubic, 8209), 1) == 8127
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])

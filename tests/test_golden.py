@@ -1,9 +1,11 @@
-"""Byte-for-byte pins of `--json --deterministic` CLI output.
+"""Byte-for-byte pins of `--deterministic` CLI output.
 
-The files under tests/golden/ were written by the enumeration-based Jacobi
-sums that preceded the two-variable recursion, one per command below
-(`python -m cyarith.cli <command> --json --deterministic --jobs 1
---no-cache`).  A refactor must reproduce every one exactly.
+Each file under tests/golden/ holds the output of one command below,
+`python -m cyarith.cli <command> --deterministic --jobs 1 --no-cache`, with
+`--json` appended when the command names no output format.  The JSON pins
+were written by the enumeration-based Jacobi sums that preceded the
+two-variable recursion, the count pins by the additive convolution that
+preceded Weil's formula.  A refactor must reproduce every one exactly.
 """
 
 from pathlib import Path
@@ -24,12 +26,23 @@ GOLDEN = {
     "hecke_m5_cutoff100": "hecke -m 5 --a 1,1,1,1 --cutoff 100",
     "lseries_quintic_cutoff30": "lseries -d 5 -n 3 --cutoff 30",
     "count_cubic_p2_13_r2": "count --exponents 3,3,3 -p 2..13 -r 2",
+    "count_quintic_p2_13_r2": "count -d 5 -n 3 -p 2..13 -r 2",
+    "lseries_quintic_cutoff30_eval_csv": "lseries -d 5 -n 3 --cutoff 30 --eval-at 3.5 --csv",
+    "lseries_quintic_cutoff30_eval_table":
+        "lseries -d 5 -n 3 --cutoff 30 --eval-at 3.5 --table",
+    "hecke_m5_cutoff100_eval_csv": "hecke -m 5 --a 1,1,1,1 --cutoff 100 --eval-at 3 --csv",
+    "hecke_m5_cutoff100_table": "hecke -m 5 --a 1,1,1,1 --cutoff 100 --table",
 }
+
+SUFFIX = {"--json": "json", "--csv": "csv", "--table": "txt"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(name, capsys):
-    argv = GOLDEN[name].split() + ["--json", "--deterministic", "--jobs", "1", "--no-cache"]
-    assert run(argv) == 0
+    argv = GOLDEN[name].split()
+    if not any(a in SUFFIX for a in argv):
+        argv.append("--json")
+    [fmt] = [a for a in argv if a in SUFFIX]
+    assert run(argv + ["--deterministic", "--jobs", "1", "--no-cache"]) == 0
     out = capsys.readouterr().out.encode()
-    assert out == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    assert out == (GOLDEN_DIR / f"{name}.{SUFFIX[fmt]}").read_bytes()
