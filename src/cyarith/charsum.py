@@ -138,12 +138,9 @@ def dlog_pair_table(f: FieldTable, M: int) -> np.ndarray:
     if (q - 1) % M:
         raise ValidationError(f"character order {M} does not divide q-1 = {q - 1}")
     v = np.arange(2, q, dtype=np.int64)
-    if f.r == 1:
-        one_minus_v = f.p + 1 - v
-    else:
-        neg = (f.p - f.digits[v]) % f.p
-        neg[:, 0] = (neg[:, 0] + 1) % f.p
-        one_minus_v = neg @ f.ppow
+    neg = (f.p - f.digits[v]) % f.p
+    neg[:, 0] = (neg[:, 0] + 1) % f.p
+    one_minus_v = neg @ f.ppow
     flat = (f.dlog[one_minus_v] % M) * M + f.dlog[v] % M
     table = np.bincount(flat, minlength=M * M).reshape(M, M)
     sizes = (q - 1) // M - (np.arange(M) == 0)
@@ -231,23 +228,15 @@ def jacobi_sum_direct(f: FieldTable, alpha: AlphaTuple) -> CycInt:
         i = s - nv + j
         vexp = vexp + (mult[i] * dl[U]).reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j))
 
-    if f.r == 1:
-        vsum = np.zeros((1,) * nv, dtype=np.int64)
-        for j in range(nv):
-            vsum = vsum + U.reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j))
-    else:
-        vsum = np.zeros((1,) * nv + (f.r,), dtype=np.int32)
-        for j in range(nv):
-            vsum = vsum + f.digits[U].reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j) + (f.r,))
+    vsum = np.zeros((1,) * nv + (f.r,), dtype=np.int32)
+    for j in range(nv):
+        vsum = vsum + f.digits[U].reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j) + (f.r,))
 
     for prefix in product(range(1, q), repeat=s - nv):
-        if f.r == 1:
-            dep = (-(sum(prefix) + vsum)) % p
-        else:
-            part = np.zeros(f.r, dtype=np.int32)
-            for u in prefix:
-                part = part + f.digits[u]
-            dep = ((p - (part + vsum)) % p) @ f.ppow
+        part = np.zeros(f.r, dtype=np.int32)
+        for u in prefix:
+            part = part + f.digits[u]
+        dep = ((p - (part + vsum)) % p) @ f.ppow
         mask = dep != 0
         e = (vexp + mult[s] * dl[dep]) % m
         for i, u in enumerate(prefix):

@@ -61,7 +61,6 @@ IDENTITY_TOL = 1e-9     # accept threshold for the KR / KN residuals
 class RunConfig:
     """Validated parameters shared by the variety-facing subcommands."""
 
-    subcommand: str
     exponents: tuple[int, ...]
     primes: tuple[int, ...]
     strict_primes: bool     # primes given as an explicit list; bad ones are errors
@@ -150,7 +149,6 @@ def _resolve_cache(args) -> Path:
 def _config(args, need_primes: bool = True) -> RunConfig:
     primes, strict = _parse_primes(args.prime) if need_primes else ((), True)
     return RunConfig(
-        subcommand=args.subcommand,
         exponents=_parse_exponents(args),
         primes=primes,
         strict_primes=strict,
@@ -164,11 +162,17 @@ def _config(args, need_primes: bool = True) -> RunConfig:
 # -- output plumbing ---------------------------------------------------------------
 
 
-def _fmt(args, default: str) -> str:
+def _fmt(args, default: str, *others: str) -> str:
+    """The output format asked for, or default when none is; a format the
+    command cannot print (not default or one of others) is refused."""
     chosen = [f for f in ("json", "csv", "table") if getattr(args, f, False)]
     if len(chosen) > 1:
         raise ValidationError("pick at most one of --json / --csv / --table")
-    return chosen[0] if chosen else default
+    fmt = chosen[0] if chosen else default
+    if fmt not in (default, *others):
+        raise ValidationError(f"--{fmt} is not available here; use "
+                              + " / ".join(f"--{f}" for f in (default, *others)))
+    return fmt
 
 
 def _emit(args, text: str) -> None:
@@ -323,7 +327,7 @@ def _cmd_count(args) -> None:
                "calabi_yau": v.is_calabi_yau,
                "skipped_bad_primes": skipped,
                "counts": rows}
-    fmt = _fmt(args, "table")
+    fmt = _fmt(args, "table", "json", "csv")
     if fmt == "json":
         _emit_json(args, payload)
     elif fmt == "csv":
@@ -394,7 +398,7 @@ def _cmd_jacobi(args) -> None:
     payload = {"exponents": list(v.exponents), "p": p, "q": f.q,
                "orbit_representatives_only": bool(args.orbits),
                "jacobi_sums": entries}
-    fmt = _fmt(args, "json")
+    fmt = _fmt(args, "json", "csv", "table")
     if fmt == "csv":
         _emit_csv(args, ["alpha", "den", "re", "im", "norm_check"],
                   [[";".join(str(n) for n in e["alpha"]), e["den"],
@@ -466,7 +470,7 @@ def _cmd_zeta(args) -> None:
                "dimension": v.complex_dim,
                "skipped_bad_primes": skipped,
                "results": results}
-    fmt = _fmt(args, "table")
+    fmt = _fmt(args, "table", "json", "csv")
     if fmt == "json":
         _emit_json(args, payload)
     elif fmt == "csv":
@@ -502,7 +506,7 @@ def _emit_dirichlet(args, coeffs, head: dict, title: str) -> None:
         partial_sum = {"s": res.s,
                        "value": {"re": val.real, "im": val.imag},
                        "tail_bound": res.tail_bound if math.isfinite(res.tail_bound) else None}
-    fmt = _fmt(args, "csv")
+    fmt = _fmt(args, "csv", "json", "table")
     if fmt == "csv":
         _emit_csv(args, ["n", "a_n"], [[n, _coeff_str(an)] for n, an in enumerate(a, 1)])
     elif fmt == "json":
@@ -561,6 +565,7 @@ def _cmd_hecke(args) -> None:
 
 
 def _cmd_match(args) -> None:
+    fmt = _fmt(args, "table", "json")
     cfg = _config(args)
     v = cfg.variety
     results = []
@@ -575,7 +580,6 @@ def _cmd_match(args) -> None:
             raise InvariantViolationError(
                 f"zeta roots and Hecke Jacobi sums disagree as multisets at p={p}")
     payload = {"exponents": list(v.exponents), "results": results}
-    fmt = _fmt(args, "table")
     if fmt == "json":
         _emit_json(args, payload)
     else:
@@ -608,7 +612,7 @@ def _cmd_cyclo(args) -> None:
                           "coefficients": [str(c) for c in exact.coeffs],
                           "modulus": numeric})
         payload = {"conductor": m, "units": units}
-        if _fmt(args, "json") == "table":
+        if _fmt(args, "json", "table") == "table":
             lines = [f"cyclotomic units theta_j of conductor {m}"]
             lines += [f"  j = {u['j']:<4d} |theta_j| = {u['modulus']:.12f}"
                       for u in units]
@@ -623,7 +627,7 @@ def _cmd_cyclo(args) -> None:
         primes, _ = _parse_primes(args.prime)
         rows = [{"p": p, "determinant": delta_determinant(p)} for p in primes]
         payload = {"delta_determinants": rows}
-        if _fmt(args, "json") == "table":
+        if _fmt(args, "json", "table") == "table":
             _emit_table(args, [f"  p = {r['p']:<6d} |Delta| = {r['determinant']:.12e}"
                                for r in rows])
         else:
@@ -641,7 +645,7 @@ def _cmd_cyclo(args) -> None:
     payload = {"conductor": m, "a": list(a),
                "terms": [{"sigma": ell, "coefficient": c} for ell, c in elem.terms],
                "weight": hecke_weight(a, m)}
-    if _fmt(args, "json") == "table":
+    if _fmt(args, "json", "table") == "table":
         lines = [f"S(a) for a = {a} mod {m}, weight {payload['weight']}"]
         lines += [f"  sigma_{t['sigma']}: {t['coefficient']}" for t in payload["terms"]]
         _emit_table(args, lines)
@@ -669,7 +673,7 @@ def _cmd_cft(args) -> None:
                    "max_factors": args.max_factors,
                    "count": len(levels),
                    "levels": [list(t) for t in levels]}
-        if _fmt(args, "json") == "table":
+        if _fmt(args, "json", "table") == "table":
             lines = [f"{len(levels)} level vectors with c = {args.central_charge}"]
             lines += ["  " + " ".join(str(k) for k in t) for t in levels]
             _emit_table(args, lines)
@@ -687,7 +691,7 @@ def _cmd_cft(args) -> None:
         rows = [[e.l, e.q, e.s,
                  e.delta.numerator, e.delta.denominator,
                  e.charge.numerator, e.charge.denominator] for e in spec.entries]
-        fmt = _fmt(args, "csv")
+        fmt = _fmt(args, "csv", "json", "table")
         if fmt == "csv":
             _emit_csv(args, ["l", "q", "s", "delta_num", "delta_den",
                              "Q_num", "Q_den"], rows)
@@ -710,6 +714,7 @@ def _cmd_cft(args) -> None:
     if action == "fusion":
         N = cft.verlinde_fusion(k)
         payload = {"level": k, "N": N.tolist()}
+        _fmt(args, "json")
         _emit_json(args, payload)
         return
 
@@ -723,7 +728,7 @@ def _cmd_cft(args) -> None:
         if not rep.all_match:
             raise InvariantViolationError(
                 f"quantum dimensions at k={k} failed to match cyclotomic units")
-        if _fmt(args, "json") == "table":
+        if _fmt(args, "json", "table") == "table":
             lines = [f"level {k}: quantum dimensions vs units of conductor {rep.conductor}"]
             lines += [f"  l = {e['l']:<3d} d = {e['value']:.12f} = theta_"
                       f"{e['unit_index']} (err {e['abs_err']:.2e})"
@@ -755,7 +760,7 @@ def _cmd_cft(args) -> None:
             raise InvariantViolationError(
                 f"dilogarithm sum rule residual {res.residual:.3e} "
                 f"at k={k}, m={args.m}")
-    if _fmt(args, "json") == "table":
+    if _fmt(args, "json", "table") == "table":
         tag = payload["identity"] + (f" m = {payload['m']}" if "m" in payload else "")
         if payload["residual"] is None:
             line = f"skipped, Q vanishes at l = {payload['vanishing']}"

@@ -87,14 +87,6 @@ def count_affine_direct(v: DiagonalVariety, f: FieldTable) -> int:
     nv = min(3, s1)
     loop_pows, vec_pows = pows[: s1 - nv], pows[s1 - nv:]
     total = 0
-    if f.r == 1:
-        vsum = np.zeros((1,) * nv, dtype=np.int64)
-        for j, vp in enumerate(vec_pows):
-            vsum = vsum + vp.reshape((1,) * j + (q,) + (1,) * (nv - 1 - j))
-        for prefix in product(range(q), repeat=s1 - nv):
-            part = sum(int(tbl[x]) for tbl, x in zip(loop_pows, prefix))
-            total += int(((part + vsum) % f.p == 0).sum())
-        return total
     dig, r = f.digits, f.r
     vdig = np.zeros((1,) * nv + (r,), dtype=np.int32)
     for j, vp in enumerate(vec_pows):

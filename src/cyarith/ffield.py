@@ -1,14 +1,15 @@
 """Tabulated finite fields F_q, q = p^r, with canonical generator and dlog table.
 
-Elements are indexed 0..q-1.  For a prime field the index is the residue
-itself; for an extension it encodes the coefficient vector of the residue
-polynomial in base p, low degree first, so index = sum(c_j * p**j).  All
+Every field, prime or not, is F_p[x] modulo a monic irreducible of degree r
+(x itself when r = 1).  Element index i encodes the coefficient vector of the
+residue polynomial in base p, low degree first, so index = sum(c_j * p**j);
+for a prime field the index is the residue itself.  Each table carries its
+(q, r) digit rows, on which addition is digit-wise mod p.  All
 multiplicative structure is precomputed (exp/dlog tables), which makes the
 character sums downstream pure table lookups.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -57,7 +58,9 @@ class FieldTable:
 
     dlog[x] is the discrete logarithm of element index x base the canonical
     generator g (dlog[0] = -1 sentinel); exp[e] is the element index of g**e
-    for e in 0..q-2.  The arrays must be treated as read-only.
+    for e in 0..q-2.  digits[x] is the base-p digit row of x (int32, q x r)
+    and digits[x] @ ppow recomposes the index.  The arrays must be treated
+    as read-only.
     """
 
     p: int
@@ -67,19 +70,15 @@ class FieldTable:
     g: int
     dlog: np.ndarray
     exp: np.ndarray
-    digits: np.ndarray | None = None  # (q, r) base-p digit table, extensions only
-    ppow: np.ndarray | None = None    # (r,) powers of p used to recompose digits
+    digits: np.ndarray
+    ppow: np.ndarray
 
     # -- scalar arithmetic on element indices ---------------------------------
 
     def add(self, x: int, y: int) -> int:
-        if self.r == 1:
-            return (x + y) % self.p
         return int(((self.digits[x] + self.digits[y]) % self.p) @ self.ppow)
 
     def neg(self, x: int) -> int:
-        if self.r == 1:
-            return (-x) % self.p
         return int(((self.p - self.digits[x]) % self.p) @ self.ppow)
 
     def sub(self, x: int, y: int) -> int:
@@ -109,19 +108,8 @@ class FieldTable:
 
     # -- vectorised arithmetic on arrays of element indices --------------------
 
-    def units(self) -> np.ndarray:
-        """All nonzero element indices, ascending."""
-        return np.arange(1, self.q, dtype=np.int64)
-
     def vadd(self, a, b):
-        if self.r == 1:
-            return (a + b) % self.p
         return ((self.digits[a] + self.digits[b]) % self.p) @ self.ppow
-
-    def vneg(self, a):
-        if self.r == 1:
-            return (-np.asarray(a)) % self.p
-        return ((self.p - self.digits[a]) % self.p) @ self.ppow
 
     def vpow(self, a, n: int):
         a = np.asarray(a)
@@ -137,39 +125,6 @@ def dlog(f: FieldTable, x: int) -> int:
     return int(f.dlog[x])
 
 
-def _has_full_order(x: int, p: int, factors: list[int]) -> bool:
-    return all(pow(x, (p - 1) // f, p) != 1 for f in factors)
-
-
-def _tables_from_generator(p: int, g: int) -> tuple[np.ndarray, np.ndarray]:
-    exp = np.empty(p - 1, dtype=np.int64)
-    dl = np.full(p, -1, dtype=np.int64)
-    x = 1
-    for e in range(p - 1):
-        exp[e] = x
-        dl[x] = e
-        x = x * g % p
-    if (dl[1:] < 0).any():
-        raise InvariantViolationError(f"{g} does not generate F_{p}^*")
-    return dl, exp
-
-
-def make_prime_field(p: int, g: int | None = None) -> FieldTable:
-    """F_p tabulated on generator g, by default the smallest positive
-    generator of the full unit group."""
-    if not is_prime(p):
-        raise PrimalityError(f"{p} is not prime")
-    if p > PRIME_FIELD_BOUND:
-        raise CapacityError(f"prime field bound is {PRIME_FIELD_BOUND}, got {p}")
-    factors = prime_factors(p - 1)
-    if g is None:
-        g = next((x for x in range(2, p) if _has_full_order(x, p, factors)), 1)
-    elif not 1 <= g < p or not _has_full_order(g, p, factors):
-        raise ValidationError(f"{g} does not generate F_{p}^*")
-    dl, exp = _tables_from_generator(p, g)
-    return FieldTable(p=p, r=1, q=p, modulus=(0, 1), g=g, dlog=dl, exp=exp)
-
-
 # -- polynomial helpers over F_p (coefficients low degree first) ---------------
 
 
@@ -177,29 +132,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _poly_mod(a: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    a = [c % p for c in a]
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    del a[dm:]
-    while len(a) < dm:
-        a.append(0)
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _poly_mod(out, mod, p)
 
 
 def _poly_rem_is_zero(a: tuple[int, ...], b: tuple[int, ...], p: int) -> bool:
@@ -218,7 +150,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     r = len(poly) - 1
     if poly[0] == 0:
-        return False
+        return r == 1                   # x divides poly, which is irreducible iff poly = x
     for d in range(1, r // 2 + 1):
         for low in product(range(p), repeat=d):
             if _poly_rem_is_zero(poly, low + (1,), p):
@@ -229,7 +161,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree r over F_p.
 
-    Coefficient vectors are compared low degree first.
+    Coefficient vectors are compared low degree first, so degree 1 gives x.
     """
     for low in product(range(p), repeat=r):
         cand = low + (1,)
@@ -247,56 +179,77 @@ def _digit_table(p: int, r: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, ppow
 
 
-def make_extension_field(p: int, r: int) -> FieldTable:
-    """F_{p^r} on the lexicographically smallest monic irreducible modulus."""
+def _mul_matrix(a: np.ndarray, modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """Matrix of y -> a*y on digit rows: row(y) @ M = row(a*y) mod p.
+
+    Row i holds the digits of a * x^i reduced by the monic modulus.
+    """
+    r = len(modulus) - 1
+    low = np.array(modulus[:r], dtype=np.int64)
+    m = np.zeros((r, r), dtype=np.int64)
+    m[0] = a
+    for i in range(1, r):
+        m[i, 1:] = m[i - 1, :-1]
+        m[i] = (m[i] - m[i - 1, -1] * low) % p
+    return m
+
+
+def _mat_pow(m: np.ndarray, n: int, p: int) -> np.ndarray:
+    out = np.eye(len(m), dtype=np.int64)
+    while n:
+        if n & 1:
+            out = out @ m % p
+        m = m @ m % p
+        n >>= 1
+    return out
+
+
+def _generates(m: np.ndarray, q: int, p: int, factors: list[int]) -> bool:
+    """True when the element with multiplication matrix m has order q-1."""
+    one = np.eye(len(m), dtype=np.int64)
+    return all(not np.array_equal(_mat_pow(m, (q - 1) // l, p), one) for l in factors)
+
+
+def make_field(p: int, r: int = 1, g: int | None = None) -> FieldTable:
+    """F_{p^r} on the lexicographically smallest monic irreducible modulus,
+    tabulated on generator g, by default the smallest element index that
+    generates F_q^*.
+
+    Multiplication by g^n is an r x r matrix over F_p acting on digit rows,
+    so the rows of g^n .. g^(2n-1) are those of g^0 .. g^(n-1) times the
+    matrix of g^n: the exp table doubles in length per step.  Entries stay
+    below p and a row-by-matrix product below r*p^2 < 2^63, so int64 is exact.
+    """
     if not is_prime(p):
         raise PrimalityError(f"{p} is not prime")
     if r < 1:
         raise ValidationError("extension degree must be positive")
-    if r == 1:
-        return make_prime_field(p)
     q = p**r
-    if q > EXTENSION_FIELD_BOUND:
-        raise CapacityError(f"extension field bound is {EXTENSION_FIELD_BOUND}, got q={q}")
+    bound = PRIME_FIELD_BOUND if r == 1 else EXTENSION_FIELD_BOUND
+    if q > bound:
+        raise CapacityError(f"field table bound for degree {r} is {bound}, got q={q}")
     modulus = _smallest_irreducible(p, r)
     digits, ppow = _digit_table(p, r, q)
-
-    def decode(i: int) -> list[int]:
-        return [int(d) for d in digits[i]]
-
-    def encode(poly: list[int]) -> int:
-        return int(sum(c * p**j for j, c in enumerate(poly)))
-
-    def elem_pow(i: int, n: int) -> int:
-        acc = [1] + [0] * (r - 1)
-        base = decode(i)
-        while n:
-            if n & 1:
-                acc = _poly_mulmod(acc, base, modulus, p)
-            base = _poly_mulmod(base, base, modulus, p)
-            n >>= 1
-        return encode(acc)
-
     factors = prime_factors(q - 1)
-    g = next(
-        i for i in range(2, q)
-        if all(elem_pow(i, (q - 1) // f) != 1 for f in factors)
-    )
+    if g is None:
+        g = next(i for i in range(1, q)
+                 if _generates(_mul_matrix(digits[i], modulus, p), q, p, factors))
+    elif not 1 <= g < q or not _generates(_mul_matrix(digits[g], modulus, p), q, p, factors):
+        raise ValidationError(f"{g} does not generate F_{q}^*")
 
-    exp = np.empty(q - 1, dtype=np.int64)
+    rows = np.zeros((q - 1, r), dtype=np.int64)
+    rows[0, 0] = 1
+    step, n = _mul_matrix(digits[g], modulus, p), 1
+    while n < q - 1:
+        k = min(n, q - 1 - n)
+        block = rows[n:n + k]          # a view: the product is written in place
+        np.matmul(rows[:k], step, out=block)
+        block %= p
+        step, n = step @ step % p, n + k
+    exp = rows @ ppow
     dl = np.full(q, -1, dtype=np.int64)
-    gp = decode(g)
-    x = [1] + [0] * (r - 1)
-    for e in range(q - 1):
-        xi = encode(x)
-        exp[e] = xi
-        dl[xi] = e
-        x = _poly_mulmod(x, gp, modulus, p)
+    dl[exp] = np.arange(q - 1, dtype=np.int64)
     if (dl[1:] < 0).any():
-        raise InvariantViolationError("generator order check failed")
+        raise InvariantViolationError(f"{g} does not generate F_{q}^*")
     return FieldTable(p=p, r=r, q=q, modulus=modulus, g=g, dlog=dl, exp=exp,
                       digits=digits, ppow=ppow)
-
-
-def make_field(p: int, r: int = 1) -> FieldTable:
-    return make_prime_field(p) if r == 1 else make_extension_field(p, r)

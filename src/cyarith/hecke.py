@@ -19,7 +19,7 @@ from .charsum import AlphaTuple, full_alpha_set, unit_sums
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
-from .ffield import FieldTable, is_prime, make_prime_field
+from .ffield import FieldTable, is_prime, make_field
 from .zeta import LocalFactor, local_factor_middle
 
 
@@ -54,7 +54,7 @@ class SplitPrimeIdeal:
         if f != 1:
             raise ValidationError(f"p={self.p} is not totally split mod {self.m}")
         if self.field is None:
-            object.__setattr__(self, "field", make_prime_field(self.p))
+            object.__setattr__(self, "field", make_field(self.p))
         t = int(self.field.dlog[self.c % self.p])
         if t < 0 or (self.p - 1) // math.gcd(t, self.p - 1) != self.m:
             raise ValidationError(f"c={self.c} does not have exact order {self.m}")
@@ -73,7 +73,7 @@ class SplitPrimeIdeal:
 
 def split_prime_ideals(p: int, m: int) -> tuple[SplitPrimeIdeal, ...]:
     """All primes above p, in increasing order of the label c."""
-    f0 = make_prime_field(p)
+    f0 = make_field(p)
     step = (p - 1) // m
     cs = sorted(int(f0.exp[(step * t) % (p - 1)])
                 for t in range(1, m) if math.gcd(t, m) == 1)

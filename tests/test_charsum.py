@@ -10,7 +10,6 @@ from cyarith import (AlphaTuple, CycInt, DiagonalVariety, build_alpha_set,
 from cyarith.charsum import (DIRECT_SUM_BUDGET, dlog_pair_table, jacobi_sum_direct,
                              jacobi_sums)
 from cyarith.errors import ValidationError
-from cyarith.ffield import make_prime_field
 
 
 def test_alpha_tuple_validation():
@@ -74,7 +73,7 @@ def test_generator_independence(quintic):
     from collections import Counter
 
     def multiset(g):
-        f = make_prime_field(11, g)
+        f = make_field(11, g=g)
         return Counter(j.coeffs for j in jacobi_sums(f, full_alpha_set(quintic, 11).tuples))
 
     reference = multiset(2)

@@ -222,11 +222,26 @@ def test_match_failure_exits_2(capsys, monkeypatch):
     assert run(["match", "-d", "5", "-n", "3", "-p", "11"]) == 2
 
 
+def test_match_csv_refused(capsys):
+    # match prints a table or JSON; --csv is an error, not a table
+    assert run(["match", "-d", "5", "-n", "3", "-p", "11", "--csv"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "--csv is not available" in out.err
+
+
 def test_cyclo_units_json(capsys):
     doc = _json_out(capsys, ["cyclo", "-m", "5", "--units"])
     _validate("cyclo", doc)
     mods = {u["j"]: u["modulus"] for u in doc["units"]}
     assert mods[2] == pytest.approx(1.618033988749895, rel=1e-12)
+
+
+def test_cyclo_csv_refused(capsys):
+    for action in (["-m", "5", "--units"], ["-p", "11", "--delta"],
+                   ["-m", "5", "--a", "1,1,3", "--s-element"]):
+        assert run(["cyclo", *action, "--csv"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "--csv is not available" in out.err
 
 
 def test_cft_check_kn_json(capsys):
@@ -255,6 +270,14 @@ def test_cft_gepner(capsys):
                              "--max-factors", "4"])
     _validate("cft", doc)
     assert [tuple(v) for v in doc["levels"]] == [(1, 4), (2, 2), (1, 1, 1)]
+
+
+def test_cft_fusion_prints_only_json(capsys):
+    for fmt in ("--table", "--csv"):
+        assert run(["cft", "--level", "3", "--fusion", fmt]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and f"{fmt} is not available" in out.err
+    assert _json_out(capsys, ["cft", "--level", "3", "--fusion"])["level"] == 3
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Finite field tables: primality, generators, extension arithmetic."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import sympy
 
 from cyarith import dlog, is_prime, make_field
 from cyarith.errors import CapacityError, PrimalityError, ValidationError
-from cyarith.ffield import make_extension_field, make_prime_field
 
 
 def test_is_prime_agrees_with_sympy():
@@ -91,15 +92,56 @@ def test_vectorised_ops_match_scalar():
         assert vp[i] == f.pow(int(a[i]), 3)
 
 
-def test_alternate_generator_field(f11):
-    g7 = make_prime_field(11, 7)
-    assert g7.g == 7
-    # same field, different log tables; multiplication must agree
-    for x in range(11):
-        for y in range(11):
-            assert f11.mul(x, y) == g7.mul(x, y)
-    with pytest.raises(ValidationError):
-        make_prime_field(11, 3)             # order 5, not a generator
+def test_alternate_generator_field():
+    for p, r, g, non_generator in [
+        (11, 1, 7, 3),                  # 3 has order 5 in F_11^*
+        (3, 2, 7, 2),                   # 2 = -1 has order 2 in F_9^*
+    ]:
+        default, other = make_field(p, r), make_field(p, r, g=g)
+        assert default.g != g == other.g
+        # same field, different log tables; multiplication must agree
+        for x in range(default.q):
+            for y in range(default.q):
+                assert default.mul(x, y) == other.mul(x, y)
+        for bad in (non_generator, 0, default.q):
+            with pytest.raises(ValidationError):
+                make_field(p, r, g=bad)
+
+
+# (g, modulus, sha256 of exp, sha256 of dlog) as tabulated by the per-element
+# constructors this module had before the doubling construction; every Jacobi
+# sum, golden output and cache entry is read off these tables.
+PINNED_TABLES = {
+    (2, 1): (1, (0, 1), "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+             "60c69a3e87bf5c4f1e546bec45f262690bcf5494c4ecac2616bf2f731afa152a"),
+    (2, 16): (6, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+              "3cad62fe612b8c789e68fbb3944f2e85720bae40c75b5d0054c24349dbc1b92c",
+              "6a9ee56164865113982dbaa18c36dba4484ec2ea0c5bcd0e4f387f813ce1a979"),
+    (3, 4): (10, (1, 0, 1, 1, 1), "b7c78cc73e4386ff0dfbc584bd7186706b4702d4859ce3ab4ee5ad4dafa26bb9",
+             "c2f8aebcf7b398be3f0a5b161df6fffc15023ce20fafd2f5df9d826b29b4374e"),
+    (5, 2): (7, (1, 1, 1), "46f2e3d1a1965949c9c66eebd0dfde08ce9502d24263535c4678229e77b7e133",
+             "99b3f256b21bf000d6c983537069025f5b782df0d715dec8cb0c7852f68fcb67"),
+    (7, 1): (3, (0, 1), "b731ea0a2c721d83db255a5507575d6a42ccde137a2971a3c9e84dc1c88eebed",
+             "f2e1311b600fee028d2d3db8cd5bc56467294c8a139f43f6c1b99b7aacacfc69"),
+    (17, 4): (21, (1, 0, 0, 3, 1), "11c52a3968e3b3cd62a7f322b7fb53e66ded1f28e80f7ce942e397bebf6f5d2e",
+              "723e5f31fa126014083d226e9133f02e8a175a04b137040d29418fad277b3713"),
+    (23, 4): (24, (1, 0, 0, 4, 1), "cd1b13078970ed354f99b13c2d72e127db0c5fcf2a42990f307685302d3622b4",
+              "72e76db4c30ee3465fd2158a76814b63f862ed07b972ef08b7c43db44d9d2670"),
+    (71, 2): (79, (1, 0, 1), "a11833c4ecb8635d06d1ec74299cc1aebf0c43831bd747c86b1dbf8801870bc9",
+              "5d3f551165fa05d017ae2ec39fee2a229d75813c099e16fe993925b5b1e2eb08"),
+    (1009, 2): (1019, (1, 9, 1), "2ebdb222d0174856529509dcff8d22c4ebe345e4ca15d417a2a543a89aaf1e9b",
+                "480a50110d010df1d91f382e3213324fdf5804ca75ad70063fb12094ec3b4edb"),
+    (99991, 1): (6, (0, 1), "8edb7634faa9f2962584d9856ea025869a71dc2053d59a08233bf1e4e42e4883",
+                 "295583782a528cde86ccb785e5e94f6dc69701c03c02b6ee845ca0d443889d3d"),
+}
+
+
+@pytest.mark.parametrize("p,r", sorted(PINNED_TABLES))
+def test_field_tables_pinned(p, r):
+    f = make_field(p, r)
+    assert f.exp.dtype == f.dlog.dtype == np.int64
+    assert (f.g, f.modulus, hashlib.sha256(f.exp.tobytes()).hexdigest(),
+            hashlib.sha256(f.dlog.tobytes()).hexdigest()) == PINNED_TABLES[p, r]
 
 
 def test_validation_and_capacity():
