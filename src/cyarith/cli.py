@@ -131,15 +131,17 @@ def _parse_primes(spec: str | None) -> tuple[tuple[int, ...], bool]:
 
 
 def _resolve_jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"{JOBS_ENV} must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    """--jobs, else $CYARITH_JOBS, else the CPU count; below 1 is refused."""
+    raw = getattr(args, "jobs", None)
+    if raw is None:
+        raw = os.environ.get(JOBS_ENV) or os.cpu_count() or 1
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise ValidationError(f"{JOBS_ENV} must be an integer, got {raw!r}")
+    if jobs < 1:
+        raise ValidationError(f"--jobs and {JOBS_ENV} must be at least 1, got {jobs}")
+    return jobs
 
 
 def _resolve_cache(args) -> Path:
@@ -199,15 +201,6 @@ def _emit_csv(args, header: list[str], rows: list[list]) -> None:
 
 def _emit_table(args, lines: list[str]) -> None:
     _emit(args, "\n".join(lines) + "\n")
-
-
-def _coeff_str(x) -> str:
-    """Decimal string for rational values, bracketed vector otherwise."""
-    if isinstance(x, CycInt):
-        if all(c == 0 for c in x.coeffs[1:]):
-            return str(x.coeffs[0])
-        return "[" + ",".join(str(c) for c in x.coeffs) + "]"
-    return str(int(x))
 
 
 # -- local factor cache --------------------------------------------------------------
@@ -495,27 +488,34 @@ def _cmd_zeta(args) -> None:
 # -- subcommands: lseries, hecke ------------------------------------------------------
 
 
-def _emit_dirichlet(args, coeffs, head: dict, title: str) -> None:
-    """a_1..a_cutoff as CSV (the default), JSON (head, the coefficients and
-    the --eval-at partial sum) or a table of the nonzero a_n."""
-    a = [coeffs.a(n) for n in range(1, coeffs.cutoff + 1)]
+def _dirichlet_fmt(args) -> str:
+    """CSV (the default), JSON or table; CSV has no room for --eval-at, so
+    the pair is refused before anything is computed."""
+    fmt = _fmt(args, "csv", "json", "table")
+    if fmt == "csv" and args.eval_at is not None:
+        raise ValidationError("--eval-at needs --json or --table")
+    return fmt
+
+
+def _emit_dirichlet(args, fmt: str, coeffs, head: dict, title: str) -> None:
+    """a_1..a_cutoff as CSV, JSON (head, the coefficients and the --eval-at
+    partial sum) or a table of the nonzero a_n."""
+    a = coeffs.values
     partial_sum = None
     if args.eval_at is not None:
         res = partial_sum_eval(coeffs, args.eval_at)
-        val = complex(res.value)
         partial_sum = {"s": res.s,
-                       "value": {"re": val.real, "im": val.imag},
+                       "value": {"re": res.value, "im": 0.0},
                        "tail_bound": res.tail_bound if math.isfinite(res.tail_bound) else None}
-    fmt = _fmt(args, "csv", "json", "table")
     if fmt == "csv":
-        _emit_csv(args, ["n", "a_n"], [[n, _coeff_str(an)] for n, an in enumerate(a, 1)])
+        _emit_csv(args, ["n", "a_n"], list(enumerate(a, 1)))
     elif fmt == "json":
-        payload = {**head, "coefficients": [_coeff_str(an) for an in a]}
+        payload = {**head, "coefficients": [str(an) for an in a]}
         if partial_sum is not None:
             payload["partial_sum"] = partial_sum
         _emit_json(args, payload)
     else:
-        lines = [title] + [f"  a_{n} = {_coeff_str(an)}" for n, an in enumerate(a, 1) if an]
+        lines = [title] + [f"  a_{n} = {an}" for n, an in enumerate(a, 1) if an]
         if partial_sum is not None:
             tb = partial_sum["tail_bound"]
             tail = f"{tb:.3g}" if tb is not None else "unbounded"
@@ -525,6 +525,7 @@ def _emit_dirichlet(args, coeffs, head: dict, title: str) -> None:
 
 
 def _cmd_lseries(args) -> None:
+    fmt = _dirichlet_fmt(args)
     cfg = _config(args, need_primes=False)
     if cfg.cutoff is None:
         raise ValidationError("lseries needs --cutoff")
@@ -536,12 +537,13 @@ def _cmd_lseries(args) -> None:
             "weight": coeffs.weight,
             "bad_primes": list(coeffs.bad_primes),
             "omitted_primes": list(coeffs.omitted_primes)}
-    _emit_dirichlet(args, coeffs, head,
+    _emit_dirichlet(args, fmt, coeffs, head,
                     f"L-series of {v.exponents}, weight {coeffs.weight}, "
                     f"n <= {cfg.cutoff}, bad primes {list(coeffs.bad_primes)}")
 
 
 def _cmd_hecke(args) -> None:
+    fmt = _dirichlet_fmt(args)
     if args.cutoff is None:
         raise ValidationError("hecke needs --cutoff")
     try:
@@ -557,7 +559,7 @@ def _cmd_hecke(args) -> None:
             "bad_primes": list(coeffs.bad_primes),
             "omitted_primes": list(coeffs.omitted_primes),
             "split_primes": [p for p, _ in coeffs.included_primes]}
-    _emit_dirichlet(args, coeffs, head,
+    _emit_dirichlet(args, fmt, coeffs, head,
                     f"Hecke character m = {chi.m}, a = {chi.a}, weight {chi.weight}")
 
 
@@ -842,7 +844,7 @@ def _build_parser() -> _Parser:
                           help="Hasse-Weil Dirichlet coefficients a_n")
     p_ls.add_argument("--cutoff", type=int, metavar="N", help="largest index n")
     p_ls.add_argument("--eval-at", type=float, metavar="S",
-                      help="partial sum of a_n n^-s with a tail bound")
+                      help="partial sum of a_n n^-s and a tail bound (--json, --table)")
     p_ls.set_defaults(func=_cmd_lseries)
 
     p_hk = sub.add_parser("hecke", parents=[common],

@@ -6,6 +6,10 @@ possible residues of xi mod the ideal).  Rank-r Jacobi sums over such an
 ideal reproduce, up to one global sign resolved empirically, the middle
 local factor of the matching diagonal hypersurface, which is the whole
 point of the exercise.
+
+Both Euler products here, the Hasse-Weil one of a variety and the Hecke
+one of a Jacobi-sum character, have local factors in Z[t] expanded by
+zeta.expand_roots, so every Dirichlet coefficient a_n is a plain int.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
 from .ffield import FieldTable, is_prime, make_field
-from .zeta import LocalFactor, local_factor_middle
+from .zeta import LocalFactor, expand_roots, local_factor_middle
 
 
 def splitting_data(p: int, m: int) -> tuple[int, int]:
@@ -117,17 +121,6 @@ def ideal_jacobi_sum(ideal: SplitPrimeIdeal, a: tuple[int, ...]) -> CycInt:
     return ideal_jacobi_sums([ideal], [a])[0]
 
 
-def ideal_product_jacobi_sum(ideals, a) -> CycInt:
-    """Multiplicative extension to a product of split primes."""
-    ideals = tuple(ideals)
-    if not ideals:
-        raise ValidationError("empty ideal product")
-    out = ideal_jacobi_sum(ideals[0], a)
-    for ideal in ideals[1:]:
-        out = out * ideal_jacobi_sum(ideal, a).lift(out.m)
-    return out
-
-
 # -- Hasse-Weil vs Hecke local data -----------------------------------------------
 
 
@@ -186,6 +179,8 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
 
 # -- Dirichlet coefficients --------------------------------------------------------
 
+BAD, OMITTED = "bad", "omitted"
+
 
 @dataclass(frozen=True, eq=False)
 class LocalFactorCollection:
@@ -199,6 +194,18 @@ class LocalFactorCollection:
     @property
     def weight(self) -> int:
         return self.variety.complex_dim
+
+    def euler_factor(self, p: int, k_max: int):
+        """BAD, or (|A|, the factor's coefficients) exact through t^k_max."""
+        if p in self.bad_primes:
+            return BAD
+        lf = self.factors.get(p)
+        if lf is None:
+            raise ValidationError(f"local factor missing at p={p}; extend the collection")
+        if lf.precision is not None and lf.precision < k_max:
+            raise ValidationError(
+                f"factor at p={p} truncated at t^{lf.precision}, need t^{k_max}")
+        return lf.full_degree, lf.coeffs
 
 
 def hasse_weil_collection(v: DiagonalVariety, cutoff: int) -> LocalFactorCollection:
@@ -215,99 +222,6 @@ def hasse_weil_collection(v: DiagonalVariety, cutoff: int) -> LocalFactorCollect
         factors[p] = local_factor_middle(v, p, max_root_field=cutoff)
     return LocalFactorCollection(variety=v, cutoff=cutoff,
                                  factors=factors, bad_primes=tuple(bad))
-
-
-@dataclass(frozen=True, eq=False)
-class LSeriesCoefficients:
-    """a_n for n = 1..cutoff; multiplicative by construction.
-
-    Primes whose factors are deliberately absent (bad reduction, or
-    non-split primes of a split-only Hecke character) contribute a_p = 0
-    and are flagged rather than silently zeroed.
-    """
-
-    cutoff: int
-    weight: int
-    values: tuple          # ints (Hasse-Weil) or CycInt (Hecke), 1-based at index n-1
-    included_primes: tuple[tuple[int, int], ...]   # (p, local degree or precision)
-    bad_primes: tuple[int, ...]
-    omitted_primes: tuple[int, ...]
-
-    def a(self, n: int):
-        if not 1 <= n <= self.cutoff:
-            raise ValidationError(f"n={n} outside 1..{self.cutoff}")
-        return self.values[n - 1]
-
-
-def _invert_local(coeffs, K: int, one, zero) -> list:
-    """First K+1 coefficients of 1/P(t) for P with P(0)=1."""
-    b = [one] + [zero] * K
-    for k in range(1, K + 1):
-        acc = zero
-        for j in range(1, min(k, len(coeffs) - 1) + 1):
-            acc = acc - coeffs[j] * b[k - j]
-        b[k] = acc
-    return b
-
-
-def _assemble(cutoff: int, prime_series: dict[int, list], one, zero,
-              absent: set[int]) -> list:
-    values = [zero] * (cutoff + 1)
-    values[1] = one
-    for n in range(2, cutoff + 1):
-        q = n
-        p = min(pf for pf in range(2, n + 1) if n % pf == 0)
-        e = 0
-        while q % p == 0:
-            q //= p
-            e += 1
-        if p in absent:
-            values[n] = zero
-        else:
-            values[n] = values[q] * prime_series[p][e] if q > 1 else prime_series[p][e]
-    return values[1:]
-
-
-def dirichlet_coefficients(source, cutoff: int) -> LSeriesCoefficients:
-    """Expand an Euler product into a_1..a_cutoff.
-
-    source is either a LocalFactorCollection (Hasse-Weil: integer a_n from
-    L = prod 1/P(p^-s)) or a HeckeCharacter (CycInt a_n over split primes).
-    """
-    if cutoff < 1:
-        raise ValidationError("cutoff must be positive")
-    if isinstance(source, LocalFactorCollection):
-        return _hasse_weil_coefficients(source, cutoff)
-    if isinstance(source, HeckeCharacter):
-        return _hecke_coefficients(source, cutoff)
-    raise ValidationError(f"unsupported coefficient source {type(source).__name__}")
-
-
-def _hasse_weil_coefficients(coll: LocalFactorCollection, cutoff: int) -> LSeriesCoefficients:
-    good = [p for p in range(2, cutoff + 1)
-            if is_prime(p) and p not in coll.bad_primes]
-    missing = [p for p in good if p not in coll.factors]
-    if missing:
-        raise ValidationError(
-            f"local factors missing at primes {missing}; extend the collection")
-    prime_series: dict[int, list] = {}
-    included = []
-    for p in good:
-        lf = coll.factors[p]
-        k_max = 0
-        while p ** (k_max + 1) <= cutoff:
-            k_max += 1
-        if lf.precision is not None and lf.precision < k_max:
-            raise ValidationError(
-                f"factor at p={p} truncated at t^{lf.precision}, need t^{k_max}")
-        prime_series[p] = _invert_local(lf.coeffs, k_max, 1, 0)
-        included.append((p, lf.full_degree))
-    values = _assemble(cutoff, prime_series, 1, 0, set(coll.bad_primes))
-    return LSeriesCoefficients(cutoff=cutoff, weight=coll.weight,
-                               values=tuple(values),
-                               included_primes=tuple(included),
-                               bad_primes=tuple(p for p in coll.bad_primes if p <= cutoff),
-                               omitted_primes=())
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,43 +245,108 @@ class HeckeCharacter:
 
     @property
     def weight(self) -> int:
+        """w with |J_a(P)|^2 = p^w at every prime P above a split p."""
         w = hecke_weight(self.a, self.m)
         if w is None:
             raise ValidationError("S(a) is not of constant weight")
-        return w
+        # hecke_weight is r - 1 for rank r, or r when sum(a) = 0 mod m.  Then
+        # the product of the characters is trivial, J drops a variable and
+        # |J|^2 = p^(r-2) (Ireland-Rosen ch. 8 section 5): two less.
+        return w - 2 if sum(self.a) % self.m == 0 else w
 
-    def local_factor(self, p: int) -> list[CycInt]:
-        """prod over ideals above p of (1 - J_a(ideal) t), coefficients in Z[mu_m]."""
-        poly = [CycInt.one(self.m)]
-        for j in ideal_jacobi_sums(split_prime_ideals(p, self.m), [self.a]):
-            poly = [c for c in poly] + [CycInt.zero(self.m)]
-            for i in range(len(poly) - 2, -1, -1):
-                poly[i + 1] = poly[i + 1] - j * poly[i]
-        return poly
+    def local_factor(self, p: int) -> tuple[int, ...]:
+        """prod over the ideals above a split p of (1 - J_a(ideal) t).
 
+        The ideals are Galois conjugates, so the product is a norm and lies
+        in Z[t]; expand_roots checks that exactly.
+        """
+        sums = ideal_jacobi_sums(split_prime_ideals(p, self.m), [self.a])
+        return expand_roots([(j, 1) for j in sums], None)
 
-def _hecke_coefficients(chi: HeckeCharacter, cutoff: int) -> LSeriesCoefficients:
-    one, zero = CycInt.one(chi.m), CycInt.zero(chi.m)
-    prime_series: dict[int, list] = {}
-    included, bad, omitted = [], [], []
-    for p in range(2, cutoff + 1):
-        if not is_prime(p):
-            continue
-        if chi.m % p == 0:
-            bad.append(p)
-            continue
-        f, g = splitting_data(p, chi.m)
+    def euler_factor(self, p: int, k_max: int):
+        """BAD if p ramifies, OMITTED unless it splits totally, else
+        (phi(m), local_factor(p))."""
+        if self.m % p == 0:
+            return BAD
+        f, g = splitting_data(p, self.m)
         if f != 1:
-            omitted.append(p)
-            continue
+            return OMITTED
+        return g, self.local_factor(p)
+
+
+@dataclass(frozen=True, eq=False)
+class LSeriesCoefficients:
+    """Integer a_n for n = 1..cutoff; multiplicative by construction.
+
+    Primes whose factors are deliberately absent (bad reduction, or
+    non-split primes of a split-only Hecke character) contribute a_p = 0
+    and are flagged rather than silently zeroed.
+    """
+
+    cutoff: int
+    weight: int
+    values: tuple[int, ...]                        # a_n at index n-1
+    included_primes: tuple[tuple[int, int], ...]   # (p, local degree)
+    bad_primes: tuple[int, ...]
+    omitted_primes: tuple[int, ...]
+
+    def a(self, n: int) -> int:
+        if not 1 <= n <= self.cutoff:
+            raise ValidationError(f"n={n} outside 1..{self.cutoff}")
+        return self.values[n - 1]
+
+
+def _invert_local(coeffs: tuple[int, ...], k_max: int) -> list[int]:
+    """First k_max+1 coefficients of 1/P(t) for P with P(0)=1."""
+    b = [1] + [0] * k_max
+    for k in range(1, k_max + 1):
+        b[k] = -sum(coeffs[j] * b[k - j] for j in range(1, min(k, len(coeffs) - 1) + 1))
+    return b
+
+
+def _assemble(cutoff: int, prime_series: dict[int, list[int]]) -> list[int]:
+    """a_1..a_cutoff from the series of 1/P(t) at each prime; a prime with
+    no series makes a_n vanish for every n it divides."""
+    values = [0, 1] + [0] * (cutoff - 1)
+    for n in range(2, cutoff + 1):
+        p = min(pf for pf in range(2, n + 1) if n % pf == 0)
+        q, e = n, 0
+        while q % p == 0:
+            q //= p
+            e += 1
+        if p in prime_series:
+            values[n] = values[q] * prime_series[p][e]
+    return values[1:]
+
+
+def dirichlet_coefficients(source, cutoff: int) -> LSeriesCoefficients:
+    """Expand L = prod 1/P_p(p^-s) into integer a_1..a_cutoff.
+
+    source is a LocalFactorCollection (Hasse-Weil) or a HeckeCharacter.
+    Its euler_factor states, prime by prime, whether p is BAD, OMITTED, or
+    has the integer factor P_p; bad and omitted primes give a_n = 0.
+    """
+    if cutoff < 1:
+        raise ValidationError("cutoff must be positive")
+    if not isinstance(source, (LocalFactorCollection, HeckeCharacter)):
+        raise ValidationError(f"unsupported coefficient source {type(source).__name__}")
+    prime_series: dict[int, list[int]] = {}
+    included, bad, omitted = [], [], []
+    for p in filter(is_prime, range(2, cutoff + 1)):
         k_max = 0
         while p ** (k_max + 1) <= cutoff:
             k_max += 1
-        prime_series[p] = _invert_local(chi.local_factor(p), k_max, one, zero)
-        included.append((p, g))
-    values = _assemble(cutoff, prime_series, one, zero, set(bad) | set(omitted))
-    return LSeriesCoefficients(cutoff=cutoff, weight=chi.weight,
-                               values=tuple(values),
+        factor = source.euler_factor(p, k_max)
+        if factor == BAD:
+            bad.append(p)
+        elif factor == OMITTED:
+            omitted.append(p)
+        else:
+            degree, coeffs = factor
+            prime_series[p] = _invert_local(coeffs, k_max)
+            included.append((p, degree))
+    return LSeriesCoefficients(cutoff=cutoff, weight=source.weight,
+                               values=tuple(_assemble(cutoff, prime_series)),
                                included_primes=tuple(included),
                                bad_primes=tuple(bad),
                                omitted_primes=tuple(omitted))
@@ -382,7 +361,7 @@ TAIL_THETA = 0.5   # divisor-growth allowance in |a_n| <= C n^(w/2 + theta)
 class PartialSumResult:
     s: float
     cutoff: int
-    value: complex
+    value: float
     tail_bound: float
 
 
@@ -397,17 +376,11 @@ def partial_sum_eval(coeffs: LSeriesCoefficients, s: float) -> PartialSumResult:
     w = coeffs.weight
     if s <= w / 2 + 1:
         raise ValidationError(f"s={s} outside the convergence range s > {w / 2 + 1}")
-    total = 0j
+    total = 0.0
     c_est = 1.0
-    for n in range(1, coeffs.cutoff + 1):
-        an = coeffs.a(n)
-        z = complex(an.embed(1)) if isinstance(an, CycInt) else complex(an)
-        total += z * n ** (-s)
-        c_est = max(c_est, abs(z) / n ** (w / 2 + TAIL_THETA))
+    for n, an in enumerate(coeffs.values, 1):
+        total += an * n ** (-s)
+        c_est = max(c_est, abs(an) / n ** (w / 2 + TAIL_THETA))
     edge = w / 2 + TAIL_THETA + 1
-    if s > edge:
-        tail = c_est * coeffs.cutoff ** (edge - s) / (s - edge)
-    else:
-        tail = math.inf
-    value = total if total.imag != 0 else total.real
-    return PartialSumResult(s=s, cutoff=coeffs.cutoff, value=value, tail_bound=tail)
+    tail = c_est * coeffs.cutoff ** (edge - s) / (s - edge) if s > edge else math.inf
+    return PartialSumResult(s=s, cutoff=coeffs.cutoff, value=total, tail_bound=tail)

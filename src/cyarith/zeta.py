@@ -62,7 +62,11 @@ class CongruentZeta:
         return tuple((1, -(self.p ** j)) for j in range(n + 1))
 
 
-def _expand(orbits, trunc: int | None) -> tuple[int, ...]:
+def expand_roots(orbits, trunc: int | None) -> tuple[int, ...]:
+    """Integer coefficients of prod (1 - J t^f) over the (J, f) pairs, through
+    t^trunc if given: expanded exactly in Z[mu_M], M the lcm of the J's
+    conductors, and InvariantViolationError unless it lies in Z with
+    constant term 1."""
     if not orbits:
         return (1,)
     big_m = math.lcm(*(j.m for j, _ in orbits))
@@ -121,7 +125,7 @@ def local_factor_middle(v: DiagonalVariety, p: int,
                     f"|J|^2 != q^{n} for {rep.nums}/{rep.den} at p={p}, f={f}")
             orbits.append((j, f))
 
-    coeffs = _expand(orbits, precision)
+    coeffs = expand_roots(orbits, precision)
     if precision is None and len(coeffs) - 1 != len(aset.tuples):
         raise InvariantViolationError("expanded degree disagrees with |A|")
     return LocalFactor(p=p, cohomology_degree=n, full_degree=len(aset.tuples),

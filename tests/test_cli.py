@@ -195,6 +195,22 @@ def test_hecke_table_eval(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("  sum a_n n^-s at s = 3.0: ")
 
 
+def test_eval_at_csv_refused(capsys, monkeypatch):
+    # CSV holds only n,a_n: --eval-at with it (the default) is an error,
+    # raised before any coefficient is computed
+    import cyarith.cli as cli
+
+    def fail(*args):
+        raise AssertionError("coefficients computed before the refusal")
+
+    monkeypatch.setattr(cli, "dirichlet_coefficients", fail)
+    for argv in (["lseries", "-d", "3", "-n", "1", "--cutoff", "20", "--eval-at", "2.5"],
+                 ["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "31", "--eval-at", "3",
+                  "--csv"]):
+        assert run(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "--eval-at needs --json or --table" in out.err
+
 def test_hecke_json(capsys):
     doc = _json_out(capsys, ["hecke", "-m", "5", "--a", "1,1,1,1",
                              "--cutoff", "31"])
@@ -297,6 +313,17 @@ def test_env_vars(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert list(tmp_path.glob("v3-3-3_p7.json"))
 
+
+def test_jobs_below_one_refused(monkeypatch, capsys):
+    argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--no-cache", "--json"]
+    for jobs in ("0", "-4"):
+        assert run(argv + ["--jobs", jobs]) == 1
+        assert "must be at least 1" in capsys.readouterr().err
+    for env in ("0", "-4"):
+        monkeypatch.setenv("CYARITH_JOBS", env)
+        assert run(argv) == 1
+        assert "must be at least 1" in capsys.readouterr().err
+    assert run(argv + ["--jobs", "1"]) == 0      # the flag wins over the variable
 
 def test_console_script_subprocess():
     proc = subprocess.run(

@@ -27,10 +27,10 @@ GOLDEN = {
     "lseries_quintic_cutoff30": "lseries -d 5 -n 3 --cutoff 30",
     "count_cubic_p2_13_r2": "count --exponents 3,3,3 -p 2..13 -r 2",
     "count_quintic_p2_13_r2": "count -d 5 -n 3 -p 2..13 -r 2",
-    "lseries_quintic_cutoff30_eval_csv": "lseries -d 5 -n 3 --cutoff 30 --eval-at 3.5 --csv",
+    "lseries_quintic_cutoff30_eval_csv": "lseries -d 5 -n 3 --cutoff 30 --csv",
     "lseries_quintic_cutoff30_eval_table":
         "lseries -d 5 -n 3 --cutoff 30 --eval-at 3.5 --table",
-    "hecke_m5_cutoff100_eval_csv": "hecke -m 5 --a 1,1,1,1 --cutoff 100 --eval-at 3 --csv",
+    "hecke_m5_cutoff100_eval_csv": "hecke -m 5 --a 1,1,1,1 --cutoff 100 --csv",
     "hecke_m5_cutoff100_table": "hecke -m 5 --a 1,1,1,1 --cutoff 100 --table",
 }
 

@@ -7,13 +7,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, count_projective,
-                     dirichlet_coefficients, hasse_weil_collection,
-                     ideal_jacobi_sum, make_field, match_hasse_weil,
-                     partial_sum_eval, power_residue_char, split_prime_ideals,
-                     splitting_data)
+from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
+                     check_functional_equation, check_riemann_hypothesis,
+                     count_projective, dirichlet_coefficients, euler_phi,
+                     hasse_weil_collection, ideal_jacobi_sum, is_prime,
+                     make_field, match_hasse_weil, partial_sum_eval,
+                     power_residue_char, split_prime_ideals, splitting_data)
 from cyarith.errors import ValidationError
-from cyarith.hecke import ideal_product_jacobi_sum
 
 
 def test_splitting_data():
@@ -67,8 +67,8 @@ def test_ideal_jacobi_sum_quintic():
     total = sum(ideal_jacobi_sum(i, (1, 1, 1, 1)).lift(5) for i in ideals[1:]
                 ) + j
     assert total.rational_value() == 89
-    prod = ideal_product_jacobi_sum(ideals, (1, 1, 1, 1))
-    assert prod.rational_value() == 11 ** 6
+    # the product over the four ideals is the norm, the top coefficient
+    assert HeckeCharacter(5, (1, 1, 1, 1)).local_factor(11)[4] == 11 ** 6
 
 
 def test_ideal_jacobi_sum_trivial_character():
@@ -80,8 +80,7 @@ def test_ideal_jacobi_sum_trivial_character():
 
 def test_ideal_jacobi_sum_degenerate():
     # sum(a) = 0 mod m collapses the sum to a unit: J = chi(-1), here +1
-    # since (p-1)/m is even.  The weight bump in hecke_weight refers to the
-    # completed character, not this raw hyperplane sum.
+    # since (p-1)/m is even, and HeckeCharacter(5, (1, 4)).weight is 0.
     for ideal in split_prime_ideals(11, 5):
         j = ideal_jacobi_sum(ideal, (1, 4))
         assert j.rational_value() == 1
@@ -171,22 +170,48 @@ def test_hecke_character():
     assert chi.weight == 3
     lf = chi.local_factor(11)
     assert len(lf) == 5
-    assert lf[1].rational_value() == -89
+    assert lf[1] == -89
     with pytest.raises(ValidationError):
         HeckeCharacter(5, (1, 5))             # entry vanishes mod m
-    assert HeckeCharacter(5, (1, 4)).weight == 2
+    assert HeckeCharacter(5, (1, 4)).weight == 0   # sum(a) = 0 mod 5: |J| = 1
 
 
 def test_hecke_coefficients():
     chi = HeckeCharacter(5, (1, 1, 1, 1))
     coeffs = dirichlet_coefficients(chi, 35)
-    assert coeffs.a(11).rational_value() == 89
-    assert coeffs.a(31).rational_value() == 409
+    assert coeffs.a(11) == 89
+    assert coeffs.a(31) == 409
     assert [p for p, _ in coeffs.included_primes] == [11, 31]
     assert coeffs.bad_primes == (5,)
     assert 2 in coeffs.omitted_primes and 19 in coeffs.omitted_primes
-    assert coeffs.a(22).rational_value() == 0  # 2 omitted kills the product
+    assert coeffs.a(22) == 0                   # 2 omitted kills the product
 
+
+# (m, a) with sum(a) = 0 mod m (trivial character product, weight r - 2)
+# and != 0 (weight r - 1), over conductors 2..12
+HECKE_CHARACTERS = [
+    (2, (1, 1)), (2, (1, 1, 1)), (3, (1, 1, 1)), (3, (1, 1)), (4, (1, 3)),
+    (4, (1, 1)), (5, (1, 1, 1, 1)), (5, (1, 4)), (5, (2, 2, 3, 3)),
+    (7, (1, 2, 4)), (6, (1, 1, 1)), (8, (1, 3, 4)), (12, (1, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("m,a", HECKE_CHARACTERS)
+def test_hecke_local_factor_invariants(m, a):
+    chi = HeckeCharacter(m, a)
+    coeffs = dirichlet_coefficients(chi, 100)
+    for p in range(3, 101):
+        if not is_prime(p) or (p - 1) % m:
+            continue
+        lf = chi.local_factor(p)
+        assert len(lf) == euler_phi(m) + 1 and all(type(c) is int for c in lf)
+        assert coeffs.a(p) == -lf[1]
+        sums = [ideal_jacobi_sum(i, chi.a) for i in split_prime_ideals(p, m)]
+        factor = LocalFactor(p=p, cohomology_degree=chi.weight, full_degree=euler_phi(m),
+                             orbits=tuple((j, 1) for j in sums), coeffs=lf)
+        assert check_riemann_hypothesis(factor).all_pass, (p, chi.weight)
+        sign, report = check_functional_equation(factor)
+        assert report.palindrome_ok and report.conjugation_closed
 
 def test_partial_sums(quintic):
     coeffs = dirichlet_coefficients(hasse_weil_collection(quintic, 100), 100)
