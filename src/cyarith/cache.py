@@ -1,0 +1,103 @@
+"""On-disk cache of complete local zeta factors.
+
+One JSON file per (exponent vector, prime), laid out as in
+docs/schemas/cache.schema.json: a format version, a sha256 self-check of the
+canonical encoding of the data, and the data itself (orbit Jacobi sums and
+the expanded coefficients).  ``load`` trusts an entry only if the version,
+hash and key all match and the factor passes the Riemann-hypothesis recheck;
+anything else is deleted with a warning on stderr, and the caller recomputes.
+``store`` writes a per-writer temp file and renames it into place, so
+concurrent writers of one entry never expose a half-written file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import uuid
+from pathlib import Path
+
+from .cyclo import CycInt
+from .errors import InvariantViolationError, ValidationError
+from .zeta import LocalFactor, check_riemann_hypothesis
+
+FORMAT_VERSION = 1
+
+
+def entry_path(cache_dir: Path, exps: tuple[int, ...], p: int) -> Path:
+    tag = "-".join(str(n) for n in exps)
+    return Path(cache_dir) / f"v{tag}_p{p}.json"
+
+
+def _record_hash(data: dict) -> str:
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _record(exps: tuple[int, ...], lf: LocalFactor) -> dict:
+    data = {
+        "exponents": list(exps),
+        "p": lf.p,
+        "cohomology_degree": lf.cohomology_degree,
+        "full_degree": lf.full_degree,
+        "orbits": [{"m": j.m, "count": c, "coefficients": [str(x) for x in j.coeffs]}
+                   for j, c in lf.orbits],
+        "coefficients": [str(x) for x in lf.coeffs],
+        "precision": lf.precision,
+    }
+    return {"format_version": FORMAT_VERSION,
+            "self_check": _record_hash(data),
+            "data": data}
+
+
+def store(cache_dir: Path, exps: tuple[int, ...], lf: LocalFactor) -> None:
+    """Write lf as the entry for (exps, lf.p), replacing any earlier one."""
+    path = entry_path(cache_dir, exps, lf.p)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # one temp file per writer: a shared name lets one writer's replace move
+    # another's half-written file into place
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(json.dumps(_record(exps, lf), indent=1) + "\n")
+        tmp.replace(path)   # atomic swap; concurrent writers of the same entry agree
+    finally:
+        tmp.unlink(missing_ok=True)     # still there only if the write or replace failed
+
+
+def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
+    """The cached factor for (exps, p), or None.  A corrupt entry (bad
+    version, hash mismatch, wrong key, or a failed Riemann-hypothesis
+    recheck) is deleted."""
+    path = entry_path(cache_dir, exps, p)
+    if not path.exists():
+        return None
+    try:
+        rec = json.loads(path.read_text())
+        if rec.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"format version {rec.get('format_version')}")
+        data = rec["data"]
+        if rec.get("self_check") != _record_hash(data):
+            raise ValueError("self-check hash mismatch")
+        if tuple(data["exponents"]) != tuple(exps) or data["p"] != p:
+            raise ValueError("entry keyed to a different variety or prime")
+        orbits = tuple((CycInt(o["m"], tuple(int(x) for x in o["coefficients"])),
+                        int(o["count"]))
+                       for o in data["orbits"])
+        lf = LocalFactor(p=p,
+                         cohomology_degree=int(data["cohomology_degree"]),
+                         full_degree=int(data["full_degree"]),
+                         orbits=orbits,
+                         coeffs=tuple(int(x) for x in data["coefficients"]),
+                         precision=data["precision"])
+        if not check_riemann_hypothesis(lf).all_pass:
+            raise ValueError("Riemann hypothesis recheck failed")
+        return lf
+    except (ValueError, KeyError, TypeError, IndexError,
+            ValidationError, InvariantViolationError) as exc:
+        print(f"warning: discarding corrupt cache entry {path}: {exc}", file=sys.stderr)
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None

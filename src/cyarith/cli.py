@@ -11,32 +11,28 @@ Exit codes: 0 success, 1 validation error (bad flags, bad primes,
 inconsistent variety spec), 2 invariant violation, meaning a mathematical
 self-check failed mid-run.  The last one is the serious outcome.
 
-Local zeta factors are cached one JSON file per (exponent vector, prime)
-under CYARITH_CACHE (default ./cache).  Entries carry a format version and a
-content hash and are re-verified against the Riemann hypothesis on load;
-anything corrupt is discarded and recomputed with a warning.  Parallelism
-across primes is orchestrated here and only here (--jobs / CYARITH_JOBS);
-the library itself stays sequential and schedule-free.
+Complete local zeta factors go through the cyarith.cache module, one JSON
+file per (exponent vector, prime) under --cache or CYARITH_CACHE (default
+./cache); --no-cache bypasses it.  Parallelism across primes is
+orchestrated here and only here (--jobs / CYARITH_JOBS, checked for every
+subcommand); the library itself stays sequential and schedule-free.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
 import os
 import sys
-import uuid
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-from . import cft
+from . import cache, cft
 from .charsum import AlphaTuple, full_alpha_set, jacobi_sums
 from .counting import DiagonalVariety, count_projective
 from .cyclo import CycInt, cyclotomic_unit, delta_determinant, hecke_weight, s_element
@@ -49,61 +45,37 @@ from .zeta import (CongruentZeta, LocalFactor, check_functional_equation,
 
 CACHE_ENV = "CYARITH_CACHE"
 JOBS_ENV = "CYARITH_JOBS"
-CACHE_FORMAT_VERSION = 1
 
 IDENTITY_TOL = 1e-9     # accept threshold for the KR / KN residuals
 
 
-# -- invocation config -----------------------------------------------------------
+# -- inputs ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters shared by the variety-facing subcommands."""
-
-    exponents: tuple[int, ...]
-    primes: tuple[int, ...]
-    strict_primes: bool     # primes given as an explicit list; bad ones are errors
-    extension: int
-    cutoff: int | None
-    cache_dir: Path
-    jobs: int
-
-    def __post_init__(self):
-        if any(p < 2 for p in self.primes):
-            raise ValidationError("primes must exceed 1")
-        if self.cutoff is not None and self.cutoff < 1:
-            raise ValidationError("cutoff must be at least 1")
-        if self.extension < 1:
-            raise ValidationError("extension degree must be at least 1")
-
-    @property
-    def variety(self) -> DiagonalVariety:
-        return DiagonalVariety(self.exponents)
+def _ints(raw: str, what: str, sep: str = ",") -> tuple[int, ...]:
+    """The integers of raw split at sep; what names the value in the error."""
+    try:
+        return tuple(int(t) for t in raw.split(sep))
+    except ValueError:
+        raise ValidationError(f"cannot parse {what} {raw!r}")
 
 
-def _parse_exponents(args) -> tuple[int, ...]:
-    """Variety spec from either --exponents or the (degree, dim) pair."""
-    raw = getattr(args, "exponents", None)
-    degree = getattr(args, "degree", None)
-    dim = getattr(args, "dim", None)
-    if raw:
-        if degree is not None:
+def _variety(args) -> DiagonalVariety:
+    """The variety of either --exponents or the (degree, dim) pair."""
+    if args.exponents:
+        if args.degree is not None:
             raise ValidationError("give either --exponents or -d/--degree, not both")
-        try:
-            exps = tuple(int(t) for t in raw.split(","))
-        except ValueError:
-            raise ValidationError(f"cannot parse exponent vector {raw!r}")
-        if dim is not None and len(exps) != dim + 2:
+        exps = _ints(args.exponents, "exponent vector")
+        if args.dim is not None and len(exps) != args.dim + 2:
             raise ValidationError(
-                f"exponent count {len(exps)} inconsistent with dimension {dim} "
-                f"(need n+2 = {dim + 2})")
-        return exps
-    if degree is None:
+                f"exponent count {len(exps)} inconsistent with dimension {args.dim} "
+                f"(need n+2 = {args.dim + 2})")
+        return DiagonalVariety(exps)
+    if args.degree is None:
         raise ValidationError("variety spec required: -d DEGREE -n DIM or --exponents")
-    if dim is None:
+    if args.dim is None:
         raise ValidationError("-d/--degree needs -n/--dim")
-    return (degree,) * (dim + 2)
+    return DiagonalVariety((args.degree,) * (args.dim + 2))
 
 
 def _parse_primes(spec: str | None) -> tuple[tuple[int, ...], bool]:
@@ -112,27 +84,31 @@ def _parse_primes(spec: str | None) -> tuple[tuple[int, ...], bool]:
     if not spec:
         raise ValidationError("at least one prime required (-p)")
     if ".." in spec:
-        lo_s, _, hi_s = spec.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ValidationError(f"cannot parse prime range {spec!r}")
-        if not 2 <= lo <= hi:
+        ends = _ints(spec, "prime range", "..")
+        if len(ends) != 2 or not 2 <= ends[0] <= ends[1]:
             raise ValidationError(f"empty or invalid prime range {spec!r}")
-        return tuple(p for p in range(lo, hi + 1) if is_prime(p)), False
-    try:
-        primes = tuple(int(t) for t in spec.split(","))
-    except ValueError:
-        raise ValidationError(f"cannot parse prime list {spec!r}")
+        return tuple(p for p in range(ends[0], ends[1] + 1) if is_prime(p)), False
+    primes = _ints(spec, "prime list")
     for p in primes:
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
     return primes, True
 
 
+def _good_primes(v: DiagonalVariety, spec: str | None) -> tuple[list[int], list[int]]:
+    """The primes of a -p spec where v has good reduction, and the bad ones
+    a range skips; a bad prime in a strict list is an error."""
+    primes, strict = _parse_primes(spec)
+    skipped = [p for p in primes if not v.is_good_prime(p)]
+    if strict and skipped:
+        raise ValidationError(
+            f"p={skipped[0]} divides an exponent of {v.exponents} (bad reduction)")
+    return [p for p in primes if v.is_good_prime(p)], skipped
+
+
 def _resolve_jobs(args) -> int:
     """--jobs, else $CYARITH_JOBS, else the CPU count; below 1 is refused."""
-    raw = getattr(args, "jobs", None)
+    raw = args.jobs
     if raw is None:
         raw = os.environ.get(JOBS_ENV) or os.cpu_count() or 1
     try:
@@ -144,24 +120,27 @@ def _resolve_jobs(args) -> int:
     return jobs
 
 
-def _resolve_cache(args) -> Path:
-    return Path(getattr(args, "cache", None) or os.environ.get(CACHE_ENV) or "cache")
+def _cache_dir(args) -> Path | None:
+    """The factor cache directory, or None under --no-cache."""
+    if args.no_cache:
+        return None
+    return Path(args.cache or os.environ.get(CACHE_ENV) or "cache")
 
 
-def _config(args, need_primes: bool = True) -> RunConfig:
-    primes, strict = _parse_primes(args.prime) if need_primes else ((), True)
-    return RunConfig(
-        exponents=_parse_exponents(args),
-        primes=primes,
-        strict_primes=strict,
-        extension=getattr(args, "extension", 1) or 1,
-        cutoff=getattr(args, "cutoff", None),
-        cache_dir=_resolve_cache(args),
-        jobs=_resolve_jobs(args),
-    )
+def _local_factor(v: DiagonalVariety, p: int, cap: int | None,
+                  cache_dir: Path | None) -> LocalFactor:
+    """The factor at p through the cache; truncated factors are cheap and
+    never cached."""
+    cached = cap is None and cache_dir is not None
+    lf = cache.load(cache_dir, v.exponents, p) if cached else None
+    if lf is None:
+        lf = local_factor_middle(v, p, max_root_field=cap)
+        if cached:
+            cache.store(cache_dir, v.exponents, lf)
+    return lf
 
 
-# -- output plumbing ---------------------------------------------------------------
+# -- output ------------------------------------------------------------------------
 
 
 def _fmt(args, default: str, *others: str) -> str:
@@ -177,142 +156,39 @@ def _fmt(args, default: str, *others: str) -> str:
     return fmt
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, fmt: str, payload: dict, csv_rows: list | None = None,
+          table: list[str] | None = None) -> None:
+    """Write payload as JSON, csv_rows (header row first) as CSV, or the
+    table lines, to --out or stdout."""
+    if fmt == "json":
+        if not args.deterministic:
+            payload = {**payload, "generated_at":
+                       datetime.now(timezone.utc).isoformat(timespec="seconds")}
+        text = json.dumps(payload, indent=2) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(table) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload: dict) -> None:
-    if not args.deterministic:
-        payload = {**payload,
-                   "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds")}
-    _emit(args, json.dumps(payload, indent=2) + "\n")
-
-
-def _emit_csv(args, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(args, buf.getvalue())
-
-
-def _emit_table(args, lines: list[str]) -> None:
-    _emit(args, "\n".join(lines) + "\n")
-
-
-# -- local factor cache --------------------------------------------------------------
-
-
-def _cache_path(cache_dir: Path, exps: tuple[int, ...], p: int) -> Path:
-    tag = "-".join(str(n) for n in exps)
-    return cache_dir / f"v{tag}_p{p}.json"
-
-
-def _record_hash(data: dict) -> str:
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _factor_record(exps: tuple[int, ...], lf: LocalFactor) -> dict:
-    data = {
-        "exponents": list(exps),
-        "p": lf.p,
-        "cohomology_degree": lf.cohomology_degree,
-        "full_degree": lf.full_degree,
-        "orbits": [{"m": j.m, "count": c, "coefficients": [str(x) for x in j.coeffs]}
-                   for j, c in lf.orbits],
-        "coefficients": [str(x) for x in lf.coeffs],
-        "precision": lf.precision,
-    }
-    return {"format_version": CACHE_FORMAT_VERSION,
-            "self_check": _record_hash(data),
-            "data": data}
-
-
-def _write_cache(path: Path, exps: tuple[int, ...], lf: LocalFactor) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # one temp file per writer: a shared name lets one writer's replace move
-    # another's half-written file into place
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        tmp.write_text(json.dumps(_factor_record(exps, lf), indent=1) + "\n")
-        tmp.replace(path)   # atomic swap; concurrent writers of the same entry agree
-    finally:
-        tmp.unlink(missing_ok=True)     # still there only if the write or replace failed
-
-
-def _load_cache(path: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
-    """Load a cached factor, or None.  A corrupt entry (bad version, hash
-    mismatch, or a failed Riemann-hypothesis recheck) is deleted."""
-    if not path.exists():
-        return None
-    try:
-        rec = json.loads(path.read_text())
-        if rec.get("format_version") != CACHE_FORMAT_VERSION:
-            raise ValueError(f"format version {rec.get('format_version')}")
-        data = rec["data"]
-        if rec.get("self_check") != _record_hash(data):
-            raise ValueError("self-check hash mismatch")
-        if tuple(data["exponents"]) != tuple(exps) or data["p"] != p:
-            raise ValueError("entry keyed to a different variety or prime")
-        orbits = tuple((CycInt(o["m"], tuple(int(x) for x in o["coefficients"])),
-                        int(o["count"]))
-                       for o in data["orbits"])
-        lf = LocalFactor(p=p,
-                         cohomology_degree=int(data["cohomology_degree"]),
-                         full_degree=int(data["full_degree"]),
-                         orbits=orbits,
-                         coeffs=tuple(int(x) for x in data["coefficients"]),
-                         precision=data["precision"])
-        if not check_riemann_hypothesis(lf).all_pass:
-            raise ValueError("Riemann hypothesis recheck failed")
-        return lf
-    except (ValueError, KeyError, TypeError, IndexError,
-            ValidationError, InvariantViolationError) as exc:
-        print(f"warning: discarding corrupt cache entry {path}: {exc}", file=sys.stderr)
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-
-
-def _local_factor(v: DiagonalVariety, p: int, cap: int | None,
-                  cache_dir: Path, use_cache: bool) -> LocalFactor:
-    """Cache-aware factor fetch.  Truncated factors are cheap and never cached."""
-    if cap is not None:
-        return local_factor_middle(v, p, max_root_field=cap)
-    path = _cache_path(cache_dir, v.exponents, p)
-    if use_cache:
-        lf = _load_cache(path, v.exponents, p)
-        if lf is not None:
-            return lf
-    lf = local_factor_middle(v, p)
-    if use_cache:
-        _write_cache(path, v.exponents, lf)
-    return lf
-
-
 # -- subcommand: count ---------------------------------------------------------------
 
 
 def _cmd_count(args) -> None:
-    cfg = _config(args)
-    v = cfg.variety
-    rows, skipped = [], []
-    for p in cfg.primes:
-        if not v.is_good_prime(p):
-            if cfg.strict_primes:
-                raise ValidationError(
-                    f"p={p} divides an exponent of {v.exponents} (bad reduction)")
-            skipped.append(p)
-            continue
-        f = make_field(p, cfg.extension)
+    fmt = _fmt(args, "table", "json", "csv")
+    v = _variety(args)
+    good, skipped = _good_primes(v, args.prime)
+    rows = []
+    for p in good:
+        f = make_field(p, args.extension)
         n = count_projective(v, f)
-        rows.append({"p": p, "r": cfg.extension, "q": f.q,
+        rows.append({"p": p, "r": args.extension, "q": f.q,
                      "projective_points": str(n),
                      "affine_points": str(1 + (f.q - 1) * n)})
     payload = {"exponents": list(v.exponents),
@@ -320,51 +196,38 @@ def _cmd_count(args) -> None:
                "calabi_yau": v.is_calabi_yau,
                "skipped_bad_primes": skipped,
                "counts": rows}
-    fmt = _fmt(args, "table", "json", "csv")
-    if fmt == "json":
-        _emit_json(args, payload)
-    elif fmt == "csv":
-        _emit_csv(args, ["p", "r", "q", "projective_points", "affine_points"],
-                  [[r["p"], r["r"], r["q"], r["projective_points"], r["affine_points"]]
-                   for r in rows])
-    else:
-        lines = [f"variety {v.exponents}  dim {v.complex_dim}  "
-                 f"CY {'yes' if v.is_calabi_yau else 'no'}"]
-        lines += [f"  q = {r['q']:<8d} projective {r['projective_points']:>16s}  "
-                  f"affine {r['affine_points']}" for r in rows]
-        if skipped:
-            lines.append(f"  skipped bad primes: {skipped}")
-        _emit_table(args, lines)
+    header = ["p", "r", "q", "projective_points", "affine_points"]
+    table = [f"variety {v.exponents}  dim {v.complex_dim}  "
+             f"CY {'yes' if v.is_calabi_yau else 'no'}"]
+    table += [f"  q = {r['q']:<8d} projective {r['projective_points']:>16s}  "
+              f"affine {r['affine_points']}" for r in rows]
+    if skipped:
+        table.append(f"  skipped bad primes: {skipped}")
+    _emit(args, fmt, payload, [header] + [[r[k] for k in header] for r in rows], table)
 
 
 # -- subcommand: jacobi --------------------------------------------------------------
 
 
 def _parse_alpha(args, exps: tuple[int, ...]) -> AlphaTuple | None:
-    raw = getattr(args, "alpha", None)
-    if not raw:
+    if not args.alpha:
         return None
-    den = getattr(args, "den", None) or math.lcm(*exps)
-    try:
-        nums = tuple(int(t) for t in raw.split(","))
-    except ValueError:
-        raise ValidationError(f"cannot parse alpha {raw!r}")
-    alpha = AlphaTuple(nums, den)
+    nums = _ints(args.alpha, "alpha")
+    alpha = AlphaTuple(nums, args.den or math.lcm(*exps))
     if len(nums) != len(exps) or any(n % d for d, n in zip(alpha.entry_denominators(), exps)):
-        raise ValidationError(f"alpha {raw!r} is not in the degree set of {exps}")
+        raise ValidationError(f"alpha {args.alpha!r} is not in the degree set of {exps}")
     return alpha
 
 
 def _cmd_jacobi(args) -> None:
-    cfg = _config(args)
-    if len(cfg.primes) != 1:
-        raise ValidationError("jacobi wants exactly one prime")
-    v, p = cfg.variety, cfg.primes[0]
-    if not v.is_good_prime(p):
-        raise ValidationError(
-            f"p={p} divides an exponent of {v.exponents} (bad reduction)")
+    fmt = _fmt(args, "json", "csv", "table")
+    v = _variety(args)
+    good, skipped = _good_primes(v, args.prime)
+    if len(good) != 1 or skipped:
+        raise ValidationError("jacobi wants exactly one good prime")
+    p = good[0]
     single = _parse_alpha(args, v.exponents)
-    r = cfg.extension
+    r = args.extension
     if r == 1:
         # characters of conductor m need m | q - 1; lift to the residue degree
         m = math.lcm(*v.exponents, *((single.den,) if single else ()))
@@ -391,30 +254,25 @@ def _cmd_jacobi(args) -> None:
     payload = {"exponents": list(v.exponents), "p": p, "q": f.q,
                "orbit_representatives_only": bool(args.orbits),
                "jacobi_sums": entries}
-    fmt = _fmt(args, "json", "csv", "table")
-    if fmt == "csv":
-        _emit_csv(args, ["alpha", "den", "re", "im", "norm_check"],
-                  [[";".join(str(n) for n in e["alpha"]), e["den"],
-                    e["embedding"]["re"], e["embedding"]["im"], e["norm_check"]]
-                   for e in entries])
-    elif fmt == "table":
-        lines = [f"p = {p}, q = {f.q}, {len(entries)} sums"]
-        lines += [f"  {tuple(e['alpha'])}/{e['den']}  ~ "
-                  f"{e['embedding']['re']:+.6f}{e['embedding']['im']:+.6f}i  "
-                  f"norm {'ok' if e['norm_check'] else 'FAIL'}" for e in entries]
-        _emit_table(args, lines)
-    else:
-        _emit_json(args, payload)
+    csv_rows = [["alpha", "den", "re", "im", "norm_check"]]
+    csv_rows += [[";".join(str(n) for n in e["alpha"]), e["den"],
+                  e["embedding"]["re"], e["embedding"]["im"], e["norm_check"]]
+                 for e in entries]
+    table = [f"p = {p}, q = {f.q}, {len(entries)} sums"]
+    table += [f"  {tuple(e['alpha'])}/{e['den']}  ~ "
+              f"{e['embedding']['re']:+.6f}{e['embedding']['im']:+.6f}i  "
+              f"norm {'ok' if e['norm_check'] else 'FAIL'}" for e in entries]
+    _emit(args, fmt, payload, csv_rows, table)
 
 
 # -- subcommand: zeta ---------------------------------------------------------------
 
 
 def _zeta_result(exps: tuple[int, ...], cap: int | None, predict: int,
-                 cache_dir: Path, use_cache: bool, p: int) -> dict:
+                 cache_dir: Path | None, p: int) -> dict:
     """One prime's worth of zeta JSON; module-level so workers can pickle it."""
     v = DiagonalVariety(exps)
-    lf = _local_factor(v, p, cap, cache_dir, use_cache)
+    lf = _local_factor(v, p, cap, cache_dir)
     rh = check_riemann_hypothesis(lf)
     out = {"p": p,
            "degree": lf.full_degree,
@@ -434,22 +292,14 @@ def _zeta_result(exps: tuple[int, ...], cap: int | None, predict: int,
 
 
 def _cmd_zeta(args) -> None:
-    cfg = _config(args)
-    v = cfg.variety
-    good, skipped = [], []
-    for p in cfg.primes:
-        if v.is_good_prime(p):
-            good.append(p)
-        elif cfg.strict_primes:
-            raise ValidationError(
-                f"p={p} divides an exponent of {v.exponents} (bad reduction)")
-        else:
-            skipped.append(p)
+    fmt = _fmt(args, "table", "json", "csv")
+    v = _variety(args)
+    good, skipped = _good_primes(v, args.prime)
     if not good:
         raise ValidationError("no good primes in the requested set")
     job = partial(_zeta_result, v.exponents, args.max_root_field, args.predict,
-                  cfg.cache_dir, not args.no_cache)
-    width = min(cfg.jobs, len(good))
+                  _cache_dir(args))
+    width = min(args.jobs, len(good))
     try:
         if width > 1:
             with ProcessPoolExecutor(max_workers=width) as pool:
@@ -463,26 +313,20 @@ def _cmd_zeta(args) -> None:
                "dimension": v.complex_dim,
                "skipped_bad_primes": skipped,
                "results": results}
-    fmt = _fmt(args, "table", "json", "csv")
-    if fmt == "json":
-        _emit_json(args, payload)
-    elif fmt == "csv":
-        _emit_csv(args, ["p", "degree", "rh_pass", "functional_sign", "coefficients"],
-                  [[r["p"], r["degree"], r["rh_pass"], r["functional_sign"],
-                    ";".join(r["coefficients"])] for r in results])
-    else:
-        lines = [f"variety {v.exponents}  middle cohomology degree "
-                 f"{results[0]['degree']}"]
-        for r in results:
-            sign = r["functional_sign"]
-            lines.append(f"  p = {r['p']:<6d} rh {'pass' if r['rh_pass'] else 'FAIL'}  "
-                         f"sign {sign if sign is not None else '?'}  "
-                         f"c1 = {r['coefficients'][1] if len(r['coefficients']) > 1 else '-'}")
-            for rr, cnt in sorted(r["predicted_counts"].items(), key=lambda kv: int(kv[0])):
-                lines.append(f"      N_{rr} = {cnt}")
-        if skipped:
-            lines.append(f"  skipped bad primes: {skipped}")
-        _emit_table(args, lines)
+    csv_rows = [["p", "degree", "rh_pass", "functional_sign", "coefficients"]]
+    csv_rows += [[r["p"], r["degree"], r["rh_pass"], r["functional_sign"],
+                  ";".join(r["coefficients"])] for r in results]
+    table = [f"variety {v.exponents}  middle cohomology degree {results[0]['degree']}"]
+    for r in results:
+        sign = r["functional_sign"]
+        table.append(f"  p = {r['p']:<6d} rh {'pass' if r['rh_pass'] else 'FAIL'}  "
+                     f"sign {sign if sign is not None else '?'}  "
+                     f"c1 = {r['coefficients'][1] if len(r['coefficients']) > 1 else '-'}")
+        for rr, cnt in sorted(r["predicted_counts"].items(), key=lambda kv: int(kv[0])):
+            table.append(f"      N_{rr} = {cnt}")
+    if skipped:
+        table.append(f"  skipped bad primes: {skipped}")
+    _emit(args, fmt, payload, csv_rows, table)
 
 
 # -- subcommands: lseries, hecke ------------------------------------------------------
@@ -501,56 +345,39 @@ def _emit_dirichlet(args, fmt: str, coeffs, head: dict, title: str) -> None:
     """a_1..a_cutoff as CSV, JSON (head, the coefficients and the --eval-at
     partial sum) or a table of the nonzero a_n."""
     a = coeffs.values
-    partial_sum = None
+    payload = {**head, "coefficients": [str(an) for an in a]}
+    table = [title] + [f"  a_{n} = {an}" for n, an in enumerate(a, 1) if an]
     if args.eval_at is not None:
         res = partial_sum_eval(coeffs, args.eval_at)
-        partial_sum = {"s": res.s,
-                       "value": {"re": res.value, "im": 0.0},
-                       "tail_bound": res.tail_bound if math.isfinite(res.tail_bound) else None}
-    if fmt == "csv":
-        _emit_csv(args, ["n", "a_n"], list(enumerate(a, 1)))
-    elif fmt == "json":
-        payload = {**head, "coefficients": [str(an) for an in a]}
-        if partial_sum is not None:
-            payload["partial_sum"] = partial_sum
-        _emit_json(args, payload)
-    else:
-        lines = [title] + [f"  a_{n} = {an}" for n, an in enumerate(a, 1) if an]
-        if partial_sum is not None:
-            tb = partial_sum["tail_bound"]
-            tail = f"{tb:.3g}" if tb is not None else "unbounded"
-            lines.append(f"  sum a_n n^-s at s = {partial_sum['s']}: "
-                         f"{partial_sum['value']['re']:.6f} (tail <= {tail})")
-        _emit_table(args, lines)
+        tb = res.tail_bound if math.isfinite(res.tail_bound) else None
+        payload["partial_sum"] = {"s": res.s, "value": {"re": res.value, "im": 0.0},
+                                  "tail_bound": tb}
+        table.append(f"  sum a_n n^-s at s = {res.s}: {res.value:.6f} "
+                     f"(tail <= {'unbounded' if tb is None else f'{tb:.3g}'})")
+    _emit(args, fmt, payload, [["n", "a_n"], *enumerate(a, 1)], table)
 
 
 def _cmd_lseries(args) -> None:
     fmt = _dirichlet_fmt(args)
-    cfg = _config(args, need_primes=False)
-    if cfg.cutoff is None:
+    v = _variety(args)
+    if args.cutoff is None:
         raise ValidationError("lseries needs --cutoff")
-    v = cfg.variety
-    coll = hasse_weil_collection(v, cfg.cutoff)
-    coeffs = dirichlet_coefficients(coll, cfg.cutoff)
+    coeffs = dirichlet_coefficients(hasse_weil_collection(v, args.cutoff), args.cutoff)
     head = {"exponents": list(v.exponents),
-            "cutoff": cfg.cutoff,
+            "cutoff": args.cutoff,
             "weight": coeffs.weight,
             "bad_primes": list(coeffs.bad_primes),
             "omitted_primes": list(coeffs.omitted_primes)}
     _emit_dirichlet(args, fmt, coeffs, head,
                     f"L-series of {v.exponents}, weight {coeffs.weight}, "
-                    f"n <= {cfg.cutoff}, bad primes {list(coeffs.bad_primes)}")
+                    f"n <= {args.cutoff}, bad primes {list(coeffs.bad_primes)}")
 
 
 def _cmd_hecke(args) -> None:
     fmt = _dirichlet_fmt(args)
     if args.cutoff is None:
         raise ValidationError("hecke needs --cutoff")
-    try:
-        a = tuple(int(t) for t in args.a.split(","))
-    except ValueError:
-        raise ValidationError(f"cannot parse exponent vector {args.a!r}")
-    chi = HeckeCharacter(args.conductor, a)
+    chi = HeckeCharacter(args.conductor, _ints(args.a, "exponent vector"))
     coeffs = dirichlet_coefficients(chi, args.cutoff)
     head = {"conductor": chi.m,
             "a": list(chi.a),
@@ -568,12 +395,12 @@ def _cmd_hecke(args) -> None:
 
 def _cmd_match(args) -> None:
     fmt = _fmt(args, "table", "json")
-    cfg = _config(args)
-    v = cfg.variety
+    v = _variety(args)
+    primes, _ = _parse_primes(args.prime)
+    cache_dir = _cache_dir(args)
     results = []
-    for p in cfg.primes:
-        lf = _local_factor(v, p, None, cfg.cache_dir, not args.no_cache)
-        rep = match_hasse_weil(v, p, lf)
+    for p in primes:
+        rep = match_hasse_weil(v, p, _local_factor(v, p, None, cache_dir))
         results.append({"p": rep.p, "m": rep.m, "ideals": rep.ideals,
                         "orbit_reps": rep.orbit_reps,
                         "multiset_size": rep.multiset_size,
@@ -581,15 +408,11 @@ def _cmd_match(args) -> None:
         if not rep.matched:
             raise InvariantViolationError(
                 f"zeta roots and Hecke Jacobi sums disagree as multisets at p={p}")
-    payload = {"exponents": list(v.exponents), "results": results}
-    if fmt == "json":
-        _emit_json(args, payload)
-    else:
-        lines = [f"variety {v.exponents}: zeta reciprocal roots vs Hecke values"]
-        lines += [f"  p = {r['p']:<6d} {r['ideals']} ideals x {r['orbit_reps']} orbits "
-                  f"= {r['multiset_size']} values  matched, sign {r['sign']:+d}"
-                  for r in results]
-        _emit_table(args, lines)
+    table = [f"variety {v.exponents}: zeta reciprocal roots vs Hecke values"]
+    table += [f"  p = {r['p']:<6d} {r['ideals']} ideals x {r['orbit_reps']} orbits "
+              f"= {r['multiset_size']} values  matched, sign {r['sign']:+d}"
+              for r in results]
+    _emit(args, fmt, {"exponents": list(v.exponents), "results": results}, table=table)
 
 
 # -- subcommand: cyclo ---------------------------------------------------------------
@@ -600,9 +423,10 @@ def _cmd_cyclo(args) -> None:
     if len(actions) != 1:
         raise ValidationError("pick exactly one of --units / --delta / --s-element")
     action = actions[0]
+    fmt = _fmt(args, "json", "table")
+    m = args.conductor
 
     if action == "units":
-        m = args.conductor
         if m is None:
             raise ValidationError("--units needs -m/--conductor")
         units = []
@@ -614,59 +438,51 @@ def _cmd_cyclo(args) -> None:
                           "coefficients": [str(c) for c in exact.coeffs],
                           "modulus": numeric})
         payload = {"conductor": m, "units": units}
-        if _fmt(args, "json", "table") == "table":
-            lines = [f"cyclotomic units theta_j of conductor {m}"]
-            lines += [f"  j = {u['j']:<4d} |theta_j| = {u['modulus']:.12f}"
-                      for u in units]
-            _emit_table(args, lines)
-        else:
-            _emit_json(args, payload)
-        return
-
-    if action == "delta":
+        table = [f"cyclotomic units theta_j of conductor {m}"]
+        table += [f"  j = {u['j']:<4d} |theta_j| = {u['modulus']:.12f}" for u in units]
+    elif action == "delta":
         if args.prime is None:
             raise ValidationError("--delta needs -p")
         primes, _ = _parse_primes(args.prime)
         rows = [{"p": p, "determinant": delta_determinant(p)} for p in primes]
         payload = {"delta_determinants": rows}
-        if _fmt(args, "json", "table") == "table":
-            _emit_table(args, [f"  p = {r['p']:<6d} |Delta| = {r['determinant']:.12e}"
-                               for r in rows])
-        else:
-            _emit_json(args, payload)
-        return
-
-    m = args.conductor
-    if m is None or not args.a:
-        raise ValidationError("--s-element needs -m/--conductor and --a")
-    try:
-        a = tuple(int(t) for t in args.a.split(","))
-    except ValueError:
-        raise ValidationError(f"cannot parse exponent vector {args.a!r}")
-    elem = s_element(a, m)
-    payload = {"conductor": m, "a": list(a),
-               "terms": [{"sigma": ell, "coefficient": c} for ell, c in elem.terms],
-               "weight": hecke_weight(a, m)}
-    if _fmt(args, "json", "table") == "table":
-        lines = [f"S(a) for a = {a} mod {m}, weight {payload['weight']}"]
-        lines += [f"  sigma_{t['sigma']}: {t['coefficient']}" for t in payload["terms"]]
-        _emit_table(args, lines)
+        table = [f"  p = {r['p']:<6d} |Delta| = {r['determinant']:.12e}" for r in rows]
     else:
-        _emit_json(args, payload)
+        if m is None or not args.a:
+            raise ValidationError("--s-element needs -m/--conductor and --a")
+        a = _ints(args.a, "exponent vector")
+        # n_sigma + n_conj(sigma) of S(a): hecke's weight, plus 2 when sum(a) = 0 mod m
+        payload = {"conductor": m, "a": list(a),
+                   "terms": [{"sigma": ell, "coefficient": c}
+                             for ell, c in s_element(a, m).terms],
+                   "weight": hecke_weight(a, m)}
+        table = [f"S(a) for a = {a} mod {m}, S(a) weight {payload['weight']} "
+                 f"(n_sigma + n_conj(sigma))"]
+        table += [f"  sigma_{t['sigma']}: {t['coefficient']}" for t in payload["terms"]]
+    _emit(args, fmt, payload, table=table)
 
 
 # -- subcommand: cft ---------------------------------------------------------------
 
+# the output formats of each action, the default first
+CFT_FORMATS = {"spectrum": ("csv", "json", "table"),
+               "check": ("json", "table"),
+               "fusion": ("json",),
+               "fusion_field": ("json", "table"),
+               "gepner": ("json", "table")}
+
 
 def _cmd_cft(args) -> None:
-    actions = [n for n in ("spectrum", "fusion", "fusion_field", "gepner")
-               if getattr(args, n)]
-    if args.check:
-        actions.append("check")
+    actions = [n for n in CFT_FORMATS if getattr(args, n)]
     if len(actions) != 1:
         raise ValidationError(
             "pick exactly one of --spectrum / --check / --fusion / --fusion-field / --gepner")
     action = actions[0]
+    fmt = _fmt(args, *CFT_FORMATS[action])
+    k = args.level
+    if k is None and action != "gepner":
+        raise ValidationError("cft needs --level for this action")
+    csv_rows = table = None
 
     if action == "gepner":
         levels = cft.gepner_levels(target_c=args.central_charge,
@@ -675,79 +491,47 @@ def _cmd_cft(args) -> None:
                    "max_factors": args.max_factors,
                    "count": len(levels),
                    "levels": [list(t) for t in levels]}
-        if _fmt(args, "json", "table") == "table":
-            lines = [f"{len(levels)} level vectors with c = {args.central_charge}"]
-            lines += ["  " + " ".join(str(k) for k in t) for t in levels]
-            _emit_table(args, lines)
-        else:
-            _emit_json(args, payload)
-        return
-
-    k = args.level
-    if k is None:
-        raise ValidationError("cft needs --level for this action")
-
-    if action == "spectrum":
-        spec = cft.n2_spectrum(k)
+        table = [f"{len(levels)} level vectors with c = {args.central_charge}"]
+        table += ["  " + " ".join(str(n) for n in t) for t in levels]
+    elif action == "spectrum":
         md = cft.modular_data(k)
         rows = [[e.l, e.q, e.s,
                  e.delta.numerator, e.delta.denominator,
-                 e.charge.numerator, e.charge.denominator] for e in spec.entries]
-        fmt = _fmt(args, "csv", "json", "table")
-        if fmt == "csv":
-            _emit_csv(args, ["l", "q", "s", "delta_num", "delta_den",
-                             "Q_num", "Q_den"], rows)
-        elif fmt == "json":
-            payload = {"level": k,
-                       "central_charge": {"num": md.c.numerator,
-                                          "den": md.c.denominator},
-                       "entries": [{"l": r[0], "q": r[1], "s": r[2],
-                                    "delta": {"num": r[3], "den": r[4]},
-                                    "charge": {"num": r[5], "den": r[6]}}
-                                   for r in rows]}
-            _emit_json(args, payload)
-        else:
-            lines = [f"N=2 spectrum at level {k}, c = {md.c}"]
-            lines += [f"  l={r[0]:<3d} q={r[1]:<4d} s={r[2]:<3d} "
-                      f"Delta={r[3]}/{r[4]}  Q={r[5]}/{r[6]}" for r in rows]
-            _emit_table(args, lines)
-        return
-
-    if action == "fusion":
-        N = cft.verlinde_fusion(k)
-        payload = {"level": k, "N": N.tolist()}
-        _fmt(args, "json")
-        _emit_json(args, payload)
-        return
-
-    if action == "fusion_field":
+                 e.charge.numerator, e.charge.denominator]
+                for e in cft.n2_spectrum(k).entries]
+        csv_rows = [["l", "q", "s", "delta_num", "delta_den", "Q_num", "Q_den"], *rows]
+        payload = {"level": k,
+                   "central_charge": {"num": md.c.numerator, "den": md.c.denominator},
+                   "entries": [{"l": r[0], "q": r[1], "s": r[2],
+                                "delta": {"num": r[3], "den": r[4]},
+                                "charge": {"num": r[5], "den": r[6]}}
+                               for r in rows]}
+        table = [f"N=2 spectrum at level {k}, c = {md.c}"]
+        table += [f"  l={r[0]:<3d} q={r[1]:<4d} s={r[2]:<3d} "
+                  f"Delta={r[3]}/{r[4]}  Q={r[5]}/{r[6]}" for r in rows]
+    elif action == "fusion":
+        payload = {"level": k, "N": cft.verlinde_fusion(k).tolist()}
+    elif action == "fusion_field":
         rep = cft.fusion_field_match(k)
+        if not rep.all_match:
+            raise InvariantViolationError(
+                f"quantum dimensions at k={k} failed to match cyclotomic units")
         payload = {"level": rep.k, "conductor": rep.conductor,
                    "all_match": rep.all_match,
                    "entries": [{"l": e.l, "value": e.value,
                                 "unit_index": e.unit_index, "abs_err": e.abs_err}
                                for e in rep.entries]}
-        if not rep.all_match:
-            raise InvariantViolationError(
-                f"quantum dimensions at k={k} failed to match cyclotomic units")
-        if _fmt(args, "json", "table") == "table":
-            lines = [f"level {k}: quantum dimensions vs units of conductor {rep.conductor}"]
-            lines += [f"  l = {e['l']:<3d} d = {e['value']:.12f} = theta_"
-                      f"{e['unit_index']} (err {e['abs_err']:.2e})"
-                      for e in payload["entries"]]
-            _emit_table(args, lines)
-        else:
-            _emit_json(args, payload)
-        return
-
-    # identity checks
-    if args.check == "kr":
+        table = [f"level {k}: quantum dimensions vs units of conductor {rep.conductor}"]
+        table += [f"  l = {e.l:<3d} d = {e.value:.12f} = theta_"
+                  f"{e.unit_index} (err {e.abs_err:.2e})" for e in rep.entries]
+    elif args.check == "kr":
         residual = cft.check_kr_identity(k)
         payload = {"level": k, "identity": "kr", "residual": residual,
                    "pass": residual < IDENTITY_TOL}
         if not payload["pass"]:
             raise InvariantViolationError(
                 f"central charge sum rule residual {residual:.3e} at k={k}")
+        table = [f"level {k} kr: residual {residual:.3e}  pass {payload['pass']}"]
     else:
         if args.m is None:
             raise ValidationError("--check kn needs --m")
@@ -762,15 +546,11 @@ def _cmd_cft(args) -> None:
             raise InvariantViolationError(
                 f"dilogarithm sum rule residual {res.residual:.3e} "
                 f"at k={k}, m={args.m}")
-    if _fmt(args, "json", "table") == "table":
-        tag = payload["identity"] + (f" m = {payload['m']}" if "m" in payload else "")
-        if payload["residual"] is None:
-            line = f"skipped, Q vanishes at l = {payload['vanishing']}"
-        else:
-            line = f"residual {payload['residual']:.3e}  pass {payload['pass']}"
-        _emit_table(args, [f"level {k} {tag}: {line}"])
-    else:
-        _emit_json(args, payload)
+        line = (f"skipped, Q vanishes at l = {payload['vanishing']}"
+                if res.residual is None
+                else f"residual {res.residual:.3e}  pass {payload['pass']}")
+        table = [f"level {k} kn m = {args.m}: {line}"]
+    _emit(args, fmt, payload, csv_rows, table)
 
 
 # -- parser ---------------------------------------------------------------------
@@ -865,7 +645,8 @@ def _build_parser() -> _Parser:
     p_cy.add_argument("--delta", action="store_true",
                       help="truncated unit determinant at p")
     p_cy.add_argument("--s-element", dest="s_element", action="store_true",
-                      help="group-ring element S(a)")
+                      help="group-ring element S(a) and its weight n_sigma + "
+                           "n_conj(sigma), 2 above hecke's when sum(a) = 0 mod m")
     p_cy.add_argument("--a", metavar="A1,A2,...", help="exponent vector for --s-element")
     p_cy.set_defaults(func=_cmd_cyclo)
 
@@ -900,6 +681,7 @@ def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
+        args.jobs = _resolve_jobs(args)
         args.func(args)
         return 0
     except SystemExit as exc:       # --help and friends

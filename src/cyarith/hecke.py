@@ -307,9 +307,15 @@ def _invert_local(coeffs: tuple[int, ...], k_max: int) -> list[int]:
 def _assemble(cutoff: int, prime_series: dict[int, list[int]]) -> list[int]:
     """a_1..a_cutoff from the series of 1/P(t) at each prime; a prime with
     no series makes a_n vanish for every n it divides."""
+    spf = list(range(cutoff + 1))       # smallest prime factor, by sieve
+    for p in range(2, math.isqrt(cutoff) + 1):
+        if spf[p] == p:
+            for k in range(p * p, cutoff + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
     values = [0, 1] + [0] * (cutoff - 1)
     for n in range(2, cutoff + 1):
-        p = min(pf for pf in range(2, n + 1) if n % pf == 0)
+        p = spf[n]
         q, e = n, 0
         while q % p == 0:
             q //= p

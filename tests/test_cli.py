@@ -11,7 +11,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from cyarith import DiagonalVariety
+from cyarith import DiagonalVariety, cache
 from cyarith.cli import run
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -146,20 +146,46 @@ def test_cache_roundtrip_and_corruption(capsys, tmp_path):
     assert entry.exists()                         # rewritten after recompute
 
 
+def test_cache_discards_stale_version_and_misfiled_entry(capsys, tmp_path):
+    argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--json", "--deterministic",
+            "--cache", str(tmp_path)]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
+
+    rec = json.loads(entry.read_text())
+    rec["format_version"] = cache.FORMAT_VERSION + 1      # written by another release
+    entry.write_text(json.dumps(rec))
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == first
+    assert "discarding corrupt cache entry" in captured.err
+    assert json.loads(entry.read_text())["format_version"] == cache.FORMAT_VERSION
+
+    # a valid, self-consistent entry for p = 13 filed under p = 7's name
+    assert run(argv[:6] + ["13"] + argv[7:]) == 0
+    capsys.readouterr()
+    entry.write_text(cache.entry_path(tmp_path, (3, 3, 3), 13).read_text())
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == first
+    assert "different variety or prime" in captured.err
+    assert cache.load(tmp_path, (3, 3, 3), 7).p == 7      # recomputed and rewritten
+
+
 def test_concurrent_cache_writers(tmp_path):
-    from cyarith.cli import _cache_path, _load_cache, _write_cache
     from cyarith.zeta import local_factor_middle
 
     v = DiagonalVariety.fermat(3, 1)
     lf = local_factor_middle(v, 7)
-    path = _cache_path(tmp_path, v.exponents, 7)
+    path = cache.entry_path(tmp_path, v.exponents, 7)
     start, errors = threading.Barrier(4), []
 
     def writer():
         start.wait()
         try:
             for _ in range(50):
-                _write_cache(path, v.exponents, lf)
+                cache.store(tmp_path, v.exponents, lf)
         except OSError as exc:
             errors.append(exc)
 
@@ -170,7 +196,7 @@ def test_concurrent_cache_writers(tmp_path):
         t.join(timeout=60)
         assert not t.is_alive()
     assert errors == []
-    loaded = _load_cache(path, v.exponents, 7)
+    loaded = cache.load(tmp_path, v.exponents, 7)
     assert (loaded.coeffs, loaded.orbits) == (lf.coeffs, lf.orbits)
     assert [x.name for x in tmp_path.iterdir()] == [path.name]
 
@@ -319,11 +345,22 @@ def test_jobs_below_one_refused(monkeypatch, capsys):
     for jobs in ("0", "-4"):
         assert run(argv + ["--jobs", jobs]) == 1
         assert "must be at least 1" in capsys.readouterr().err
+    # checked for every subcommand, not only those that fan out over primes
+    assert run(["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "10", "--jobs", "0"]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
     for env in ("0", "-4"):
         monkeypatch.setenv("CYARITH_JOBS", env)
         assert run(argv) == 1
         assert "must be at least 1" in capsys.readouterr().err
     assert run(argv + ["--jobs", "1"]) == 0      # the flag wins over the variable
+
+def test_extension_below_one_refused(capsys):
+    # -r 0 used to be read as -r 1 and print the F_7 result
+    for cmd in ("count", "jacobi"):
+        assert run([cmd, "-d", "3", "-n", "1", "-p", "7", "-r", "0", "--json"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "extension degree must be positive" in out.err
+
 
 def test_console_script_subprocess():
     proc = subprocess.run(

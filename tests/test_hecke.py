@@ -2,6 +2,7 @@
 Hasse-Weil vs Hecke multiset match."""
 
 import math
+import random
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
                      make_field, match_hasse_weil, partial_sum_eval,
                      power_residue_char, split_prime_ideals, splitting_data)
 from cyarith.errors import ValidationError
+from cyarith.hecke import _assemble
 
 
 def test_splitting_data():
@@ -212,6 +214,37 @@ def test_hecke_local_factor_invariants(m, a):
         assert check_riemann_hypothesis(factor).all_pass, (p, chi.weight)
         sign, report = check_functional_equation(factor)
         assert report.palindrome_ok and report.conjugation_closed
+
+def _trial_division(n):
+    factors, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_assemble_matches_trial_division(seed):
+    # random series at about 3 primes in 4; an absent prime kills a_n
+    rng = random.Random(seed)
+    cutoff = 2000
+    series = {}
+    for p in filter(is_prime, range(2, cutoff + 1)):
+        if rng.random() < 0.75:
+            k_max = int(math.log(cutoff, p) + 1e-9)
+            series[p] = [1] + [rng.randint(-9, 9) for _ in range(k_max)]
+    values = _assemble(cutoff, series)
+    assert len(values) == cutoff and values[0] == 1
+    for n in range(2, cutoff + 1):
+        expected = 1
+        for p, e in _trial_division(n).items():
+            expected *= series[p][e] if p in series else 0
+        assert values[n - 1] == expected, n
+
 
 def test_partial_sums(quintic):
     coeffs = dirichlet_coefficients(hasse_weil_collection(quintic, 100), 100)
