@@ -184,6 +184,8 @@ def _cmd_count(args) -> None:
     fmt = _fmt(args, "table", "json", "csv")
     v = _variety(args)
     good, skipped = _good_primes(v, args.prime)
+    if not good:
+        raise ValidationError("no good primes in the requested set")
     rows = []
     for p in good:
         f = make_field(p, args.extension)
@@ -396,7 +398,14 @@ def _cmd_hecke(args) -> None:
 def _cmd_match(args) -> None:
     fmt = _fmt(args, "table", "json")
     v = _variety(args)
-    primes, _ = _parse_primes(args.prime)
+    primes, strict = _parse_primes(args.prime)
+    m = math.lcm(*v.exponents)
+    # a range keeps the primes that split totally in Q(mu_m): p = 1 mod m
+    skipped = [] if strict else [p for p in primes if p % m != 1]
+    primes = [p for p in primes if p not in skipped]
+    if not primes:
+        raise ValidationError(
+            f"no split primes in the requested set; match needs p = 1 mod {m}")
     cache_dir = _cache_dir(args)
     results = []
     for p in primes:
@@ -412,6 +421,8 @@ def _cmd_match(args) -> None:
     table += [f"  p = {r['p']:<6d} {r['ideals']} ideals x {r['orbit_reps']} orbits "
               f"= {r['multiset_size']} values  matched, sign {r['sign']:+d}"
               for r in results]
+    if skipped:
+        table.append(f"  skipped bad or non-split primes: {skipped}")
     _emit(args, fmt, {"exponents": list(v.exponents), "results": results}, table=table)
 
 

@@ -73,43 +73,7 @@ class FieldTable:
     digits: np.ndarray
     ppow: np.ndarray
 
-    # -- scalar arithmetic on element indices ---------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        return int(((self.digits[x] + self.digits[y]) % self.p) @ self.ppow)
-
-    def neg(self, x: int) -> int:
-        return int(((self.p - self.digits[x]) % self.p) @ self.ppow)
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return int(self.exp[(int(self.dlog[x]) + int(self.dlog[y])) % (self.q - 1)])
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ValidationError("zero is not invertible")
-        return int(self.exp[(-int(self.dlog[x])) % (self.q - 1)])
-
-    def pow(self, x: int, n: int) -> int:
-        if x == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise ValidationError("zero is not invertible")
-            return 0
-        return int(self.exp[(int(self.dlog[x]) * n) % (self.q - 1)])
-
-    def frobenius(self, x: int) -> int:
-        return self.pow(x, self.p)
-
     # -- vectorised arithmetic on arrays of element indices --------------------
-
-    def vadd(self, a, b):
-        return ((self.digits[a] + self.digits[b]) % self.p) @ self.ppow
 
     def vpow(self, a, n: int):
         a = np.asarray(a)

@@ -2,8 +2,10 @@
 
 The middle local factor at a good prime p is the product over Frobenius
 orbits of the degree set A of (1 - J t^f), where f is the orbit length and
-J the Jacobi sum of the orbit representative over F_{p^f}.  Expansion is
-exact in Z[mu_M] and must collapse to integer coefficients; the point-count
+J the Jacobi sum of the orbit representative over F_{p^f}.  The roots fall
+into Galois classes (sigma_l J(alpha) = J(l*alpha)); each class's norm
+polynomial is expanded exactly in Z[mu_M] and must lie in Z[t], and the
+factor is the product of those integer polynomials.  The point-count
 trace, Riemann hypothesis and functional equation serve as exact
 self-checks rather than floating-point diagnostics.
 """
@@ -64,28 +66,49 @@ class CongruentZeta:
 
 def expand_roots(orbits, trunc: int | None) -> tuple[int, ...]:
     """Integer coefficients of prod (1 - J t^f) over the (J, f) pairs, through
-    t^trunc if given: expanded exactly in Z[mu_M], M the lcm of the J's
-    conductors, and InvariantViolationError unless it lies in Z with
-    constant term 1."""
-    if not orbits:
-        return (1,)
-    big_m = math.lcm(*(j.m for j, _ in orbits))
-    poly = [CycInt.one(big_m)]
-    for j, f in orbits:
-        jl = j.lift(big_m)
-        width = len(poly) + f
-        if trunc is not None:
-            width = min(width, trunc + 1)
-        new = [CycInt.zero(big_m)] * width
-        for i, c in enumerate(poly):
-            if i < width:
-                new[i] = new[i] + c
-            if i + f < width:
-                new[i + f] = new[i + f] - jl * c
-        poly = new
-    out = tuple(c.rational_value() for c in poly)  # raises if not in Z
+    t^trunc if given.
+
+    sigma_l J(alpha) = J(l*alpha), so the roots fall into Galois classes of
+    Z[mu_M], M the lcm of the J's conductors, and each class of a given f
+    must appear with one multiplicity (InvariantViolationError otherwise).
+    A class's norm polynomial prod (1 - c u) over its distinct conjugates c
+    is expanded in Z[mu_M] and must lie in Z[u]; the factor is the product
+    of those integer polynomials in u = t^f, with constant term 1.
+    """
+    big_m = math.lcm(*(j.m for j, _ in orbits))  # 1 for no roots
+    units = [l for l in range(1, big_m + 1) if math.gcd(l, big_m) == 1]
+    left = Counter((j.lift(big_m), f) for j, f in orbits)
+    out = [1]
+    while left:
+        j, f = next(iter(left))
+        mult = left[j, f]
+        conjugates = {j.galois(l) for l in units}
+        for c in conjugates:
+            if left.pop((c, f), 0) != mult:
+                raise InvariantViolationError(
+                    f"roots are not Galois-closed: a conjugate of the f={f} "
+                    f"root {j.coeffs} does not occur {mult} times")
+        zero, norm = CycInt.zero(big_m), [CycInt.one(big_m)]
+        for c in conjugates:
+            norm = [a - c * b for a, b in zip(norm + [zero], [zero] + norm)]
+        norm_z = [c.rational_value() for c in norm]  # raises if not in Z
+        for _ in range(mult):
+            out = _mul_in_power(out, norm_z, f, trunc)
     if out[0] != 1:
         raise InvariantViolationError("local factor must have constant term 1")
+    return tuple(out)
+
+
+def _mul_in_power(a: list[int], b: list[int], f: int, trunc: int | None) -> list[int]:
+    """a(t) * b(t^f), through t^trunc if given."""
+    width = len(a) + (len(b) - 1) * f
+    if trunc is not None:
+        width = min(width, trunc + 1)
+    out = [0] * width
+    for k, bk in enumerate(b):
+        if bk:
+            for i in range(min(len(a), width - k * f)):
+                out[i + k * f] += bk * a[i]
     return out
 
 

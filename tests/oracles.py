@@ -1,0 +1,81 @@
+"""Brute-force references that only the tests use.
+
+`expand_roots_direct` is the per-coefficient expansion that
+`zeta.expand_roots` replaced; the `FieldTable` scalar operations below read
+the field's own exp/dlog and digit tables one element at a time.
+"""
+
+import math
+
+from cyarith.cyclo import CycInt
+from cyarith.errors import InvariantViolationError, ValidationError
+
+
+def expand_roots_direct(orbits, trunc):
+    """prod (1 - J t^f) multiplied out one CycInt coefficient at a time in
+    Z[mu_M], M the lcm of the conductors, through t^trunc if given."""
+    if not orbits:
+        return (1,)
+    big_m = math.lcm(*(j.m for j, _ in orbits))
+    poly = [CycInt.one(big_m)]
+    for j, f in orbits:
+        jl = j.lift(big_m)
+        width = len(poly) + f
+        if trunc is not None:
+            width = min(width, trunc + 1)
+        new = [CycInt.zero(big_m)] * width
+        for i, c in enumerate(poly):
+            if i < width:
+                new[i] = new[i] + c
+            if i + f < width:
+                new[i + f] = new[i + f] - jl * c
+        poly = new
+    out = tuple(c.rational_value() for c in poly)  # raises if not in Z
+    if out[0] != 1:
+        raise InvariantViolationError("local factor must have constant term 1")
+    return out
+
+
+# -- scalar FieldTable arithmetic on element indices ----------------------------
+
+
+def add(f, x, y):
+    return int(((f.digits[x] + f.digits[y]) % f.p) @ f.ppow)
+
+
+def neg(f, x):
+    return int(((f.p - f.digits[x]) % f.p) @ f.ppow)
+
+
+def sub(f, x, y):
+    return add(f, x, neg(f, y))
+
+
+def mul(f, x, y):
+    if x == 0 or y == 0:
+        return 0
+    return int(f.exp[(int(f.dlog[x]) + int(f.dlog[y])) % (f.q - 1)])
+
+
+def inv(f, x):
+    if x == 0:
+        raise ValidationError("zero is not invertible")
+    return int(f.exp[(-int(f.dlog[x])) % (f.q - 1)])
+
+
+def power(f, x, n):
+    if x == 0:
+        if n == 0:
+            return 1
+        if n < 0:
+            raise ValidationError("zero is not invertible")
+        return 0
+    return int(f.exp[(int(f.dlog[x]) * n) % (f.q - 1)])
+
+
+def frobenius(f, x):
+    return power(f, x, f.p)
+
+
+def vadd(f, a, b):
+    return ((f.digits[a] + f.digits[b]) % f.p) @ f.ppow

@@ -55,6 +55,12 @@ def test_count_range_skips_bad(capsys):
     assert [r["p"] for r in doc["counts"]] == [2, 3, 7, 11]
 
 
+def test_count_range_without_good_prime_exits_1(capsys):
+    assert run(["count", "-d", "3", "-n", "1", "-p", "3..3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "no good primes in the requested set" in out.err
+
+
 def test_unknown_flag_exits_1(capsys):
     assert run(["count", "-d", "5", "-n", "3", "-p", "11", "--bogus"]) == 1
     assert run(["nonsense"]) == 1
@@ -250,6 +256,18 @@ def test_match_json(capsys):
     _validate("match", doc)
     assert doc["results"][0]["matched"] is True
     assert doc["results"][0]["sign"] == 1
+
+
+def test_match_range_skips_bad_and_non_split(capsys):
+    # 2, 3, 7 are inert and 5 is bad; a strict list still refuses them
+    doc = _json_out(capsys, ["match", "-d", "5", "-n", "3", "-p", "2..12", "--no-cache"])
+    _validate("match", doc)
+    assert [(r["p"], r["matched"]) for r in doc["results"]] == [(11, True)]
+    for spec in ("2..10", "2,11", "5"):
+        assert run(["match", "-d", "5", "-n", "3", "-p", spec]) == 1
+    err = capsys.readouterr().err
+    assert "no split primes" in err and "p=2 is not split" in err
+    assert "bad reduction" in err or "divides an exponent" in err
 
 
 def test_match_failure_exits_2(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from cyarith import (DiagonalVariety, congruent_zeta, count_affine, count_projec
 from cyarith.charsum import unit_sums
 from cyarith.counting import DIRECT_ENUM_BUDGET, count_affine_direct
 from cyarith.errors import BadReductionError, ValidationError
+from oracles import add
 
 # r > 1, p = 2, and primes dividing exponents in 2..6
 ORACLE_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1), (5, 2)]
@@ -107,7 +108,7 @@ def test_hyperplane_tuple_closed_form(p, r, k):
 def _sum_indices(f, t):
     acc = 0
     for x in t:
-        acc = f.add(acc, x)
+        acc = add(f, acc, x)
     return acc
 
 

@@ -8,6 +8,7 @@ import sympy
 
 from cyarith import dlog, is_prime, make_field
 from cyarith.errors import CapacityError, PrimalityError, ValidationError
+from oracles import add, frobenius, inv, mul, neg, power, sub, vadd
 
 
 def test_is_prime_agrees_with_sympy():
@@ -48,18 +49,19 @@ def test_field_axioms_on_all_elements(p, r):
     f = make_field(p, r)
     xs = range(f.q)
     for x in xs:
-        assert f.add(x, 0) == x
-        assert f.add(x, f.neg(x)) == 0
-        assert f.mul(x, 1) == x
+        assert add(f, x, 0) == x
+        assert add(f, x, neg(f, x)) == 0
+        assert sub(f, x, x) == 0
+        assert mul(f, x, 1) == x
         if x:
-            assert f.mul(x, f.inv(x)) == 1
-        assert f.pow(x, f.q) == x          # Frobenius iterated r times fixes F_q
+            assert mul(f, x, inv(f, x)) == 1
+        assert power(f, x, f.q) == x          # Frobenius iterated r times fixes F_q
     # distributivity on a grid
     for x in range(0, f.q, 3):
         for y in range(0, f.q, 5):
             for z in (1, 2, f.q - 1):
-                lhs = f.mul(x, f.add(y, z))
-                assert lhs == f.add(f.mul(x, y), f.mul(x, z))
+                lhs = mul(f, x, add(f, y, z))
+                assert lhs == add(f, mul(f, x, y), mul(f, x, z))
 
 
 def test_generator_has_full_order():
@@ -68,7 +70,7 @@ def test_generator_has_full_order():
         seen = {1}
         x = 1
         for _ in range(f.q - 2):
-            x = f.mul(x, int(f.exp[1]))
+            x = mul(f, x, int(f.exp[1]))
             assert x not in seen
             seen.add(x)
 
@@ -77,19 +79,19 @@ def test_frobenius_is_additive():
     f = make_field(3, 3)
     for x in range(0, f.q, 2):
         for y in range(0, f.q, 5):
-            assert f.frobenius(f.add(x, y)) == f.add(f.frobenius(x), f.frobenius(y))
+            assert frobenius(f, add(f, x, y)) == add(f, frobenius(f, x), frobenius(f, y))
 
 
 def test_vectorised_ops_match_scalar():
     f = make_field(2, 4)
     a = np.arange(f.q)
     b = np.roll(a, 3)
-    va = f.vadd(a, b)
+    va = vadd(f, a, b)
     for i in range(f.q):
-        assert va[i] == f.add(int(a[i]), int(b[i]))
+        assert va[i] == add(f, int(a[i]), int(b[i]))
     vp = f.vpow(a, 3)
     for i in range(f.q):
-        assert vp[i] == f.pow(int(a[i]), 3)
+        assert vp[i] == power(f, int(a[i]), 3)
 
 
 def test_alternate_generator_field():
@@ -102,7 +104,7 @@ def test_alternate_generator_field():
         # same field, different log tables; multiplication must agree
         for x in range(default.q):
             for y in range(default.q):
-                assert default.mul(x, y) == other.mul(x, y)
+                assert mul(default, x, y) == mul(other, x, y)
         for bad in (non_generator, 0, default.q):
             with pytest.raises(ValidationError):
                 make_field(p, r, g=bad)

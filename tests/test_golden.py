@@ -5,7 +5,9 @@ Each file under tests/golden/ holds the output of one command below,
 `--json` appended when the command names no output format.  The JSON pins
 were written by the enumeration-based Jacobi sums that preceded the
 two-variable recursion, the count pins by the additive convolution that
-preceded Weil's formula.  A refactor must reproduce every one exactly.
+preceded Weil's formula, and the cutoff-300 L-series pin by the
+per-coefficient CycInt expansion that preceded the Galois norm classes.  A
+refactor must reproduce every one exactly.
 """
 
 from pathlib import Path
@@ -25,6 +27,7 @@ GOLDEN = {
     "match_quintic_p11": "match -d 5 -n 3 -p 11",
     "hecke_m5_cutoff100": "hecke -m 5 --a 1,1,1,1 --cutoff 100",
     "lseries_quintic_cutoff30": "lseries -d 5 -n 3 --cutoff 30",
+    "lseries_quintic_cutoff300": "lseries -d 5 -n 3 --cutoff 300",
     "count_cubic_p2_13_r2": "count --exponents 3,3,3 -p 2..13 -r 2",
     "count_quintic_p2_13_r2": "count -d 5 -n 3 -p 2..13 -r 2",
     "lseries_quintic_cutoff30_eval_csv": "lseries -d 5 -n 3 --cutoff 30 --csv",

@@ -2,12 +2,20 @@
 functional equation."""
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from cyarith import (CongruentZeta, DiagonalVariety, check_functional_equation,
-                     check_riemann_hypothesis, congruent_zeta, count_projective,
-                     expected_degrees, local_factor_middle, make_field,
-                     predicted_count)
-from cyarith.errors import ValidationError
+from cyarith import (CongruentZeta, DiagonalVariety, HeckeCharacter,
+                     check_functional_equation, check_riemann_hypothesis,
+                     congruent_zeta, count_projective, expected_degrees,
+                     is_prime, local_factor_middle, make_field, predicted_count,
+                     split_prime_ideals)
+from cyarith.errors import InvariantViolationError, ValidationError
+from cyarith.hecke import ideal_jacobi_sums
+from cyarith.zeta import expand_roots
+from oracles import expand_roots_direct
+
+PRIMES = [p for p in range(2, 60) if is_prime(p)]
+TRUNCS = st.one_of(st.none(), st.integers(0, 8))
 
 
 def test_quintic_factor_p11(quintic_lf11):
@@ -139,3 +147,49 @@ def test_quintic_complete_at_large_residue_fields(quintic, p, r):
     assert sign == 1
     for k in {1, r}:
         assert predicted_count(z, k) == count_projective(quintic, make_field(p, k))
+
+
+# -- the norm-class expansion against the per-coefficient oracle -----------------
+
+
+@st.composite
+def _good_vector_and_prime(draw):
+    v = DiagonalVariety(tuple(draw(st.lists(st.integers(2, 7), min_size=3,
+                                            max_size=5))))
+    return v, draw(st.sampled_from([p for p in PRIMES if v.is_good_prime(p)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_good_vector_and_prime(), trunc=TRUNCS)
+@example(case=(DiagonalVariety((5,) * 5), 11), trunc=None)      # quintic, split
+@example(case=(DiagonalVariety((5,) * 5), 2), trunc=None)       # quintic, p = 2
+@example(case=(DiagonalVariety((2, 2, 2, 2)), 3), trunc=None)   # quadric
+@example(case=(DiagonalVariety((2, 3, 6)), 13), trunc=1)        # non-Fermat
+def test_expand_roots_matches_direct_on_local_factors(case, trunc):
+    v, p = case
+    orbits = local_factor_middle(v, p, max_root_field=4096).orbits
+    # the oracle is quadratic in the degree: keep complete expansions small
+    assume(trunc is not None or sum(f for _, f in orbits) <= 204)
+    assert expand_roots(orbits, trunc) == expand_roots_direct(orbits, trunc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(3, 13), data=st.data(), trunc=TRUNCS)
+def test_expand_roots_matches_direct_on_hecke_roots(m, data, trunc):
+    a = data.draw(st.lists(st.integers(1, m - 1), min_size=2, max_size=4))
+    chi = HeckeCharacter(m, tuple(a))
+    p = data.draw(st.sampled_from([p for p in range(2, 200)
+                                   if is_prime(p) and p % m == 1]))
+    roots = [(j, 1) for j in ideal_jacobi_sums(split_prime_ideals(p, m), [chi.a])]
+    assert expand_roots(roots, trunc) == expand_roots_direct(roots, trunc)
+    if trunc is None:
+        assert chi.local_factor(p) == expand_roots_direct(roots, None)
+
+
+def test_expand_roots_needs_whole_galois_classes():
+    orbits = list(local_factor_middle(DiagonalVariety((3, 3, 6, 6)), 7).orbits)
+    k = next(i for i, (j, _) in enumerate(orbits) if not j.is_rational())
+    assert expand_roots(orbits, None) == expand_roots_direct(orbits, None)
+    for bad in (orbits[:k] + orbits[k + 1:], orbits + [orbits[k]]):
+        with pytest.raises(InvariantViolationError, match="Galois-closed"):
+            expand_roots(bad, None)
