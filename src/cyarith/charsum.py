@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -75,7 +76,11 @@ class AlphaSet:
     orbits: tuple[tuple[AlphaTuple, ...], ...]
 
 
-def _enumerate_tuples(orders: tuple[int, ...]) -> list[AlphaTuple]:
+@lru_cache(maxsize=64)
+def _enumerate_tuples(orders: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
+    """Every admissible tuple for the given orders, in lexicographic order of
+    the numerators a_i/l_i.  It depends on the orders alone, so it is built
+    once per orders and shared by every prime."""
     den = math.lcm(*orders)
     weights = [den // l for l in orders]
     out = []
@@ -83,24 +88,22 @@ def _enumerate_tuples(orders: tuple[int, ...]) -> list[AlphaTuple]:
         nums = tuple(ai * w for ai, w in zip(a, weights))
         if sum(nums) % den == 0:
             out.append(AlphaTuple(nums, den))
-    return out
+    return tuple(out)
 
 
 def _assemble(v: DiagonalVariety, orders: tuple[int, ...], p: int) -> AlphaSet:
-    tuples = tuple(_enumerate_tuples(orders))
-    seen: set[AlphaTuple] = set()
+    tuples = _enumerate_tuples(orders)
+    by_nums = {a.nums: a for a in tuples}
+    seen: set[tuple[int, ...]] = set()
     orbits = []
     for a in tuples:
-        if a in seen:
-            continue
-        orbit = [a]
-        seen.add(a)
-        b = a.scale(p % a.den) if a.den > 1 else a
-        while b != a:
-            orbit.append(b)
-            seen.add(b)
-            b = b.scale(p % a.den)
-        orbits.append(tuple(orbit))
+        orbit, nums = [], a.nums
+        while nums not in seen:       # p is a unit mod den: the walk closes at a
+            seen.add(nums)
+            orbit.append(by_nums[nums])
+            nums = tuple(n * p % a.den for n in nums)
+        if orbit:
+            orbits.append(tuple(orbit))
     return AlphaSet(variety=v, orders=orders, p=p, tuples=tuples, orbits=tuple(orbits))
 
 
@@ -194,11 +197,33 @@ def _char_multipliers(alpha: AlphaTuple, m: int) -> list[int]:
     return [m * n // alpha.den for n in alpha.nums]
 
 
+@lru_cache(maxsize=1 << 14)
+def galois_class_head(alpha: AlphaTuple) -> tuple[AlphaTuple, int]:
+    """(head, l_inv) with head the least l*alpha over l in (Z/den)^*, compared
+    by numerators, and alpha = l_inv * head.  Every tuple of one Galois class
+    gets the same head, and j_q(alpha) = sigma_{l_inv} j_q(head)."""
+    den = alpha.den
+    nums, l = min((tuple(n * l % den for n in alpha.nums), l)
+                  for l in range(1, den) if math.gcd(l, den) == 1)
+    return AlphaTuple(nums, den), pow(l, -1, den)
+
+
 def jacobi_sums(f: FieldTable, alphas) -> list[CycInt]:
-    """Exact j_q(alpha) in Z[mu_m], m the conductor, for every alpha: scaling
-    the last coordinate away leaves the unit sum of the first s characters."""
-    return unit_sums(f, [(a.conductor, _char_multipliers(a, a.conductor)[:-1])
-                         for a in alphas])
+    """Exact j_q(alpha) in Z[mu_m], m the conductor, for every alpha, in input
+    order.
+
+    sigma_l j_q(alpha) = j_q(l*alpha) (Ireland-Rosen ch. 8 and 14), so one
+    unit sum per Galois class serves the whole class: each alpha is read off
+    its class head as sigma_{l_inv} j_q(head).  For the head, scaling the
+    last coordinate away leaves the unit sum of the first s characters.
+    """
+    placed = [galois_class_head(a) for a in alphas]
+    heads = list(dict.fromkeys(h for h, _ in placed))
+    sums = unit_sums(f, [(h.conductor, _char_multipliers(h, h.conductor)[:-1])
+                         for h in heads])
+    by_head = dict(zip(heads, sums))
+    return [by_head[h] if l_inv == 1 else by_head[h].galois(l_inv)
+            for h, l_inv in placed]
 
 
 def jacobi_sum(f: FieldTable, alpha: AlphaTuple) -> CycInt:

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -304,6 +303,8 @@ def _cmd_zeta(args) -> None:
     width = min(args.jobs, len(good))
     try:
         if width > 1:
+            # imported here: a serial run need not load multiprocessing (~20 ms)
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=width) as pool:
                 results = list(pool.map(job, good))
         else:

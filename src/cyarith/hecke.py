@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .charsum import AlphaTuple, full_alpha_set, unit_sums
+from .charsum import full_alpha_set, galois_class_head, unit_sums
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
@@ -124,19 +124,6 @@ def ideal_jacobi_sum(ideal: SplitPrimeIdeal, a: tuple[int, ...]) -> CycInt:
 # -- Hasse-Weil vs Hecke local data -----------------------------------------------
 
 
-def _galois_orbit_reps(tuples: tuple[AlphaTuple, ...], m: int) -> list[AlphaTuple]:
-    seen: set[AlphaTuple] = set()
-    reps = []
-    for t in tuples:
-        if t in seen:
-            continue
-        reps.append(t)
-        for u in range(1, m):
-            if math.gcd(u, m) == 1:
-                seen.add(t.scale(u))
-    return reps
-
-
 @dataclass(frozen=True)
 class MatchReport:
     p: int
@@ -162,7 +149,7 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
     zeta_side = Counter(j.lift(m) for j, _ in lf.orbits)
 
     aset = full_alpha_set(v, p)
-    reps = _galois_orbit_reps(aset.tuples, m)
+    reps = list(dict.fromkeys(galois_class_head(t)[0] for t in aset.tuples))
     ideals = split_prime_ideals(p, m)
     vectors = [tuple(n * (m // rep.den) % m for n in rep.nums[1:]) for rep in reps]
     hecke_side = Counter(ideal_jacobi_sums(ideals, vectors))

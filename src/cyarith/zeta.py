@@ -164,10 +164,13 @@ def congruent_zeta(v: DiagonalVariety, p: int,
 def predicted_count(z: CongruentZeta, r: int) -> int:
     """N_r read off the zeta shape.
 
-    N_r = sum_{j=0..n} p^{jr} + (-1)^n sum_{orbits, f | r} f * J^{r/f};
-    the orbit trace must collapse to a rational integer.  The sign is minus
-    for odd middle dimension (factor in the numerator) and plus for even
-    (factor in the denominator, e.g. K3 primitive classes).
+    N_r = sum_{j=0..n} p^{jr} + (-1)^n s_r, with s_r the r-th power sum of
+    the reciprocal roots of the middle factor P(t) = 1 + c_1 t + ...  Newton's
+    identities give it from the integer coefficients alone:
+    s_k = -k c_k - sum_{0<i<k} c_i s_{k-i}.  The sign is minus for odd middle
+    dimension (factor in the numerator) and plus for even (factor in the
+    denominator, e.g. K3 primitive classes).  A truncated factor is exact
+    through t^precision, which bounds r.
     """
     if r < 1:
         raise ValidationError("power index must be positive")
@@ -176,15 +179,11 @@ def predicted_count(z: CongruentZeta, r: int) -> int:
         raise ValidationError(
             f"factor truncated at t^{lf.precision}; cannot predict N_{r}")
     n = z.variety.complex_dim
-    total = sum(z.p ** (j * r) for j in range(n + 1))
-    relevant = [(j, f) for j, f in lf.orbits if r % f == 0]
-    if relevant:
-        big_m = math.lcm(*(j.m for j, _ in relevant))
-        acc = CycInt.zero(big_m)
-        for j, f in relevant:
-            acc = acc + f * (j ** (r // f)).lift(big_m)
-        total += (-1) ** n * acc.rational_value()  # raises if not rational
-    return total
+    c = list(lf.coeffs[:r + 1]) + [0] * (r + 1 - len(lf.coeffs))
+    s = [0] * (r + 1)
+    for k in range(1, r + 1):
+        s[k] = -k * c[k] - sum(c[i] * s[k - i] for i in range(1, k))
+    return sum(z.p ** (j * r) for j in range(n + 1)) + (-1) ** n * s[r]
 
 
 @dataclass(frozen=True)

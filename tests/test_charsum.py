@@ -3,13 +3,14 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cyarith import (AlphaTuple, CycInt, DiagonalVariety, build_alpha_set,
                      full_alpha_set, jacobi_sum, make_field)
-from cyarith.charsum import (DIRECT_SUM_BUDGET, dlog_pair_table, jacobi_sum_direct,
-                             jacobi_sums)
+from cyarith.charsum import (DIRECT_SUM_BUDGET, dlog_pair_table, galois_class_head,
+                             jacobi_sum_direct, jacobi_sums)
 from cyarith.errors import ValidationError
+from oracles import jacobi_sums_per_alpha
 
 
 def test_alpha_tuple_validation():
@@ -131,3 +132,74 @@ def test_pair_table_marginals(p, r):
     assert table.max() == 1
     with pytest.raises(ValidationError):
         dlog_pair_table(f, f.q)
+
+
+# -- one kernel row per Galois class against one row per tuple -------------------
+
+# p = 2 and extension fields among them; q - 1 has factors 5 or 7 on most, so
+# the units mod den include l != l^-1 and a swapped Galois index shows
+CLASS_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (5, 2), (7, 1), (7, 2),
+                (11, 1), (13, 1), (29, 1), (31, 1), (43, 1)]
+
+
+@st.composite
+def _field_and_exponents(draw):
+    """A field and 3-5 exponents in 2..7, each with a nontrivial character
+    of its order over that field."""
+    field = draw(st.sampled_from(CLASS_FIELDS))
+    q = field[0] ** field[1]
+    usable = [n for n in range(2, 8) if math.gcd(n, q - 1) > 1]
+    return field, draw(st.lists(st.sampled_from(usable), min_size=3, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_field_and_exponents(), data=st.data())
+@example(case=((11, 1), [5] * 5), data=None)      # quintic, split
+@example(case=((2, 4), [5] * 5), data=None)       # quintic, p = 2
+@example(case=((7, 1), [2, 3, 6]), data=None)     # non-Fermat
+@example(case=((3, 2), [2, 2, 2, 2]), data=None)  # quadric
+def test_jacobi_sums_match_per_alpha_oracle(case, data):
+    field, exps = case
+    f = make_field(*field)
+    tuples = build_alpha_set(DiagonalVariety(tuple(exps)), f).tuples
+    assume(tuples)
+    # the whole set, element by element: a multiset comparison would not see
+    # sigma_l put where sigma_{l^-1} belongs
+    assert jacobi_sums(f, tuples) == jacobi_sums_per_alpha(f, tuples)
+    if data is None:
+        return
+    # duplicates, conjugate pairs and shuffled order in one request
+    picked = data.draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=10))
+    alphas = data.draw(st.permutations(picked + picked[:3]
+                                       + [a.conjugate() for a in picked[::2]]))
+    assert jacobi_sums(f, alphas) == jacobi_sums_per_alpha(f, alphas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(den=st.integers(2, 42), data=st.data())
+def test_galois_class_head(den, data):
+    units = [l for l in range(1, den) if math.gcd(l, den) == 1]
+    nums = data.draw(st.lists(st.integers(1, den - 1), min_size=1, max_size=5))
+    last = -sum(nums) % den
+    assume(last)
+    alpha = AlphaTuple(tuple(nums) + (last,), den)
+    head, l_inv = galois_class_head(alpha)
+    assert head.scale(l_inv) == alpha
+    assert head.nums == min(alpha.scale(l).nums for l in units)
+    assert all(galois_class_head(alpha.scale(l))[0] == head for l in units)
+
+
+def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
+    import cyarith.charsum as charsum
+
+    rows = []
+    real = charsum.unit_sums
+
+    def counting(f, r):
+        rows.extend(r)
+        return real(f, r)
+
+    monkeypatch.setattr(charsum, "unit_sums", counting)
+    tuples = full_alpha_set(quintic, 11).tuples
+    sums = jacobi_sums(make_field(11), tuples)
+    assert len(sums) == 204 and len(rows) == 51

@@ -372,6 +372,19 @@ def test_jobs_below_one_refused(monkeypatch, capsys):
         assert "must be at least 1" in capsys.readouterr().err
     assert run(argv + ["--jobs", "1"]) == 0      # the flag wins over the variable
 
+def test_process_pool_only_for_parallel_runs(capsys):
+    argv = ["zeta", "-d", "3", "-n", "1", "-p", "7,13,19", "--no-cache"]
+    serial = _json_out(capsys, argv + ["--jobs", "1"])
+    assert _json_out(capsys, argv + ["--jobs", "2"]) == serial
+    # a serial run does not pay for importing the pool machinery
+    code = ("import sys; from cyarith.cli import run; "
+            f"run({argv + ['--json', '--jobs', '1']!r}); "
+            "print('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_extension_below_one_refused(capsys):
     # -r 0 used to be read as -r 1 and print the F_7 result
     for cmd in ("count", "jacobi"):

@@ -12,7 +12,7 @@ from cyarith import (CongruentZeta, DiagonalVariety, HeckeCharacter,
 from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.hecke import ideal_jacobi_sums
 from cyarith.zeta import expand_roots
-from oracles import expand_roots_direct
+from oracles import expand_roots_direct, predicted_count_direct
 
 PRIMES = [p for p in range(2, 60) if is_prime(p)]
 TRUNCS = st.one_of(st.none(), st.integers(0, 8))
@@ -193,3 +193,45 @@ def test_expand_roots_needs_whole_galois_classes():
     for bad in (orbits[:k] + orbits[k + 1:], orbits + [orbits[k]]):
         with pytest.raises(InvariantViolationError, match="Galois-closed"):
             expand_roots(bad, None)
+
+
+# -- N_r by Newton's identities against the orbit-root trace ----------------------
+
+
+@st.composite
+def _nonempty_vector_and_prime(draw):
+    """Like _good_vector_and_prime, but Fermat half of the time: most mixed
+    vectors have an empty degree set."""
+    if draw(st.booleans()):
+        v = DiagonalVariety((draw(st.integers(2, 7)),) * draw(st.integers(3, 5)))
+        return v, draw(st.sampled_from([p for p in PRIMES if v.is_good_prime(p)]))
+    return draw(_good_vector_and_prime())
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_nonempty_vector_and_prime(), cap=st.sampled_from([64, 4096]),
+       data=st.data())
+@example(case=(DiagonalVariety((5,) * 5), 2), cap=4096, data=None)     # odd n, f = 4
+@example(case=(DiagonalVariety((2, 2, 4, 4)), 11), cap=64, data=None)  # truncated at t^1
+@example(case=(DiagonalVariety((4,) * 4), 5), cap=4096, data=None)     # K3, even n
+@example(case=(DiagonalVariety((2, 3, 6)), 13), cap=4096, data=None)   # non-Fermat
+@example(case=(DiagonalVariety((2, 2, 2, 2)), 3), cap=4096, data=None)  # quadric
+def test_predicted_count_matches_orbit_trace(case, cap, data):
+    v, p = case
+    lf = local_factor_middle(v, p, max_root_field=cap)
+    # the oracle raises each root to the r-th power: keep the degree moderate
+    assume(0 < lf.full_degree <= 250)
+    # a truncated factor is exact through t^precision, a complete one for all r
+    top = lf.precision if not lf.is_exact else lf.degree + 2
+    assume(top >= 1)
+    if data is None:
+        rs = set(range(1, min(top, 8) + 1)) | {top - 1, top} - {0}
+    else:
+        rs = data.draw(st.sets(st.integers(1, top), min_size=1, max_size=5))
+    z = CongruentZeta(variety=v, p=p, middle=lf)
+    for r in sorted(rs):
+        assert predicted_count(z, r) == predicted_count_direct(z, r)
+    if not lf.is_exact:
+        for predict in (predicted_count, predicted_count_direct):
+            with pytest.raises(ValidationError, match="truncated"):
+                predict(z, top + 1)
