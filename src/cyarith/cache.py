@@ -4,8 +4,10 @@ One JSON file per (exponent vector, prime), laid out as in
 docs/schemas/cache.schema.json: a format version, a sha256 self-check of the
 canonical encoding of the data, and the data itself (orbit Jacobi sums and
 the expanded coefficients).  ``load`` trusts an entry only if the version,
-hash and key all match and the factor passes the Riemann-hypothesis recheck;
-anything else is deleted with a warning on stderr, and the caller recomputes.
+hash and key match, the factor is complete, and rebuilding the LocalFactor
+from the stored roots (the checks a fresh factor passes) gives the stored
+coefficients; else it is deleted with a warning on the ``cyarith.cache``
+logger, and the caller recomputes.
 ``store`` writes a per-writer temp file and renames it into place, so
 concurrent writers of one entry never expose a half-written file.
 """
@@ -14,15 +16,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
+import logging
 import uuid
 from pathlib import Path
 
 from .cyclo import CycInt
-from .errors import InvariantViolationError, ValidationError
-from .zeta import LocalFactor, check_riemann_hypothesis
+from .errors import InvariantViolationError
+from .zeta import LocalFactor
 
 FORMAT_VERSION = 1
+log = logging.getLogger(__name__)
 
 
 def entry_path(cache_dir: Path, exps: tuple[int, ...], p: int) -> Path:
@@ -66,9 +69,8 @@ def store(cache_dir: Path, exps: tuple[int, ...], lf: LocalFactor) -> None:
 
 
 def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
-    """The cached factor for (exps, p), or None.  A corrupt entry (bad
-    version, hash mismatch, wrong key, or a failed Riemann-hypothesis
-    recheck) is deleted."""
+    """The cached factor for (exps, p), or None; a corrupt entry (see the
+    module docstring) is deleted."""
     path = entry_path(cache_dir, exps, p)
     if not path.exists():
         return None
@@ -81,21 +83,17 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
             raise ValueError("self-check hash mismatch")
         if tuple(data["exponents"]) != tuple(exps) or data["p"] != p:
             raise ValueError("entry keyed to a different variety or prime")
+        if data["precision"] is not None:
+            raise ValueError("truncated factors are never cached")
         orbits = tuple((CycInt(o["m"], tuple(int(x) for x in o["coefficients"])),
-                        int(o["count"]))
-                       for o in data["orbits"])
-        lf = LocalFactor(p=p,
-                         cohomology_degree=int(data["cohomology_degree"]),
-                         full_degree=int(data["full_degree"]),
-                         orbits=orbits,
-                         coeffs=tuple(int(x) for x in data["coefficients"]),
-                         precision=data["precision"])
-        if not check_riemann_hypothesis(lf).all_pass:
-            raise ValueError("Riemann hypothesis recheck failed")
+                        int(o["count"])) for o in data["orbits"])
+        lf = LocalFactor(p=p, cohomology_degree=int(data["cohomology_degree"]),
+                         full_degree=int(data["full_degree"]), orbits=orbits)
+        if lf.coeffs != tuple(int(x) for x in data["coefficients"]):
+            raise ValueError("stored coefficients differ from the stored roots' expansion")
         return lf
-    except (ValueError, KeyError, TypeError, IndexError,
-            ValidationError, InvariantViolationError) as exc:
-        print(f"warning: discarding corrupt cache entry {path}: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, TypeError, IndexError, InvariantViolationError) as exc:
+        log.warning("discarding corrupt cache entry %s: %s", path, exc)
         try:
             path.unlink()
         except OSError:

@@ -7,9 +7,9 @@ ideal reproduce, up to one global sign resolved empirically, the middle
 local factor of the matching diagonal hypersurface, which is the whole
 point of the exercise.
 
-Both Euler products here, the Hasse-Weil one of a variety and the Hecke
-one of a Jacobi-sum character, have local factors in Z[t] expanded by
-zeta.expand_roots, so every Dirichlet coefficient a_n is a plain int.
+Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
+of a Jacobi-sum character, have local factors in Z[t] expanded and checked
+(|J|^2 = p^weight) by zeta.expand_roots, so every a_n is a plain int.
 """
 from __future__ import annotations
 
@@ -245,10 +245,10 @@ class HeckeCharacter:
         """prod over the ideals above a split p of (1 - J_a(ideal) t).
 
         The ideals are Galois conjugates, so the product is a norm and lies
-        in Z[t]; expand_roots checks that exactly.
+        in Z[t]; expand_roots checks that exactly, and |J|^2 = p^weight.
         """
         sums = ideal_jacobi_sums(split_prime_ideals(p, self.m), [self.a])
-        return expand_roots([(j, 1) for j in sums], None)
+        return expand_roots([(j, 1) for j in sums], p ** self.weight, None)
 
     def euler_factor(self, p: int, k_max: int):
         """BAD if p ramifies, OMITTED unless it splits totally, else

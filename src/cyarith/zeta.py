@@ -7,13 +7,14 @@ into Galois classes (sigma_l J(alpha) = J(l*alpha)); each class's norm
 polynomial is expanded exactly in Z[mu_M] and must lie in Z[t], and the
 factor is the product of those integer polynomials.  The point-count
 trace, Riemann hypothesis and functional equation serve as exact
-self-checks rather than floating-point diagnostics.
+self-checks rather than floating-point diagnostics; a LocalFactor expands
+and checks its roots when built, so fresh and cached factors pass one gate.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .charsum import AlphaTuple, full_alpha_set, jacobi_sums
 from .counting import DiagonalVariety
@@ -29,14 +30,21 @@ class LocalFactor:
     When orbits were skipped because their Jacobi sums would live over a
     field beyond a caller-imposed cap, `precision` is the largest power of
     t to which `coeffs` is still exact; None means the factor is complete.
+    Building one computes `coeffs` by expand_roots, which checks the roots.
     """
 
     p: int
     cohomology_degree: int                    # middle degree n ("i" in P_i)
     full_degree: int                          # |A| = sum of all orbit sizes
     orbits: tuple[tuple[CycInt, int], ...]    # computed (J, f) pairs
-    coeffs: tuple[int, ...]
     precision: int | None = None
+    coeffs: tuple[int, ...] = dc_field(init=False)
+
+    def __post_init__(self):
+        coeffs = expand_roots(self.orbits, self.p ** self.cohomology_degree, self.precision)
+        if self.precision is None and len(coeffs) - 1 != self.full_degree:
+            raise InvariantViolationError("expanded degree disagrees with |A|")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def is_exact(self) -> bool:
@@ -64,13 +72,15 @@ class CongruentZeta:
         return tuple((1, -(self.p ** j)) for j in range(n + 1))
 
 
-def expand_roots(orbits, trunc: int | None) -> tuple[int, ...]:
+def expand_roots(orbits, base: int, trunc: int | None) -> tuple[int, ...]:
     """Integer coefficients of prod (1 - J t^f) over the (J, f) pairs, through
-    t^trunc if given.
+    t^trunc if given; the one place the roots of a local factor are checked.
 
     sigma_l J(alpha) = J(l*alpha), so the roots fall into Galois classes of
     Z[mu_M], M the lcm of the J's conductors, and each class of a given f
     must appear with one multiplicity (InvariantViolationError otherwise).
+    Each class must satisfy |J|^2 = base^f (RH, base = p^weight); its head
+    covers every conjugate, as sigma_l commutes with complex conjugation.
     A class's norm polynomial prod (1 - c u) over its distinct conjugates c
     is expanded in Z[mu_M] and must lie in Z[u]; the factor is the product
     of those integer polynomials in u = t^f, with constant term 1.
@@ -81,6 +91,8 @@ def expand_roots(orbits, trunc: int | None) -> tuple[int, ...]:
     out = [1]
     while left:
         j, f = next(iter(left))
+        if j * j.conj() != CycInt.from_int(big_m, base ** f):
+            raise InvariantViolationError(f"|J|^2 != {base}^{f} for the root {j.coeffs}")
         mult = left[j, f]
         conjugates = {j.galois(l) for l in units}
         for c in conjugates:
@@ -140,19 +152,9 @@ def local_factor_middle(v: DiagonalVariety, p: int,
     root_sign = (-1) ** n
     orbits: list[tuple[CycInt, int]] = []
     for f in sorted(by_f):
-        field = make_field(p, f)
-        for rep, jac in zip(by_f[f], jacobi_sums(field, by_f[f])):
-            j = root_sign * jac
-            if j * j.conj() != CycInt.from_int(j.m, field.q ** n):
-                raise InvariantViolationError(
-                    f"|J|^2 != q^{n} for {rep.nums}/{rep.den} at p={p}, f={f}")
-            orbits.append((j, f))
-
-    coeffs = expand_roots(orbits, precision)
-    if precision is None and len(coeffs) - 1 != len(aset.tuples):
-        raise InvariantViolationError("expanded degree disagrees with |A|")
+        orbits += [(root_sign * j, f) for j in jacobi_sums(make_field(p, f), by_f[f])]
     return LocalFactor(p=p, cohomology_degree=n, full_degree=len(aset.tuples),
-                       orbits=tuple(orbits), coeffs=coeffs, precision=precision)
+                       orbits=tuple(orbits), precision=precision)
 
 
 def congruent_zeta(v: DiagonalVariety, p: int,
@@ -219,15 +221,12 @@ class FunctionalEquationReport:
 def check_functional_equation(lf: LocalFactor) -> tuple[int, FunctionalEquationReport]:
     """Sign epsilon with t^B p^{iB/2} P(1/(p^i t)) = epsilon * P(t) exactly.
 
-    Also checks the root multiset is conjugation-closed (given RH this is
-    the same as closure under beta -> p^{i f}/beta).
+    The root multiset is conjugation-closed (given RH, closed under
+    beta -> p^{i f}/beta) by construction: conjugation is the Galois
+    element sigma_{-1}, and building lf checked Galois closure.
     """
     if not lf.is_exact:
         raise ValidationError("functional equation needs the complete factor")
-    roots = Counter((j, f) for j, f in lf.orbits)
-    conj = Counter((j.conj(), f) for j, f in lf.orbits)
-    closed = roots == conj
-
     c = lf.coeffs
     B = len(c) - 1
     i, p = lf.cohomology_degree, lf.p
@@ -244,7 +243,7 @@ def check_functional_equation(lf: LocalFactor) -> tuple[int, FunctionalEquationR
     if not pal:
         raise InvariantViolationError("palindrome fails for the forced sign")
     report = FunctionalEquationReport(p=p, degree=B, sign=sign,
-                                      conjugation_closed=closed,
+                                      conjugation_closed=True,
                                       palindrome_ok=pal)
     return sign, report
 

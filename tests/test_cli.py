@@ -132,7 +132,7 @@ def test_zeta_capacity_hint(capsys):
     assert "--max-root-field" in capsys.readouterr().err
 
 
-def test_cache_roundtrip_and_corruption(capsys, tmp_path):
+def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
     argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--json", "--deterministic",
             "--cache", str(tmp_path)]
     assert run(argv) == 0
@@ -146,13 +146,58 @@ def test_cache_roundtrip_and_corruption(capsys, tmp_path):
     rec["data"]["coefficients"][1] = "999"        # hash no longer matches
     entry.write_text(json.dumps(rec))
     assert run(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == first                  # recomputed, same answer
-    assert "discarding corrupt cache entry" in captured.err
+    assert capsys.readouterr().out == first       # recomputed, same answer
+    assert "discarding corrupt cache entry" in caplog.text
     assert entry.exists()                         # rewritten after recompute
 
 
-def test_cache_discards_stale_version_and_misfiled_entry(capsys, tmp_path):
+def _rehashed(entry, edit):
+    """Apply edit to the entry's data and store it with a matching self-check."""
+    rec = json.loads(entry.read_text())
+    edit(rec["data"])
+    rec["self_check"] = cache._record_hash(rec["data"])
+    entry.write_text(json.dumps(rec))
+
+
+def _bump_a_coefficient(data):
+    data["coefficients"][1] = str(int(data["coefficients"][1]) + 1)
+
+
+def _mark_truncated(data):
+    data["precision"] = 1
+
+
+@pytest.mark.parametrize("edit, reason", [(_bump_a_coefficient, "stored coefficients differ"),
+                                          (_mark_truncated, "truncated")])
+def test_cache_discards_tampered_but_rehashed_entry(capsys, caplog, tmp_path, edit, reason):
+    argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--json", "--deterministic",
+            "--cache", str(tmp_path)]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
+    _rehashed(entry, edit)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first       # recomputed, not read back
+    assert "discarding corrupt cache entry" in caplog.text and reason in caplog.text
+    assert {r.name for r in caplog.records} == {"cyarith.cache"}
+    lf = cache.load(tmp_path, (3, 3, 3), 7)       # the rewritten entry is the true one
+    assert (lf.coeffs, lf.precision) == ((1, 1, 7), None)
+
+
+def test_cache_discard_warning_on_stderr(tmp_path):
+    # a fresh process prints the discard as "warning: ..." through logging
+    argv = [sys.executable, "-m", "cyarith.cli", "zeta", "-d", "3", "-n", "1", "-p", "7",
+            "--json", "--deterministic", "--jobs", "1", "--cache", str(tmp_path)]
+    cold = subprocess.run(argv, capture_output=True, text=True)
+    assert cold.returncode == 0 and cold.stderr == ""
+    entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
+    _rehashed(entry, _bump_a_coefficient)
+    warm = subprocess.run(argv, capture_output=True, text=True)
+    assert warm.returncode == 0 and warm.stdout == cold.stdout
+    assert warm.stderr.startswith(f"warning: discarding corrupt cache entry {entry}: ")
+
+
+def test_cache_discards_stale_version_and_misfiled_entry(capsys, caplog, tmp_path):
     argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--json", "--deterministic",
             "--cache", str(tmp_path)]
     assert run(argv) == 0
@@ -163,9 +208,8 @@ def test_cache_discards_stale_version_and_misfiled_entry(capsys, tmp_path):
     rec["format_version"] = cache.FORMAT_VERSION + 1      # written by another release
     entry.write_text(json.dumps(rec))
     assert run(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == first
-    assert "discarding corrupt cache entry" in captured.err
+    assert capsys.readouterr().out == first
+    assert "discarding corrupt cache entry" in caplog.text
     assert json.loads(entry.read_text())["format_version"] == cache.FORMAT_VERSION
 
     # a valid, self-consistent entry for p = 13 filed under p = 7's name
@@ -173,9 +217,8 @@ def test_cache_discards_stale_version_and_misfiled_entry(capsys, tmp_path):
     capsys.readouterr()
     entry.write_text(cache.entry_path(tmp_path, (3, 3, 3), 13).read_text())
     assert run(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == first
-    assert "different variety or prime" in captured.err
+    assert capsys.readouterr().out == first
+    assert "different variety or prime" in caplog.text
     assert cache.load(tmp_path, (3, 3, 3), 7).p == 7      # recomputed and rewritten
 
 

@@ -49,3 +49,17 @@ def test_golden_output(name, capsys):
     assert run(argv + ["--deterministic", "--jobs", "1", "--no-cache"]) == 0
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN_DIR / f"{name}.{SUFFIX[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["zeta_quintic_p2_11", "match_quintic_p11"])
+def test_golden_output_through_cache(name, capsys, caplog, tmp_path):
+    # a cold run fills the cache, a warm run reads every factor back through
+    # the load checks without rewriting it; both must print the --no-cache pin
+    argv = GOLDEN[name].split() + ["--json", "--deterministic", "--jobs", "1",
+                                   "--cache", str(tmp_path)]
+    golden = (GOLDEN_DIR / f"{name}.json").read_bytes()
+    assert run(argv) == 0 and capsys.readouterr().out.encode() == golden
+    stored = {e: e.stat().st_mtime_ns for e in tmp_path.iterdir()}
+    assert run(argv) == 0 and capsys.readouterr().out.encode() == golden
+    assert stored and stored == {e: e.stat().st_mtime_ns for e in tmp_path.iterdir()}
+    assert "discarding" not in caplog.text

@@ -210,7 +210,8 @@ def test_hecke_local_factor_invariants(m, a):
         assert coeffs.a(p) == -lf[1]
         sums = [ideal_jacobi_sum(i, chi.a) for i in split_prime_ideals(p, m)]
         factor = LocalFactor(p=p, cohomology_degree=chi.weight, full_degree=euler_phi(m),
-                             orbits=tuple((j, 1) for j in sums), coeffs=lf)
+                             orbits=tuple((j, 1) for j in sums))
+        assert factor.coeffs == lf
         assert check_riemann_hypothesis(factor).all_pass, (p, chi.weight)
         sign, report = check_functional_equation(factor)
         assert report.palindrome_ok and report.conjugation_closed

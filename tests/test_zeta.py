@@ -1,6 +1,8 @@
 """Local zeta factors: frozen coefficients, point-count recovery, RH, and the
 functional equation."""
 
+import math
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -170,7 +172,7 @@ def test_expand_roots_matches_direct_on_local_factors(case, trunc):
     orbits = local_factor_middle(v, p, max_root_field=4096).orbits
     # the oracle is quadratic in the degree: keep complete expansions small
     assume(trunc is not None or sum(f for _, f in orbits) <= 204)
-    assert expand_roots(orbits, trunc) == expand_roots_direct(orbits, trunc)
+    assert expand_roots(orbits, p ** v.complex_dim, trunc) == expand_roots_direct(orbits, trunc)
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,7 +183,7 @@ def test_expand_roots_matches_direct_on_hecke_roots(m, data, trunc):
     p = data.draw(st.sampled_from([p for p in range(2, 200)
                                    if is_prime(p) and p % m == 1]))
     roots = [(j, 1) for j in ideal_jacobi_sums(split_prime_ideals(p, m), [chi.a])]
-    assert expand_roots(roots, trunc) == expand_roots_direct(roots, trunc)
+    assert expand_roots(roots, p ** chi.weight, trunc) == expand_roots_direct(roots, trunc)
     if trunc is None:
         assert chi.local_factor(p) == expand_roots_direct(roots, None)
 
@@ -189,10 +191,31 @@ def test_expand_roots_matches_direct_on_hecke_roots(m, data, trunc):
 def test_expand_roots_needs_whole_galois_classes():
     orbits = list(local_factor_middle(DiagonalVariety((3, 3, 6, 6)), 7).orbits)
     k = next(i for i, (j, _) in enumerate(orbits) if not j.is_rational())
-    assert expand_roots(orbits, None) == expand_roots_direct(orbits, None)
+    assert expand_roots(orbits, 7 ** 2, None) == expand_roots_direct(orbits, None)
     for bad in (orbits[:k] + orbits[k + 1:], orbits + [orbits[k]]):
         with pytest.raises(InvariantViolationError, match="Galois-closed"):
-            expand_roots(bad, None)
+            expand_roots(bad, 7 ** 2, None)
+
+
+def _doubled_class(roots):
+    """roots with every member of one non-rational Galois class times 2: still
+    Galois-closed with an integral norm polynomial, but |2J|^2 = 4|J|^2."""
+    head = next(j for j, _ in roots if not j.is_rational())
+    units = [l for l in range(1, head.m) if math.gcd(l, head.m) == 1]
+    cls = {head.galois(l) for l in units}
+    return [(2 * j if j in cls else j, f) for j, f in roots]
+
+
+def test_expand_roots_checks_rh_per_galois_class():
+    zeta_roots = list(local_factor_middle(DiagonalVariety((3, 3, 6, 6)), 7).orbits)
+    chi = HeckeCharacter(5, (1, 1, 1, 1))
+    hecke_roots = [(j, 1) for j in ideal_jacobi_sums(split_prime_ideals(11, 5), [chi.a])]
+    for roots, base in ((zeta_roots, 7 ** 2), (hecke_roots, 11 ** chi.weight)):
+        assert expand_roots(roots, base, None) == expand_roots_direct(roots, None)
+        bad = _doubled_class(roots)
+        assert expand_roots_direct(bad, None)[0] == 1     # integral: only RH is off
+        with pytest.raises(InvariantViolationError, match=r"\|J\|\^2"):
+            expand_roots(bad, base, None)
 
 
 # -- N_r by Newton's identities against the orbit-root trace ----------------------
