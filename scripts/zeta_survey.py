@@ -12,9 +12,8 @@ import csv
 import sys
 import time
 
-from cyarith import (CongruentZeta, DiagonalVariety, check_functional_equation,
-                     check_riemann_hypothesis, is_prime, local_factor_middle,
-                     predicted_count)
+from cyarith import (CongruentZeta, DiagonalVariety, check_riemann_hypothesis,
+                     is_prime, local_factor_middle, predicted_count)
 from cyarith.errors import CapacityError
 
 
@@ -49,12 +48,12 @@ def main():
             continue
         dt = time.monotonic() - t0
         rh = check_riemann_hypothesis(lf).all_pass
+        sign = lf.sign     # the functional-equation sign, checked in building lf
         if lf.is_exact:
-            sign, _ = check_functional_equation(lf)
             n1 = predicted_count(CongruentZeta(variety=v, p=p, middle=lf), 1)
             status = f"exact  sign {sign:+d}  N1 {n1}"
         else:
-            sign, n1 = None, None
+            n1 = None
             status = f"truncated at t^{lf.precision}"
         print(f"p = {p:<6d} deg {lf.full_degree:<6d} orbits {len(lf.orbits):<5d} "
               f"RH {'ok' if rh else 'FAIL'}  {status}  [{dt:.2f}s]")

@@ -14,32 +14,30 @@ from .cyclo import (CycInt, GroupRingElement, cyclotomic_polynomial,
 from .errors import (BadReductionError, CapacityError, InvariantViolationError,
                      PrimalityError, ValidationError)
 from .ffield import FieldTable, dlog, is_prime, make_field
-from .hecke import (HeckeCharacter, LocalFactorCollection, LSeriesCoefficients,
-                    MatchReport, SplitPrimeIdeal, dirichlet_coefficients,
-                    hasse_weil_collection, ideal_jacobi_sum, match_hasse_weil,
-                    partial_sum_eval, power_residue_char, split_prime_ideals,
-                    splitting_data)
-from .zeta import (CongruentZeta, LocalFactor, check_functional_equation,
-                   check_riemann_hypothesis, congruent_zeta, expected_degrees,
-                   local_factor_middle, predicted_count)
+from .hecke import (HeckeCharacter, LSeriesCoefficients, MatchReport,
+                    SplitPrimeIdeal, dirichlet_coefficients, ideal_jacobi_sum,
+                    match_hasse_weil, partial_sum_eval, power_residue_char,
+                    split_prime_ideals, splitting_data)
+from .zeta import (CongruentZeta, LocalFactor, check_riemann_hypothesis,
+                   congruent_zeta, expected_degrees, local_factor_middle,
+                   predicted_count)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlphaTuple", "BadReductionError", "CapacityError", "CongruentZeta",
-    "CycInt", "DiagonalVariety", "FieldTable",
-    "GroupRingElement", "HeckeCharacter", "InvariantViolationError",
-    "LSeriesCoefficients", "LocalFactor", "LocalFactorCollection",
-    "MatchReport", "PrimalityError", "SplitPrimeIdeal", "ValidationError",
-    "build_alpha_set", "check_functional_equation", "check_kn_identity",
+    "CycInt", "DiagonalVariety", "FieldTable", "GroupRingElement",
+    "HeckeCharacter", "InvariantViolationError", "LSeriesCoefficients",
+    "LocalFactor", "MatchReport", "PrimalityError", "SplitPrimeIdeal",
+    "ValidationError", "build_alpha_set", "check_kn_identity",
     "check_kr_identity", "check_riemann_hypothesis", "congruent_zeta",
-    "count_affine", "count_projective",
-    "cyclotomic_polynomial", "cyclotomic_unit", "delta_determinant",
-    "dirichlet_coefficients", "dlog", "euler_Li2", "euler_phi",
-    "expected_degrees", "full_alpha_set", "fusion_field_match", "gepner_levels",
-    "hasse_weil_collection", "hecke_weight", "ideal_jacobi_sum", "is_prime",
-    "jacobi_sum", "local_factor_middle", "make_field", "match_hasse_weil",
-    "modular_data", "n2_spectrum", "partial_sum_eval", "power_residue_char",
-    "predicted_count", "quantum_dimension", "regulator_matrix", "rogers_L",
-    "s_element", "split_prime_ideals", "splitting_data", "verlinde_fusion",
+    "count_affine", "count_projective", "cyclotomic_polynomial",
+    "cyclotomic_unit", "delta_determinant", "dirichlet_coefficients", "dlog",
+    "euler_Li2", "euler_phi", "expected_degrees", "full_alpha_set",
+    "fusion_field_match", "gepner_levels", "hecke_weight", "ideal_jacobi_sum",
+    "is_prime", "jacobi_sum", "local_factor_middle", "make_field",
+    "match_hasse_weil", "modular_data", "n2_spectrum", "partial_sum_eval",
+    "power_residue_char", "predicted_count", "quantum_dimension",
+    "regulator_matrix", "rogers_L", "s_element", "split_prime_ideals",
+    "splitting_data", "verlinde_fusion",
 ]

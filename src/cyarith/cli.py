@@ -38,10 +38,9 @@ from .counting import DiagonalVariety, count_projective
 from .cyclo import CycInt, cyclotomic_unit, delta_determinant, hecke_weight, s_element
 from .errors import CapacityError, InvariantViolationError, ValidationError
 from .ffield import is_prime, make_field
-from .hecke import (HeckeCharacter, dirichlet_coefficients, hasse_weil_collection,
-                    match_hasse_weil, partial_sum_eval)
-from .zeta import (CongruentZeta, LocalFactor, check_functional_equation,
-                   local_factor_middle, predicted_count)
+from .hecke import (HeckeCharacter, dirichlet_coefficients, match_hasse_weil,
+                    partial_sum_eval, splitting_data)
+from .zeta import CongruentZeta, LocalFactor, local_factor_middle, predicted_count
 
 CACHE_ENV = "CYARITH_CACHE"
 JOBS_ENV = "CYARITH_JOBS"
@@ -215,7 +214,7 @@ def _parse_alpha(args, exps: tuple[int, ...]) -> AlphaTuple | None:
     if not args.alpha:
         return None
     nums = _ints(args.alpha, "alpha")
-    alpha = AlphaTuple(nums, args.den or math.lcm(*exps))
+    alpha = AlphaTuple(nums, math.lcm(*exps) if args.den is None else args.den)
     if len(nums) != len(exps) or any(n % d for d, n in zip(alpha.entry_denominators(), exps)):
         raise ValidationError(f"alpha {args.alpha!r} is not in the degree set of {exps}")
     return alpha
@@ -232,11 +231,7 @@ def _cmd_jacobi(args) -> None:
     r = args.extension
     if r == 1:
         # characters of conductor m need m | q - 1; lift to the residue degree
-        m = math.lcm(*v.exponents, *((single.den,) if single else ()))
-        if math.gcd(p, m) != 1:
-            raise ValidationError(f"conductor {m} is ramified at p={p}")
-        while (p ** r - 1) % m:
-            r += 1
+        r, _ = splitting_data(p, math.lcm(*v.exponents, *((single.den,) if single else ())))
     f = make_field(p, r)
     if single is not None:
         alphas = [single]
@@ -274,16 +269,14 @@ def _zeta_result(exps: tuple[int, ...], cap: int | None, predict: int,
                  cache_dir: Path | None, p: int) -> dict:
     """One prime's worth of zeta JSON; module-level so workers can pickle it."""
     v = DiagonalVariety(exps)
-    lf = _local_factor(v, p, cap, cache_dir)   # |J|^2 = q^n checked in building it
+    lf = _local_factor(v, p, cap, cache_dir)   # RH and FE checked in building it
     out = {"p": p,
            "degree": lf.full_degree,
            "coefficients": [str(c) for c in lf.coeffs],
            "rh_pass": True,
-           "functional_sign": None,
+           "functional_sign": lf.sign,
            "predicted_counts": {}}
     if lf.is_exact:
-        sign, _ = check_functional_equation(lf)
-        out["functional_sign"] = sign
         z = CongruentZeta(variety=v, p=p, middle=lf)
         out["predicted_counts"] = {str(r): str(predicted_count(z, r))
                                    for r in range(1, predict + 1)}
@@ -365,7 +358,7 @@ def _cmd_lseries(args) -> None:
     v = _variety(args)
     if args.cutoff is None:
         raise ValidationError("lseries needs --cutoff")
-    coeffs = dirichlet_coefficients(hasse_weil_collection(v, args.cutoff), args.cutoff)
+    coeffs = dirichlet_coefficients(v, args.cutoff)
     head = {"exponents": list(v.exponents),
             "cutoff": args.cutoff,
             "weight": coeffs.weight,
@@ -441,6 +434,8 @@ def _cmd_cyclo(args) -> None:
     if action == "units":
         if m is None:
             raise ValidationError("--units needs -m/--conductor")
+        if m < 2:
+            raise ValidationError("conductor must be at least 2")
         units = []
         for j in range(2, m):
             if math.gcd(j, m) != 1:

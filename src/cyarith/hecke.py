@@ -8,14 +8,17 @@ local factor of the matching diagonal hypersurface, which is the whole
 point of the exercise.
 
 Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
-of a Jacobi-sum character, have local factors in Z[t] expanded and checked
-(|J|^2 = p^weight) by zeta.expand_roots, so every a_n is a plain int.
+of a Jacobi-sum character, are built from zeta.LocalFactor: each local
+factor is expanded in Z[t] and checked (Galois closure, |J|^2 = p^weight,
+integrality, the functional equation) by its constructor, so every a_n is a
+plain int.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
 from .ffield import FieldTable, is_prime, make_field
-from .zeta import LocalFactor, expand_roots, local_factor_middle
+from .zeta import LocalFactor, local_factor_middle
 
 
 def splitting_data(p: int, m: int) -> tuple[int, int]:
@@ -169,46 +172,12 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
 BAD, OMITTED = "bad", "omitted"
 
 
-@dataclass(frozen=True, eq=False)
-class LocalFactorCollection:
-    """Middle local factors of one variety at all good primes up to a cutoff."""
-
-    variety: DiagonalVariety
-    cutoff: int
-    factors: dict[int, LocalFactor]
-    bad_primes: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return self.variety.complex_dim
-
-    def euler_factor(self, p: int, k_max: int):
-        """BAD, or (|A|, the factor's coefficients) exact through t^k_max."""
-        if p in self.bad_primes:
-            return BAD
-        lf = self.factors.get(p)
-        if lf is None:
-            raise ValidationError(f"local factor missing at p={p}; extend the collection")
-        if lf.precision is not None and lf.precision < k_max:
-            raise ValidationError(
-                f"factor at p={p} truncated at t^{lf.precision}, need t^{k_max}")
-        return lf.full_degree, lf.coeffs
-
-
-def hasse_weil_collection(v: DiagonalVariety, cutoff: int) -> LocalFactorCollection:
-    """Local factors for every good prime up to cutoff, each carried to the
-    t-adic precision needed for Dirichlet coefficients a_n, n <= cutoff."""
-    factors: dict[int, LocalFactor] = {}
-    bad: list[int] = []
-    for p in range(2, cutoff + 1):
-        if not is_prime(p):
-            continue
-        if not v.is_good_prime(p):
-            bad.append(p)
-            continue
-        factors[p] = local_factor_middle(v, p, max_root_field=cutoff)
-    return LocalFactorCollection(variety=v, cutoff=cutoff,
-                                 factors=factors, bad_primes=tuple(bad))
+def _hasse_weil_factor(v: DiagonalVariety, p: int, k_max: int):
+    """BAD, or v's middle factor at p through the orbits with f <= k_max,
+    which keeps it exact through t^k_max."""
+    if not v.is_good_prime(p):
+        return BAD
+    return local_factor_middle(v, p, max_root_field=p ** k_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,24 +210,26 @@ class HeckeCharacter:
         # |J|^2 = p^(r-2) (Ireland-Rosen ch. 8 section 5): two less.
         return w - 2 if sum(self.a) % self.m == 0 else w
 
-    def local_factor(self, p: int) -> tuple[int, ...]:
-        """prod over the ideals above a split p of (1 - J_a(ideal) t).
+    def local_factor(self, p: int) -> LocalFactor:
+        """prod over the ideals above a split p of (1 - J_a(ideal) t), as a
+        LocalFactor of degree phi(m) with the weight in cohomology_degree.
 
         The ideals are Galois conjugates, so the product is a norm and lies
-        in Z[t]; expand_roots checks that exactly, and |J|^2 = p^weight.
+        in Z[t]; building the LocalFactor checks that exactly, with
+        |J|^2 = p^weight and the functional equation.
         """
         sums = ideal_jacobi_sums(split_prime_ideals(p, self.m), [self.a])
-        return expand_roots([(j, 1) for j in sums], p ** self.weight, None)
+        return LocalFactor(p=p, cohomology_degree=self.weight,
+                           full_degree=euler_phi(self.m), orbits=tuple((j, 1) for j in sums))
 
     def euler_factor(self, p: int, k_max: int):
         """BAD if p ramifies, OMITTED unless it splits totally, else
-        (phi(m), local_factor(p))."""
+        local_factor(p)."""
         if self.m % p == 0:
             return BAD
-        f, g = splitting_data(p, self.m)
-        if f != 1:
+        if splitting_data(p, self.m)[0] != 1:
             return OMITTED
-        return g, self.local_factor(p)
+        return self.local_factor(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,16 +283,24 @@ def _assemble(cutoff: int, prime_series: dict[int, list[int]]) -> list[int]:
     return values[1:]
 
 
-def dirichlet_coefficients(source, cutoff: int) -> LSeriesCoefficients:
+def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
+                           cutoff: int) -> LSeriesCoefficients:
     """Expand L = prod 1/P_p(p^-s) into integer a_1..a_cutoff.
 
-    source is a LocalFactorCollection (Hasse-Weil) or a HeckeCharacter.
-    Its euler_factor states, prime by prime, whether p is BAD, OMITTED, or
-    has the integer factor P_p; bad and omitted primes give a_n = 0.
+    source is a DiagonalVariety (the Hasse-Weil L-series of its middle
+    cohomology) or a HeckeCharacter.  Prime by prime, with k_max the largest
+    k such that p^k <= cutoff, its Euler factor is BAD, OMITTED, or a checked
+    LocalFactor exact through t^k_max; bad and omitted primes give a_n = 0.
+    A variety's factor at p is built when it is needed, from the Frobenius
+    orbits of length f <= k_max (p^f <= cutoff).
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
-    if not isinstance(source, (LocalFactorCollection, HeckeCharacter)):
+    if isinstance(source, DiagonalVariety):
+        euler_factor, weight = partial(_hasse_weil_factor, source), source.complex_dim
+    elif isinstance(source, HeckeCharacter):
+        euler_factor, weight = source.euler_factor, source.weight
+    else:
         raise ValidationError(f"unsupported coefficient source {type(source).__name__}")
     prime_series: dict[int, list[int]] = {}
     included, bad, omitted = [], [], []
@@ -329,16 +308,15 @@ def dirichlet_coefficients(source, cutoff: int) -> LSeriesCoefficients:
         k_max = 0
         while p ** (k_max + 1) <= cutoff:
             k_max += 1
-        factor = source.euler_factor(p, k_max)
+        factor = euler_factor(p, k_max)
         if factor == BAD:
             bad.append(p)
         elif factor == OMITTED:
             omitted.append(p)
         else:
-            degree, coeffs = factor
-            prime_series[p] = _invert_local(coeffs, k_max)
-            included.append((p, degree))
-    return LSeriesCoefficients(cutoff=cutoff, weight=source.weight,
+            prime_series[p] = _invert_local(factor.coeffs, k_max)
+            included.append((p, factor.full_degree))
+    return LSeriesCoefficients(cutoff=cutoff, weight=weight,
                                values=tuple(_assemble(cutoff, prime_series)),
                                included_primes=tuple(included),
                                bad_primes=tuple(bad),

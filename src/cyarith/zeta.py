@@ -7,8 +7,10 @@ into Galois classes (sigma_l J(alpha) = J(l*alpha)); each class's norm
 polynomial is expanded exactly in Z[mu_M] and must lie in Z[t], and the
 factor is the product of those integer polynomials.  The point-count
 trace, Riemann hypothesis and functional equation serve as exact
-self-checks rather than floating-point diagnostics; a LocalFactor expands
-and checks its roots when built, so fresh and cached factors pass one gate.
+self-checks rather than floating-point diagnostics.  A LocalFactor expands
+and checks its roots when built, and a complete one also checks the
+functional equation and keeps its sign, so fresh, cached and Hecke factors
+pass one gate.
 """
 from __future__ import annotations
 
@@ -31,20 +33,39 @@ class LocalFactor:
     field beyond a caller-imposed cap, `precision` is the largest power of
     t to which `coeffs` is still exact; None means the factor is complete.
     Building one computes `coeffs` by expand_roots, which checks the roots.
+    A complete factor of degree B must also satisfy the functional equation
+    t^B p^{iB/2} P(1/(p^i t)) = sign * P(t) exactly, and keeps its sign;
+    a truncated one has sign None.
     """
 
     p: int
-    cohomology_degree: int                    # middle degree n ("i" in P_i)
-    full_degree: int                          # |A| = sum of all orbit sizes
+    cohomology_degree: int                    # "i" in P_i: middle degree n, or a Hecke weight
+    full_degree: int                          # |A| = sum of all orbit sizes, or phi(m)
     orbits: tuple[tuple[CycInt, int], ...]    # computed (J, f) pairs
     precision: int | None = None
     coeffs: tuple[int, ...] = dc_field(init=False)
+    sign: int | None = dc_field(init=False)
 
     def __post_init__(self):
-        coeffs = expand_roots(self.orbits, self.p ** self.cohomology_degree, self.precision)
-        if self.precision is None and len(coeffs) - 1 != self.full_degree:
+        i, p = self.cohomology_degree, self.p
+        c = expand_roots(self.orbits, p ** i, self.precision)
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "sign", None)
+        if self.precision is not None:
+            return
+        B = len(c) - 1
+        if B != self.full_degree:
             raise InvariantViolationError("expanded degree disagrees with |A|")
-        object.__setattr__(self, "coeffs", coeffs)
+        if (i * B) % 2:
+            raise InvariantViolationError("i*B odd: no integral palindrome normalisation")
+        if abs(c[B]) != p ** (i * B // 2):
+            raise InvariantViolationError(
+                f"|leading coeff| = {abs(c[B])} != p^(iB/2) = {p ** (i * B // 2)}")
+        sign = 1 if c[B] > 0 else -1
+        if any(c[B - k] != sign * c[k] * p ** (i * (B - 2 * k) // 2)
+               for k in range(B // 2 + 1)):
+            raise InvariantViolationError("palindrome fails for the forced sign")
+        object.__setattr__(self, "sign", sign)
 
     @property
     def is_exact(self) -> bool:
@@ -207,45 +228,6 @@ def check_riemann_hypothesis(lf: LocalFactor) -> RHReport:
     return RHReport(p=lf.p, cohomology_degree=lf.cohomology_degree,
                     per_root=tuple(flags), skipped=skipped,
                     all_pass=all(flags))
-
-
-@dataclass(frozen=True)
-class FunctionalEquationReport:
-    p: int
-    degree: int
-    sign: int
-    conjugation_closed: bool
-    palindrome_ok: bool
-
-
-def check_functional_equation(lf: LocalFactor) -> tuple[int, FunctionalEquationReport]:
-    """Sign epsilon with t^B p^{iB/2} P(1/(p^i t)) = epsilon * P(t) exactly.
-
-    The root multiset is conjugation-closed (given RH, closed under
-    beta -> p^{i f}/beta) by construction: conjugation is the Galois
-    element sigma_{-1}, and building lf checked Galois closure.
-    """
-    if not lf.is_exact:
-        raise ValidationError("functional equation needs the complete factor")
-    c = lf.coeffs
-    B = len(c) - 1
-    i, p = lf.cohomology_degree, lf.p
-    if (i * B) % 2:
-        raise InvariantViolationError("i*B odd: no integral palindrome normalisation")
-    if abs(c[B]) != p ** ((i * B) // 2):
-        raise InvariantViolationError(
-            f"|leading coeff| = {abs(c[B])} != p^(iB/2) = {p ** ((i * B) // 2)}")
-    sign = 1 if c[B] > 0 else -1
-    pal = all(
-        c[B - k] == sign * c[k] * p ** ((i * (B - 2 * k)) // 2)
-        for k in range(B // 2 + 1)
-    )
-    if not pal:
-        raise InvariantViolationError("palindrome fails for the forced sign")
-    report = FunctionalEquationReport(p=p, degree=B, sign=sign,
-                                      conjugation_closed=True,
-                                      palindrome_ok=pal)
-    return sign, report
 
 
 def expected_degrees(hodge: dict[str, int] | None, n: int) -> dict[int, int]:

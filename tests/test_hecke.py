@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
-                     check_functional_equation, check_riemann_hypothesis,
-                     count_projective, dirichlet_coefficients, euler_phi,
-                     hasse_weil_collection, ideal_jacobi_sum, is_prime,
-                     make_field, match_hasse_weil, partial_sum_eval,
+                     check_riemann_hypothesis, count_projective,
+                     dirichlet_coefficients, euler_phi, ideal_jacobi_sum,
+                     is_prime, make_field, match_hasse_weil, partial_sum_eval,
                      power_residue_char, split_prime_ideals, splitting_data)
 from cyarith.errors import ValidationError
 from cyarith.hecke import _assemble
@@ -70,7 +69,7 @@ def test_ideal_jacobi_sum_quintic():
                 ) + j
     assert total.rational_value() == 89
     # the product over the four ideals is the norm, the top coefficient
-    assert HeckeCharacter(5, (1, 1, 1, 1)).local_factor(11)[4] == 11 ** 6
+    assert HeckeCharacter(5, (1, 1, 1, 1)).local_factor(11).coeffs[4] == 11 ** 6
 
 
 def test_ideal_jacobi_sum_trivial_character():
@@ -128,15 +127,15 @@ def test_match_hasse_weil(quintic, quintic_lf11, quintic_lf31):
         match_hasse_weil(quintic, 7)          # f = 4, not split
 
 
-def test_hasse_weil_collection(quintic):
-    coll = hasse_weil_collection(quintic, 100)
-    assert len(coll.factors) == 24
-    assert coll.bad_primes == (5,)
-    assert coll.weight == 3
+def test_hasse_weil_euler_factors(quintic):
+    coeffs = dirichlet_coefficients(quintic, 100)
+    assert len(coeffs.included_primes) == 24
+    assert coeffs.bad_primes == (5,)
+    assert coeffs.weight == 3
 
 
 def test_dirichlet_coefficients_quintic(quintic):
-    coeffs = dirichlet_coefficients(hasse_weil_collection(quintic, 100), 100)
+    coeffs = dirichlet_coefficients(quintic, 100)
     assert coeffs.a(1) == 1
     known = {11: -461, 16: -3264, 31: -16641, 41: 17469, 61: -4161, 71: 67349}
     for n, an in known.items():
@@ -153,26 +152,23 @@ def test_dirichlet_coefficients_quintic(quintic):
 
 
 def test_ap_trace_identity(quintic):
-    coeffs = dirichlet_coefficients(hasse_weil_collection(quintic, 100), 100)
+    coeffs = dirichlet_coefficients(quintic, 100)
     for p in (11, 31, 41, 61, 71):
         n1 = count_projective(quintic, make_field(p))
         assert coeffs.a(p) == 1 + p + p ** 2 + p ** 3 - n1
 
 
 def test_dirichlet_gap_detection(quintic):
-    coll = hasse_weil_collection(quintic, 50)
     with pytest.raises(ValidationError):
-        dirichlet_coefficients(coll, 100)
-    with pytest.raises(ValidationError):
-        dirichlet_coefficients(coll, 0)
+        dirichlet_coefficients(quintic, 0)
 
 
 def test_hecke_character():
     chi = HeckeCharacter(5, (1, 1, 1, 1))
     assert chi.weight == 3
     lf = chi.local_factor(11)
-    assert len(lf) == 5
-    assert lf[1] == -89
+    assert len(lf.coeffs) == 5
+    assert lf.coeffs[1] == -89
     with pytest.raises(ValidationError):
         HeckeCharacter(5, (1, 5))             # entry vanishes mod m
     assert HeckeCharacter(5, (1, 4)).weight == 0   # sum(a) = 0 mod 5: |J| = 1
@@ -206,15 +202,14 @@ def test_hecke_local_factor_invariants(m, a):
         if not is_prime(p) or (p - 1) % m:
             continue
         lf = chi.local_factor(p)
-        assert len(lf) == euler_phi(m) + 1 and all(type(c) is int for c in lf)
-        assert coeffs.a(p) == -lf[1]
+        assert len(lf.coeffs) == euler_phi(m) + 1 and all(type(c) is int for c in lf.coeffs)
+        assert coeffs.a(p) == -lf.coeffs[1]
         sums = [ideal_jacobi_sum(i, chi.a) for i in split_prime_ideals(p, m)]
         factor = LocalFactor(p=p, cohomology_degree=chi.weight, full_degree=euler_phi(m),
                              orbits=tuple((j, 1) for j in sums))
-        assert factor.coeffs == lf
+        assert factor.coeffs == lf.coeffs
         assert check_riemann_hypothesis(factor).all_pass, (p, chi.weight)
-        sign, report = check_functional_equation(factor)
-        assert report.palindrome_ok and report.conjugation_closed
+        assert factor.sign == lf.sign in (1, -1)
 
 def _trial_division(n):
     factors, d = {}, 2
@@ -248,7 +243,7 @@ def test_assemble_matches_trial_division(seed):
 
 
 def test_partial_sums(quintic):
-    coeffs = dirichlet_coefficients(hasse_weil_collection(quintic, 100), 100)
+    coeffs = dirichlet_coefficients(quintic, 100)
     res = partial_sum_eval(coeffs, 3.5)
     assert res.value == pytest.approx(0.6478209905786246, rel=1e-12)
     assert res.tail_bound == pytest.approx(3.4632674297606663, rel=1e-9)

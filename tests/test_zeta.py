@@ -6,11 +6,11 @@ import math
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cyarith import (CongruentZeta, DiagonalVariety, HeckeCharacter,
-                     check_functional_equation, check_riemann_hypothesis,
-                     congruent_zeta, count_projective, expected_degrees,
-                     is_prime, local_factor_middle, make_field, predicted_count,
-                     split_prime_ideals)
+import cyarith.zeta as zeta_module
+from cyarith import (CongruentZeta, DiagonalVariety, HeckeCharacter, LocalFactor,
+                     check_riemann_hypothesis, congruent_zeta, count_projective,
+                     expected_degrees, is_prime, local_factor_middle, make_field,
+                     predicted_count, split_prime_ideals)
 from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.hecke import ideal_jacobi_sums
 from cyarith.zeta import expand_roots
@@ -98,16 +98,22 @@ def test_riemann_hypothesis_reports(quintic_lf11, quintic_lf31):
 
 
 def test_functional_equation(quintic_lf11, quintic_lf2):
-    sign11, rep11 = check_functional_equation(quintic_lf11)
-    assert sign11 == 1
-    assert rep11.conjugation_closed and rep11.palindrome_ok
-    sign2, _ = check_functional_equation(quintic_lf2)
-    assert sign2 == 1
+    assert quintic_lf11.sign == 1
+    assert quintic_lf2.sign == 1
     # K3 at p = 5 picks the minus sign
     lf5 = local_factor_middle(DiagonalVariety.fermat(4, 2), 5)
-    sign5, rep5 = check_functional_equation(lf5)
-    assert sign5 == -1
-    assert rep5.palindrome_ok
+    assert lf5.sign == -1
+
+
+@pytest.mark.parametrize("coeffs, reason", [((1, 2), r"i\*B odd"),
+                                            ((1, 3, 4), "leading coeff"),
+                                            ((1, 3, -2), "palindrome")])
+def test_local_factor_checks_functional_equation(monkeypatch, coeffs, reason):
+    # RH and Galois closure imply the functional equation, so forged
+    # expansions (p = 2, weight 1) stand in for a broken one
+    monkeypatch.setattr(zeta_module, "expand_roots", lambda orbits, base, trunc: coeffs)
+    with pytest.raises(InvariantViolationError, match=reason):
+        LocalFactor(p=2, cohomology_degree=1, full_degree=len(coeffs) - 1, orbits=())
 
 
 def test_truncation(quintic):
@@ -116,6 +122,7 @@ def test_truncation(quintic):
     assert lf.precision == 3
     assert lf.coeffs == (1,)               # no orbit fits below t^4
     assert lf.full_degree == 204
+    assert lf.sign is None                 # no functional equation to check
     with pytest.raises(ValidationError):
         lf.degree
 
@@ -145,8 +152,7 @@ def test_quintic_complete_at_large_residue_fields(quintic, p, r):
     # length dividing r to an independent point count
     z = congruent_zeta(quintic, p)
     assert z.middle.degree == 204
-    sign, _ = check_functional_equation(z.middle)
-    assert sign == 1
+    assert z.middle.sign == 1
     for k in {1, r}:
         assert predicted_count(z, k) == count_projective(quintic, make_field(p, k))
 
@@ -185,7 +191,7 @@ def test_expand_roots_matches_direct_on_hecke_roots(m, data, trunc):
     roots = [(j, 1) for j in ideal_jacobi_sums(split_prime_ideals(p, m), [chi.a])]
     assert expand_roots(roots, p ** chi.weight, trunc) == expand_roots_direct(roots, trunc)
     if trunc is None:
-        assert chi.local_factor(p) == expand_roots_direct(roots, None)
+        assert chi.local_factor(p).coeffs == expand_roots_direct(roots, None)
 
 
 def test_expand_roots_needs_whole_galois_classes():
