@@ -8,8 +8,8 @@ The Jacobi sum
                  of prod_i chi_{alpha_i}(u_i)
 
 is evaluated exactly in Z[mu_m] by a chain of two-variable sums read off
-one (dlog(1-v), dlog v) class table per field; a direct-summation path
-over the raw tuples is kept as the oracle.
+one (dlog(1-v), dlog v) class table per field, built from the field's Zech
+logarithms alone.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cyclo import CycInt
-from .errors import BadReductionError, CapacityError, InvariantViolationError, ValidationError
+from .errors import BadReductionError, InvariantViolationError, ValidationError
 from .ffield import FieldTable, is_prime
 
 if TYPE_CHECKING:
@@ -127,24 +127,18 @@ def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
 
 # -- Jacobi sums -------------------------------------------------------------------
 
-DIRECT_SUM_BUDGET = 1 << 28     # (q-1)^s cap for the direct-summation oracle
-
-
 def dlog_pair_table(f: FieldTable, M: int) -> np.ndarray:
     """C[i, j] = #{v in F_q minus {0, 1} : dlog(1-v) = i, dlog(v) = j mod M}.
 
     Every two-variable Jacobi sum with characters of order dividing M is a
     weighted read of this table.  v -> 1-v permutes F_q minus {0, 1}, so
     both marginals must equal the dlog class sizes less the excluded v = 1.
+    With v = g^e for e in 1..q-2, dlog(1-v) is the Zech logarithm zech[e].
     """
     q = f.q
     if (q - 1) % M:
         raise ValidationError(f"character order {M} does not divide q-1 = {q - 1}")
-    v = np.arange(2, q, dtype=np.int64)
-    neg = (f.p - f.digits[v]) % f.p
-    neg[:, 0] = (neg[:, 0] + 1) % f.p
-    one_minus_v = neg @ f.ppow
-    flat = (f.dlog[one_minus_v] % M) * M + f.dlog[v] % M
+    flat = f.zech[1:] % M * M + np.arange(1, q - 1, dtype=np.int64) % M
     table = np.bincount(flat, minlength=M * M).reshape(M, M)
     sizes = (q - 1) // M - (np.arange(M) == 0)
     if not (np.array_equal(table.sum(0), sizes) and np.array_equal(table.sum(1), sizes)):
@@ -229,46 +223,3 @@ def jacobi_sums(f: FieldTable, alphas) -> list[CycInt]:
 def jacobi_sum(f: FieldTable, alpha: AlphaTuple) -> CycInt:
     """Exact j_q(alpha) in Z[mu_m]; see jacobi_sums."""
     return jacobi_sums(f, [alpha])[0]
-
-
-def jacobi_sum_direct(f: FieldTable, alpha: AlphaTuple) -> CycInt:
-    """Direct summation over all nonzero hyperplane tuples (the oracle path)."""
-    s1 = len(alpha.nums)
-    s = s1 - 1
-    q, p = f.q, f.p
-    if (q - 1) ** s > DIRECT_SUM_BUDGET:
-        raise CapacityError("direct Jacobi summation exceeds the enumeration budget")
-    for d in alpha.entry_denominators():
-        if (q - 1) % d:
-            raise ValidationError(f"character order {d} does not divide q-1")
-    m = alpha.conductor
-    mult = _char_multipliers(alpha, m)
-    dl = np.where(f.dlog >= 0, f.dlog, 0)
-    U = np.arange(1, q, dtype=np.int64)
-    nv = min(3, s)
-    buckets = [0] * m
-
-    vexp = np.zeros((1,) * nv, dtype=np.int64)
-    for j in range(nv):
-        i = s - nv + j
-        vexp = vexp + (mult[i] * dl[U]).reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j))
-
-    vsum = np.zeros((1,) * nv + (f.r,), dtype=np.int32)
-    for j in range(nv):
-        vsum = vsum + f.digits[U].reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j) + (f.r,))
-
-    for prefix in product(range(1, q), repeat=s - nv):
-        part = np.zeros(f.r, dtype=np.int32)
-        for u in prefix:
-            part = part + f.digits[u]
-        dep = ((p - (part + vsum)) % p) @ f.ppow
-        mask = dep != 0
-        e = (vexp + mult[s] * dl[dep]) % m
-        for i, u in enumerate(prefix):
-            e = (e + mult[i] * int(dl[u])) % m
-        cnt = np.bincount(e[mask], minlength=m)
-        for k in range(m):
-            buckets[k] += int(cnt[k])
-    if any(b % (q - 1) for b in buckets):
-        raise InvariantViolationError("character sum not divisible by q-1")
-    return CycInt.from_exponent_counts(m, [b // (q - 1) for b in buckets])

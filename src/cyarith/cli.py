@@ -231,7 +231,7 @@ def _cmd_jacobi(args) -> None:
     r = args.extension
     if r == 1:
         # characters of conductor m need m | q - 1; lift to the residue degree
-        r, _ = splitting_data(p, math.lcm(*v.exponents, *((single.den,) if single else ())))
+        r, _ = splitting_data(p, single.conductor if single else math.lcm(*v.exponents))
     f = make_field(p, r)
     if single is not None:
         alphas = [single]

@@ -8,24 +8,19 @@ because the fibres of the quotient map are full G_m-torsors.
 Affine counts come from Weil's formula: the hyperplane count q^s plus (q-1)
 times the Jacobi sums j_q(alpha) of the admissible character tuples, all
 from the one kernel charsum.jacobi_sums (Weil 1949; Ireland-Rosen ch. 8
-section 7).  count_affine_direct enumerates the affine grid and is kept as
-the independent oracle.
+section 7).  tests/oracles.py enumerates the affine grid as the independent
+oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-
-import numpy as np
 
 from .charsum import build_alpha_set, jacobi_sums
 from .cyclo import CycInt
-from .errors import CapacityError, InvariantViolationError, ValidationError
+from .errors import InvariantViolationError, ValidationError
 from .ffield import FieldTable, is_prime
-
-DIRECT_ENUM_BUDGET = 1 << 25    # affine grid cells for the exhaustive oracle
 
 
 @dataclass(frozen=True)
@@ -75,29 +70,6 @@ class DiagonalVariety:
 
 
 # -- affine solution counting ----------------------------------------------------
-
-
-def count_affine_direct(v: DiagonalVariety, f: FieldTable) -> int:
-    """Exhaustive enumeration of the full affine grid (the counting oracle)."""
-    s1 = len(v.exponents)
-    q = f.q
-    if q**s1 > DIRECT_ENUM_BUDGET:
-        raise CapacityError(f"direct enumeration capped at q^(s+1) <= {DIRECT_ENUM_BUDGET}")
-    pows = [f.vpow(np.arange(q, dtype=np.int64), n) for n in v.exponents]
-    nv = min(3, s1)
-    loop_pows, vec_pows = pows[: s1 - nv], pows[s1 - nv:]
-    total = 0
-    dig, r = f.digits, f.r
-    vdig = np.zeros((1,) * nv + (r,), dtype=np.int32)
-    for j, vp in enumerate(vec_pows):
-        vdig = vdig + dig[vp].reshape((1,) * j + (q,) + (1,) * (nv - 1 - j) + (r,))
-    for prefix in product(range(q), repeat=s1 - nv):
-        part = np.zeros(r, dtype=np.int32)
-        for tbl, x in zip(loop_pows, prefix):
-            part = part + dig[int(tbl[x])]
-        zero = (((part + vdig) % f.p) == 0).all(axis=-1)
-        total += int(zero.sum())
-    return total
 
 
 def count_affine(v: DiagonalVariety, f: FieldTable) -> int:

@@ -3,10 +3,11 @@
 Every field, prime or not, is F_p[x] modulo a monic irreducible of degree r
 (x itself when r = 1).  Element index i encodes the coefficient vector of the
 residue polynomial in base p, low degree first, so index = sum(c_j * p**j);
-for a prime field the index is the residue itself.  Each table carries its
-(q, r) digit rows, on which addition is digit-wise mod p.  All
-multiplicative structure is precomputed (exp/dlog tables), which makes the
-character sums downstream pure table lookups.
+for a prime field the index is the residue itself.  This module is the only
+one that knows that encoding: a table carries the multiplicative structure
+(exp/dlog) and the one piece of additive structure the character sums read,
+the Zech logarithms dlog(1 - g**e), so every sum downstream is a pure table
+lookup.
 """
 from __future__ import annotations
 
@@ -58,9 +59,8 @@ class FieldTable:
 
     dlog[x] is the discrete logarithm of element index x base the canonical
     generator g (dlog[0] = -1 sentinel); exp[e] is the element index of g**e
-    for e in 0..q-2.  digits[x] is the base-p digit row of x (int32, q x r)
-    and digits[x] @ ppow recomposes the index.  The arrays must be treated
-    as read-only.
+    for e in 0..q-2; zech[e] = dlog(1 - g**e), so zech[0] = -1.  The arrays
+    must be treated as read-only.
     """
 
     p: int
@@ -70,16 +70,7 @@ class FieldTable:
     g: int
     dlog: np.ndarray
     exp: np.ndarray
-    digits: np.ndarray
-    ppow: np.ndarray
-
-    # -- vectorised arithmetic on arrays of element indices --------------------
-
-    def vpow(self, a, n: int):
-        a = np.asarray(a)
-        safe = np.maximum(a, 1)
-        out = self.exp[(self.dlog[safe] * n) % (self.q - 1)]
-        return np.where(a == 0, 0, out)
+    zech: np.ndarray
 
 
 def dlog(f: FieldTable, x: int) -> int:
@@ -134,24 +125,16 @@ def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise InvariantViolationError(f"no irreducible of degree {r} over F_{p}")
 
 
-def _digit_table(p: int, r: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(q, dtype=np.int64)
-    digits = np.empty((q, r), dtype=np.int32)
-    for j in range(r):
-        digits[:, j] = (idx // p**j) % p
-    ppow = np.array([p**j for j in range(r)], dtype=np.int64)
-    return digits, ppow
-
-
-def _mul_matrix(a: np.ndarray, modulus: tuple[int, ...], p: int) -> np.ndarray:
-    """Matrix of y -> a*y on digit rows: row(y) @ M = row(a*y) mod p.
+def _mul_matrix(a: int, modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """Matrix of y -> a*y on digit rows, a an element index:
+    row(y) @ M = row(a*y) mod p.
 
     Row i holds the digits of a * x^i reduced by the monic modulus.
     """
     r = len(modulus) - 1
     low = np.array(modulus[:r], dtype=np.int64)
     m = np.zeros((r, r), dtype=np.int64)
-    m[0] = a
+    m[0] = [a // p**j % p for j in range(r)]
     for i in range(1, r):
         m[i, 1:] = m[i - 1, :-1]
         m[i] = (m[i] - m[i - 1, -1] * low) % p
@@ -174,15 +157,35 @@ def _generates(m: np.ndarray, q: int, p: int, factors: list[int]) -> bool:
     return all(not np.array_equal(_mat_pow(m, (q - 1) // l, p), one) for l in factors)
 
 
+def _exp_table(g: int, modulus: tuple[int, ...], p: int, q: int) -> np.ndarray:
+    """Element indices of g^0 .. g^(q-2).
+
+    Multiplication by g^n is an r x r matrix over F_p acting on digit rows,
+    so the rows of g^n .. g^(2n-1) are those of g^0 .. g^(n-1) times the
+    matrix of g^n: the table doubles in length per step.  Entries stay
+    below p and a row-by-matrix product below r*p^2 < 2^63, so int64 is exact.
+    The (q-1) x r rows are freed on return.
+    """
+    r = len(modulus) - 1
+    rows = np.zeros((q - 1, r), dtype=np.int64)
+    rows[0, 0] = 1
+    step, n = _mul_matrix(g, modulus, p), 1
+    while n < q - 1:
+        k = min(n, q - 1 - n)
+        block = rows[n:n + k]          # a view: the product is written in place
+        np.matmul(rows[:k], step, out=block)
+        block %= p
+        step, n = step @ step % p, n + k
+    return rows @ p ** np.arange(r, dtype=np.int64)
+
+
 def make_field(p: int, r: int = 1, g: int | None = None) -> FieldTable:
     """F_{p^r} on the lexicographically smallest monic irreducible modulus,
     tabulated on generator g, by default the smallest element index that
     generates F_q^*.
 
-    Multiplication by g^n is an r x r matrix over F_p acting on digit rows,
-    so the rows of g^n .. g^(2n-1) are those of g^0 .. g^(n-1) times the
-    matrix of g^n: the exp table doubles in length per step.  Entries stay
-    below p and a row-by-matrix product below r*p^2 < 2^63, so int64 is exact.
+    The Zech table negates the base-p digits of exp one column at a time
+    and adds 1 to the constant digit.
     """
     if not is_prime(p):
         raise PrimalityError(f"{p} is not prime")
@@ -193,27 +196,19 @@ def make_field(p: int, r: int = 1, g: int | None = None) -> FieldTable:
     if q > bound:
         raise CapacityError(f"field table bound for degree {r} is {bound}, got q={q}")
     modulus = _smallest_irreducible(p, r)
-    digits, ppow = _digit_table(p, r, q)
     factors = prime_factors(q - 1)
     if g is None:
         g = next(i for i in range(1, q)
-                 if _generates(_mul_matrix(digits[i], modulus, p), q, p, factors))
-    elif not 1 <= g < q or not _generates(_mul_matrix(digits[g], modulus, p), q, p, factors):
+                 if _generates(_mul_matrix(i, modulus, p), q, p, factors))
+    elif not 1 <= g < q or not _generates(_mul_matrix(g, modulus, p), q, p, factors):
         raise ValidationError(f"{g} does not generate F_{q}^*")
-
-    rows = np.zeros((q - 1, r), dtype=np.int64)
-    rows[0, 0] = 1
-    step, n = _mul_matrix(digits[g], modulus, p), 1
-    while n < q - 1:
-        k = min(n, q - 1 - n)
-        block = rows[n:n + k]          # a view: the product is written in place
-        np.matmul(rows[:k], step, out=block)
-        block %= p
-        step, n = step @ step % p, n + k
-    exp = rows @ ppow
+    exp = _exp_table(g, modulus, p, q)
     dl = np.full(q, -1, dtype=np.int64)
     dl[exp] = np.arange(q - 1, dtype=np.int64)
     if (dl[1:] < 0).any():
         raise InvariantViolationError(f"{g} does not generate F_{q}^*")
+    one_minus = np.zeros(q - 1, dtype=np.int64)
+    for j in range(r):
+        one_minus += ((j == 0) - exp // p**j) % p * p**j
     return FieldTable(p=p, r=r, q=q, modulus=modulus, g=g, dlog=dl, exp=exp,
-                      digits=digits, ppow=ppow)
+                      zech=dl[one_minus])

@@ -20,8 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
-import numpy as np
-
 from .charsum import full_alpha_set, galois_class_head, unit_sums
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
@@ -72,11 +70,6 @@ class SplitPrimeIdeal:
         tau = int(self.field.dlog[self.c]) // ((self.p - 1) // self.m)
         return pow(tau, -1, self.m)
 
-    def char_exponent_table(self) -> np.ndarray:
-        """dc[u] with chi_p(u) = xi^dc[u]; dc[0] is a junk slot (masked off)."""
-        dlog = np.maximum(self.field.dlog, 0)
-        return (dlog * self.tau_inv) % self.m
-
 
 def split_prime_ideals(p: int, m: int) -> tuple[SplitPrimeIdeal, ...]:
     """All primes above p, in increasing order of the label c."""
@@ -92,8 +85,7 @@ def power_residue_char(ideal: SplitPrimeIdeal, u: int) -> CycInt:
     u %= ideal.p
     if u == 0:
         raise ValidationError("power residue symbol needs a unit argument")
-    dc = ideal.char_exponent_table()
-    j = int(dc[u])
+    j = ideal.tau_inv * int(ideal.field.dlog[u]) % ideal.m
     # sanity: c^j must reproduce u^((p-1)/m) in F_p
     if pow(ideal.c, j, ideal.p) != pow(u, (ideal.p - 1) // ideal.m, ideal.p):
         raise InvariantViolationError("power residue labelling broke")

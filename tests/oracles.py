@@ -1,18 +1,91 @@
 """Brute-force references that only the tests use.
 
-`expand_roots_direct` is the per-coefficient expansion that
-`zeta.expand_roots` replaced, `jacobi_sums_per_alpha` runs the kernel once
-per tuple instead of once per Galois class, and `predicted_count_direct`
-takes N_r from the orbit roots' powers in Z[mu_M] instead of Newton's
-identities on the integer factor.  The `FieldTable` scalar operations below
-read the field's own exp/dlog and digit tables one element at a time.
+`jacobi_sum_direct` sums a Jacobi sum over every hyperplane tuple and
+`count_affine_direct` enumerates the affine grid: the oracles of
+`charsum.jacobi_sums` and `counting.count_affine`, each with its own
+enumeration budget.  `expand_roots_direct` is the per-coefficient expansion
+that `zeta.expand_roots` replaced, `jacobi_sums_per_alpha` runs the kernel
+once per tuple instead of once per Galois class, and
+`predicted_count_direct` takes N_r from the orbit roots' powers in Z[mu_M]
+instead of Newton's identities on the integer factor.  The scalar and
+vectorised field operations at the end read the field's exp/dlog tables;
+for addition they derive the base-p digit rows from the element index
+themselves, so nothing here shares the kernel's Zech table.
 """
 
 import math
+from itertools import product
+
+import numpy as np
 
 from cyarith.charsum import _char_multipliers, unit_sums
 from cyarith.cyclo import CycInt
-from cyarith.errors import InvariantViolationError, ValidationError
+from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
+
+DIRECT_SUM_BUDGET = 1 << 28     # (q-1)^s cap for the direct Jacobi summation
+DIRECT_ENUM_BUDGET = 1 << 25    # affine grid cells for the exhaustive count
+
+
+def jacobi_sum_direct(f, alpha):
+    """j_q(alpha) by direct summation over all nonzero hyperplane tuples."""
+    s1 = len(alpha.nums)
+    s = s1 - 1
+    q = f.q
+    if (q - 1) ** s > DIRECT_SUM_BUDGET:
+        raise CapacityError("direct Jacobi summation exceeds the enumeration budget")
+    for d in alpha.entry_denominators():
+        if (q - 1) % d:
+            raise ValidationError(f"character order {d} does not divide q-1")
+    m = alpha.conductor
+    mult = _char_multipliers(alpha, m)
+    dl = np.where(f.dlog >= 0, f.dlog, 0)
+    U = np.arange(1, q, dtype=np.int64)
+    nv = min(3, s)
+    buckets = [0] * m
+
+    vexp = np.zeros((1,) * nv, dtype=np.int64)
+    for j in range(nv):
+        i = s - nv + j
+        vexp = vexp + (mult[i] * dl[U]).reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j))
+
+    vsum = np.zeros((1,) * nv + (f.r,), dtype=np.int64)
+    for j in range(nv):
+        vsum = vsum + digits(f, U).reshape((1,) * j + (q - 1,) + (1,) * (nv - 1 - j) + (f.r,))
+
+    for prefix in product(range(1, q), repeat=s - nv):
+        part = sum((digits(f, u) for u in prefix), np.zeros(f.r, dtype=np.int64))
+        dep = encode(f, -(part + vsum))
+        mask = dep != 0
+        e = (vexp + mult[s] * dl[dep]) % m
+        for i, u in enumerate(prefix):
+            e = (e + mult[i] * int(dl[u])) % m
+        cnt = np.bincount(e[mask], minlength=m)
+        for k in range(m):
+            buckets[k] += int(cnt[k])
+    if any(b % (q - 1) for b in buckets):
+        raise InvariantViolationError("character sum not divisible by q-1")
+    return CycInt.from_exponent_counts(m, [b // (q - 1) for b in buckets])
+
+
+def count_affine_direct(v, f):
+    """Affine F_q solutions of sum_i x_i^{n_i} = 0, by enumerating the grid."""
+    s1 = len(v.exponents)
+    q, r = f.q, f.r
+    if q**s1 > DIRECT_ENUM_BUDGET:
+        raise CapacityError(f"direct enumeration capped at q^(s+1) <= {DIRECT_ENUM_BUDGET}")
+    pows = [vpow(f, np.arange(q, dtype=np.int64), n) for n in v.exponents]
+    nv = min(3, s1)
+    loop_pows, vec_pows = pows[: s1 - nv], pows[s1 - nv:]
+    total = 0
+    vdig = np.zeros((1,) * nv + (r,), dtype=np.int64)
+    for j, vp in enumerate(vec_pows):
+        vdig = vdig + digits(f, vp).reshape((1,) * j + (q,) + (1,) * (nv - 1 - j) + (r,))
+    for prefix in product(range(q), repeat=s1 - nv):
+        part = sum((digits(f, tbl[x]) for tbl, x in zip(loop_pows, prefix)),
+                   np.zeros(r, dtype=np.int64))
+        zero = (((part + vdig) % f.p) == 0).all(axis=-1)
+        total += int(zero.sum())
+    return total
 
 
 def expand_roots_direct(orbits, trunc):
@@ -67,15 +140,25 @@ def predicted_count_direct(z, r):
     return total
 
 
-# -- scalar FieldTable arithmetic on element indices ----------------------------
+# -- FieldTable arithmetic on element indices ------------------------------------
+
+
+def digits(f, x):
+    """Base-p digit rows of element indices x, low degree first."""
+    return np.asarray(x, dtype=np.int64)[..., None] // f.p ** np.arange(f.r) % f.p
+
+
+def encode(f, d):
+    """Element indices of digit rows d, each digit read mod p."""
+    return d % f.p @ f.p ** np.arange(f.r)
 
 
 def add(f, x, y):
-    return int(((f.digits[x] + f.digits[y]) % f.p) @ f.ppow)
+    return int(encode(f, digits(f, x) + digits(f, y)))
 
 
 def neg(f, x):
-    return int(((f.p - f.digits[x]) % f.p) @ f.ppow)
+    return int(encode(f, -digits(f, x)))
 
 
 def sub(f, x, y):
@@ -109,4 +192,10 @@ def frobenius(f, x):
 
 
 def vadd(f, a, b):
-    return ((f.digits[a] + f.digits[b]) % f.p) @ f.ppow
+    return encode(f, digits(f, a) + digits(f, b))
+
+
+def vpow(f, a, n):
+    a = np.asarray(a)
+    out = f.exp[(f.dlog[np.maximum(a, 1)] * n) % (f.q - 1)]
+    return np.where(a == 0, 0, out)

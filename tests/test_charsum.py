@@ -1,5 +1,6 @@
 """Jacobi sums: direct-definition oracle, Galois equivariance, Weil bound."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,10 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cyarith import (AlphaTuple, CycInt, DiagonalVariety, build_alpha_set,
                      full_alpha_set, jacobi_sum, make_field)
-from cyarith.charsum import (DIRECT_SUM_BUDGET, dlog_pair_table, galois_class_head,
-                             jacobi_sum_direct, jacobi_sums)
-from cyarith.errors import ValidationError
-from oracles import jacobi_sums_per_alpha
+from cyarith.charsum import dlog_pair_table, galois_class_head, jacobi_sums
+from cyarith.errors import InvariantViolationError, ValidationError
+from oracles import DIRECT_SUM_BUDGET, jacobi_sum_direct, jacobi_sums_per_alpha
 
 
 def test_alpha_tuple_validation():
@@ -132,6 +132,10 @@ def test_pair_table_marginals(p, r):
     assert table.max() == 1
     with pytest.raises(ValidationError):
         dlog_pair_table(f, f.q)
+    bad = f.zech.copy()
+    bad[1] = bad[2]                        # two v with one value of 1 - v
+    with pytest.raises(InvariantViolationError):
+        dlog_pair_table(dataclasses.replace(f, zech=bad), f.q - 1)
 
 
 # -- one kernel row per Galois class against one row per tuple -------------------

@@ -113,11 +113,15 @@ def test_jacobi_den_zero_refused(capsys):
 
 
 def test_jacobi_ramified_conductor(capsys):
-    # the lift to the residue degree needs p prime to the conductor 55
-    assert run(["jacobi", "-d", "5", "-n", "3", "-p", "11", "--alpha", "11,11,11,11,11",
-                "--den", "55", "--json"]) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and "p=11 ramifies in Q(mu_55)" in out.err
+    # 11/55 = 1/5: the lift follows the tuple's conductor 5, not --den 55
+    doc = _json_out(capsys, ["jacobi", "-d", "5", "-n", "3", "-p", "11",
+                             "--alpha", "11,11,11,11,11", "--den", "55"])
+    ref = _json_out(capsys, ["jacobi", "-d", "5", "-n", "3", "-p", "11",
+                             "--alpha", "1,1,1,1,1"])
+    assert doc["q"] == ref["q"] == 11
+    [e], [e_ref] = doc["jacobi_sums"], ref["jacobi_sums"]
+    assert e["conductor"] == 5
+    assert e["coefficients"] == e_ref["coefficients"]
 
 
 def test_zeta_json_schema(capsys, tmp_path):

@@ -8,7 +8,7 @@ import sympy
 
 from cyarith import dlog, is_prime, make_field
 from cyarith.errors import CapacityError, PrimalityError, ValidationError
-from oracles import add, frobenius, inv, mul, neg, power, sub, vadd
+from oracles import add, frobenius, inv, mul, neg, power, sub, vadd, vpow
 
 
 def test_is_prime_agrees_with_sympy():
@@ -89,7 +89,7 @@ def test_vectorised_ops_match_scalar():
     va = vadd(f, a, b)
     for i in range(f.q):
         assert va[i] == add(f, int(a[i]), int(b[i]))
-    vp = f.vpow(a, 3)
+    vp = vpow(f, a, 3)
     for i in range(f.q):
         assert vp[i] == power(f, int(a[i]), 3)
 
@@ -144,6 +144,15 @@ def test_field_tables_pinned(p, r):
     assert f.exp.dtype == f.dlog.dtype == np.int64
     assert (f.g, f.modulus, hashlib.sha256(f.exp.tobytes()).hexdigest(),
             hashlib.sha256(f.dlog.tobytes()).hexdigest()) == PINNED_TABLES[p, r]
+
+
+@pytest.mark.parametrize("p,r", sorted({(2, 1), (2, 4)} | {
+    (p, r) for p, r in PINNED_TABLES if p ** r <= 5041}))
+def test_zech_matches_digit_oracle(p, r):
+    f = make_field(p, r)
+    assert f.zech.shape == (f.q - 1,) and f.zech[0] == -1
+    for e in range(f.q - 1):
+        assert f.zech[e] == f.dlog[sub(f, 1, int(f.exp[e]))]
 
 
 def test_validation_and_capacity():
