@@ -9,7 +9,7 @@ The Jacobi sum
 
 is evaluated exactly in Z[mu_m] by a chain of two-variable sums read off
 one (dlog(1-v), dlog v) class table per field, built from the field's Zech
-logarithms alone.
+logarithms alone, and only once per Galois class of tuples.
 """
 from __future__ import annotations
 
@@ -56,12 +56,6 @@ class AlphaTuple:
 
     def conjugate(self) -> "AlphaTuple":
         return AlphaTuple(tuple(self.den - n for n in self.nums), self.den)
-
-    def scale(self, t: int) -> "AlphaTuple":
-        """t * alpha mod 1, defined for gcd(t, den) = 1."""
-        if math.gcd(t, self.den) != 1:
-            raise ValidationError(f"scaling by {t} does not preserve denominators mod {self.den}")
-        return AlphaTuple(tuple(n * t % self.den for n in self.nums), self.den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,18 +166,36 @@ def _unit_sum(table: np.ndarray, q: int, m: int, exps) -> CycInt:
     return at_minus_one(psi) * a
 
 
+@lru_cache(maxsize=1 << 14)
+def galois_class_head(row: tuple) -> tuple[tuple, int]:
+    """((m, head), l_inv) for a row (m, exps): head is the least l*exps mod m
+    over l in (Z/m)^*, and exps = l_inv * head mod m.  Every row of one
+    Galois class gets the same head, and its unit sum is sigma_{l_inv} of
+    the head's."""
+    m, exps = row
+    head, l = min((tuple(e * l % m for e in exps), l)
+                  for l in range(1, m + 1) if math.gcd(l, m) == 1)
+    return (m, head), pow(l, -1, m)
+
+
 def unit_sums(f: FieldTable, rows) -> list[CycInt]:
     """For each row (m, (e_0..e_k)): the sum over units u_0..u_k of F_q with
     u_0 + ... + u_k = -1 of prod_i xi_m^(e_i * dlog u_i), exact in Z[mu_m].
 
-    One pair table serves every row; it is built once at the lcm of the
-    row moduli and folded down to each modulus.
+    Scaling a row by l in (Z/m)^* applies sigma_l to its sum (Ireland-Rosen
+    ch. 8 and 14), so the kernel runs once per Galois class, on the class
+    head, and every other row is read off as sigma_{l_inv} of its head's
+    sum.  One pair table serves every head; it is built once at the lcm of
+    the row moduli and folded down to each modulus.
     """
-    big_m = math.lcm(*(m for m, _ in rows))
+    placed = [galois_class_head((m, tuple(exps))) for m, exps in rows]
+    heads = dict.fromkeys(h for h, _ in placed)
+    big_m = math.lcm(*(m for m, _ in heads))
     table = dlog_pair_table(f, big_m)
     folded = {m: table.reshape(big_m // m, m, big_m // m, m).sum(axis=(0, 2))
-              for m in {m for m, _ in rows}}
-    return [_unit_sum(folded[m], f.q, m, exps) for m, exps in rows]
+              for m in {m for m, _ in heads}}
+    by_head = {(m, e): _unit_sum(folded[m], f.q, m, e) for m, e in heads}
+    return [by_head[h] if l_inv == 1 else by_head[h].galois(l_inv) for h, l_inv in placed]
 
 
 def _char_multipliers(alpha: AlphaTuple, m: int) -> list[int]:
@@ -191,33 +203,12 @@ def _char_multipliers(alpha: AlphaTuple, m: int) -> list[int]:
     return [m * n // alpha.den for n in alpha.nums]
 
 
-@lru_cache(maxsize=1 << 14)
-def galois_class_head(alpha: AlphaTuple) -> tuple[AlphaTuple, int]:
-    """(head, l_inv) with head the least l*alpha over l in (Z/den)^*, compared
-    by numerators, and alpha = l_inv * head.  Every tuple of one Galois class
-    gets the same head, and j_q(alpha) = sigma_{l_inv} j_q(head)."""
-    den = alpha.den
-    nums, l = min((tuple(n * l % den for n in alpha.nums), l)
-                  for l in range(1, den) if math.gcd(l, den) == 1)
-    return AlphaTuple(nums, den), pow(l, -1, den)
-
-
 def jacobi_sums(f: FieldTable, alphas) -> list[CycInt]:
     """Exact j_q(alpha) in Z[mu_m], m the conductor, for every alpha, in input
-    order.
-
-    sigma_l j_q(alpha) = j_q(l*alpha) (Ireland-Rosen ch. 8 and 14), so one
-    unit sum per Galois class serves the whole class: each alpha is read off
-    its class head as sigma_{l_inv} j_q(head).  For the head, scaling the
-    last coordinate away leaves the unit sum of the first s characters.
-    """
-    placed = [galois_class_head(a) for a in alphas]
-    heads = list(dict.fromkeys(h for h, _ in placed))
-    sums = unit_sums(f, [(h.conductor, _char_multipliers(h, h.conductor)[:-1])
-                         for h in heads])
-    by_head = dict(zip(heads, sums))
-    return [by_head[h] if l_inv == 1 else by_head[h].galois(l_inv)
-            for h, l_inv in placed]
+    order: scaling the last coordinate away leaves the unit sum of the first
+    s characters.  unit_sums runs the kernel once per Galois class."""
+    return unit_sums(f, [(a.conductor, _char_multipliers(a, a.conductor)[:-1])
+                         for a in alphas])
 
 
 def jacobi_sum(f: FieldTable, alpha: AlphaTuple) -> CycInt:

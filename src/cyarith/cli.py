@@ -163,7 +163,7 @@ def _emit(args, fmt: str, payload: dict, csv_rows: list | None = None,
         if not args.deterministic:
             payload = {**payload, "generated_at":
                        datetime.now(timezone.utc).isoformat(timespec="seconds")}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
@@ -171,7 +171,10 @@ def _emit(args, fmt: str, payload: dict, csv_rows: list | None = None,
     else:
         text = "\n".join(table) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -73,6 +73,17 @@ def euler_phi(m: int) -> int:
     return _ring(m)[0]
 
 
+def _substitute(m: int, items, s: int) -> tuple[int, ...]:
+    """sum of c * xi_m^(k*s) over the pairs (k, c), on the power basis."""
+    phi, red = _ring(m)
+    acc = [0] * phi
+    for k, c in items:
+        if c:
+            for j, rc in enumerate(red[k * s % m]):
+                acc[j] += c * rc
+    return tuple(acc)
+
+
 @dataclass(frozen=True)
 class CycInt:
     """Cyclotomic integer: coeffs[k] multiplies xi^k, len(coeffs) = phi(m)."""
@@ -109,14 +120,8 @@ class CycInt:
     def from_exponent_counts(cls, m: int, counts) -> "CycInt":
         """sum_e counts[e] * xi^e, from a sequence indexed by e or an
         {e: count} mapping."""
-        phi, red = _ring(m)
         items = counts.items() if isinstance(counts, dict) else enumerate(counts)
-        acc = [0] * phi
-        for e, c in items:
-            if c:
-                for j, rc in enumerate(red[e % m]):
-                    acc[j] += c * rc
-        return cls(m, tuple(acc))
+        return cls(m, _substitute(m, items, 1))
 
     # -- ring operations -------------------------------------------------------
 
@@ -185,13 +190,7 @@ class CycInt:
         """sigma_ell: xi -> xi^ell, for gcd(ell, m) = 1."""
         if math.gcd(ell, self.m) != 1:
             raise ValidationError(f"sigma_{ell} is not a Galois element mod {self.m}")
-        phi, red = _ring(self.m)
-        acc = [0] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for j, rc in enumerate(red[(k * ell) % self.m]):
-                    acc[j] += c * rc
-        return CycInt(self.m, tuple(acc))
+        return CycInt(self.m, _substitute(self.m, enumerate(self.coeffs), ell))
 
     def conj(self) -> "CycInt":
         return self.galois(self.m - 1)
@@ -230,14 +229,7 @@ class CycInt:
             raise ValidationError(f"{self.m} does not divide {big_m}")
         if big_m == self.m:
             return self
-        step = big_m // self.m
-        phi, red = _ring(big_m)
-        acc = [0] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for j, rc in enumerate(red[(k * step) % big_m]):
-                    acc[j] += c * rc
-        return CycInt(big_m, tuple(acc))
+        return CycInt(big_m, _substitute(big_m, enumerate(self.coeffs), big_m // self.m))
 
     def __repr__(self):
         return f"CycInt(m={self.m}, coeffs={self.coeffs})"

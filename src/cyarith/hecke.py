@@ -5,7 +5,10 @@ p are labelled concretely by the elements c of F_p of exact order m (the
 possible residues of xi mod the ideal).  Rank-r Jacobi sums over such an
 ideal reproduce, up to one global sign resolved empirically, the middle
 local factor of the matching diagonal hypersurface, which is the whole
-point of the exercise.
+point of the exercise.  The ideal labelled c reads its characters through
+xi^(tau_inv * dlog), so its sums are sigma_{tau_inv} of one base sum: the
+phi(m) ideals above p are one Galois class, and charsum.unit_sums runs the
+kernel once for all of them.
 
 Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
 of a Jacobi-sum character, are built from zeta.LocalFactor: each local
@@ -23,8 +26,8 @@ from functools import partial
 from .charsum import full_alpha_set, galois_class_head, unit_sums
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
-from .errors import InvariantViolationError, ValidationError
-from .ffield import FieldTable, is_prime, make_field
+from .errors import CapacityError, InvariantViolationError, ValidationError
+from .ffield import PRIME_FIELD_BOUND, FieldTable, is_prime, make_field
 from .zeta import LocalFactor, local_factor_middle
 
 
@@ -143,11 +146,11 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
         lf = local_factor_middle(v, p)
     zeta_side = Counter(j.lift(m) for j, _ in lf.orbits)
 
-    aset = full_alpha_set(v, p)
-    reps = list(dict.fromkeys(galois_class_head(t)[0] for t in aset.tuples))
+    rows = [(m, tuple(n * (m // t.den) % m for n in t.nums[1:]))
+            for t in full_alpha_set(v, p).tuples]
+    reps = list(dict.fromkeys(galois_class_head(row)[0][1] for row in rows))
     ideals = split_prime_ideals(p, m)
-    vectors = [tuple(n * (m // rep.den) % m for n in rep.nums[1:]) for rep in reps]
-    hecke_side = Counter(ideal_jacobi_sums(ideals, vectors))
+    hecke_side = Counter(ideal_jacobi_sums(ideals, reps))
 
     sign = None
     for candidate in (1, -1):
@@ -284,7 +287,9 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     k such that p^k <= cutoff, its Euler factor is BAD, OMITTED, or a checked
     LocalFactor exact through t^k_max; bad and omitted primes give a_n = 0.
     A variety's factor at p is built when it is needed, from the Frobenius
-    orbits of length f <= k_max (p^f <= cutoff).
+    orbits of length f <= k_max (p^f <= cutoff).  A Hecke character whose
+    cutoff reaches a split prime beyond the prime-field table bound raises
+    CapacityError before any factor is built.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
@@ -292,6 +297,11 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
         euler_factor, weight = partial(_hasse_weil_factor, source), source.complex_dim
     elif isinstance(source, HeckeCharacter):
         euler_factor, weight = source.euler_factor, source.weight
+        over = next((p for p in range(PRIME_FIELD_BOUND + 1, cutoff + 1)
+                     if p % source.m == 1 and is_prime(p)), None)
+        if over is not None:
+            raise CapacityError(f"p={over} splits in Q(mu_{source.m}) and needs F_p, beyond "
+                                f"the prime-field table bound {PRIME_FIELD_BOUND}")
     else:
         raise ValidationError(f"unsupported coefficient source {type(source).__name__}")
     prime_series: dict[int, list[int]] = {}
@@ -337,6 +347,8 @@ def partial_sum_eval(coeffs: LSeriesCoefficients, s: float) -> PartialSumResult:
     w/2 + 1 (edge of the absolute-convergence half-plane under RH).
     """
     w = coeffs.weight
+    if not math.isfinite(s):
+        raise ValidationError(f"s={s} is not a finite number")
     if s <= w / 2 + 1:
         raise ValidationError(f"s={s} outside the convergence range s > {w / 2 + 1}")
     total = 0.0

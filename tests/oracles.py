@@ -4,13 +4,15 @@
 `count_affine_direct` enumerates the affine grid: the oracles of
 `charsum.jacobi_sums` and `counting.count_affine`, each with its own
 enumeration budget.  `expand_roots_direct` is the per-coefficient expansion
-that `zeta.expand_roots` replaced, `jacobi_sums_per_alpha` runs the kernel
-once per tuple instead of once per Galois class, and
-`predicted_count_direct` takes N_r from the orbit roots' powers in Z[mu_M]
-instead of Newton's identities on the integer factor.  The scalar and
-vectorised field operations at the end read the field's exp/dlog tables;
-for addition they derive the base-p digit rows from the element index
-themselves, so nothing here shares the kernel's Zech table.
+that `zeta.expand_roots` replaced.  `unit_sums_per_row` runs the kernel
+once per row instead of once per Galois class, and `jacobi_sums_per_alpha`
+reads every tuple off it, so neither goes through the class-head reduction
+in `charsum.unit_sums`.  `predicted_count_direct` takes N_r from the orbit
+roots' powers in Z[mu_M] instead of Newton's identities on the integer
+factor.  The scalar and vectorised field operations at the end read the
+field's exp/dlog tables; for addition they derive the base-p digit rows
+from the element index themselves, so nothing here shares the kernel's
+Zech table.
 """
 
 import math
@@ -18,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from cyarith.charsum import _char_multipliers, unit_sums
+from cyarith.charsum import _char_multipliers, _unit_sum, dlog_pair_table
 from cyarith.cyclo import CycInt
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
 
@@ -113,10 +115,20 @@ def expand_roots_direct(orbits, trunc):
     return out
 
 
+def unit_sums_per_row(f, rows):
+    """charsum.unit_sums with one _unit_sum per row on the folded pair
+    table, and no Galois class heads."""
+    big_m = math.lcm(*(m for m, _ in rows))
+    table = dlog_pair_table(f, big_m)
+    folded = {m: table.reshape(big_m // m, m, big_m // m, m).sum(axis=(0, 2))
+              for m in {m for m, _ in rows}}
+    return [_unit_sum(folded[m], f.q, m, exps) for m, exps in rows]
+
+
 def jacobi_sums_per_alpha(f, alphas):
     """j_q(alpha) in Z[mu_m], m the conductor, one kernel row per alpha."""
-    return unit_sums(f, [(a.conductor, _char_multipliers(a, a.conductor)[:-1])
-                         for a in alphas])
+    return unit_sums_per_row(f, [(a.conductor, _char_multipliers(a, a.conductor)[:-1])
+                                 for a in alphas])
 
 
 def predicted_count_direct(z, r):

@@ -8,9 +8,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cyarith import (AlphaTuple, CycInt, DiagonalVariety, build_alpha_set,
                      full_alpha_set, jacobi_sum, make_field)
-from cyarith.charsum import dlog_pair_table, galois_class_head, jacobi_sums
+from cyarith.charsum import dlog_pair_table, galois_class_head, jacobi_sums, unit_sums
 from cyarith.errors import InvariantViolationError, ValidationError
-from oracles import DIRECT_SUM_BUDGET, jacobi_sum_direct, jacobi_sums_per_alpha
+from cyarith.hecke import HeckeCharacter, match_hasse_weil
+from cyarith.zeta import local_factor_middle
+from oracles import (DIRECT_SUM_BUDGET, jacobi_sum_direct, jacobi_sums_per_alpha,
+                     unit_sums_per_row)
 
 
 def test_alpha_tuple_validation():
@@ -21,7 +24,6 @@ def test_alpha_tuple_validation():
     a = AlphaTuple((1, 1, 1, 1, 1), 5)
     assert a.conductor == 5
     assert a.conjugate().nums == (4, 4, 4, 4, 4)
-    assert a.scale(2).nums == (2, 2, 2, 2, 2)
 
 
 def test_alpha_set_sizes(quintic):
@@ -180,30 +182,66 @@ def test_jacobi_sums_match_per_alpha_oracle(case, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(den=st.integers(2, 42), data=st.data())
-def test_galois_class_head(den, data):
-    units = [l for l in range(1, den) if math.gcd(l, den) == 1]
-    nums = data.draw(st.lists(st.integers(1, den - 1), min_size=1, max_size=5))
-    last = -sum(nums) % den
-    assume(last)
-    alpha = AlphaTuple(tuple(nums) + (last,), den)
-    head, l_inv = galois_class_head(alpha)
-    assert head.scale(l_inv) == alpha
-    assert head.nums == min(alpha.scale(l).nums for l in units)
-    assert all(galois_class_head(alpha.scale(l))[0] == head for l in units)
+@given(m=st.integers(1, 42), data=st.data())
+def test_galois_class_head(m, data):
+    units = [l for l in range(1, m + 1) if math.gcd(l, m) == 1]
+    exps = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5)))
+    (m_head, head), l_inv = galois_class_head((m, exps))
+    assert m_head == m
+    assert tuple(e * l_inv % m for e in head) == exps
+    assert head == min(tuple(e * l % m for e in exps) for l in units)
+    assert all(galois_class_head((m, tuple(e * l % m for e in exps)))[0] == (m, head)
+               for l in units)
+
+
+@st.composite
+def _field_and_rows(draw):
+    """A field and unit_sums rows over moduli dividing q-1: zero entries,
+    duplicate rows and rows scaled by units mod m."""
+    field = draw(st.sampled_from(CLASS_FIELDS))
+    q = field[0] ** field[1]
+    moduli = [m for m in range(1, 44) if (q - 1) % m == 0]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.sampled_from(moduli))
+        exps = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+        rows.append((m, exps))
+    for m, exps in draw(st.lists(st.sampled_from(rows), max_size=4)):
+        l = draw(st.sampled_from([l for l in range(1, m + 1) if math.gcd(l, m) == 1]))
+        rows.append((m, [e * l % m for e in exps]))
+    return field, draw(st.permutations(rows + rows[:2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_field_and_rows())
+@example(case=((2, 4), [(5, [1, 1, 1, 1]), (5, [2, 2, 2, 2]), (3, [0, 1])]))
+@example(case=((11, 1), [(5, [0, 0]), (5, [3, 4, 1]), (5, [1, 3, 2]), (1, [0, 0])]))
+def test_unit_sums_match_per_row_oracle(case):
+    field, rows = case
+    f = make_field(*field)
+    assert unit_sums(f, rows) == unit_sums_per_row(f, rows)
 
 
 def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
     import cyarith.charsum as charsum
 
-    rows = []
-    real = charsum.unit_sums
+    lf = local_factor_middle(quintic, 11)
+    calls = []
+    real = charsum._unit_sum
 
-    def counting(f, r):
-        rows.extend(r)
-        return real(f, r)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(charsum, "unit_sums", counting)
+    monkeypatch.setattr(charsum, "_unit_sum", counting)
     tuples = full_alpha_set(quintic, 11).tuples
     sums = jacobi_sums(make_field(11), tuples)
-    assert len(sums) == 204 and len(rows) == 51
+    assert len(sums) == 204 and len(calls) == 51
+    calls.clear()
+    # 4 ideals x 51 class representatives, one Galois class per representative
+    assert match_hasse_weil(quintic, 11, lf).matched
+    assert len(calls) == 51
+    calls.clear()
+    # the 4 ideals above 11 are conjugate: one class
+    HeckeCharacter(5, (1, 1, 1, 1)).local_factor(11)
+    assert len(calls) == 1

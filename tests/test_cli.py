@@ -316,6 +316,17 @@ def test_eval_at_csv_refused(capsys, monkeypatch):
         out = capsys.readouterr()
         assert out.out == "" and "--eval-at needs --json or --table" in out.err
 
+def test_eval_at_non_finite_refused(capsys):
+    # NaN and Infinity are not JSON: the partial sum refuses them, exit 1
+    for value in ("nan", "inf"):
+        for argv in (["lseries", "-d", "5", "-n", "3", "--cutoff", "10"],
+                     ["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "31"]):
+            assert run(argv + ["--eval-at", value, "--json", "--deterministic",
+                               "--no-cache"]) == 1
+            out = capsys.readouterr()
+            assert out.out == "" and "is not a finite number" in out.err
+
+
 def test_hecke_json(capsys):
     doc = _json_out(capsys, ["hecke", "-m", "5", "--a", "1,1,1,1",
                              "--cutoff", "31"])
@@ -428,6 +439,16 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     _validate("zeta", json.loads(target.read_text()))
+
+
+def test_out_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    assert run(["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "30",
+                "--out", str(target)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: cannot write --out {target}: ")
+    assert not target.parent.exists()
 
 
 def test_env_vars(tmp_path, monkeypatch, capsys):

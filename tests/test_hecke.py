@@ -13,7 +13,7 @@ from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
                      dirichlet_coefficients, euler_phi, ideal_jacobi_sum,
                      is_prime, make_field, match_hasse_weil, partial_sum_eval,
                      power_residue_char, split_prime_ideals, splitting_data)
-from cyarith.errors import ValidationError
+from cyarith.errors import CapacityError, ValidationError
 from cyarith.hecke import _assemble
 
 
@@ -182,6 +182,25 @@ def test_hecke_coefficients():
     assert coeffs.a(22) == 0                   # 2 omitted kills the product
 
 
+def test_hecke_cutoff_beyond_prime_field_bound(monkeypatch):
+    # refused before any field table is built, naming the first split prime
+    # above the bound (100151 = 1 mod 5)
+    import cyarith.ffield as ffield
+    import cyarith.hecke as hecke
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_field(*args, **kwargs)
+
+    monkeypatch.setattr(ffield, "make_field", counting)
+    monkeypatch.setattr(hecke, "make_field", counting)
+    with pytest.raises(CapacityError, match="p=100151 "):
+        dirichlet_coefficients(HeckeCharacter(5, (1, 1, 1, 1)), 100200)
+    assert calls == []
+
+
 # (m, a) with sum(a) = 0 mod m (trivial character product, weight r - 2)
 # and != 0 (weight r - 1), over conductors 2..12
 HECKE_CHARACTERS = [
@@ -246,5 +265,8 @@ def test_partial_sums(quintic):
     assert res.tail_bound == pytest.approx(3.4632674297606663, rel=1e-9)
     with pytest.raises(ValidationError):
         partial_sum_eval(coeffs, 2.5)         # at the convergence edge
+    for s in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            partial_sum_eval(coeffs, s)
     res26 = partial_sum_eval(coeffs, 2.6)
     assert math.isinf(res26.tail_bound)       # converges, bound model does not
