@@ -119,6 +119,13 @@ def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
     return _assemble(v, v.exponents, p)
 
 
+def degree_conductors(v: DiagonalVariety) -> frozenset[int]:
+    """The conductors of the tuples in v's degree set.  At a good prime p an
+    orbit of tuples of conductor d has length ord_d(p), so these say which
+    fields F_{p^f} the local factor reads without walking the orbits."""
+    return frozenset(a.conductor for a in _enumerate_tuples(v.exponents))
+
+
 # -- Jacobi sums -------------------------------------------------------------------
 
 def dlog_pair_table(f: FieldTable, M: int) -> np.ndarray:

@@ -78,8 +78,9 @@ def _variety(args) -> DiagonalVariety:
 
 
 def _parse_primes(spec: str | None) -> tuple[tuple[int, ...], bool]:
-    """Prime list "11,31" (strict) or range "2..50" (non-primes and bad
-    primes silently skipped).  Returns (primes, strict)."""
+    """Prime list "11,31" (strict: non-primes and repeats refused) or range
+    "2..50" (non-primes and bad primes silently skipped).  Returns (primes,
+    strict)."""
     if not spec:
         raise ValidationError("at least one prime required (-p)")
     if ".." in spec:
@@ -88,9 +89,11 @@ def _parse_primes(spec: str | None) -> tuple[tuple[int, ...], bool]:
             raise ValidationError(f"empty or invalid prime range {spec!r}")
         return tuple(p for p in range(ends[0], ends[1] + 1) if is_prime(p)), False
     primes = _ints(spec, "prime list")
-    for p in primes:
+    for i, p in enumerate(primes):
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
+        if p in primes[:i]:
+            raise ValidationError(f"p={p} is listed more than once")
     return primes, True
 
 

@@ -8,6 +8,12 @@ one that knows that encoding: a table carries the multiplicative structure
 (exp/dlog) and the one piece of additive structure the character sums read,
 the Zech logarithms dlog(1 - g**e), so every sum downstream is a pure table
 lookup.
+
+A table costs O(q) numpy work and little else.  The modulus is found by
+walking the monic candidates lazily in lexicographic order, low degree
+first, and the default generator by scanning element indices upward; each
+candidate generator is tested with Python ints, by square-and-multiply on
+its residue polynomial.
 """
 from __future__ import annotations
 
@@ -73,6 +79,11 @@ class FieldTable:
     zech: np.ndarray
 
 
+def table_bound(r: int) -> int:
+    """The largest q = p^r that make_field tabulates at degree r."""
+    return PRIME_FIELD_BOUND if r == 1 else EXTENSION_FIELD_BOUND
+
+
 def dlog(f: FieldTable, x: int) -> int:
     """Discrete logarithm of x base the canonical generator; zero rejected."""
     if not 1 <= x < f.q:
@@ -83,46 +94,71 @@ def dlog(f: FieldTable, x: int) -> int:
 # -- polynomial helpers over F_p (coefficients low degree first) ---------------
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_rem_is_zero(a: tuple[int, ...], b: tuple[int, ...], p: int) -> bool:
-    """True when the monic polynomial b divides a over F_p."""
+def _poly_rem(a: list[int] | tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
+    """The r coefficients of a mod the monic b over F_p, r = deg b <= deg a."""
     a = list(a)
-    db = len(b) - 1
-    while len(_poly_trim(a)) - 1 >= db:
-        da = len(a) - 1
-        c = a[da]
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-    return not any(a)
+    r = len(b) - 1
+    for k in range(len(a) - 1, r - 1, -1):
+        c = a[k] % p
+        if c:
+            for j in range(r):
+                a[k - r + j] -= c * b[j]
+    return [x % p for x in a[:r]]
+
+
+def _poly_mulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+    """a * b modulo the monic modulus over F_p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _poly_rem(prod, modulus, p)
+
+
+def _digits(i: int, p: int, r: int) -> list[int]:
+    """Base-p digits of element index i, low degree first."""
+    return [i // p**j % p for j in range(r)]
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     r = len(poly) - 1
-    if poly[0] == 0:
-        return r == 1                   # x divides poly, which is irreducible iff poly = x
-    for d in range(1, r // 2 + 1):
-        for low in product(range(p), repeat=d):
-            if _poly_rem_is_zero(poly, low + (1,), p):
-                return False
-    return True
+    return all(any(_poly_rem(poly, low + (1,), p))
+               for d in range(1, r // 2 + 1) for low in product(range(p), repeat=d))
 
 
 def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree r over F_p.
 
-    Coefficient vectors are compared low degree first, so degree 1 gives x.
+    Coefficient vectors are compared low degree first, so candidate n of the
+    walk has c_0 as its most significant base-p digit.  For r > 1 the walk
+    starts at c_0 = 1, since x divides every candidate with c_0 = 0; for
+    r = 1 it starts, and stops, at x.
     """
-    for low in product(range(p), repeat=r):
-        cand = low + (1,)
+    for n in range(p ** (r - 1) if r > 1 else 0, p**r):
+        cand = tuple(n // p ** (r - 1 - j) % p for j in range(r)) + (1,)
         if _is_irreducible(cand, p):
             return cand
     raise InvariantViolationError(f"no irreducible of degree {r} over F_{p}")
+
+
+def _poly_pow(a: list[int], n: int, modulus: tuple[int, ...], p: int) -> list[int]:
+    """a**n modulo the modulus for n >= 1, by square-and-multiply on Python ints."""
+    out = a
+    for bit in bin(n)[3:]:
+        out = _poly_mulmod(out, out, modulus, p)
+        if bit == "1":
+            out = _poly_mulmod(out, a, modulus, p)
+    return out
+
+
+def _generates(i: int, modulus: tuple[int, ...], p: int, q: int, factors: list[int]) -> bool:
+    """True when the nonzero element index i has order q-1: for no prime
+    l | q-1 is its (q-1)/l-th power 1."""
+    r = len(modulus) - 1
+    a, one = _digits(i, p, r), _digits(1, p, r)
+    return all(_poly_pow(a, (q - 1) // l, modulus, p) != one for l in factors)
 
 
 def _mul_matrix(a: int, modulus: tuple[int, ...], p: int) -> np.ndarray:
@@ -134,27 +170,11 @@ def _mul_matrix(a: int, modulus: tuple[int, ...], p: int) -> np.ndarray:
     r = len(modulus) - 1
     low = np.array(modulus[:r], dtype=np.int64)
     m = np.zeros((r, r), dtype=np.int64)
-    m[0] = [a // p**j % p for j in range(r)]
+    m[0] = _digits(a, p, r)
     for i in range(1, r):
         m[i, 1:] = m[i - 1, :-1]
         m[i] = (m[i] - m[i - 1, -1] * low) % p
     return m
-
-
-def _mat_pow(m: np.ndarray, n: int, p: int) -> np.ndarray:
-    out = np.eye(len(m), dtype=np.int64)
-    while n:
-        if n & 1:
-            out = out @ m % p
-        m = m @ m % p
-        n >>= 1
-    return out
-
-
-def _generates(m: np.ndarray, q: int, p: int, factors: list[int]) -> bool:
-    """True when the element with multiplication matrix m has order q-1."""
-    one = np.eye(len(m), dtype=np.int64)
-    return all(not np.array_equal(_mat_pow(m, (q - 1) // l, p), one) for l in factors)
 
 
 def _exp_table(g: int, modulus: tuple[int, ...], p: int, q: int) -> np.ndarray:
@@ -173,42 +193,54 @@ def _exp_table(g: int, modulus: tuple[int, ...], p: int, q: int) -> np.ndarray:
     while n < q - 1:
         k = min(n, q - 1 - n)
         block = rows[n:n + k]          # a view: the product is written in place
-        np.matmul(rows[:k], step, out=block)
+        np.einsum("ij,jk->ik", rows[:k], step, out=block)
         block %= p
         step, n = step @ step % p, n + k
-    return rows @ p ** np.arange(r, dtype=np.int64)
+    return np.einsum("ij,j->i", rows, p ** np.arange(r, dtype=np.int64))
+
+
+def _minus_table(p: int, r: int) -> np.ndarray:
+    """Element index of 1 - x at every element index x: each base-p digit
+    is negated, and 1 is added to the constant digit."""
+    minus = np.arange(p + 1, 1, -1)
+    minus[:2] = 1, 0                              # 1 - c mod p
+    for j in range(1, r):
+        neg = np.arange(p, 0, -1) % p             # -c mod p
+        minus = (neg[:, None] * p**j + minus).ravel()
+    return minus
 
 
 def make_field(p: int, r: int = 1, g: int | None = None) -> FieldTable:
-    """F_{p^r} on the lexicographically smallest monic irreducible modulus,
-    tabulated on generator g, by default the smallest element index that
-    generates F_q^*.
+    """F_{p^r}, tabulated on the generator g.
 
-    The Zech table negates the base-p digits of exp one column at a time
-    and adds 1 to the constant digit.
+    The modulus is the lexicographically smallest monic irreducible of
+    degree r, coefficients compared low degree first (x when r = 1).  g is by
+    default the smallest element index of order q-1.  For r > 1 the scan
+    starts at p, the index of x: the indices below it are the constants,
+    whose orders divide p-1 < q-1.  Each candidate, and an explicit g, must
+    have no (q-1)/l-th power equal to 1 for any prime l | q-1; the powers are
+    taken by square-and-multiply on the residue polynomial in Python ints.
+    exp comes from the doubling in _exp_table, dlog inverts it, and zech
+    reads dlog through the table of 1 - x at x = exp.
     """
     if not is_prime(p):
         raise PrimalityError(f"{p} is not prime")
     if r < 1:
         raise ValidationError("extension degree must be positive")
     q = p**r
-    bound = PRIME_FIELD_BOUND if r == 1 else EXTENSION_FIELD_BOUND
-    if q > bound:
-        raise CapacityError(f"field table bound for degree {r} is {bound}, got q={q}")
+    if q > table_bound(r):
+        raise CapacityError(f"field table bound for degree {r} is {table_bound(r)}, got q={q}")
     modulus = _smallest_irreducible(p, r)
     factors = prime_factors(q - 1)
     if g is None:
-        g = next(i for i in range(1, q)
-                 if _generates(_mul_matrix(i, modulus, p), q, p, factors))
-    elif not 1 <= g < q or not _generates(_mul_matrix(g, modulus, p), q, p, factors):
+        g = next(i for i in range(1 if r == 1 else p, q)
+                 if _generates(i, modulus, p, q, factors))
+    elif not 1 <= g < q or not _generates(g, modulus, p, q, factors):
         raise ValidationError(f"{g} does not generate F_{q}^*")
     exp = _exp_table(g, modulus, p, q)
     dl = np.full(q, -1, dtype=np.int64)
     dl[exp] = np.arange(q - 1, dtype=np.int64)
     if (dl[1:] < 0).any():
         raise InvariantViolationError(f"{g} does not generate F_{q}^*")
-    one_minus = np.zeros(q - 1, dtype=np.int64)
-    for j in range(r):
-        one_minus += ((j == 0) - exp // p**j) % p * p**j
     return FieldTable(p=p, r=r, q=q, modulus=modulus, g=g, dlog=dl, exp=exp,
-                      zech=dl[one_minus])
+                      zech=dl[_minus_table(p, r)][exp])

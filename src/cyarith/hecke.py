@@ -23,11 +23,11 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
-from .charsum import full_alpha_set, galois_class_head, unit_sums
+from .charsum import degree_conductors, full_alpha_set, galois_class_head, unit_sums
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import CapacityError, InvariantViolationError, ValidationError
-from .ffield import PRIME_FIELD_BOUND, FieldTable, is_prime, make_field
+from .ffield import FieldTable, is_prime, make_field, table_bound
 from .zeta import LocalFactor, local_factor_middle
 
 
@@ -39,12 +39,17 @@ def splitting_data(p: int, m: int) -> tuple[int, int]:
         raise ValidationError("conductor must be at least 2")
     if math.gcd(p, m) != 1:
         raise ValidationError(f"p={p} ramifies in Q(mu_{m})")
+    f = _order_mod(p, m)
+    return f, euler_phi(m) // f
+
+
+def _order_mod(p: int, m: int) -> int:
+    """The multiplicative order of p modulo m, for p prime to m."""
     f, x = 1, p % m
     while x != 1:
         x = x * p % m
         f += 1
-    phi = euler_phi(m)
-    return f, phi // f
+    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,15 +262,21 @@ def _invert_local(coeffs: tuple[int, ...], k_max: int) -> list[int]:
     return b
 
 
-def _assemble(cutoff: int, prime_series: dict[int, list[int]]) -> list[int]:
-    """a_1..a_cutoff from the series of 1/P(t) at each prime; a prime with
-    no series makes a_n vanish for every n it divides."""
-    spf = list(range(cutoff + 1))       # smallest prime factor, by sieve
+def _smallest_prime_factors(cutoff: int) -> list[int]:
+    """spf[n] for n = 0..cutoff, by sieve; n >= 2 is prime iff spf[n] == n."""
+    spf = list(range(cutoff + 1))
     for p in range(2, math.isqrt(cutoff) + 1):
         if spf[p] == p:
             for k in range(p * p, cutoff + 1, p):
                 if spf[k] == k:
                     spf[k] = p
+    return spf
+
+
+def _assemble(cutoff: int, prime_series: dict[int, list[int]]) -> list[int]:
+    """a_1..a_cutoff from the series of 1/P(t) at each prime; a prime with
+    no series makes a_n vanish for every n it divides."""
+    spf = _smallest_prime_factors(cutoff)
     values = [0, 1] + [0] * (cutoff - 1)
     for n in range(2, cutoff + 1):
         p = spf[n]
@@ -287,29 +298,44 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     k such that p^k <= cutoff, its Euler factor is BAD, OMITTED, or a checked
     LocalFactor exact through t^k_max; bad and omitted primes give a_n = 0.
     A variety's factor at p is built when it is needed, from the Frobenius
-    orbits of length f <= k_max (p^f <= cutoff).  A Hecke character whose
-    cutoff reaches a split prime beyond the prime-field table bound raises
-    CapacityError before any factor is built.
+    orbits of length f <= k_max (p^f <= cutoff).  If some factor would need
+    a field table F_{p^f} beyond make_field's bound, CapacityError names the
+    first such p before any factor is built.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
     if isinstance(source, DiagonalVariety):
         euler_factor, weight = partial(_hasse_weil_factor, source), source.complex_dim
+        conductors = degree_conductors(source)
+
+        def degrees(p):
+            """Residue degrees f of the fields F_{p^f} the factor at p reads."""
+            if any(n % p == 0 for n in source.exponents):
+                return set()                    # bad reduction: no factor
+            return {_order_mod(p, d) for d in conductors}
     elif isinstance(source, HeckeCharacter):
         euler_factor, weight = source.euler_factor, source.weight
-        over = next((p for p in range(PRIME_FIELD_BOUND + 1, cutoff + 1)
-                     if p % source.m == 1 and is_prime(p)), None)
-        if over is not None:
-            raise CapacityError(f"p={over} splits in Q(mu_{source.m}) and needs F_p, beyond "
-                                f"the prime-field table bound {PRIME_FIELD_BOUND}")
+
+        def degrees(p):
+            return {1} if p % source.m == 1 else set()
     else:
         raise ValidationError(f"unsupported coefficient source {type(source).__name__}")
-    prime_series: dict[int, list[int]] = {}
-    included, bad, omitted = [], [], []
-    for p in filter(is_prime, range(2, cutoff + 1)):
+    spf = _smallest_prime_factors(cutoff)
+    primes = []
+    for p in (n for n in range(2, cutoff + 1) if spf[n] == n):
         k_max = 0
         while p ** (k_max + 1) <= cutoff:
             k_max += 1
+        primes.append((p, k_max))
+    over = next(((p, f) for p, k_max in primes for f in sorted(degrees(p))
+                 if f <= k_max and p**f > table_bound(f)), None)
+    if over is not None:
+        p, f = over
+        raise CapacityError(f"p={p} needs a table of F_{p**f} (degree {f}), beyond "
+                            f"the degree-{f} table bound {table_bound(f)}")
+    prime_series: dict[int, list[int]] = {}
+    included, bad, omitted = [], [], []
+    for p, k_max in primes:
         factor = euler_factor(p, k_max)
         if factor == BAD:
             bad.append(p)

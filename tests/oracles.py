@@ -12,7 +12,8 @@ roots' powers in Z[mu_M] instead of Newton's identities on the integer
 factor.  The scalar and vectorised field operations at the end read the
 field's exp/dlog tables; for addition they derive the base-p digit rows
 from the element index themselves, so nothing here shares the kernel's
-Zech table.
+Zech table.  `smallest_generator_direct` finds make_field's default
+generator by taking the order of every element index in turn with `mul`.
 """
 
 import math
@@ -211,3 +212,16 @@ def vpow(f, a, n):
     a = np.asarray(a)
     out = f.exp[(f.dlog[np.maximum(a, 1)] * n) % (f.q - 1)]
     return np.where(a == 0, 0, out)
+
+
+def multiplicative_order(f, x):
+    """Order of the nonzero element index x, by repeated multiplication."""
+    y, n = x, 1
+    while y != 1:
+        y, n = mul(f, y, x), n + 1
+    return n
+
+
+def smallest_generator_direct(f):
+    """The smallest element index of order q-1, every index from 1 tried."""
+    return next(x for x in range(1, f.q) if multiplicative_order(f, x) == f.q - 1)

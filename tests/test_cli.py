@@ -49,6 +49,20 @@ def test_count_bad_prime_strict(capsys):
     assert "bad reduction" in err
 
 
+def test_strict_prime_list_refuses_repeats(capsys):
+    for cmd in (["count", "-d", "5", "-n", "3"], ["zeta", "-d", "3", "-n", "1"],
+                ["match", "-d", "5", "-n", "3"]):
+        assert run(cmd + ["-p", "11,31,11", "--no-cache"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "p=11 is listed more than once" in out.err
+
+
+def test_lseries_cutoff_beyond_prime_field_bound(capsys):
+    assert run(["lseries", "-d", "5", "-n", "3", "--cutoff", "200000"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "p=100151 " in out.err
+
+
 def test_count_range_skips_bad(capsys):
     doc = _json_out(capsys, ["count", "-d", "5", "-n", "3", "-p", "2..12"])
     assert doc["skipped_bad_primes"] == [5]

@@ -201,6 +201,38 @@ def test_hecke_cutoff_beyond_prime_field_bound(monkeypatch):
     assert calls == []
 
 
+def test_lseries_cutoff_beyond_prime_field_bound(monkeypatch):
+    # the quintic's tuples all have conductor 5, so a p = 1 mod 5 above the
+    # bound needs F_p: refused before any field table is built
+    import cyarith.ffield as ffield
+    import cyarith.hecke as hecke
+    import cyarith.zeta as zeta
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_field(*args, **kwargs)
+
+    for module in (ffield, hecke, zeta):
+        monkeypatch.setattr(module, "make_field", counting)
+    with pytest.raises(CapacityError, match="p=100151 "):
+        dirichlet_coefficients(DiagonalVariety.fermat(5, 3), 100200)
+    assert calls == []
+
+
+def test_lseries_cutoff_beyond_extension_field_bound(monkeypatch):
+    # for the cubic curve a p = 2 mod 3 has one orbit of length 2; 1031 is
+    # the first prime with 1031^2 > 2^20, long before any p > 10^5
+    import cyarith.zeta as zeta
+
+    calls = []
+    monkeypatch.setattr(zeta, "make_field", lambda *args: calls.append(args))
+    with pytest.raises(CapacityError, match=r"p=1031 needs a table of F_1062961 \(degree 2\)"):
+        dirichlet_coefficients(DiagonalVariety((3, 3, 3)), 1031**2)
+    assert calls == []
+
+
 # (m, a) with sum(a) = 0 mod m (trivial character product, weight r - 2)
 # and != 0 (weight r - 1), over conductors 2..12
 HECKE_CHARACTERS = [
