@@ -33,7 +33,6 @@ def main():
         exact, _ = cyclotomic_unit(rep.conductor, e.unit_index)
         print(f"  l = {e.l}:  Q = {e.value:.15f} = theta_{e.unit_index} "
               f"= {exact}  |err| = {e.abs_err:.1e}")
-    print(f"all matched: {rep.all_match}")
     print()
 
     print(f"sum rules at level {k}:")

@@ -17,8 +17,9 @@ import numpy as np
 from .cyclo import cyclotomic_unit
 from .errors import InvariantViolationError, ValidationError
 
-FUSION_ACCEPT = 1e-9     # |entry - round(entry)| below this rounds silently
-FUSION_REJECT = 1e-6     # beyond this the Verlinde sum is considered broken
+FUSION_ACCEPT = 1e-9     # largest |entry - round(entry)| of a Verlinde sum
+IDENTITY_TOL = 1e-9      # a KR / KN sum-rule residual must stay below this
+UNIT_TOL = 1e-12         # largest |Q_l - theta_(l+1)| of a matched unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,16 +90,14 @@ def quantum_dimension(k: int, l: int, m: int = 0) -> float:
 
 def verlinde_fusion(k: int) -> np.ndarray:
     """Fusion tensor N[l, m, n] from the Verlinde sum; S is real orthogonal
-    so S^{-1} = S."""
+    so S^{-1} = S.  Every entry must lie within FUSION_ACCEPT of an integer."""
     S = modular_data(k).S
     raw = np.einsum("lr,mr,nr->lmn", S, S, S / S[0])
     rounded = np.rint(raw)
     err = np.abs(raw - rounded).max()
-    if err > FUSION_REJECT:
-        raise InvariantViolationError(f"Verlinde sum off integers by {err:.2e}")
     if err > FUSION_ACCEPT:
         raise InvariantViolationError(
-            f"Verlinde residue {err:.2e} in the suspect band (> {FUSION_ACCEPT})")
+            f"Verlinde sum off integers by {err:.2e} (> {FUSION_ACCEPT})")
     out = rounded.astype(np.int64)
     if (out < 0).any():
         raise InvariantViolationError("negative fusion coefficient")
@@ -149,12 +148,17 @@ def rogers_L(x: float) -> float:
 
 
 def check_kr_identity(k: int) -> float:
-    """| (1/L(1)) sum_{l=1..k} L(1/Q_l^2) - 3k/(k+2) |."""
+    """The residual | (1/L(1)) sum_{l=1..k} L(1/Q_l^2) - 3k/(k+2) |, which
+    must stay below IDENTITY_TOL (InvariantViolationError otherwise)."""
     if k < 1:
         raise ValidationError("level must be a positive integer")
     lhs = sum(rogers_L(1.0 / quantum_dimension(k, l) ** 2)
               for l in range(1, k + 1)) / _PI2_6
-    return abs(lhs - 3 * k / (k + 2))
+    residual = abs(lhs - 3 * k / (k + 2))
+    if not residual < IDENTITY_TOL:
+        raise InvariantViolationError(
+            f"central charge sum rule residual {residual:.3e} at k={k}")
+    return residual
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,8 @@ class KNResult:
 
 def check_kn_identity(k: int, m: int) -> KNResult:
     """(1/L(1)) sum_{l=1..k} L(1/Q_{lm}^2) = 3k/(k+2) - 24 Delta^m + 6m,
-    skipped exactly when some Q_{lm} vanishes (1 <= l <= k)."""
+    skipped exactly when some Q_{lm} vanishes (1 <= l <= k); a residual of
+    IDENTITY_TOL or more raises InvariantViolationError."""
     if k < 1 or not 0 <= m <= k:
         raise ValidationError(f"bad (k, m) = ({k}, {m})")
     n = k + 2
@@ -180,7 +185,11 @@ def check_kn_identity(k: int, m: int) -> KNResult:
                         lhs=None, rhs=rhs)
     lhs = sum(rogers_L(1.0 / quantum_dimension(k, l, m) ** 2)
               for l in range(1, k + 1)) / _PI2_6
-    return KNResult(k=k, m=m, residual=abs(lhs - rhs), vanishing=(),
+    residual = abs(lhs - rhs)
+    if not residual < IDENTITY_TOL:
+        raise InvariantViolationError(
+            f"dilogarithm sum rule residual {residual:.3e} at k={k}, m={m}")
+    return KNResult(k=k, m=m, residual=residual, vanishing=(),
                     lhs=lhs, rhs=rhs)
 
 
@@ -200,28 +209,29 @@ class FusionFieldReport:
     k: int
     conductor: int
     entries: tuple[FusionFieldEntry, ...]
-    all_match: bool
 
 
-def fusion_field_match(k: int, tol: float = 1e-12) -> FusionFieldReport:
+def fusion_field_match(k: int) -> FusionFieldReport:
     """Identify Q_l(k) with the cyclotomic unit theta_{l+1} of conductor
-    k+2 wherever gcd(l+1, k+2) = 1; other labels carry the bare value."""
+    k+2 wherever gcd(l+1, k+2) = 1, to UNIT_TOL (InvariantViolationError
+    otherwise); other labels carry the bare value."""
     if k < 1:
         raise ValidationError("level must be a positive integer")
     n = k + 2
     entries = []
-    ok = True
     for l in range(k + 1):
         q = quantum_dimension(k, l)
         j = l + 1
         if math.gcd(j, n) == 1:
             _, numeric = cyclotomic_unit(n, j)
             err = abs(q - numeric)
-            ok = ok and err <= tol
+            if not err <= UNIT_TOL:
+                raise InvariantViolationError(
+                    f"quantum dimension Q_{l}({k}) is {err:.2e} from theta_{j}")
             entries.append(FusionFieldEntry(l=l, value=q, unit_index=j, abs_err=err))
         else:
             entries.append(FusionFieldEntry(l=l, value=q, unit_index=None, abs_err=None))
-    return FusionFieldReport(k=k, conductor=n, entries=tuple(entries), all_match=ok)
+    return FusionFieldReport(k=k, conductor=n, entries=tuple(entries))
 
 
 # -- Gepner level enumeration ------------------------------------------------------

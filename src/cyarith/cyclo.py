@@ -253,9 +253,6 @@ class GroupRingElement:
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
-    def coefficient(self, ell: int) -> int:
-        return self.as_dict().get(ell % self.m, 0)
-
 
 def s_element(a, m: int) -> GroupRingElement:
     """Group-ring element S(a) with, for each unit ell mod m, the integer part

@@ -134,15 +134,15 @@ class MatchReport:
     ideals: int
     orbit_reps: int
     multiset_size: int
-    matched: bool
-    sign: int | None     # global sign making the multisets equal; None if neither
+    sign: int            # global sign making the multisets equal
 
 
 def match_hasse_weil(v: DiagonalVariety, p: int,
                      lf: LocalFactor | None = None) -> MatchReport:
     """Compare {ideal Jacobi sums over all primes above p and Galois orbit
     representatives} with the reciprocal-root multiset of the middle local
-    factor, up to one global sign."""
+    factor, up to one global sign; InvariantViolationError if neither sign
+    makes them equal."""
     m = math.lcm(*v.exponents)
     f, g = splitting_data(p, m)
     if f != 1:
@@ -157,14 +157,12 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
     ideals = split_prime_ideals(p, m)
     hecke_side = Counter(ideal_jacobi_sums(ideals, reps))
 
-    sign = None
-    for candidate in (1, -1):
-        if Counter(candidate * j for j in hecke_side.elements()) == zeta_side:
-            sign = candidate
-            break
-    return MatchReport(p=p, m=m, ideals=len(ideals), orbit_reps=len(reps),
-                       multiset_size=sum(hecke_side.values()),
-                       matched=sign is not None, sign=sign)
+    for sign in (1, -1):
+        if Counter(sign * j for j in hecke_side.elements()) == zeta_side:
+            return MatchReport(p=p, m=m, ideals=len(ideals), orbit_reps=len(reps),
+                               multiset_size=sum(hecke_side.values()), sign=sign)
+    raise InvariantViolationError(
+        f"zeta roots and Hecke Jacobi sums disagree as multisets at p={p}")
 
 
 # -- Dirichlet coefficients --------------------------------------------------------

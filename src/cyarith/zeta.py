@@ -209,27 +209,6 @@ def predicted_count(z: CongruentZeta, r: int) -> int:
     return sum(z.p ** (j * r) for j in range(n + 1)) + (-1) ** n * s[r]
 
 
-@dataclass(frozen=True)
-class RHReport:
-    p: int
-    cohomology_degree: int
-    per_root: tuple[bool, ...]    # one flag per computed orbit
-    skipped: int                  # degree not covered by computed orbits
-    all_pass: bool
-
-
-def check_riemann_hypothesis(lf: LocalFactor) -> RHReport:
-    """Exact |J|^2 = p^(i*f) for every computed orbit root."""
-    flags = []
-    for j, f in lf.orbits:
-        target = CycInt.from_int(j.m, lf.p ** (lf.cohomology_degree * f))
-        flags.append(j * j.conj() == target)
-    skipped = lf.full_degree - sum(f for _, f in lf.orbits)
-    return RHReport(p=lf.p, cohomology_degree=lf.cohomology_degree,
-                    per_root=tuple(flags), skipped=skipped,
-                    all_pass=all(flags))
-
-
 def expected_degrees(hodge: dict[str, int] | None, n: int) -> dict[int, int]:
     """Degree table {i: deg P_i} of the zeta factorisation, n in 1..4.
 

@@ -1,6 +1,7 @@
 """Modular data, fusion rules, dilogarithm identities, and the bridge from
 quantum dimensions to cyclotomic units."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from scipy.special import spence
 from cyarith import (check_kn_identity, check_kr_identity, euler_Li2,
                      fusion_field_match, gepner_levels, modular_data,
                      n2_spectrum, quantum_dimension, rogers_L, verlinde_fusion)
-from cyarith.errors import ValidationError
+import cyarith.cft as cft
+from cyarith.errors import InvariantViolationError, ValidationError
 
 PI2_6 = math.pi ** 2 / 6
 
@@ -124,14 +126,57 @@ def test_kn_identity():
 def test_fusion_field_match():
     rep = fusion_field_match(3)
     assert rep.conductor == 5
-    assert rep.all_match
     assert [e.unit_index for e in rep.entries] == [1, 2, 3, 4]
     assert all(e.abs_err <= 1e-12 for e in rep.entries)
     # gcd(l+1, k+2) > 1 labels are carried but not matched
     rep2 = fusion_field_match(2)
     assert rep2.conductor == 4
     assert [e.unit_index for e in rep2.entries] == [1, None, 3]
-    assert rep2.all_match
+    assert all(e.abs_err <= 1e-12 for e in rep2.entries if e.unit_index)
+
+
+def _scaled_rogers_L(monkeypatch, factor):
+    real = cft.rogers_L
+    monkeypatch.setattr(cft, "rogers_L", lambda x: real(x) * factor)
+
+
+def test_sum_rules_raise_past_identity_tol(monkeypatch):
+    # a relative error of 1e-6 in L pushes both residuals far past 1e-9
+    _scaled_rogers_L(monkeypatch, 1 + 1e-6)
+    with pytest.raises(InvariantViolationError, match="k=3"):
+        check_kr_identity(3)
+    with pytest.raises(InvariantViolationError, match="k=3, m=1"):
+        check_kn_identity(3, 1)
+    # a skipped pair computes no residual, so it cannot fail
+    assert check_kn_identity(2, 1).residual is None
+
+
+def test_fusion_field_match_raises_past_unit_tol(monkeypatch):
+    real = cft.cyclotomic_unit
+
+    def off(m, j):
+        exact, numeric = real(m, j)
+        return exact, numeric + (1e-9 if j == 2 else 0.0)
+
+    monkeypatch.setattr(cft, "cyclotomic_unit", off)
+    with pytest.raises(InvariantViolationError, match="theta_2"):
+        fusion_field_match(3)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-3])
+def test_verlinde_fusion_raises_off_integers(monkeypatch, eps):
+    # 1e-7 lies in what used to be a separate "suspect" band; one bound now
+    real = cft.modular_data
+
+    def perturbed(k):
+        md = real(k)
+        S = md.S.copy()
+        S[1, 1] += eps
+        return dataclasses.replace(md, S=S)
+
+    monkeypatch.setattr(cft, "modular_data", perturbed)
+    with pytest.raises(InvariantViolationError, match="Verlinde sum off integers"):
+        verlinde_fusion(3)
 
 
 def test_gepner_levels():

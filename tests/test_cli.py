@@ -369,15 +369,18 @@ def test_match_range_skips_bad_and_non_split(capsys):
 
 
 def test_match_failure_exits_2(capsys, monkeypatch):
-    import cyarith.cli as cli
-    from cyarith.hecke import MatchReport
+    # one perturbed Hecke sum breaks the multiset match for both signs
+    import cyarith.hecke as hecke
+    real = hecke.ideal_jacobi_sums
 
-    def fake(v, p, lf=None):
-        return MatchReport(p=p, m=5, ideals=4, orbit_reps=51,
-                           multiset_size=204, matched=False, sign=None)
+    def perturbed(ideals, vectors):
+        sums = real(ideals, vectors)
+        return [sums[0] + 1] + sums[1:]
 
-    monkeypatch.setattr(cli, "match_hasse_weil", fake)
-    assert run(["match", "-d", "5", "-n", "3", "-p", "11"]) == 2
+    monkeypatch.setattr(hecke, "ideal_jacobi_sums", perturbed)
+    assert run(["match", "-d", "5", "-n", "3", "-p", "11", "--no-cache"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "disagree as multisets at p=11" in out.err
 
 
 def test_match_csv_refused(capsys):
@@ -425,10 +428,96 @@ def test_cft_check_table_format(capsys):
     assert "skipped" in capsys.readouterr().out
 
 
+def _perturb_rogers_L(monkeypatch):
+    """A relative error of 1e-6 in L pushes the sum-rule residuals past 1e-9."""
+    import cyarith.cft as cft
+    real = cft.rogers_L
+    monkeypatch.setattr(cft, "rogers_L", lambda x: real(x) * (1 + 1e-6))
+
+
 def test_cft_kr_violation_exits_2(capsys, monkeypatch):
-    import cyarith.cft
-    monkeypatch.setattr(cyarith.cft, "check_kr_identity", lambda k: 1.0)
+    _perturb_rogers_L(monkeypatch)
     assert run(["cft", "--level", "3", "--check", "kr"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "central charge sum rule residual" in out.err
+
+
+def test_cft_kn_violation_exits_2(capsys, monkeypatch):
+    _perturb_rogers_L(monkeypatch)
+    assert run(["cft", "--level", "3", "--check", "kn", "--m", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "dilogarithm sum rule residual" in out.err
+
+
+def test_cft_fusion_field_violation_exits_2(capsys, monkeypatch):
+    import cyarith.cft as cft
+    real = cft.cyclotomic_unit
+
+    def off(m, j):
+        exact, numeric = real(m, j)
+        return exact, numeric + 1e-9
+
+    monkeypatch.setattr(cft, "cyclotomic_unit", off)
+    assert run(["cft", "--level", "3", "--fusion-field"]) == 2
+    assert "theta_1" in capsys.readouterr().err
+
+
+def test_cft_verlinde_violation_exits_2(capsys, monkeypatch):
+    import dataclasses
+
+    import cyarith.cft as cft
+    real = cft.modular_data
+
+    def perturbed(k):
+        md = real(k)
+        return dataclasses.replace(md, S=md.S + 1e-7)
+
+    monkeypatch.setattr(cft, "modular_data", perturbed)
+    assert run(["cft", "--level", "3", "--fusion"]) == 2
+    assert "Verlinde sum off integers" in capsys.readouterr().err
+
+
+def test_jacobi_norm_failure_exits_2(capsys, monkeypatch):
+    import cyarith.cli as cli
+    real = cli.jacobi_sums
+    monkeypatch.setattr(cli, "jacobi_sums", lambda f, alphas: [j + 1 for j in real(f, alphas)])
+    for fmt in ("--json", "--table"):
+        assert run(["jacobi", "-d", "5", "-n", "3", "-p", "11", "--orbits", fmt]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "|J|^2 != 11^3" in out.err
+
+
+def test_zeta_rh_failure_exits_2(capsys, monkeypatch):
+    # doubled roots stay Galois-closed with an integral norm; only RH breaks
+    import cyarith.zeta as zeta
+    real = zeta.jacobi_sums
+    monkeypatch.setattr(zeta, "jacobi_sums", lambda f, alphas: [2 * j for j in real(f, alphas)])
+    assert run(["zeta", "-d", "3", "-n", "1", "-p", "7", "--no-cache"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "|J|^2 != 7^1" in out.err
+
+
+def test_cyclo_delta_range_skips_small_primes(capsys):
+    doc = _json_out(capsys, ["cyclo", "--delta", "-p", "2..20"])
+    _validate("cyclo", doc)
+    assert [r["p"] for r in doc["delta_determinants"]] == [5, 7, 11, 13, 17, 19]
+    assert run(["cyclo", "--delta", "-p", "2..4"]) == 1
+    assert "no prime p >= 5" in capsys.readouterr().err
+
+
+def test_cyclo_delta_strict_list_refuses_small_primes(capsys):
+    for spec in ("3", "3,7", "2"):
+        assert run(["cyclo", "--delta", "-p", spec]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "need an odd prime p >= 5" in out.err
+
+
+def test_cft_fusion_field_table_carries_unlabelled_entries(capsys):
+    # at k = 2 the label l = 1 has gcd(2, 4) > 1 and no unit to match
+    assert run(["cft", "--level", "2", "--fusion-field", "--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("= theta_1 (err 0.00e+00)")
+    assert lines[2] == "  l = 1   d = 1.414213562373 (gcd(l+1, k+2) > 1, no unit)"
 
 
 def test_cft_gepner(capsys):

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
-                     check_riemann_hypothesis, count_projective,
+                     count_projective,
                      dirichlet_coefficients, euler_phi, ideal_jacobi_sum,
                      is_prime, make_field, match_hasse_weil, partial_sum_eval,
                      power_residue_char, split_prime_ideals, splitting_data)
-from cyarith.errors import CapacityError, ValidationError
+from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
 from cyarith.hecke import _assemble
 
 
@@ -117,11 +117,24 @@ def test_ideal_jacobi_sum_matches_brute_force(case):
 def test_match_hasse_weil(quintic, quintic_lf11, quintic_lf31):
     for p, lf in ((11, quintic_lf11), (31, quintic_lf31)):
         rep = match_hasse_weil(quintic, p, lf)
-        assert rep.matched and rep.sign == 1
+        assert rep.sign == 1
         assert rep.ideals == 4 and rep.orbit_reps == 51
         assert rep.multiset_size == 204
     with pytest.raises(ValidationError):
         match_hasse_weil(quintic, 7)          # f = 4, not split
+
+
+def test_match_hasse_weil_raises_on_mismatch(quintic, quintic_lf11, monkeypatch):
+    import cyarith.hecke as hecke
+    real = hecke.ideal_jacobi_sums
+
+    def perturbed(ideals, vectors):
+        sums = real(ideals, vectors)
+        return [sums[0] + 1] + sums[1:]
+
+    monkeypatch.setattr(hecke, "ideal_jacobi_sums", perturbed)
+    with pytest.raises(InvariantViolationError, match="disagree as multisets at p=11"):
+        match_hasse_weil(quintic, 11, quintic_lf11)
 
 
 def test_hasse_weil_euler_factors(quintic):
@@ -256,7 +269,8 @@ def test_hecke_local_factor_invariants(m, a):
         factor = LocalFactor(p=p, cohomology_degree=chi.weight, full_degree=euler_phi(m),
                              orbits=tuple((j, 1) for j in sums))
         assert factor.coeffs == lf.coeffs
-        assert check_riemann_hypothesis(factor).all_pass, (p, chi.weight)
+        assert all(j * j.conj() == CycInt.from_int(j.m, p ** chi.weight)
+                   for j in sums), (p, chi.weight)
         assert factor.sign == lf.sign in (1, -1)
 
 def _trial_division(n):
