@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclo import cyclotomic_unit
 from .errors import InvariantViolationError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FUSION_ACCEPT = 1e-9     # largest |entry - round(entry)| of a Verlinde sum
 IDENTITY_TOL = 1e-9      # a KR / KN sum-rule residual must stay below this
@@ -31,6 +33,8 @@ class ModularData:
 
 
 def modular_data(k: int) -> ModularData:
+    import numpy as np
+
     if k < 1:
         raise ValidationError("level must be a positive integer")
     n = k + 2
@@ -91,6 +95,8 @@ def quantum_dimension(k: int, l: int, m: int = 0) -> float:
 def verlinde_fusion(k: int) -> np.ndarray:
     """Fusion tensor N[l, m, n] from the Verlinde sum; S is real orthogonal
     so S^{-1} = S.  Every entry must lie within FUSION_ACCEPT of an integer."""
+    import numpy as np
+
     S = modular_data(k).S
     raw = np.einsum("lr,mr,nr->lmn", S, S, S / S[0])
     rounded = np.rint(raw)

@@ -7,9 +7,16 @@ The Jacobi sum
     j_q(alpha) = 1/(q-1) * sum over (u_i) in (F_q^*)^{s+1}, sum u_i = 0,
                  of prod_i chi_{alpha_i}(u_i)
 
-is evaluated exactly in Z[mu_m] by a chain of two-variable sums read off
-one (dlog(1-v), dlog v) class table per field, built from the field's Zech
-logarithms alone, and only once per Galois class of tuples.
+is evaluated exactly in Z[mu_m], once per Galois class of tuples, in one of
+two ways.  Over a prime field F_p with p split in Q(mu_l), l one of
+STICKELBERGER_CONDUCTORS, Stickelberger's theorem gives the sum in closed
+form: a unit times a product of Galois conjugates of a generator pi of the
+prime of Z[mu_l] that the characters reduce modulo, with pi found by
+Euclid's gcd and no field table (Ireland-Rosen ch. 14; Weil 1952).  Every
+other sum, of a composite or other conductor, over F_{p^f} with f > 1, or
+with a vanishing character or character product, is read off one
+(dlog(1-v), dlog v) class table per field, built from the field's Zech
+logarithms alone (the kernel).
 """
 from __future__ import annotations
 
@@ -19,14 +26,18 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .cyclo import CycInt
-from .errors import BadReductionError, InvariantViolationError, ValidationError
-from .ffield import FieldTable, is_prime
+from .cyclo import CycInt, cyclotomic_gcd
+from .errors import BadReductionError, InvariantViolationError, PrimalityError, ValidationError
+from .ffield import FieldTable, is_prime, make_field, primitive_root
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .counting import DiagonalVariety
+
+# odd primes l whose Z[mu_l] is norm-Euclidean, and at which the closed form
+# has been checked against the kernel at every split p < 10^4
+STICKELBERGER_CONDUCTORS = frozenset({3, 5, 7})
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,7 @@ def degree_conductors(v: DiagonalVariety) -> frozenset[int]:
     return frozenset(a.conductor for a in _enumerate_tuples(v.exponents))
 
 
-# -- Jacobi sums -------------------------------------------------------------------
+# -- Jacobi sums: the kernel ---------------------------------------------------------
 
 def dlog_pair_table(f: FieldTable, M: int) -> np.ndarray:
     """C[i, j] = #{v in F_q minus {0, 1} : dlog(1-v) = i, dlog(v) = j mod M}.
@@ -136,6 +147,8 @@ def dlog_pair_table(f: FieldTable, M: int) -> np.ndarray:
     both marginals must equal the dlog class sizes less the excluded v = 1.
     With v = g^e for e in 1..q-2, dlog(1-v) is the Zech logarithm zech[e].
     """
+    import numpy as np
+
     q = f.q
     if (q - 1) % M:
         raise ValidationError(f"character order {M} does not divide q-1 = {q - 1}")
@@ -155,6 +168,8 @@ def _unit_sum(table: np.ndarray, q: int, m: int, exps) -> CycInt:
     obey A_{k+1} = A_k J2(psi_k, chi_{k+1}) + Z_k and
     Z_{k+1} = psi_k(-1) (q-1) A_k when psi_{k+1} is trivial, else 0.
     """
+    import numpy as np
+
     half = (q - 1) // 2 if q % 2 else 0          # dlog(-1)
     k = np.arange(m)
 
@@ -173,6 +188,78 @@ def _unit_sum(table: np.ndarray, q: int, m: int, exps) -> CycInt:
     return at_minus_one(psi) * a
 
 
+def _kernel_sums(f: FieldTable, heads) -> dict[tuple, CycInt]:
+    """_unit_sum at every head (m, exps), from one pair table built at the
+    lcm of the moduli and folded down to each."""
+    big_m = math.lcm(*(m for m, _ in heads))
+    table = dlog_pair_table(f, big_m)
+    folded = {m: table.reshape(big_m // m, m, big_m // m, m).sum(axis=(0, 2))
+              for m in {m for m, _ in heads}}
+    return {(m, e): _unit_sum(folded[m], f.q, m, e) for m, e in heads}
+
+
+# -- Jacobi sums at split primes: Stickelberger's factorisation -------------------------
+
+def in_closed_form(p: int, r: int, m: int, exps) -> bool:
+    """Whether unit_sums takes the row (m, exps) over F_{p^r} from _split_sum:
+    r = 1, p = 1 mod m for m in STICKELBERGER_CONDUCTORS, and neither an
+    entry nor the sum of the entries vanishes mod m.  (Every row of a tuple
+    of prime conductor m passes the last test: its entries are nonzero, and
+    they sum to minus the dropped one.)"""
+    return (r == 1 and m in STICKELBERGER_CONDUCTORS and p % m == 1
+            and all(e % m for e in exps) and sum(exps) % m != 0)
+
+
+@lru_cache(maxsize=256)
+def _split_prime(p: int, m: int, c: int) -> tuple[CycInt, ...]:
+    """sigma_t(pi) for t = 1..m-1, where pi = gcd(p, xi - c) generates the
+    prime P_c = (p, xi - c) of Z[mu_m] above the split p; c has order m mod p.
+    pi must have norm +-p and lie in P_c, i.e. vanish mod p at xi = c."""
+    pi = cyclotomic_gcd(CycInt.from_int(m, p), CycInt.root(m) - c)
+    if abs(pi.norm()) != p:
+        raise InvariantViolationError(f"gcd({p}, xi - {c}) in Z[mu_{m}] has norm {pi.norm()}")
+    if sum(x * pow(c, k, p) for k, x in enumerate(pi.coeffs)) % p:
+        raise InvariantViolationError(f"gcd({p}, xi - {c}) in Z[mu_{m}] is not in P_{c}")
+    return tuple(pi.galois(t) for t in range(1, m))
+
+
+def _stickelberger_exponents(m: int, exps) -> tuple[int, ...]:
+    """n_t = (sum_i <-t^-1 a_i> - <-t^-1 sum a>) / m for t = 1..m-1, <x> = x mod m."""
+    out = []
+    for t in range(1, m):
+        u = -pow(t, -1, m)
+        out.append((sum(u * a % m for a in exps) - u * sum(exps) % m) // m)
+    return tuple(out)
+
+
+def _split_sum(p: int, m: int, c: int, exps, memo: dict) -> CycInt:
+    """The unit sum of the row (m, exps) over F_p in closed form, where the
+    characters read xi^dlog u = u^((p-1)/m) mod P_c.
+
+    The sum is (-1)^(r+1) J with r = len(exps), and J = eps * beta,
+    beta = prod_t sigma_t(pi)^(n_t) (Stickelberger), eps = +-xi^k the one
+    unit with J = 1 mod (1 - xi)^2.  With lambda = 1 - xi, beta = sum b_k
+    xi^k is sum b_k - (sum k b_k) lambda mod lambda^2, and sum b_k must be
+    +-1 mod m; that fixes eps.  J depends on exps only through (n_t), and
+    memo keeps it on (m, (n_t)).
+    """
+    key = m, _stickelberger_exponents(m, exps)
+    if key not in memo:
+        beta = CycInt.one(m)
+        for sigma_pi, n in zip(_split_prime(p, m, c), key[1]):
+            if n:
+                beta = beta * sigma_pi ** n
+        sign = {1: 1, m - 1: -1}.get(sum(beta.coeffs) % m)
+        if sign is None:
+            raise InvariantViolationError(
+                f"pi^theta is not +-1 mod (1 - xi) at p={p}, conductor {m}")
+        shift = -sign * sum(i * b for i, b in enumerate(beta.coeffs))
+        memo[key] = sign * CycInt.root(m, shift) * beta
+    return (-1) ** (len(exps) + 1) * memo[key]
+
+
+# -- Jacobi sums: one per Galois class ------------------------------------------------
+
 @lru_cache(maxsize=1 << 14)
 def galois_class_head(row: tuple) -> tuple[tuple, int]:
     """((m, head), l_inv) for a row (m, exps): head is the least l*exps mod m
@@ -185,23 +272,39 @@ def galois_class_head(row: tuple) -> tuple[tuple, int]:
     return (m, head), pow(l, -1, m)
 
 
-def unit_sums(f: FieldTable, rows) -> list[CycInt]:
+def unit_sums(field: FieldTable | tuple[int, int], rows) -> list[CycInt]:
     """For each row (m, (e_0..e_k)): the sum over units u_0..u_k of F_q with
     u_0 + ... + u_k = -1 of prod_i xi_m^(e_i * dlog u_i), exact in Z[mu_m].
 
-    Scaling a row by l in (Z/m)^* applies sigma_l to its sum (Ireland-Rosen
-    ch. 8 and 14), so the kernel runs once per Galois class, on the class
-    head, and every other row is read off as sigma_{l_inv} of its head's
-    sum.  One pair table serves every head; it is built once at the lcm of
-    the row moduli and folded down to each modulus.
+    field is a FieldTable, or the pair (p, r) for F_{p^r}; dlog is to base
+    the table's g, by default make_field(p, r).g (primitive_root(p) when
+    r = 1).  Scaling a row by l in (Z/m)^* applies sigma_l to its sum
+    (Ireland-Rosen ch. 8 and 14), so each Galois class is evaluated once,
+    on its head, and every other row is read off as sigma_{l_inv} of its
+    head's sum.  A head in_closed_form is computed by _split_sum; the rest
+    go to the kernel, which needs the table: make_field(p, r) is called,
+    for a pair, only if some head does.
     """
+    if isinstance(field, FieldTable):
+        p, r, table = field.p, field.r, field
+    else:
+        (p, r), table = field, None
+        if not is_prime(p):
+            raise PrimalityError(f"{p} is not prime")
+        if r < 1:
+            raise ValidationError("extension degree must be positive")
     placed = [galois_class_head((m, tuple(exps))) for m, exps in rows]
     heads = dict.fromkeys(h for h, _ in placed)
-    big_m = math.lcm(*(m for m, _ in heads))
-    table = dlog_pair_table(f, big_m)
-    folded = {m: table.reshape(big_m // m, m, big_m // m, m).sum(axis=(0, 2))
-              for m in {m for m, _ in heads}}
-    by_head = {(m, e): _unit_sum(folded[m], f.q, m, e) for m, e in heads}
+    by_head: dict[tuple, CycInt] = {}
+    memo: dict[tuple, CycInt] = {}
+    for m, e in heads:
+        if in_closed_form(p, r, m, e):
+            g = table.g if table is not None else primitive_root(p)
+            by_head[m, e] = _split_sum(p, m, pow(g, (p - 1) // m, p), e, memo)
+    kernel = [h for h in heads if h not in by_head]
+    if kernel:
+        by_head.update(_kernel_sums(table if table is not None else make_field(p, r),
+                                    kernel))
     return [by_head[h] if l_inv == 1 else by_head[h].galois(l_inv) for h, l_inv in placed]
 
 
@@ -210,14 +313,15 @@ def _char_multipliers(alpha: AlphaTuple, m: int) -> list[int]:
     return [m * n // alpha.den for n in alpha.nums]
 
 
-def jacobi_sums(f: FieldTable, alphas) -> list[CycInt]:
+def jacobi_sums(field: FieldTable | tuple[int, int], alphas) -> list[CycInt]:
     """Exact j_q(alpha) in Z[mu_m], m the conductor, for every alpha, in input
-    order: scaling the last coordinate away leaves the unit sum of the first
-    s characters.  unit_sums runs the kernel once per Galois class."""
-    return unit_sums(f, [(a.conductor, _char_multipliers(a, a.conductor)[:-1])
-                         for a in alphas])
+    order, over a FieldTable or the field (p, r) of unit_sums: scaling the
+    last coordinate away leaves the unit sum of the first s characters.
+    unit_sums evaluates one sum per Galois class."""
+    return unit_sums(field, [(a.conductor, _char_multipliers(a, a.conductor)[:-1])
+                             for a in alphas])
 
 
-def jacobi_sum(f: FieldTable, alpha: AlphaTuple) -> CycInt:
+def jacobi_sum(field: FieldTable | tuple[int, int], alpha: AlphaTuple) -> CycInt:
     """Exact j_q(alpha) in Z[mu_m]; see jacobi_sums."""
-    return jacobi_sums(f, [alpha])[0]
+    return jacobi_sums(field, [alpha])[0]

@@ -236,32 +236,32 @@ def _cmd_jacobi(args) -> None:
     if r == 1:
         # characters of conductor m need m | q - 1; lift to the residue degree
         r, _ = splitting_data(p, single.conductor if single else math.lcm(*v.exponents))
-    f = make_field(p, r)
+    q = p**r
     if single is not None:
         alphas = [single]
     else:
         aset = full_alpha_set(v, p)
         alphas = [o[0] for o in aset.orbits] if args.orbits else list(aset.tuples)
     entries = []
-    for a, j in zip(alphas, jacobi_sums(f, alphas)):
+    for a, j in zip(alphas, jacobi_sums((p, r), alphas)):
         # Weil's bound, exactly: |J|^2 = q^{s-2} for s nonzero entries
         w = len(a.nums) - 2
-        if j * j.conj() != CycInt.from_int(j.m, f.q ** w):
-            raise InvariantViolationError(f"|J|^2 != {f.q}^{w} for alpha {a.nums}/{a.den}")
+        if j * j.conj() != CycInt.from_int(j.m, q ** w):
+            raise InvariantViolationError(f"|J|^2 != {q}^{w} for alpha {a.nums}/{a.den}")
         z = j.embed(1)
         entries.append({"alpha": list(a.nums), "den": a.den,
                         "conductor": a.conductor,
                         "coefficients": [str(c) for c in j.coeffs],
                         "embedding": {"re": z.real, "im": z.imag},
                         "norm_check": True})
-    payload = {"exponents": list(v.exponents), "p": p, "q": f.q,
+    payload = {"exponents": list(v.exponents), "p": p, "q": q,
                "orbit_representatives_only": bool(args.orbits),
                "jacobi_sums": entries}
     csv_rows = [["alpha", "den", "re", "im", "norm_check"]]
     csv_rows += [[";".join(str(n) for n in e["alpha"]), e["den"],
                   e["embedding"]["re"], e["embedding"]["im"], e["norm_check"]]
                  for e in entries]
-    table = [f"p = {p}, q = {f.q}, {len(entries)} sums"]
+    table = [f"p = {p}, q = {q}, {len(entries)} sums"]
     table += [f"  {tuple(e['alpha'])}/{e['den']}  ~ "
               f"{e['embedding']['re']:+.6f}{e['embedding']['im']:+.6f}i  norm ok"
               for e in entries]
@@ -454,14 +454,16 @@ def _cmd_cyclo(args) -> None:
         if args.prime is None:
             raise ValidationError("--delta needs -p")
         primes, strict = _parse_primes(args.prime)
-        if not strict:
-            # a range skips the primes delta_determinant cannot take
-            primes = [p for p in primes if p >= 5]
-            if not primes:
-                raise ValidationError("no prime p >= 5 in the requested range")
+        # a range skips the primes delta_determinant cannot take
+        skipped = [] if strict else [p for p in primes if p < 5]
+        primes = [p for p in primes if p not in skipped]
+        if not primes:
+            raise ValidationError("no prime p >= 5 in the requested range")
         rows = [{"p": p, "determinant": delta_determinant(p)} for p in primes]
-        payload = {"delta_determinants": rows}
+        payload = {"skipped_primes": skipped, "delta_determinants": rows}
         table = [f"  p = {r['p']:<6d} |Delta| = {r['determinant']:.12e}" for r in rows]
+        if skipped:
+            table.append(f"  skipped primes below 5: {skipped}")
     else:
         if m is None or not args.a:
             raise ValidationError("--s-element needs -m/--conductor and --a")

@@ -7,7 +7,7 @@ because the fibres of the quotient map are full G_m-torsors.
 
 Affine counts come from Weil's formula: the hyperplane count q^s plus (q-1)
 times the Jacobi sums j_q(alpha) of the admissible character tuples, all
-from the one kernel charsum.jacobi_sums (Weil 1949; Ireland-Rosen ch. 8
+from charsum.jacobi_sums (Weil 1949; Ireland-Rosen ch. 8
 section 7).  tests/oracles.py enumerates the affine grid as the independent
 oracle.
 """

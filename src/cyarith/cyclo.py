@@ -2,8 +2,9 @@
 
 Everything here is integer-exact: products are reduced modulo the m-th
 cyclotomic polynomial, Galois maps permute root exponents, and norms are
-checked to land in Z.  Floating point appears only in the numeric views
-(embeddings, unit moduli, determinants, regulators).
+checked to land in Z.  Division with remainder, and with it Euclid's gcd,
+works where Z[mu_m] is norm-Euclidean.  Floating point appears only in the
+numeric views (embeddings, unit moduli, determinants, regulators).
 """
 from __future__ import annotations
 
@@ -12,10 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from itertools import product
+from typing import TYPE_CHECKING
 
 from .errors import InvariantViolationError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -195,15 +199,32 @@ class CycInt:
     def conj(self) -> "CycInt":
         return self.galois(self.m - 1)
 
-    def norm(self) -> int:
-        """Product over all Galois conjugates; must be a rational integer."""
+    def _cofactor(self) -> "CycInt":
+        """Product of the conjugates sigma_ell(self), ell != 1: times self, the norm."""
         out = CycInt.one(self.m)
-        for ell in range(1, self.m + 1):
+        for ell in range(2, self.m + 1):
             if math.gcd(ell, self.m) == 1:
                 out = out * self.galois(ell)
+        return out
+
+    def norm(self) -> int:
+        """Product over all Galois conjugates; must be a rational integer."""
+        out = self * self._cofactor()
         if not out.is_rational():
             raise InvariantViolationError("norm did not collapse to Z")
         return out.coeffs[0]
+
+    # -- division with remainder ----------------------------------------------
+
+    def __divmod__(self, other: "CycInt") -> tuple["CycInt", "CycInt"]:
+        """(q, r) with self = q * other + r and |N(r)| < |N(other)|; see
+        _euclid_step."""
+        self._check(other)
+        if not other:
+            raise ValidationError("division by zero in Z[mu_m]")
+        co = other._cofactor()
+        q, r, _, _ = _euclid_step(self, other, co, (other * co).rational_value())
+        return q, r
 
     # -- views -----------------------------------------------------------------
 
@@ -233,6 +254,50 @@ class CycInt:
 
     def __repr__(self):
         return f"CycInt(m={self.m}, coeffs={self.coeffs})"
+
+
+def _euclid_step(a: CycInt, b: CycInt, co: CycInt, norm: int):
+    """(q, r, co_r, N(r)) with a = q * b + r, |N(r)| < |N(b)| and co_r the
+    cofactor of r, given b's cofactor co and its norm N(b) = b * co.
+
+    a / b is a * co / N(b); q rounds it to the nearest point of the power
+    basis or, if that leaves |N(r)| too large, to the best corner of the
+    unit cube around it.  Such a q exists for every quotient when Z[mu_m] is
+    norm-Euclidean (m = 3, 5, 7, for instance), but need not be one of these
+    roundings: InvariantViolationError when none reduces.
+    """
+    bound, num = abs(norm), (a * co).coeffs
+    if norm < 0:
+        num = tuple(-x for x in num)
+
+    def step(q: CycInt):
+        r = a - q * b
+        co_r = r._cofactor()
+        return q, r, co_r, (r * co_r).rational_value()
+
+    best = step(CycInt(a.m, tuple((2 * x + bound) // (2 * bound) for x in num)))
+    if abs(best[3]) >= bound:
+        corners = (CycInt(a.m, tuple(x // bound + d for x, d in zip(num, ds)))
+                   for ds in product((0, 1), repeat=len(num)))
+        best = min(map(step, corners), key=lambda s: abs(s[3]))
+        if abs(best[3]) >= bound:
+            raise InvariantViolationError(
+                f"no rounding of the quotient reduces the norm below {bound} in Z[mu_{a.m}]")
+    return best
+
+
+def cyclotomic_gcd(a: CycInt, b: CycInt) -> CycInt:
+    """A generator of the ideal (a, b) of Z[mu_m], unique up to a unit, by
+    Euclid's algorithm; the norm falls at every step, and each remainder's
+    cofactor serves both its norm and the next division."""
+    a._check(b)
+    if b:
+        co = b._cofactor()
+        norm = (b * co).rational_value()
+    while b:
+        _, r, co, r_norm = _euclid_step(a, b, co, norm)
+        a, b, norm = b, r, r_norm
+    return a
 
 
 # -- group ring of (Z/m)^* ------------------------------------------------------
@@ -299,6 +364,8 @@ def cyclotomic_unit(m: int, j: int) -> tuple[CycInt, float]:
 def delta_determinant(p: int) -> float:
     """|det sigma_c(theta_k)| over the square truncation c = 1..(p-3)/2,
     k = 2..(p-1)/2, with sigma_c(theta_k) = sin(c k pi / p) / sin(c pi / p)."""
+    import numpy as np
+
     from .ffield import is_prime
 
     if not is_prime(p) or p < 5:
@@ -312,6 +379,8 @@ def delta_determinant(p: int) -> float:
 def regulator_matrix(units: list[CycInt], m: int) -> np.ndarray:
     """Rows log|rho_c(u)| over the phi(m)/2 embeddings up to conjugation,
     c running over units mod m with 1 <= c < m/2."""
+    import numpy as np
+
     reps = [c for c in range(1, (m + 1) // 2) if math.gcd(c, m) == 1]
     if not reps:
         raise ValidationError(f"conductor {m} has no complex embedding pairs")

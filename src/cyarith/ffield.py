@@ -9,20 +9,26 @@ one that knows that encoding: a table carries the multiplicative structure
 the Zech logarithms dlog(1 - g**e), so every sum downstream is a pure table
 lookup.
 
-A table costs O(q) numpy work and little else.  The modulus is found by
-walking the monic candidates lazily in lexicographic order, low degree
-first, and the default generator by scanning element indices upward; each
-candidate generator is tested with Python ints, by square-and-multiply on
-its residue polynomial.
+A table costs O(q) numpy work and little else; numpy is imported by the
+functions that build one, so code that needs no table never loads it.  The
+modulus is found by walking the monic candidates lazily in lexicographic
+order, low degree first, and the default generator by scanning element
+indices upward.  For a prime field that scan is primitive_root, the same
+pow-based search that labels split primes without any table; for r > 1
+each candidate is tested with Python ints, by square-and-multiply on its
+residue polynomial.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvariantViolationError, PrimalityError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PRIME_FIELD_BOUND = 100_000
 EXTENSION_FIELD_BOUND = 1 << 20
@@ -57,6 +63,16 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+@lru_cache(maxsize=1 << 12)
+def primitive_root(p: int) -> int:
+    """The smallest g in 1..p-1 of multiplicative order p-1 modulo the prime
+    p: no (p-1)/l-th power of it is 1 for a prime l | p-1.  This is
+    make_field(p).g, found with pow and no table."""
+    factors = prime_factors(p - 1)
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // l, p) != 1 for l in factors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +183,8 @@ def _mul_matrix(a: int, modulus: tuple[int, ...], p: int) -> np.ndarray:
 
     Row i holds the digits of a * x^i reduced by the monic modulus.
     """
+    import numpy as np
+
     r = len(modulus) - 1
     low = np.array(modulus[:r], dtype=np.int64)
     m = np.zeros((r, r), dtype=np.int64)
@@ -186,6 +204,8 @@ def _exp_table(g: int, modulus: tuple[int, ...], p: int, q: int) -> np.ndarray:
     below p and a row-by-matrix product below r*p^2 < 2^63, so int64 is exact.
     The (q-1) x r rows are freed on return.
     """
+    import numpy as np
+
     r = len(modulus) - 1
     rows = np.zeros((q - 1, r), dtype=np.int64)
     rows[0, 0] = 1
@@ -202,6 +222,8 @@ def _exp_table(g: int, modulus: tuple[int, ...], p: int, q: int) -> np.ndarray:
 def _minus_table(p: int, r: int) -> np.ndarray:
     """Element index of 1 - x at every element index x: each base-p digit
     is negated, and 1 is added to the constant digit."""
+    import numpy as np
+
     minus = np.arange(p + 1, 1, -1)
     minus[:2] = 1, 0                              # 1 - c mod p
     for j in range(1, r):
@@ -215,14 +237,17 @@ def make_field(p: int, r: int = 1, g: int | None = None) -> FieldTable:
 
     The modulus is the lexicographically smallest monic irreducible of
     degree r, coefficients compared low degree first (x when r = 1).  g is by
-    default the smallest element index of order q-1.  For r > 1 the scan
-    starts at p, the index of x: the indices below it are the constants,
-    whose orders divide p-1 < q-1.  Each candidate, and an explicit g, must
-    have no (q-1)/l-th power equal to 1 for any prime l | q-1; the powers are
-    taken by square-and-multiply on the residue polynomial in Python ints.
-    exp comes from the doubling in _exp_table, dlog inverts it, and zech
-    reads dlog through the table of 1 - x at x = exp.
+    default the smallest element index of order q-1: primitive_root(p) when
+    r = 1.  For r > 1 the scan starts at p, the index of x: the indices
+    below it are the constants, whose orders divide p-1 < q-1.  Each such
+    candidate, and an explicit g, must have no (q-1)/l-th power equal to 1
+    for any prime l | q-1; the powers are taken by square-and-multiply on
+    the residue polynomial in Python ints.  exp comes from the doubling in
+    _exp_table, dlog inverts it, and zech reads dlog through the table of
+    1 - x at x = exp.
     """
+    import numpy as np
+
     if not is_prime(p):
         raise PrimalityError(f"{p} is not prime")
     if r < 1:
@@ -233,8 +258,8 @@ def make_field(p: int, r: int = 1, g: int | None = None) -> FieldTable:
     modulus = _smallest_irreducible(p, r)
     factors = prime_factors(q - 1)
     if g is None:
-        g = next(i for i in range(1 if r == 1 else p, q)
-                 if _generates(i, modulus, p, q, factors))
+        g = primitive_root(p) if r == 1 else next(
+            i for i in range(p, q) if _generates(i, modulus, p, q, factors))
     elif not 1 <= g < q or not _generates(g, modulus, p, q, factors):
         raise ValidationError(f"{g} does not generate F_{q}^*")
     exp = _exp_table(g, modulus, p, q)

@@ -2,13 +2,19 @@
 
 A prime p = 1 mod m splits completely in Q(mu_m); the phi(m) primes above
 p are labelled concretely by the elements c of F_p of exact order m (the
-possible residues of xi mod the ideal).  Rank-r Jacobi sums over such an
-ideal reproduce, up to one global sign resolved empirically, the middle
-local factor of the matching diagonal hypersurface, which is the whole
-point of the exercise.  The ideal labelled c reads its characters through
-xi^(tau_inv * dlog), so its sums are sigma_{tau_inv} of one base sum: the
-phi(m) ideals above p are one Galois class, and charsum.unit_sums runs the
-kernel once for all of them.
+possible residues of xi mod the ideal), found with pow from the smallest
+primitive root g, as are the power-residue symbols: no field table is
+needed to name an ideal or read its character.  Rank-r Jacobi sums over
+such an ideal reproduce, up to one global sign resolved empirically, the
+middle local factor of the matching diagonal hypersurface, which is the
+whole point of the exercise.  The ideal labelled c = g^(tau (p-1)/m) reads
+its characters through xi^(tau_inv * dlog), so its sums are
+sigma_{tau_inv} of one base sum: the phi(m) ideals above p are one Galois
+class, and charsum.unit_sums evaluates one sum for all of them.  For m in
+charsum.STICKELBERGER_CONDUCTORS (3, 5, 7) and a vector whose sum is nonzero
+mod m, that sum is Stickelberger's closed form and needs no table either,
+so such a character has no prime bound; other characters read F_p's table,
+up to ffield.PRIME_FIELD_BOUND.
 
 Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
 of a Jacobi-sum character, are built from zeta.LocalFactor: each local
@@ -21,18 +27,21 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import lru_cache, partial
 
-from .charsum import degree_conductors, full_alpha_set, galois_class_head, unit_sums
+from .charsum import (STICKELBERGER_CONDUCTORS, degree_conductors, full_alpha_set,
+                      galois_class_head, in_closed_form, unit_sums)
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import CapacityError, InvariantViolationError, ValidationError
-from .ffield import FieldTable, is_prime, make_field, table_bound
+from .ffield import is_prime, primitive_root, table_bound
 from .zeta import LocalFactor, local_factor_middle
 
 
+@lru_cache(maxsize=1 << 12)
 def splitting_data(p: int, m: int) -> tuple[int, int]:
-    """(f, g): residue degree and number of primes above p in Q(mu_m)."""
+    """(f, g): residue degree and number of primes above p in Q(mu_m).
+    Cached: each ideal above p asks again."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if m < 2:
@@ -55,56 +64,67 @@ def _order_mod(p: int, m: int) -> int:
 @dataclass(frozen=True, eq=False)
 class SplitPrimeIdeal:
     """One of the phi(m) primes above a totally split p, labelled by the
-    residue c of xi: an element of F_p of exact multiplicative order m."""
+    residue c of xi: an element of F_p of exact multiplicative order m.
+
+    With g = primitive_root(p), c = g^(tau (p-1)/m) for one tau prime to m,
+    and chi_p(u) = xi^(tau_inv * dlog_g u).
+    """
 
     p: int
     m: int
     c: int
-    field: FieldTable = dc_field(repr=False, default=None)
+    tau_inv: int = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         f, _ = splitting_data(self.p, self.m)
         if f != 1:
             raise ValidationError(f"p={self.p} is not totally split mod {self.m}")
-        if self.field is None:
-            object.__setattr__(self, "field", make_field(self.p))
-        t = int(self.field.dlog[self.c % self.p])
-        if t < 0 or (self.p - 1) // math.gcd(t, self.p - 1) != self.m:
+        w = pow(primitive_root(self.p), (self.p - 1) // self.m, self.p)
+        tau = _power_index(w, self.c, self.p, self.m)
+        if tau is None or math.gcd(tau, self.m) != 1:
             raise ValidationError(f"c={self.c} does not have exact order {self.m}")
+        object.__setattr__(self, "tau_inv", pow(tau, -1, self.m))
 
-    @property
-    def tau_inv(self) -> int:
-        """chi_p(u) = xi^(tau_inv * dlog u), where c = g^(tau (p-1)/m)."""
-        tau = int(self.field.dlog[self.c]) // ((self.p - 1) // self.m)
-        return pow(tau, -1, self.m)
+
+def _power_index(base: int, x: int, p: int, n: int) -> int | None:
+    """The t in 0..n-1 with base^t = x mod p, or None."""
+    y = 1
+    for t in range(n):
+        if y == x % p:
+            return t
+        y = y * base % p
+    return None
 
 
 def split_prime_ideals(p: int, m: int) -> tuple[SplitPrimeIdeal, ...]:
     """All primes above p, in increasing order of the label c."""
-    f0 = make_field(p)
-    step = (p - 1) // m
-    cs = sorted(int(f0.exp[(step * t) % (p - 1)])
-                for t in range(1, m) if math.gcd(t, m) == 1)
-    return tuple(SplitPrimeIdeal(p, m, c, f0) for c in cs)
+    if splitting_data(p, m)[0] != 1:
+        raise ValidationError(f"p={p} is not totally split mod {m}")
+    w = pow(primitive_root(p), (p - 1) // m, p)
+    cs = sorted(pow(w, t, p) for t in range(1, m) if math.gcd(t, m) == 1)
+    return tuple(SplitPrimeIdeal(p, m, c) for c in cs)
 
 
 def power_residue_char(ideal: SplitPrimeIdeal, u: int) -> CycInt:
-    """The m-th root of unity congruent to u^((p-1)/m) mod the ideal."""
-    u %= ideal.p
+    """The m-th root of unity congruent to u^((p-1)/m) mod the ideal: xi^j
+    with c^j = u^((p-1)/m) in F_p."""
+    p, m = ideal.p, ideal.m
+    u %= p
     if u == 0:
         raise ValidationError("power residue symbol needs a unit argument")
-    j = ideal.tau_inv * int(ideal.field.dlog[u]) % ideal.m
-    # sanity: c^j must reproduce u^((p-1)/m) in F_p
-    if pow(ideal.c, j, ideal.p) != pow(u, (ideal.p - 1) // ideal.m, ideal.p):
+    j = _power_index(ideal.c, pow(u, (p - 1) // m, p), p, m)
+    if j is None:
         raise InvariantViolationError("power residue labelling broke")
-    return CycInt.root(ideal.m, j)
+    return CycInt.root(m, j)
 
 
 def ideal_jacobi_sums(ideals, vectors) -> list[CycInt]:
     """J_a(p) = (-1)^(r+1) * sum over units u_1..u_r with sum(u) = -1 of
     prod chi(u_i)^(a_i), exact in Z[mu_m], for every ideal and every a.
 
-    The ideals must lie over one prime; one pair table serves all sums.
+    The ideals must lie over one prime; charsum.unit_sums evaluates one sum
+    per Galois class, and builds F_p's table only if some class needs the
+    kernel (see charsum.in_closed_form).
     """
     ideals, vectors = tuple(ideals), list(vectors)
     if any(len(a) < 1 for a in vectors):
@@ -115,7 +135,7 @@ def ideal_jacobi_sums(ideals, vectors) -> list[CycInt]:
         raise ValidationError("ideals must lie over one prime of one conductor")
     m = ideals[0].m
     rows = [(m, [x * ideal.tau_inv % m for x in a]) for ideal in ideals for a in vectors]
-    sums = unit_sums(ideals[0].field, rows)
+    sums = unit_sums((ideals[0].p, 1), rows)
     return [(-1) ** (len(e) + 1) * j for (_, e), j in zip(rows, sums)]
 
 
@@ -298,7 +318,8 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     A variety's factor at p is built when it is needed, from the Frobenius
     orbits of length f <= k_max (p^f <= cutoff).  If some factor would need
     a field table F_{p^f} beyond make_field's bound, CapacityError names the
-    first such p before any factor is built.
+    first such p before any factor is built; the split-prime sums that
+    charsum computes in closed form need no table and are not counted.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
@@ -307,15 +328,19 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
         conductors = degree_conductors(source)
 
         def degrees(p):
-            """Residue degrees f of the fields F_{p^f} the factor at p reads."""
+            """Degrees f of the tables F_{p^f} the factor at p builds: an
+            orbit of tuples of conductor d has f = ord_d(p), and needs no
+            table at f = 1 for d in STICKELBERGER_CONDUCTORS."""
             if any(n % p == 0 for n in source.exponents):
                 return set()                    # bad reduction: no factor
-            return {_order_mod(p, d) for d in conductors}
+            return {_order_mod(p, d) for d in conductors
+                    if not (d in STICKELBERGER_CONDUCTORS and p % d == 1)}
     elif isinstance(source, HeckeCharacter):
         euler_factor, weight = source.euler_factor, source.weight
 
         def degrees(p):
-            return {1} if p % source.m == 1 else set()
+            split = p % source.m == 1
+            return {1} if split and not in_closed_form(p, 1, source.m, source.a) else set()
     else:
         raise ValidationError(f"unsupported coefficient source {type(source).__name__}")
     spf = _smallest_prime_factors(cutoff)

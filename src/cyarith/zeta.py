@@ -22,7 +22,6 @@ from .charsum import AlphaTuple, full_alpha_set, jacobi_sums
 from .counting import DiagonalVariety
 from .cyclo import CycInt
 from .errors import InvariantViolationError, ValidationError
-from .ffield import make_field
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +152,8 @@ def local_factor_middle(v: DiagonalVariety, p: int,
     orbit of size f needs one Jacobi sum over F_{p^f}.  max_root_field caps
     that auxiliary field size: orbits with p^f beyond the cap are skipped
     and the returned factor is truncated to the precision that stays exact.
+    charsum.jacobi_sums builds a table of F_{p^f} only for orbits that the
+    split-prime closed form does not cover.
     """
     aset = full_alpha_set(v, p)  # validates primality and good reduction
     n = v.complex_dim
@@ -173,7 +174,7 @@ def local_factor_middle(v: DiagonalVariety, p: int,
     root_sign = (-1) ** n
     orbits: list[tuple[CycInt, int]] = []
     for f in sorted(by_f):
-        orbits += [(root_sign * j, f) for j in jacobi_sums(make_field(p, f), by_f[f])]
+        orbits += [(root_sign * j, f) for j in jacobi_sums((p, f), by_f[f])]
     return LocalFactor(p=p, cohomology_degree=n, full_degree=len(aset.tuples),
                        orbits=tuple(orbits), precision=precision)
 

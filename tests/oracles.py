@@ -7,13 +7,14 @@ enumeration budget.  `expand_roots_direct` is the per-coefficient expansion
 that `zeta.expand_roots` replaced.  `unit_sums_per_row` runs the kernel
 once per row instead of once per Galois class, and `jacobi_sums_per_alpha`
 reads every tuple off it, so neither goes through the class-head reduction
-in `charsum.unit_sums`.  `predicted_count_direct` takes N_r from the orbit
-roots' powers in Z[mu_M] instead of Newton's identities on the integer
-factor.  The scalar and vectorised field operations at the end read the
-field's exp/dlog tables; for addition they derive the base-p digit rows
-from the element index themselves, so nothing here shares the kernel's
-Zech table.  `smallest_generator_direct` finds make_field's default
-generator by taking the order of every element index in turn with `mul`.
+or the split-prime closed form of `charsum.unit_sums`.
+`predicted_count_direct` takes N_r from the orbit roots' powers in Z[mu_M]
+instead of Newton's identities on the integer factor.  The scalar and
+vectorised field operations at the end read the field's exp/dlog tables;
+for addition they derive the base-p digit rows from the element index
+themselves, so nothing here shares the kernel's Zech table.
+`smallest_generator_direct` finds make_field's default generator by taking
+the order of every element index in turn with `mul`.
 """
 
 import math
@@ -118,7 +119,7 @@ def expand_roots_direct(orbits, trunc):
 
 def unit_sums_per_row(f, rows):
     """charsum.unit_sums with one _unit_sum per row on the folded pair
-    table, and no Galois class heads."""
+    table: no Galois class heads and no closed form."""
     big_m = math.lcm(*(m for m, _ in rows))
     table = dlog_pair_table(f, big_m)
     folded = {m: table.reshape(big_m // m, m, big_m // m, m).sum(axis=(0, 2))

@@ -223,17 +223,21 @@ def test_unit_sums_match_per_row_oracle(case):
 
 
 def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
+    # one evaluation per Galois class, by the kernel or, at a split prime
+    # of conductor 5, by the closed form
     import cyarith.charsum as charsum
 
     lf = local_factor_middle(quintic, 11)
     calls = []
-    real = charsum._unit_sum
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(real):
+        def wrapped(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapped
 
-    monkeypatch.setattr(charsum, "_unit_sum", counting)
+    for name in ("_unit_sum", "_split_sum"):
+        monkeypatch.setattr(charsum, name, counting(getattr(charsum, name)))
     tuples = full_alpha_set(quintic, 11).tuples
     sums = jacobi_sums(make_field(11), tuples)
     assert len(sums) == 204 and len(calls) == 51
@@ -245,3 +249,7 @@ def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
     # the 4 ideals above 11 are conjugate: one class
     HeckeCharacter(5, (1, 1, 1, 1)).local_factor(11)
     assert len(calls) == 1
+    calls.clear()
+    # at p = 2 the kernel takes every class: 51 heads over F_16
+    assert jacobi_sums((2, 4), tuples) == jacobi_sums(make_field(2, 4), tuples)
+    assert len(calls) == 2 * 51

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -58,9 +59,20 @@ def test_strict_prime_list_refuses_repeats(capsys):
 
 
 def test_lseries_cutoff_beyond_prime_field_bound(capsys):
-    assert run(["lseries", "-d", "5", "-n", "3", "--cutoff", "200000"]) == 1
+    # conductor 6 has no closed form: p = 100003 = 1 mod 6 needs F_p
+    assert run(["lseries", "--exponents", "2,3,6", "--cutoff", "200000"]) == 1
     out = capsys.readouterr()
-    assert out.out == "" and "p=100151 " in out.err
+    assert out.out == "" and "p=100003 " in out.err
+
+
+def test_split_prime_past_prime_field_bound(capsys):
+    # the quintic's split primes need no F_p table: complete factor and match
+    doc = _json_out(capsys, ["zeta", "-d", "5", "-n", "3", "-p", "100151", "--no-cache"])
+    [res] = doc["results"]
+    assert res["degree"] == 204 and len(res["coefficients"]) == 205
+    assert "precision" not in res and res["functional_sign"] in (1, -1)
+    doc = _json_out(capsys, ["match", "-d", "5", "-n", "3", "-p", "100151", "--no-cache"])
+    assert doc["results"][0]["multiset_size"] == 204
 
 
 def test_count_range_skips_bad(capsys):
@@ -501,6 +513,12 @@ def test_cyclo_delta_range_skips_small_primes(capsys):
     doc = _json_out(capsys, ["cyclo", "--delta", "-p", "2..20"])
     _validate("cyclo", doc)
     assert [r["p"] for r in doc["delta_determinants"]] == [5, 7, 11, 13, 17, 19]
+    assert doc["skipped_primes"] == [2, 3]
+    assert run(["cyclo", "--delta", "-p", "3..20", "--table"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "  skipped primes below 5: [3]"
+    doc = _json_out(capsys, ["cyclo", "--delta", "-p", "5,7"])
+    _validate("cyclo", doc)
+    assert doc["skipped_primes"] == []
     assert run(["cyclo", "--delta", "-p", "2..4"]) == 1
     assert "no prime p >= 5" in capsys.readouterr().err
 
@@ -596,6 +614,27 @@ def test_extension_below_one_refused(capsys):
         assert run([cmd, "-d", "3", "-n", "1", "-p", "7", "-r", "0", "--json"]) == 1
         out = capsys.readouterr()
         assert out.out == "" and "extension degree must be positive" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "200", "--no-cache"],
+    ["match", "-d", "5", "-n", "3", "-p", "11"],
+])
+def test_split_prime_runs_load_no_numpy(argv, tmp_path, capsys):
+    # numpy is imported only by the code that builds a field table or a
+    # float matrix, and split primes of conductor 5 need neither; the match
+    # reads the factor that the zeta run below caches
+    assert run(["zeta", "-d", "5", "-n", "3", "-p", "11", "--cache", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = ("import sys\nfrom cyarith.cli import run\n"
+            f"argv = {argv!r}\n"
+            "if argv:\n"
+            f"    assert run(argv + ['--cache', {str(tmp_path)!r}, '--json']) == 0\n"
+            "sys.exit('numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_subprocess():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cyarith import (CycInt, cyclotomic_polynomial, cyclotomic_unit,
                      delta_determinant, euler_phi, hecke_weight,
                      regulator_matrix, s_element)
+from cyarith.cyclo import cyclotomic_gcd
 from cyarith.errors import InvariantViolationError, ValidationError
 
 CONDUCTORS = [3, 4, 5, 8, 12]
@@ -147,3 +148,31 @@ def test_regulator_rows_of_units_sum_to_zero():
         units = [cyclotomic_unit(m, j)[0] for j in range(2, m) if math.gcd(j, m) == 1]
         mat = regulator_matrix(units, m)
         assert np.abs(mat.sum(axis=1)).max() < 1e-10
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_divmod_reduces_the_norm(m, data):
+    a = data.draw(_elements(m))
+    b = data.draw(_elements(m).filter(bool))
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert abs(r.norm()) < abs(b.norm())
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_gcd_generates_the_split_primes(m):
+    # (p, xi - c) is a prime of norm p for every c of order m mod a split p
+    xi = CycInt.root(m)
+    for p in [n for n in range(m + 1, 400) if n % m == 1 and sympy.isprime(n)]:
+        for c in [c for c in range(2, p) if pow(c, m, p) == 1]:
+            pi = cyclotomic_gcd(CycInt.from_int(m, p), xi - c)
+            assert abs(pi.norm()) == p
+            assert sum(x * c**k for k, x in enumerate(pi.coeffs)) % p == 0
+    # an exact common factor comes out, up to a unit
+    d = CycInt(m, (3, -1) + (0,) * (euler_phi(m) - 2))
+    g = cyclotomic_gcd(d * (xi + 5), d * (xi * xi - 7))
+    assert abs(g.norm()) == abs(d.norm() * cyclotomic_gcd(xi + 5, xi * xi - 7).norm())
+    with pytest.raises(ValidationError):
+        divmod(d, CycInt.zero(m))

@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from cyarith import dlog, is_prime, make_field
+from cyarith.ffield import primitive_root
 from cyarith.errors import CapacityError, PrimalityError, ValidationError
 from oracles import (add, frobenius, inv, mul, neg, power, smallest_generator_direct, sub,
                      vadd, vpow)
@@ -89,6 +90,14 @@ def test_default_generator_and_modulus_match_brute_force():
         f = make_field(p, r)
         assert f.g == smallest_generator_direct(f), (p, r)
         assert f.modulus == _first_irreducible_sympy(p, r), (p, r)
+
+
+def test_primitive_root_is_smallest():
+    # the pow-based search that labels split primes without a table, and
+    # make_field's generator at r = 1
+    for p in [n for n in range(2, 5000) if is_prime(n)] + [100151, 999983]:
+        assert primitive_root(p) == sympy.primitive_root(p), p
+    assert primitive_root(2) == make_field(2).g == 1
 
 
 def test_generator_has_full_order():

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
                      count_projective,
                      dirichlet_coefficients, euler_phi, ideal_jacobi_sum,
-                     is_prime, make_field, match_hasse_weil, partial_sum_eval,
+                     is_prime, local_factor_middle, make_field, match_hasse_weil,
+                     partial_sum_eval,
                      power_residue_char, split_prime_ideals, splitting_data)
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
 from cyarith.hecke import _assemble
@@ -195,11 +196,10 @@ def test_hecke_coefficients():
     assert coeffs.a(22) == 0                   # 2 omitted kills the product
 
 
-def test_hecke_cutoff_beyond_prime_field_bound(monkeypatch):
-    # refused before any field table is built, naming the first split prime
-    # above the bound (100151 = 1 mod 5)
+def _count_make_field(monkeypatch):
+    """The make_field calls from here on, through every module that binds it."""
+    import cyarith.charsum as charsum
     import cyarith.ffield as ffield
-    import cyarith.hecke as hecke
 
     calls = []
 
@@ -207,40 +207,45 @@ def test_hecke_cutoff_beyond_prime_field_bound(monkeypatch):
         calls.append(args)
         return make_field(*args, **kwargs)
 
-    monkeypatch.setattr(ffield, "make_field", counting)
-    monkeypatch.setattr(hecke, "make_field", counting)
-    with pytest.raises(CapacityError, match="p=100151 "):
-        dirichlet_coefficients(HeckeCharacter(5, (1, 1, 1, 1)), 100200)
+    for module in (ffield, charsum):
+        monkeypatch.setattr(module, "make_field", counting)
+    return calls
+
+
+def test_hecke_cutoff_beyond_prime_field_bound(monkeypatch):
+    # a composite conductor has no closed form, so its split primes read F_p:
+    # refused before any field table is built, naming the first split prime
+    # above the bound (100057 = 1 mod 12)
+    calls = _count_make_field(monkeypatch)
+    with pytest.raises(CapacityError, match="p=100057 "):
+        dirichlet_coefficients(HeckeCharacter(12, (1, 5, 6)), 100100)
     assert calls == []
 
 
 def test_lseries_cutoff_beyond_prime_field_bound(monkeypatch):
-    # the quintic's tuples all have conductor 5, so a p = 1 mod 5 above the
+    # every tuple of (2, 3, 6) has conductor 6, so a p = 1 mod 6 above the
     # bound needs F_p: refused before any field table is built
-    import cyarith.ffield as ffield
-    import cyarith.hecke as hecke
-    import cyarith.zeta as zeta
+    calls = _count_make_field(monkeypatch)
+    with pytest.raises(CapacityError, match="p=100003 "):
+        dirichlet_coefficients(DiagonalVariety((2, 3, 6)), 100100)
+    assert calls == []
 
-    calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return make_field(*args, **kwargs)
-
-    for module in (ffield, hecke, zeta):
-        monkeypatch.setattr(module, "make_field", counting)
-    with pytest.raises(CapacityError, match="p=100151 "):
-        dirichlet_coefficients(DiagonalVariety.fermat(5, 3), 100200)
+def test_split_primes_past_prime_field_bound(quintic, monkeypatch):
+    # conductor 5 with sum(a) != 0 mod 5 takes the closed form at split
+    # primes, so no F_p table is built, even beyond PRIME_FIELD_BOUND
+    calls = _count_make_field(monkeypatch)
+    lf = HeckeCharacter(5, (1, 1, 1, 1)).local_factor(100151)
+    assert lf.sign in (1, -1) and lf.coeffs[4] == 100151 ** 6
+    full = local_factor_middle(quintic, 100151)
+    assert full.is_exact and full.degree == 204
     assert calls == []
 
 
 def test_lseries_cutoff_beyond_extension_field_bound(monkeypatch):
     # for the cubic curve a p = 2 mod 3 has one orbit of length 2; 1031 is
     # the first prime with 1031^2 > 2^20, long before any p > 10^5
-    import cyarith.zeta as zeta
-
-    calls = []
-    monkeypatch.setattr(zeta, "make_field", lambda *args: calls.append(args))
+    calls = _count_make_field(monkeypatch)
     with pytest.raises(CapacityError, match=r"p=1031 needs a table of F_1062961 \(degree 2\)"):
         dirichlet_coefficients(DiagonalVariety((3, 3, 3)), 1031**2)
     assert calls == []

@@ -1,0 +1,111 @@
+"""Split-prime Jacobi sums in closed form (Stickelberger's factorisation)
+against the table kernel: ideal sums of every rank 1-4 over every ideal,
+the zeta-side sums of the degree sets, and the exact checks on pi."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cyarith.charsum as charsum
+from cyarith import (CycInt, DiagonalVariety, full_alpha_set, ideal_jacobi_sum,
+                     is_prime, make_field, split_prime_ideals)
+from cyarith.charsum import (STICKELBERGER_CONDUCTORS, galois_class_head, in_closed_form,
+                             jacobi_sum, jacobi_sums)
+from cyarith.errors import InvariantViolationError
+from cyarith.ffield import primitive_root
+from cyarith.hecke import SplitPrimeIdeal, ideal_jacobi_sums
+from oracles import jacobi_sums_per_alpha, unit_sums_per_row
+
+SPLIT_PRIMES = {l: [p for p in range(3, 2001) if is_prime(p) and p % l == 1]
+                for l in sorted(STICKELBERGER_CONDUCTORS)}
+
+
+def _kernel_heads(monkeypatch):
+    """The class heads that reach the table kernel from here on."""
+    heads = []
+    real = charsum._kernel_sums
+
+    def spying(f, kernel):
+        heads.extend(kernel)
+        return real(f, kernel)
+
+    monkeypatch.setattr(charsum, "_kernel_sums", spying)
+    return heads
+
+
+@st.composite
+def _split_prime_and_vectors(draw):
+    l = draw(st.sampled_from(sorted(SPLIT_PRIMES)))
+    p = draw(st.sampled_from(SPLIT_PRIMES[l]))
+    vector = st.lists(st.integers(1, l - 1), min_size=1, max_size=4).map(tuple)
+    return l, p, draw(st.lists(vector, min_size=1, max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_split_prime_and_vectors())
+def test_ideal_sums_match_kernel(case):
+    # every ideal above p; a vector with sum(a) = 0 mod l has no closed form
+    # and must reach the kernel, the others must not
+    l, p, vectors = case
+    ideals = split_prime_ideals(p, l)
+    rows = [(l, [x * i.tau_inv % l for x in a]) for i in ideals for a in vectors]
+    kernel = unit_sums_per_row(make_field(p), rows)
+    with pytest.MonkeyPatch.context() as mp:
+        heads = _kernel_heads(mp)
+        got = ideal_jacobi_sums(ideals, vectors)
+    assert got == [(-1) ** (len(e) + 1) * j for (_, e), j in zip(rows, kernel)]
+    assert set(heads) == {galois_class_head((l, a))[0] for a in vectors if sum(a) % l == 0}
+    assert all(in_closed_form(p, 1, l, a) == (sum(a) % l != 0) for a in vectors)
+
+
+@settings(max_examples=30, deadline=None)
+@given(exps=st.sampled_from([(5,) * 5, (3, 3, 3), (7, 7, 7)]), data=st.data())
+def test_zeta_side_matches_kernel(exps, data):
+    # the degree-set row (l, e) of a tuple is (-1)^(r+1) J_e(P_c) at the
+    # ideal labelled c = g^((p-1)/l), g the smallest primitive root
+    l = exps[0]
+    p = data.draw(st.sampled_from(SPLIT_PRIMES[l]))
+    tuples = full_alpha_set(DiagonalVariety(exps), p).tuples
+    with pytest.MonkeyPatch.context() as mp:
+        heads = _kernel_heads(mp)
+        sums = jacobi_sums((p, 1), tuples)
+    assert heads == []
+    assert sums == jacobi_sums_per_alpha(make_field(p), tuples)
+    ideal = SplitPrimeIdeal(p, l, pow(primitive_root(p), (p - 1) // l, p))
+    for t in data.draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=5)):
+        e = tuple(l * n // t.den for n in t.nums[:-1])
+        assert ideal_jacobi_sum(ideal, e) == (-1) ** (len(e) + 1) * jacobi_sum((p, 1), t)
+
+
+def test_closed_form_follows_the_table_generator(quintic):
+    # a table with another generator reads other characters: the closed form
+    # follows its g, as the kernel does
+    tuples = full_alpha_set(quintic, 31).tuples
+    for g in (3, 11, 12):
+        f = make_field(31, g=g)
+        assert jacobi_sums(f, tuples) == jacobi_sums_per_alpha(f, tuples)
+
+
+def test_split_prime_checks(monkeypatch):
+    # pi is checked for norm +-p, for lying in P_c, and pi^theta for being
+    # +-1 mod (1 - xi); each failure raises
+    p, l, c, exps = 11, 5, 5, [1, 1, 1, 1]      # 5 has order 5 mod 11
+
+    def fresh():
+        charsum._split_prime.cache_clear()
+        return charsum._split_sum(p, l, c, exps, {})
+
+    good = fresh()
+    real_gcd = charsum.cyclotomic_gcd
+    for wrong, message in ((lambda a, b: real_gcd(a, b) * (1 - CycInt.root(l)), "has norm"),
+                           (lambda a, b: real_gcd(a, b).galois(2), "is not in P_5")):
+        monkeypatch.setattr(charsum, "cyclotomic_gcd", wrong)
+        with pytest.raises(InvariantViolationError, match=message):
+            fresh()
+    monkeypatch.undo()
+    # pi = 1 + 2 xi = 3 mod (1 - xi): beta = pi alone has no unit eps
+    assert charsum._split_prime(p, l, c)[0] == CycInt(l, (1, 2, 0, 0))
+    monkeypatch.setattr(charsum, "_stickelberger_exponents", lambda m, exps: (1, 0, 0, 0))
+    with pytest.raises(InvariantViolationError, match="not \\+-1 mod"):
+        fresh()
+    monkeypatch.undo()
+    assert fresh() == good
