@@ -76,6 +76,8 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
         return None
     try:
         rec = json.loads(path.read_text())
+        if not isinstance(rec, dict):
+            raise ValueError("record is not a JSON object")
         if rec.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"format version {rec.get('format_version')}")
         data = rec["data"]

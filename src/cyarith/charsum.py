@@ -27,13 +27,14 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .cyclo import CycInt, cyclotomic_gcd
-from .errors import BadReductionError, InvariantViolationError, PrimalityError, ValidationError
-from .ffield import FieldTable, is_prime, make_field, primitive_root
+from .errors import BadReductionError, InvariantViolationError, ValidationError
+from .ffield import field_order, is_prime, make_field, primitive_root
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .counting import DiagonalVariety
+    from .ffield import FieldTable
 
 # odd primes l whose Z[mu_l] is norm-Euclidean, and at which the closed form
 # has been checked against the kernel at every split p < 10^4
@@ -112,13 +113,12 @@ def _assemble(v: DiagonalVariety, orders: tuple[int, ...], p: int) -> AlphaSet:
     return AlphaSet(variety=v, orders=orders, p=p, tuples=tuples, orbits=tuple(orbits))
 
 
-def build_alpha_set(v: DiagonalVariety, f: FieldTable) -> AlphaSet:
-    """Admissible tuples for the field at hand: l_i = gcd(n_i, q-1)."""
-    orders = tuple(math.gcd(n, f.q - 1) for n in v.exponents)
-    if any(l == 1 for l in orders):
-        # a unit order kills the coordinate's character range; no tuples survive
-        return AlphaSet(variety=v, orders=orders, p=f.p, tuples=(), orbits=())
-    return _assemble(v, orders, f.p)
+def build_alpha_set(v: DiagonalVariety, p: int, r: int = 1) -> AlphaSet:
+    """Admissible tuples for F_q, q = p^r: l_i = gcd(n_i, q-1); (p, r) is
+    checked by field_order even when no tuple survives."""
+    q = field_order(p, r)
+    # an order 1 leaves a coordinate no character, and _assemble no tuple
+    return _assemble(v, tuple(math.gcd(n, q - 1) for n in v.exponents), p)
 
 
 def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
@@ -130,11 +130,12 @@ def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
     return _assemble(v, v.exponents, p)
 
 
-def degree_conductors(v: DiagonalVariety) -> frozenset[int]:
-    """The conductors of the tuples in v's degree set.  At a good prime p an
-    orbit of tuples of conductor d has length ord_d(p), so these say which
-    fields F_{p^f} the local factor reads without walking the orbits."""
-    return frozenset(a.conductor for a in _enumerate_tuples(v.exponents))
+def degree_conductors(v: DiagonalVariety) -> dict[int, tuple]:
+    """{d: _row(a)}, a a tuple of conductor d, for each d in v's degree set.
+    An orbit of conductor d has length ord_d(p), and in_closed_form on the
+    row says if its sums read F_p's table: so the factor at p reads tables
+    of F_{p^f} for these f alone, found without walking the orbits."""
+    return {row[0]: row for row in map(_row, _enumerate_tuples(v.exponents))}
 
 
 # -- Jacobi sums: the kernel ---------------------------------------------------------
@@ -188,9 +189,11 @@ def _unit_sum(table: np.ndarray, q: int, m: int, exps) -> CycInt:
     return at_minus_one(psi) * a
 
 
-def _kernel_sums(f: FieldTable, heads) -> dict[tuple, CycInt]:
-    """_unit_sum at every head (m, exps), from one pair table built at the
-    lcm of the moduli and folded down to each."""
+def _kernel_sums(p: int, r: int, heads) -> dict[tuple, CycInt]:
+    """_unit_sum at every head (m, exps) over F_{p^r}, from one pair table of
+    make_field(p, r), the one table a sum reads, built at the lcm of the
+    moduli and folded down to each."""
+    f = make_field(p, r)
     big_m = math.lcm(*(m for m, _ in heads))
     table = dlog_pair_table(f, big_m)
     folded = {m: table.reshape(big_m // m, m, big_m // m, m).sum(axis=(0, 2))
@@ -272,56 +275,48 @@ def galois_class_head(row: tuple) -> tuple[tuple, int]:
     return (m, head), pow(l, -1, m)
 
 
-def unit_sums(field: FieldTable | tuple[int, int], rows) -> list[CycInt]:
+def unit_sums(field: tuple[int, int], rows) -> list[CycInt]:
     """For each row (m, (e_0..e_k)): the sum over units u_0..u_k of F_q with
     u_0 + ... + u_k = -1 of prod_i xi_m^(e_i * dlog u_i), exact in Z[mu_m].
 
-    field is a FieldTable, or the pair (p, r) for F_{p^r}; dlog is to base
-    the table's g, by default make_field(p, r).g (primitive_root(p) when
-    r = 1).  Scaling a row by l in (Z/m)^* applies sigma_l to its sum
-    (Ireland-Rosen ch. 8 and 14), so each Galois class is evaluated once,
-    on its head, and every other row is read off as sigma_{l_inv} of its
-    head's sum.  A head in_closed_form is computed by _split_sum; the rest
-    go to the kernel, which needs the table: make_field(p, r) is called,
-    for a pair, only if some head does.
+    field is the pair (p, r) for F_q, q = p^r, checked by field_order; dlog
+    is to base make_field(p, r).g (primitive_root(p) when r = 1).  Scaling
+    a row by l in (Z/m)^* applies sigma_l to its sum (Ireland-Rosen ch. 8
+    and 14), so each Galois class is evaluated once, on its head, and every
+    other row is read off as sigma_{l_inv} of its head's sum.  A head
+    in_closed_form is computed by _split_sum; the rest go to the kernel,
+    which tabulates F_q only if some head does.
     """
-    if isinstance(field, FieldTable):
-        p, r, table = field.p, field.r, field
-    else:
-        (p, r), table = field, None
-        if not is_prime(p):
-            raise PrimalityError(f"{p} is not prime")
-        if r < 1:
-            raise ValidationError("extension degree must be positive")
+    p, r = field
+    field_order(p, r)
     placed = [galois_class_head((m, tuple(exps))) for m, exps in rows]
     heads = dict.fromkeys(h for h, _ in placed)
     by_head: dict[tuple, CycInt] = {}
     memo: dict[tuple, CycInt] = {}
     for m, e in heads:
         if in_closed_form(p, r, m, e):
-            g = table.g if table is not None else primitive_root(p)
-            by_head[m, e] = _split_sum(p, m, pow(g, (p - 1) // m, p), e, memo)
+            by_head[m, e] = _split_sum(p, m, pow(primitive_root(p), (p - 1) // m, p), e, memo)
     kernel = [h for h in heads if h not in by_head]
     if kernel:
-        by_head.update(_kernel_sums(table if table is not None else make_field(p, r),
-                                    kernel))
+        by_head.update(_kernel_sums(p, r, kernel))
     return [by_head[h] if l_inv == 1 else by_head[h].galois(l_inv) for h, l_inv in placed]
 
 
-def _char_multipliers(alpha: AlphaTuple, m: int) -> list[int]:
-    """Integers e_i with chi_{alpha_i}(g^s) = xi_m^(e_i * s)."""
-    return [m * n // alpha.den for n in alpha.nums]
+def _row(alpha: AlphaTuple) -> tuple[int, tuple[int, ...]]:
+    """The unit_sums row (m, (e_0..e_{s-1})) of alpha, m its conductor, with
+    chi_{alpha_i}(g^k) = xi_m^(e_i k); the last character is scaled away."""
+    m = alpha.conductor
+    return m, tuple(m * n // alpha.den for n in alpha.nums[:-1])
 
 
-def jacobi_sums(field: FieldTable | tuple[int, int], alphas) -> list[CycInt]:
+def jacobi_sums(field: tuple[int, int], alphas) -> list[CycInt]:
     """Exact j_q(alpha) in Z[mu_m], m the conductor, for every alpha, in input
-    order, over a FieldTable or the field (p, r) of unit_sums: scaling the
-    last coordinate away leaves the unit sum of the first s characters.
-    unit_sums evaluates one sum per Galois class."""
-    return unit_sums(field, [(a.conductor, _char_multipliers(a, a.conductor)[:-1])
-                             for a in alphas])
+    order, over the field (p, r) of unit_sums, from each alpha's _row.
+    unit_sums evaluates one sum per Galois class, and tabulates F_q only
+    for the classes that have no closed form."""
+    return unit_sums(field, [_row(a) for a in alphas])
 
 
-def jacobi_sum(field: FieldTable | tuple[int, int], alpha: AlphaTuple) -> CycInt:
+def jacobi_sum(field: tuple[int, int], alpha: AlphaTuple) -> CycInt:
     """Exact j_q(alpha) in Z[mu_m]; see jacobi_sums."""
     return jacobi_sums(field, [alpha])[0]

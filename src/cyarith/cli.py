@@ -37,7 +37,7 @@ from .charsum import AlphaTuple, full_alpha_set, jacobi_sums
 from .counting import DiagonalVariety, count_projective
 from .cyclo import CycInt, cyclotomic_unit, delta_determinant, hecke_weight, s_element
 from .errors import CapacityError, InvariantViolationError, ValidationError
-from .ffield import is_prime, make_field
+from .ffield import is_prime
 from .hecke import (HeckeCharacter, dirichlet_coefficients, match_hasse_weil,
                     partial_sum_eval, splitting_data)
 from .zeta import CongruentZeta, LocalFactor, local_factor_middle, predicted_count
@@ -191,11 +191,11 @@ def _cmd_count(args) -> None:
         raise ValidationError("no good primes in the requested set")
     rows = []
     for p in good:
-        f = make_field(p, args.extension)
-        n = count_projective(v, f)
-        rows.append({"p": p, "r": args.extension, "q": f.q,
+        n = count_projective(v, p, args.extension)
+        q = p**args.extension
+        rows.append({"p": p, "r": args.extension, "q": q,
                      "projective_points": str(n),
-                     "affine_points": str(1 + (f.q - 1) * n)})
+                     "affine_points": str(1 + (q - 1) * n)})
     payload = {"exponents": list(v.exponents),
                "dimension": v.complex_dim,
                "calabi_yau": v.is_calabi_yau,

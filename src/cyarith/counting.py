@@ -7,9 +7,9 @@ because the fibres of the quotient map are full G_m-torsors.
 
 Affine counts come from Weil's formula: the hyperplane count q^s plus (q-1)
 times the Jacobi sums j_q(alpha) of the admissible character tuples, all
-from charsum.jacobi_sums (Weil 1949; Ireland-Rosen ch. 8
-section 7).  tests/oracles.py enumerates the affine grid as the independent
-oracle.
+from charsum.jacobi_sums over the field (p, r) (Weil 1949; Ireland-Rosen
+ch. 8 section 7).  tests/oracles.py enumerates the affine grid as the
+independent oracle.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 from .charsum import build_alpha_set, jacobi_sums
 from .cyclo import CycInt
 from .errors import InvariantViolationError, ValidationError
-from .ffield import FieldTable, is_prime
+from .ffield import is_prime
 
 
 @dataclass(frozen=True)
@@ -72,28 +72,26 @@ class DiagonalVariety:
 # -- affine solution counting ----------------------------------------------------
 
 
-def count_affine(v: DiagonalVariety, f: FieldTable) -> int:
-    """Number of affine F_q solutions by Weil's formula
+def count_affine(v: DiagonalVariety, p: int, r: int = 1) -> int:
+    """Number of affine F_q solutions, q = p^r, by Weil's formula
 
-        N = q^s + (q-1) * sum over alpha in build_alpha_set(v, f) of j_q(alpha),
+        N = q^s + (q-1) * sum over alpha in build_alpha_set(v, p, r) of j_q(alpha),
 
     which needs only gcd(n_i, q-1), so it also holds when p divides an n_i.
     The Jacobi-sum total must be a rational integer; rational_value() checks it.
     """
-    q, s = f.q, v.ambient_dim
-    tuples = build_alpha_set(v, f).tuples
-    if not tuples:
-        return q**s
-    sums = jacobi_sums(f, tuples)
+    tuples = build_alpha_set(v, p, r).tuples        # checks (p, r)
+    sums = jacobi_sums((p, r), tuples)              # no tuple, no sum and no table
+    q, s = p**r, v.ambient_dim
     big_m = math.lcm(*(j.m for j in sums))
     total = sum((j.lift(big_m) for j in sums), CycInt.zero(big_m))
     return q**s + (q - 1) * total.rational_value()
 
 
-def count_projective(v: DiagonalVariety, f: FieldTable) -> int:
-    """Number of projective F_q points; exact-quotient check included."""
-    na = count_affine(v, f)
-    if (na - 1) % (f.q - 1):
+def count_projective(v: DiagonalVariety, p: int, r: int = 1) -> int:
+    """Number of projective F_q points, q = p^r; exact-quotient check included."""
+    na, q = count_affine(v, p, r), p**r
+    if (na - 1) % (q - 1):
         raise InvariantViolationError(
             f"affine count {na} is not 1 mod q-1; scaling torsor broken")
-    return (na - 1) // (f.q - 1)
+    return (na - 1) // (q - 1)

@@ -232,36 +232,39 @@ def _minus_table(p: int, r: int) -> np.ndarray:
     return minus
 
 
-def make_field(p: int, r: int = 1, g: int | None = None) -> FieldTable:
-    """F_{p^r}, tabulated on the generator g.
-
-    The modulus is the lexicographically smallest monic irreducible of
-    degree r, coefficients compared low degree first (x when r = 1).  g is by
-    default the smallest element index of order q-1: primitive_root(p) when
-    r = 1.  For r > 1 the scan starts at p, the index of x: the indices
-    below it are the constants, whose orders divide p-1 < q-1.  Each such
-    candidate, and an explicit g, must have no (q-1)/l-th power equal to 1
-    for any prime l | q-1; the powers are taken by square-and-multiply on
-    the residue polynomial in Python ints.  exp comes from the doubling in
-    _exp_table, dlog inverts it, and zech reads dlog through the table of
-    1 - x at x = exp.
-    """
-    import numpy as np
-
+def field_order(p: int, r: int = 1) -> int:
+    """q = p^r for a prime p and r >= 1, the check of every function that
+    names a field by (p, r), whether or not it builds a table."""
     if not is_prime(p):
         raise PrimalityError(f"{p} is not prime")
     if r < 1:
         raise ValidationError("extension degree must be positive")
-    q = p**r
+    return p**r
+
+
+def make_field(p: int, r: int = 1) -> FieldTable:
+    """F_{p^r}, tabulated on its canonical generator g.
+
+    The modulus is the lexicographically smallest monic irreducible of
+    degree r, coefficients compared low degree first (x when r = 1).  g is
+    the smallest element index of order q-1: primitive_root(p) when r = 1.
+    For r > 1 the scan starts at p, the index of x: the indices below it are
+    the constants, whose orders divide p-1 < q-1.  Each candidate must have
+    no (q-1)/l-th power equal to 1 for any prime l | q-1; the powers are
+    taken by square-and-multiply on the residue polynomial in Python ints.
+    exp comes from the doubling in _exp_table, dlog inverts it, and zech
+    reads dlog through the table of 1 - x at x = exp.  Above this module,
+    only charsum's kernel calls it: the other layers name a field by (p, r).
+    """
+    import numpy as np
+
+    q = field_order(p, r)
     if q > table_bound(r):
         raise CapacityError(f"field table bound for degree {r} is {table_bound(r)}, got q={q}")
     modulus = _smallest_irreducible(p, r)
     factors = prime_factors(q - 1)
-    if g is None:
-        g = primitive_root(p) if r == 1 else next(
-            i for i in range(p, q) if _generates(i, modulus, p, q, factors))
-    elif not 1 <= g < q or not _generates(g, modulus, p, q, factors):
-        raise ValidationError(f"{g} does not generate F_{q}^*")
+    g = primitive_root(p) if r == 1 else next(
+        i for i in range(p, q) if _generates(i, modulus, p, q, factors))
     exp = _exp_table(g, modulus, p, q)
     dl = np.full(q, -1, dtype=np.int64)
     dl[exp] = np.arange(q - 1, dtype=np.int64)

@@ -29,8 +29,8 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 
-from .charsum import (STICKELBERGER_CONDUCTORS, degree_conductors, full_alpha_set,
-                      galois_class_head, in_closed_form, unit_sums)
+from .charsum import (degree_conductors, full_alpha_set, galois_class_head,
+                      in_closed_form, unit_sums)
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import CapacityError, InvariantViolationError, ValidationError
@@ -325,16 +325,16 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
         raise ValidationError("cutoff must be positive")
     if isinstance(source, DiagonalVariety):
         euler_factor, weight = partial(_hasse_weil_factor, source), source.complex_dim
-        conductors = degree_conductors(source)
+        rows = degree_conductors(source)
 
         def degrees(p):
             """Degrees f of the tables F_{p^f} the factor at p builds: an
             orbit of tuples of conductor d has f = ord_d(p), and needs no
-            table at f = 1 for d in STICKELBERGER_CONDUCTORS."""
+            table when its sums are in closed form over F_p."""
             if any(n % p == 0 for n in source.exponents):
                 return set()                    # bad reduction: no factor
-            return {_order_mod(p, d) for d in conductors
-                    if not (d in STICKELBERGER_CONDUCTORS and p % d == 1)}
+            return {_order_mod(p, d) for d, row in rows.items()
+                    if not in_closed_form(p, 1, *row)}
     elif isinstance(source, HeckeCharacter):
         euler_factor, weight = source.euler_factor, source.weight
 

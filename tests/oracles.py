@@ -14,15 +14,17 @@ vectorised field operations at the end read the field's exp/dlog tables;
 for addition they derive the base-p digit rows from the element index
 themselves, so nothing here shares the kernel's Zech table.
 `smallest_generator_direct` finds make_field's default generator by taking
-the order of every element index in turn with `mul`.
+the order of every element index in turn with `mul`, and `with_generator`
+re-indexes a table's logarithms to another generator.
 """
 
+import dataclasses
 import math
 from itertools import product
 
 import numpy as np
 
-from cyarith.charsum import _char_multipliers, _unit_sum, dlog_pair_table
+from cyarith.charsum import _row, _unit_sum, dlog_pair_table
 from cyarith.cyclo import CycInt
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
 
@@ -41,7 +43,7 @@ def jacobi_sum_direct(f, alpha):
         if (q - 1) % d:
             raise ValidationError(f"character order {d} does not divide q-1")
     m = alpha.conductor
-    mult = _char_multipliers(alpha, m)
+    mult = [m * n // alpha.den for n in alpha.nums]
     dl = np.where(f.dlog >= 0, f.dlog, 0)
     U = np.arange(1, q, dtype=np.int64)
     nv = min(3, s)
@@ -129,8 +131,7 @@ def unit_sums_per_row(f, rows):
 
 def jacobi_sums_per_alpha(f, alphas):
     """j_q(alpha) in Z[mu_m], m the conductor, one kernel row per alpha."""
-    return unit_sums_per_row(f, [(a.conductor, _char_multipliers(a, a.conductor)[:-1])
-                                 for a in alphas])
+    return unit_sums_per_row(f, [_row(a) for a in alphas])
 
 
 def predicted_count_direct(z, r):
@@ -226,3 +227,16 @@ def multiplicative_order(f, x):
 def smallest_generator_direct(f):
     """The smallest element index of order q-1, every index from 1 tried."""
     return next(x for x in range(1, f.q) if multiplicative_order(f, x) == f.q - 1)
+
+
+def with_generator(f, k):
+    """f's table on the generator g^k, k prime to q-1: dlog_{g^k} is
+    k^-1 * dlog_g mod q-1, exp reads g^(k e), and zech[e] = dlog(1 - g^(k e))."""
+    n = f.q - 1
+    k_inv, e = pow(k, -1, n), np.arange(n) * k % n
+
+    def reindex(logs):
+        return np.where(logs >= 0, logs * k_inv % n, -1)
+
+    return dataclasses.replace(f, g=int(f.exp[k]), dlog=reindex(f.dlog), exp=f.exp[e],
+                               zech=reindex(f.zech[e]))

@@ -18,7 +18,7 @@ from cyarith import (CongruentZeta, CycInt, DiagonalVariety,
                      check_kn_identity, check_kr_identity, count_projective,
                      cyclotomic_unit, dirichlet_coefficients,
                      fusion_field_match, gepner_levels, local_factor_middle,
-                     make_field, match_hasse_weil, predicted_count,
+                     match_hasse_weil, predicted_count,
                      quantum_dimension, regulator_matrix, verlinde_fusion)
 
 
@@ -31,13 +31,13 @@ def report(num, ok, detail):
 def test_criterion_01_quintic_factor_exact_and_fast(quintic):
     t0 = time.monotonic()
     lf11 = local_factor_middle(quintic, 11)
-    n1_11 = count_projective(quintic, make_field(11))
+    n1_11 = count_projective(quintic, 11)
     z11 = CongruentZeta(variety=quintic, p=11, middle=lf11)
     dt11 = time.monotonic() - t0
 
     t0 = time.monotonic()
     lf31 = local_factor_middle(quintic, 31)
-    n1_31 = count_projective(quintic, make_field(31))
+    n1_31 = count_projective(quintic, 31)
     z31 = CongruentZeta(variety=quintic, p=31, middle=lf31)
     dt31 = time.monotonic() - t0
 
@@ -54,7 +54,7 @@ def test_criterion_02_quintic_p2_extension_counts(quintic):
     t0 = time.monotonic()
     lf2 = local_factor_middle(quintic, 2)
     z2 = CongruentZeta(variety=quintic, p=2, middle=lf2)
-    counts = {r: count_projective(quintic, make_field(2, r)) for r in (1, 2, 3, 4)}
+    counts = {r: count_projective(quintic, 2, r) for r in (1, 2, 3, 4)}
     dt = time.monotonic() - t0
     ok = (len(lf2.orbits) == 51 and all(f == 4 for _, f in lf2.orbits)
           and counts[2] == 85
@@ -89,7 +89,7 @@ def test_criterion_05_fermat_cubic():
     checks = []
     for p in (7, 13):
         lf = local_factor_middle(cubic, p)
-        n1 = count_projective(cubic, make_field(p))
+        n1 = count_projective(cubic, p)
         z = CongruentZeta(variety=cubic, p=p, middle=lf)
         checks.append(lf.degree == 2 and predicted_count(z, 1) == n1
                       and _rh_holds(lf))
@@ -114,7 +114,7 @@ def test_criterion_07_dirichlet_coefficients(quintic):
     split = [p for p in (11, 31, 41, 61, 71)]
     trace_ok = all(
         coeffs.a(p) == 1 + p + p ** 2 + p ** 3
-        - count_projective(quintic, make_field(p)) for p in split)
+        - count_projective(quintic, p) for p in split)
     report(7, mult_ok and trace_ok,
            "a_n for n <= 100: multiplicative on all coprime pairs, "
            "a_p = 1 + p + p^2 + p^3 - N1 at split primes")

@@ -63,16 +63,26 @@ def test_lseries_cutoff_beyond_prime_field_bound(capsys):
     assert run(["lseries", "--exponents", "2,3,6", "--cutoff", "200000"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and "p=100003 " in out.err
+    assert run(["count", "--exponents", "2,3,6", "-p", "100003"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "field table bound for degree 1 is 100000" in out.err
 
 
 def test_split_prime_past_prime_field_bound(capsys):
-    # the quintic's split primes need no F_p table: complete factor and match
+    # the quintic's split primes need no F_p table: complete factor, match
+    # and count, which agrees with the factor's N_1
     doc = _json_out(capsys, ["zeta", "-d", "5", "-n", "3", "-p", "100151", "--no-cache"])
     [res] = doc["results"]
     assert res["degree"] == 204 and len(res["coefficients"]) == 205
     assert "precision" not in res and res["functional_sign"] in (1, -1)
+    assert res["predicted_counts"]["1"] == "1004547121621675"
     doc = _json_out(capsys, ["match", "-d", "5", "-n", "3", "-p", "100151", "--no-cache"])
     assert doc["results"][0]["multiset_size"] == 204
+    doc = _json_out(capsys, ["count", "-d", "5", "-n", "3", "-p", "100151"])
+    assert doc["counts"][0]["projective_points"] == "1004547121621675"
+    # gcd(3, p - 1) = 1: no character tuple, so no sum and no table
+    doc = _json_out(capsys, ["count", "--exponents", "3,3,3", "-p", "100151"])
+    assert doc["counts"][0]["projective_points"] == "100152"
 
 
 def test_count_range_skips_bad(capsys):
@@ -214,14 +224,21 @@ def _mark_truncated(data):
 
 
 @pytest.mark.parametrize("edit, reason", [(_bump_a_coefficient, "stored coefficients differ"),
-                                          (_mark_truncated, "truncated")])
+                                          (_mark_truncated, "truncated"),
+                                          ("[]", "not a JSON object"),
+                                          ("null", "not a JSON object")])
 def test_cache_discards_tampered_but_rehashed_entry(capsys, caplog, tmp_path, edit, reason):
+    # edit rewrites the data under a matching self-check, or, as a string,
+    # replaces the whole entry
     argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--json", "--deterministic",
             "--cache", str(tmp_path)]
     assert run(argv) == 0
     first = capsys.readouterr().out
     entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
-    _rehashed(entry, edit)
+    if callable(edit):
+        _rehashed(entry, edit)
+    else:
+        entry.write_text(edit)
     assert run(argv) == 0
     assert capsys.readouterr().out == first       # recomputed, not read back
     assert "discarding corrupt cache entry" in caplog.text and reason in caplog.text
@@ -620,6 +637,7 @@ def test_extension_below_one_refused(capsys):
     [],
     ["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "200", "--no-cache"],
     ["match", "-d", "5", "-n", "3", "-p", "11"],
+    ["count", "-d", "5", "-n", "3", "-p", "11"],
 ])
 def test_split_prime_runs_load_no_numpy(argv, tmp_path, capsys):
     # numpy is imported only by the code that builds a field table or a

@@ -130,22 +130,6 @@ def test_vectorised_ops_match_scalar():
         assert vp[i] == power(f, int(a[i]), 3)
 
 
-def test_alternate_generator_field():
-    for p, r, g, non_generator in [
-        (11, 1, 7, 3),                  # 3 has order 5 in F_11^*
-        (3, 2, 7, 2),                   # 2 = -1 has order 2 in F_9^*
-    ]:
-        default, other = make_field(p, r), make_field(p, r, g=g)
-        assert default.g != g == other.g
-        # same field, different log tables; multiplication must agree
-        for x in range(default.q):
-            for y in range(default.q):
-                assert mul(default, x, y) == mul(other, x, y)
-        for bad in (non_generator, 0, default.q):
-            with pytest.raises(ValidationError):
-                make_field(p, r, g=bad)
-
-
 # (g, modulus, sha256 of exp, sha256 of dlog, sha256 of zech).  The exp and
 # dlog hashes are those of the per-element constructors this module had
 # before the doubling construction, the zech hashes those of the digit-column

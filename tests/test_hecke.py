@@ -165,7 +165,7 @@ def test_dirichlet_coefficients_quintic(quintic):
 def test_ap_trace_identity(quintic):
     coeffs = dirichlet_coefficients(quintic, 100)
     for p in (11, 31, 41, 61, 71):
-        n1 = count_projective(quintic, make_field(p))
+        n1 = count_projective(quintic, p)
         assert coeffs.a(p) == 1 + p + p ** 2 + p ** 3 - n1
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import cyarith.zeta as zeta_module
 from cyarith import (CongruentZeta, CycInt, DiagonalVariety, HeckeCharacter,
                      LocalFactor, congruent_zeta, count_projective,
-                     expected_degrees, is_prime, local_factor_middle, make_field,
+                     expected_degrees, is_prime, local_factor_middle,
                      predicted_count, split_prime_ideals)
 from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.hecke import ideal_jacobi_sums
@@ -48,10 +48,10 @@ def test_quintic_factor_p2(quintic_lf2):
 
 def test_predicted_counts_match_enumeration(quintic, quintic_lf11, quintic_lf2):
     z11 = CongruentZeta(variety=quintic, p=11, middle=quintic_lf11)
-    assert predicted_count(z11, 1) == count_projective(quintic, make_field(11))
+    assert predicted_count(z11, 1) == count_projective(quintic, 11)
     z2 = CongruentZeta(variety=quintic, p=2, middle=quintic_lf2)
     for r in (1, 2, 3, 4):
-        assert predicted_count(z2, r) == count_projective(quintic, make_field(2, r))
+        assert predicted_count(z2, r) == count_projective(quintic, 2, r)
     with pytest.raises(ValidationError):
         predicted_count(z2, 0)
 
@@ -62,7 +62,7 @@ def test_cubic_factors():
         lf = local_factor_middle(cubic, p)
         assert lf.coeffs == coeffs
         z = CongruentZeta(variety=cubic, p=p, middle=lf)
-        assert predicted_count(z, 1) == count_projective(cubic, make_field(p))
+        assert predicted_count(z, 1) == count_projective(cubic, p)
 
 
 def test_k3_quartic_factors():
@@ -76,7 +76,7 @@ def test_k3_quartic_factors():
     assert lf3.coeffs[:4] == (1, -3, -90, 270)
     z3 = CongruentZeta(variety=quartic, p=3, middle=lf3)
     for r in (1, 2):
-        assert predicted_count(z3, r) == count_projective(quartic, make_field(3, r))
+        assert predicted_count(z3, r) == count_projective(quartic, 3, r)
 
 
 def test_mixed_exponent_elliptic():
@@ -86,7 +86,7 @@ def test_mixed_exponent_elliptic():
         lf = local_factor_middle(v, p)
         assert lf.coeffs == coeffs
         z = CongruentZeta(variety=v, p=p, middle=lf)
-        assert predicted_count(z, 1) == count_projective(v, make_field(p))
+        assert predicted_count(z, 1) == count_projective(v, p)
 
 
 def test_riemann_hypothesis_reports(quintic_lf11, quintic_lf31):
@@ -154,7 +154,7 @@ def test_quintic_complete_at_large_residue_fields(quintic, p, r):
     assert z.middle.degree == 204
     assert z.middle.sign == 1
     for k in {1, r}:
-        assert predicted_count(z, k) == count_projective(quintic, make_field(p, k))
+        assert predicted_count(z, k) == count_projective(quintic, p, k)
 
 
 # -- the norm-class expansion against the per-coefficient oracle -----------------
