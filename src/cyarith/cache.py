@@ -70,7 +70,7 @@ def store(cache_dir: Path, exps: tuple[int, ...], lf: LocalFactor) -> None:
 
 def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
     """The cached factor for (exps, p), or None; a corrupt entry (see the
-    module docstring) is deleted."""
+    module docstring), or one that cannot be read, is deleted if it can be."""
     path = entry_path(cache_dir, exps, p)
     if not path.exists():
         return None
@@ -94,7 +94,8 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
         if lf.coeffs != tuple(int(x) for x in data["coefficients"]):
             raise ValueError("stored coefficients differ from the stored roots' expansion")
         return lf
-    except (ValueError, KeyError, TypeError, IndexError, InvariantViolationError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, IndexError,
+            InvariantViolationError) as exc:
         log.warning("discarding corrupt cache entry %s: %s", path, exc)
         try:
             path.unlink()

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .cyclo import CycInt, cyclotomic_gcd
+from .cyclo import CycInt, cyclotomic_gcd, s_element
 from .errors import BadReductionError, InvariantViolationError, ValidationError
 from .ffield import field_order, is_prime, make_field, primitive_root
 
@@ -226,15 +226,6 @@ def _split_prime(p: int, m: int, c: int) -> tuple[CycInt, ...]:
     return tuple(pi.galois(t) for t in range(1, m))
 
 
-def _stickelberger_exponents(m: int, exps) -> tuple[int, ...]:
-    """n_t = (sum_i <-t^-1 a_i> - <-t^-1 sum a>) / m for t = 1..m-1, <x> = x mod m."""
-    out = []
-    for t in range(1, m):
-        u = -pow(t, -1, m)
-        out.append((sum(u * a % m for a in exps) - u * sum(exps) % m) // m)
-    return tuple(out)
-
-
 def _split_sum(p: int, m: int, c: int, exps, memo: dict) -> CycInt:
     """The unit sum of the row (m, exps) over F_p in closed form, where the
     characters read xi^dlog u = u^((p-1)/m) mod P_c.
@@ -243,15 +234,18 @@ def _split_sum(p: int, m: int, c: int, exps, memo: dict) -> CycInt:
     beta = prod_t sigma_t(pi)^(n_t) (Stickelberger), eps = +-xi^k the one
     unit with J = 1 mod (1 - xi)^2.  With lambda = 1 - xi, beta = sum b_k
     xi^k is sum b_k - (sum k b_k) lambda mod lambda^2, and sum b_k must be
-    +-1 mod m; that fixes eps.  J depends on exps only through (n_t), and
-    memo keeps it on (m, (n_t)).
+    +-1 mod m; that fixes eps.  n_t = (sum_i <u a_i> - <u sum a>) / m with
+    u = -t^-1 and <x> = x mod m, which is S(exps)[-t mod m] for the
+    Stickelberger element S = cyclo.s_element; J depends on exps only
+    through S(exps), and memo keeps it on that.
     """
-    key = m, _stickelberger_exponents(m, exps)
+    key = s_element(exps, m)
     if key not in memo:
+        n = key.as_dict()
         beta = CycInt.one(m)
-        for sigma_pi, n in zip(_split_prime(p, m, c), key[1]):
-            if n:
-                beta = beta * sigma_pi ** n
+        for t, sigma_pi in enumerate(_split_prime(p, m, c), 1):
+            if n[-t % m]:
+                beta = beta * sigma_pi ** n[-t % m]
         sign = {1: 1, m - 1: -1}.get(sum(beta.coeffs) % m)
         if sign is None:
             raise InvariantViolationError(

@@ -130,13 +130,17 @@ def _cache_dir(args) -> Path | None:
 def _local_factor(v: DiagonalVariety, p: int, cap: int | None,
                   cache_dir: Path | None) -> LocalFactor:
     """The factor at p through the cache; truncated factors are cheap and
-    never cached."""
+    never cached.  A cache that cannot be written is a ValidationError."""
     cached = cap is None and cache_dir is not None
     lf = cache.load(cache_dir, v.exponents, p) if cached else None
     if lf is None:
         lf = local_factor_middle(v, p, max_root_field=cap)
         if cached:
-            cache.store(cache_dir, v.exponents, lf)
+            try:
+                cache.store(cache_dir, v.exponents, lf)
+            except OSError as exc:
+                path = cache.entry_path(cache_dir, v.exponents, p)
+                raise ValidationError(f"cannot write cache entry {path}: {exc}") from exc
     return lf
 
 
@@ -297,6 +301,8 @@ def _cmd_zeta(args) -> None:
     good, skipped = _good_primes(v, args.prime)
     if not good:
         raise ValidationError("no good primes in the requested set")
+    if args.predict < 0:
+        raise ValidationError(f"--predict must be at least 0, got {args.predict}")
     job = partial(_zeta_result, v.exponents, args.max_root_field, args.predict,
                   _cache_dir(args))
     width = min(args.jobs, len(good))

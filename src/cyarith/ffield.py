@@ -10,7 +10,8 @@ the Zech logarithms dlog(1 - g**e), so every sum downstream is a pure table
 lookup.
 
 A table costs O(q) numpy work and little else; numpy is imported by the
-functions that build one, so code that needs no table never loads it.  The
+functions that build one, so code that needs no table never loads it.  One
+size rule holds at every degree, stated by check_table: q <= TABLE_BOUND.  The
 modulus is found by walking the monic candidates lazily in lexicographic
 order, low degree first, and the default generator by scanning element
 indices upward.  For a prime field that scan is primitive_root, the same
@@ -30,8 +31,7 @@ from .errors import CapacityError, InvariantViolationError, PrimalityError, Vali
 if TYPE_CHECKING:
     import numpy as np
 
-PRIME_FIELD_BOUND = 100_000
-EXTENSION_FIELD_BOUND = 1 << 20
+TABLE_BOUND = 1 << 20   # the largest q = p^r that make_field tabulates, for every r
 
 
 def is_prime(n: int) -> bool:
@@ -93,11 +93,6 @@ class FieldTable:
     dlog: np.ndarray
     exp: np.ndarray
     zech: np.ndarray
-
-
-def table_bound(r: int) -> int:
-    """The largest q = p^r that make_field tabulates at degree r."""
-    return PRIME_FIELD_BOUND if r == 1 else EXTENSION_FIELD_BOUND
 
 
 def dlog(f: FieldTable, x: int) -> int:
@@ -242,6 +237,13 @@ def field_order(p: int, r: int = 1) -> int:
     return p**r
 
 
+def check_table(p: int, r: int) -> None:
+    """CapacityError unless q = p^r <= TABLE_BOUND; (p, r) is not rechecked."""
+    if p**r > TABLE_BOUND:
+        raise CapacityError(f"p={p} needs a table of F_{p**r} (degree {r}), "
+                            f"beyond the table bound {TABLE_BOUND}")
+
+
 def make_field(p: int, r: int = 1) -> FieldTable:
     """F_{p^r}, tabulated on its canonical generator g.
 
@@ -259,8 +261,7 @@ def make_field(p: int, r: int = 1) -> FieldTable:
     import numpy as np
 
     q = field_order(p, r)
-    if q > table_bound(r):
-        raise CapacityError(f"field table bound for degree {r} is {table_bound(r)}, got q={q}")
+    check_table(p, r)
     modulus = _smallest_irreducible(p, r)
     factors = prime_factors(q - 1)
     g = primitive_root(p) if r == 1 else next(

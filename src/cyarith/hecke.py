@@ -14,7 +14,7 @@ class, and charsum.unit_sums evaluates one sum for all of them.  For m in
 charsum.STICKELBERGER_CONDUCTORS (3, 5, 7) and a vector whose sum is nonzero
 mod m, that sum is Stickelberger's closed form and needs no table either,
 so such a character has no prime bound; other characters read F_p's table,
-up to ffield.PRIME_FIELD_BOUND.
+up to ffield.TABLE_BOUND.
 
 Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
 of a Jacobi-sum character, are built from zeta.LocalFactor: each local
@@ -33,8 +33,8 @@ from .charsum import (degree_conductors, full_alpha_set, galois_class_head,
                       in_closed_form, unit_sums)
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
-from .errors import CapacityError, InvariantViolationError, ValidationError
-from .ffield import is_prime, primitive_root, table_bound
+from .errors import InvariantViolationError, ValidationError
+from .ffield import check_table, is_prime, primitive_root
 from .zeta import LocalFactor, local_factor_middle
 
 
@@ -291,10 +291,11 @@ def _smallest_prime_factors(cutoff: int) -> list[int]:
     return spf
 
 
-def _assemble(cutoff: int, prime_series: dict[int, list[int]]) -> list[int]:
-    """a_1..a_cutoff from the series of 1/P(t) at each prime; a prime with
-    no series makes a_n vanish for every n it divides."""
-    spf = _smallest_prime_factors(cutoff)
+def _assemble(spf: list[int], prime_series: dict[int, list[int]]) -> list[int]:
+    """a_1..a_cutoff, spf the sieve to cutoff, from the series of 1/P(t) at
+    each prime; a prime with no series makes a_n vanish for every n it
+    divides."""
+    cutoff = len(spf) - 1
     values = [0, 1] + [0] * (cutoff - 1)
     for n in range(2, cutoff + 1):
         p = spf[n]
@@ -317,9 +318,10 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     LocalFactor exact through t^k_max; bad and omitted primes give a_n = 0.
     A variety's factor at p is built when it is needed, from the Frobenius
     orbits of length f <= k_max (p^f <= cutoff).  If some factor would need
-    a field table F_{p^f} beyond make_field's bound, CapacityError names the
-    first such p before any factor is built; the split-prime sums that
-    charsum computes in closed form need no table and are not counted.
+    a field table F_{p^f} beyond ffield.TABLE_BOUND, check_table's
+    CapacityError names the first such p before any factor is built; the
+    split-prime sums that charsum computes in closed form need no table and
+    are not counted.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
@@ -350,12 +352,8 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
         while p ** (k_max + 1) <= cutoff:
             k_max += 1
         primes.append((p, k_max))
-    over = next(((p, f) for p, k_max in primes for f in sorted(degrees(p))
-                 if f <= k_max and p**f > table_bound(f)), None)
-    if over is not None:
-        p, f = over
-        raise CapacityError(f"p={p} needs a table of F_{p**f} (degree {f}), beyond "
-                            f"the degree-{f} table bound {table_bound(f)}")
+        for f in sorted(f for f in degrees(p) if f <= k_max):
+            check_table(p, f)
     prime_series: dict[int, list[int]] = {}
     included, bad, omitted = [], [], []
     for p, k_max in primes:
@@ -368,7 +366,7 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
             prime_series[p] = _invert_local(factor.coeffs, k_max)
             included.append((p, factor.full_degree))
     return LSeriesCoefficients(cutoff=cutoff, weight=weight,
-                               values=tuple(_assemble(cutoff, prime_series)),
+                               values=tuple(_assemble(spf, prime_series)),
                                included_primes=tuple(included),
                                bad_primes=tuple(bad),
                                omitted_primes=tuple(omitted))

@@ -58,14 +58,19 @@ def test_strict_prime_list_refuses_repeats(capsys):
         assert out.out == "" and "p=11 is listed more than once" in out.err
 
 
-def test_lseries_cutoff_beyond_prime_field_bound(capsys):
-    # conductor 6 has no closed form: p = 100003 = 1 mod 6 needs F_p
-    assert run(["lseries", "--exponents", "2,3,6", "--cutoff", "200000"]) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and "p=100003 " in out.err
-    assert run(["count", "--exponents", "2,3,6", "-p", "100003"]) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and "field table bound for degree 1 is 100000" in out.err
+def test_lseries_cutoff_beyond_table_bound(capsys):
+    # conductor 6 has no closed form, so a p = 1 mod 6 reads F_p's table:
+    # 100003 is tabulated, and 1048609, the first such p above 2^20, is not
+    doc = _json_out(capsys, ["count", "--exponents", "2,3,6", "-p", "100003"])
+    assert doc["counts"][0]["projective_points"] == "100636"
+    doc = _json_out(capsys, ["zeta", "--exponents", "2,3,6", "-p", "100003", "--no-cache"])
+    assert doc["results"][0]["predicted_counts"]["1"] == "100636"
+    message = "p=1048609 needs a table of F_1048609 (degree 1), beyond the table bound 1048576"
+    for argv in (["lseries", "--exponents", "2,3,6", "--cutoff", "1050000"],
+                 ["count", "--exponents", "2,3,6", "-p", "1048609"]):
+        assert run(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
 
 
 def test_split_prime_past_prime_field_bound(capsys):
@@ -183,7 +188,7 @@ def test_zeta_truncated_schema(capsys, tmp_path):
 
 
 def test_zeta_capacity_hint(capsys):
-    # p = 37 has residue degree 4 mod 5 and 37^4 exceeds the extension-field bound
+    # p = 37 has residue degree 4 mod 5 and 37^4 exceeds the table bound
     assert run(["zeta", "-d", "5", "-n", "3", "-p", "37", "--no-cache"]) == 1
     assert "--max-root-field" in capsys.readouterr().err
 
@@ -258,6 +263,34 @@ def test_cache_discard_warning_on_stderr(tmp_path):
     warm = subprocess.run(argv, capture_output=True, text=True)
     assert warm.returncode == 0 and warm.stdout == cold.stdout
     assert warm.stderr.startswith(f"warning: discarding corrupt cache entry {entry}: ")
+
+
+def test_unusable_cache_path_exits_1(capsys, caplog, tmp_path):
+    # a regular file as the cache directory, and a directory at the entry's
+    # path: a clean exit 1 naming the entry, from the serial and the worker path
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    blocked = tmp_path / "blocked"
+    cache.entry_path(blocked, (5, 5, 5, 5, 5), 11).mkdir(parents=True)
+    for cache_dir, reason in ((not_a_dir, "File exists"), (blocked, "Is a directory")):
+        for cmd in (["zeta", "--jobs", "1", "-p", "11"], ["zeta", "--jobs", "2", "-p", "11,31"],
+                    ["match", "-p", "11"]):
+            assert run(cmd + ["-d", "5", "-n", "3", "--cache", str(cache_dir)]) == 1
+            out = capsys.readouterr()
+            entry = cache.entry_path(cache_dir, (5, 5, 5, 5, 5), 11)
+            assert out.out == "" and f"cannot write cache entry {entry}: " in out.err
+            assert reason in out.err
+    # the directory is not read as an entry: it is discarded, then recomputed
+    assert "discarding corrupt cache entry" in caplog.text and "Is a directory" in caplog.text
+    assert cache.entry_path(blocked, (5, 5, 5, 5, 5), 11).is_dir()
+
+
+def test_zeta_refuses_negative_predict(capsys):
+    argv = ["zeta", "-d", "5", "-n", "3", "-p", "11", "--no-cache"]
+    assert run(argv + ["--predict", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "--predict must be at least 0, got -1" in out.err
+    assert _json_out(capsys, argv + ["--predict", "0"])["results"][0]["predicted_counts"] == {}
 
 
 def test_cache_discards_stale_version_and_misfiled_entry(capsys, caplog, tmp_path):

@@ -194,5 +194,13 @@ def test_validation_and_capacity():
         make_field(1)
     with pytest.raises(CapacityError):
         make_field(2, 21)                  # 2^21 exceeds the table bound
-    with pytest.raises(CapacityError):
-        make_field(200_003)
+    with pytest.raises(CapacityError, match=r"^p=1048583 needs a table of F_1048583 "
+                                            r"\(degree 1\), beyond the table bound 1048576$"):
+        make_field(1048583)                # the first prime above 2^20
+
+
+def test_prime_field_past_ten_to_the_fifth():
+    # one bound, q <= 2^20, at every degree: F_p for p > 10^5 is tabulated
+    f = make_field(100003)
+    assert f.q == 100003 and f.g == primitive_root(100003)
+    assert f.exp[f.dlog[12345]] == 12345

@@ -15,7 +15,7 @@ from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
                      partial_sum_eval,
                      power_residue_char, split_prime_ideals, splitting_data)
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
-from cyarith.hecke import _assemble
+from cyarith.hecke import _assemble, _smallest_prime_factors
 
 
 def test_splitting_data():
@@ -212,28 +212,29 @@ def _count_make_field(monkeypatch):
     return calls
 
 
-def test_hecke_cutoff_beyond_prime_field_bound(monkeypatch):
+def test_hecke_cutoff_beyond_table_bound(monkeypatch):
     # a composite conductor has no closed form, so its split primes read F_p:
     # refused before any field table is built, naming the first split prime
-    # above the bound (100057 = 1 mod 12)
+    # above the bound 2^20 (1048609 = 1 mod 12)
     calls = _count_make_field(monkeypatch)
-    with pytest.raises(CapacityError, match="p=100057 "):
-        dirichlet_coefficients(HeckeCharacter(12, (1, 5, 6)), 100100)
+    with pytest.raises(CapacityError, match="p=1048609 "):
+        dirichlet_coefficients(HeckeCharacter(12, (1, 5, 6)), 1050000)
     assert calls == []
 
 
-def test_lseries_cutoff_beyond_prime_field_bound(monkeypatch):
+def test_lseries_cutoff_beyond_table_bound(monkeypatch):
     # every tuple of (2, 3, 6) has conductor 6, so a p = 1 mod 6 above the
-    # bound needs F_p: refused before any field table is built
+    # bound needs F_p: refused before any field table is built.  No degree-2
+    # table comes first: p^2 <= 1050000 forces p <= 1024
     calls = _count_make_field(monkeypatch)
-    with pytest.raises(CapacityError, match="p=100003 "):
-        dirichlet_coefficients(DiagonalVariety((2, 3, 6)), 100100)
+    with pytest.raises(CapacityError, match="p=1048609 "):
+        dirichlet_coefficients(DiagonalVariety((2, 3, 6)), 1050000)
     assert calls == []
 
 
 def test_split_primes_past_prime_field_bound(quintic, monkeypatch):
     # conductor 5 with sum(a) != 0 mod 5 takes the closed form at split
-    # primes, so no F_p table is built, even beyond PRIME_FIELD_BOUND
+    # primes, so no F_p table is built for them at any size
     calls = _count_make_field(monkeypatch)
     lf = HeckeCharacter(5, (1, 1, 1, 1)).local_factor(100151)
     assert lf.sign in (1, -1) and lf.coeffs[4] == 100151 ** 6
@@ -244,7 +245,7 @@ def test_split_primes_past_prime_field_bound(quintic, monkeypatch):
 
 def test_lseries_cutoff_beyond_extension_field_bound(monkeypatch):
     # for the cubic curve a p = 2 mod 3 has one orbit of length 2; 1031 is
-    # the first prime with 1031^2 > 2^20, long before any p > 10^5
+    # the first prime with 1031^2 > 2^20
     calls = _count_make_field(monkeypatch)
     with pytest.raises(CapacityError, match=r"p=1031 needs a table of F_1062961 \(degree 2\)"):
         dirichlet_coefficients(DiagonalVariety((3, 3, 3)), 1031**2)
@@ -300,7 +301,7 @@ def test_assemble_matches_trial_division(seed):
         if rng.random() < 0.75:
             k_max = int(math.log(cutoff, p) + 1e-9)
             series[p] = [1] + [rng.randint(-9, 9) for _ in range(k_max)]
-    values = _assemble(cutoff, series)
+    values = _assemble(_smallest_prime_factors(cutoff), series)
     assert len(values) == cutoff and values[0] == 1
     for n in range(2, cutoff + 1):
         expected = 1

@@ -10,6 +10,7 @@ from cyarith import (CycInt, DiagonalVariety, full_alpha_set, ideal_jacobi_sum,
                      is_prime, make_field, split_prime_ideals)
 from cyarith.charsum import (STICKELBERGER_CONDUCTORS, galois_class_head, in_closed_form,
                              jacobi_sum, jacobi_sums)
+from cyarith.cyclo import GroupRingElement
 from cyarith.errors import InvariantViolationError
 from cyarith.ffield import primitive_root
 from cyarith.hecke import SplitPrimeIdeal, ideal_jacobi_sums
@@ -95,7 +96,9 @@ def test_split_prime_checks(monkeypatch):
     monkeypatch.undo()
     # pi = 1 + 2 xi = 3 mod (1 - xi): beta = pi alone has no unit eps
     assert charsum._split_prime(p, l, c)[0] == CycInt(l, (1, 2, 0, 0))
-    monkeypatch.setattr(charsum, "_stickelberger_exponents", lambda m, exps: (1, 0, 0, 0))
+    # n_1 = 1 and n_2 = n_3 = n_4 = 0, read at -t mod 5
+    monkeypatch.setattr(charsum, "s_element",
+                        lambda exps, m: GroupRingElement(m, ((1, 0), (2, 0), (3, 0), (4, 1))))
     with pytest.raises(InvariantViolationError, match="not \\+-1 mod"):
         fresh()
     monkeypatch.undo()
