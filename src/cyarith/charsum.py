@@ -8,15 +8,16 @@ The Jacobi sum
                  of prod_i chi_{alpha_i}(u_i)
 
 is evaluated exactly in Z[mu_m], once per Galois class of tuples, in one of
-two ways.  Over a prime field F_p with p split in Q(mu_l), l one of
-STICKELBERGER_CONDUCTORS, Stickelberger's theorem gives the sum in closed
-form: a unit times a product of Galois conjugates of a generator pi of the
-prime of Z[mu_l] that the characters reduce modulo, with pi found by
-Euclid's gcd and no field table (Ireland-Rosen ch. 14; Weil 1952).  Every
-other sum, of a composite or other conductor, over F_{p^f} with f > 1, or
-with a vanishing character or character product, is read off one
-(dlog(1-v), dlog v) class table per field, built from the field's Zech
-logarithms alone (the kernel).
+two ways.  For a tuple of prime conductor l in STICKELBERGER_CONDUCTORS,
+over any F_{p^r} with p != l and f = ord_l(p) dividing r, Stickelberger's
+theorem gives the sum in closed form: a unit times a product of Galois
+conjugates of a generator pi of the degree-f prime of Z[mu_l] that the
+characters reduce modulo, raised to r/f (Hasse-Davenport).  pi is p itself
+when p is inert, and otherwise is found by Euclid's gcd; no field table is
+built (Ireland-Rosen ch. 14; Berndt-Evans-Williams ch. 11; Weil 1952).
+Every other sum, of a composite conductor or l >= 11, or with a vanishing
+character or character product, is read off one (dlog(1-v), dlog v) class
+table per field, built from the field's Zech logarithms alone (the kernel).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from .cyclo import CycInt, cyclotomic_gcd, s_element
 from .errors import BadReductionError, InvariantViolationError, ValidationError
-from .ffield import field_order, is_prime, make_field, primitive_root
+from .ffield import field_order, is_prime, make_field, poly_rem, root_minimal_polynomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,7 +38,8 @@ if TYPE_CHECKING:
     from .ffield import FieldTable
 
 # odd primes l whose Z[mu_l] is norm-Euclidean, and at which the closed form
-# has been checked against the kernel at every split p < 10^4
+# has been checked against the kernel at every split p < 10^4 and every
+# non-split p < 2000 with p^f <= 2^20
 STICKELBERGER_CONDUCTORS = frozenset({3, 5, 7})
 
 
@@ -132,9 +134,10 @@ def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
 
 def degree_conductors(v: DiagonalVariety) -> dict[int, tuple]:
     """{d: _row(a)}, a a tuple of conductor d, for each d in v's degree set.
-    An orbit of conductor d has length ord_d(p), and in_closed_form on the
-    row says if its sums read F_p's table: so the factor at p reads tables
-    of F_{p^f} for these f alone, found without walking the orbits."""
+    An orbit of conductor d has length f = ord_d(p), and in_closed_form on
+    the row over (p, f) says if its sums read F_{p^f}'s table: so the factor
+    at p reads tables of F_{p^f} for these f alone, found without walking
+    the orbits."""
     return {row[0]: row for row in map(_row, _enumerate_tuples(v.exponents))}
 
 
@@ -201,55 +204,77 @@ def _kernel_sums(p: int, r: int, heads) -> dict[tuple, CycInt]:
     return {(m, e): _unit_sum(folded[m], f.q, m, e) for m, e in heads}
 
 
-# -- Jacobi sums at split primes: Stickelberger's factorisation -------------------------
+# -- Jacobi sums of prime conductor: Stickelberger's factorisation ---------------------
+
+def ord_m(p: int, m: int) -> int:
+    """The multiplicative order of p modulo m, for p prime to m."""
+    f, x = 1, p % m
+    while x != 1:
+        x = x * p % m
+        f += 1
+    return f
+
 
 def in_closed_form(p: int, r: int, m: int, exps) -> bool:
-    """Whether unit_sums takes the row (m, exps) over F_{p^r} from _split_sum:
-    r = 1, p = 1 mod m for m in STICKELBERGER_CONDUCTORS, and neither an
-    entry nor the sum of the entries vanishes mod m.  (Every row of a tuple
-    of prime conductor m passes the last test: its entries are nonzero, and
-    they sum to minus the dropped one.)"""
-    return (r == 1 and m in STICKELBERGER_CONDUCTORS and p % m == 1
+    """Whether unit_sums takes the row (m, exps) over F_{p^r} from
+    _closed_sum: m is in STICKELBERGER_CONDUCTORS, p != m, the residue
+    degree f = ord_m(p) divides r, and neither an entry nor the sum of the
+    entries vanishes mod m.  (Every row of a tuple of prime conductor m
+    passes the last test: its entries are nonzero, and they sum to minus
+    the dropped one.)"""
+    return (m in STICKELBERGER_CONDUCTORS and p % m != 0 and r % ord_m(p, m) == 0
             and all(e % m for e in exps) and sum(exps) % m != 0)
 
 
 @lru_cache(maxsize=256)
-def _split_prime(p: int, m: int, c: int) -> tuple[CycInt, ...]:
-    """sigma_t(pi) for t = 1..m-1, where pi = gcd(p, xi - c) generates the
-    prime P_c = (p, xi - c) of Z[mu_m] above the split p; c has order m mod p.
-    pi must have norm +-p and lie in P_c, i.e. vanish mod p at xi = c."""
-    pi = cyclotomic_gcd(CycInt.from_int(m, p), CycInt.root(m) - c)
-    if abs(pi.norm()) != p:
-        raise InvariantViolationError(f"gcd({p}, xi - {c}) in Z[mu_{m}] has norm {pi.norm()}")
-    if sum(x * pow(c, k, p) for k, x in enumerate(pi.coeffs)) % p:
-        raise InvariantViolationError(f"gcd({p}, xi - {c}) in Z[mu_{m}] is not in P_{c}")
+def _split_prime(p: int, r: int, m: int) -> tuple[CycInt, ...]:
+    """sigma_t(pi) for t = 1..m-1, where pi generates the degree-f prime
+    P_c = (p, h(xi)) of Z[mu_m], f = ord_m(p), and h is the minimal
+    polynomial over F_p of c = g^((q-1)/m) in F_q, q = p^r
+    (ffield.root_minimal_polynomial).  An inert p (f = m - 1) has
+    P_c = (p), so pi = p and no g is sought; otherwise pi = gcd(p, h(xi)) by
+    Euclid.  pi must have norm +-p^f and lie in P_c: h divides it mod p, so
+    it vanishes at xi = c."""
+    f = ord_m(p, m)
+    if f == m - 1:
+        pi, h = CycInt.from_int(m, p), None
+    else:
+        h = root_minimal_polynomial(p, r, m)
+        pi = cyclotomic_gcd(CycInt.from_int(m, p), CycInt.from_exponent_counts(m, h))
+    if abs(pi.norm()) != p**f:
+        raise InvariantViolationError(f"the generator of P_c above {p} in Z[mu_{m}] "
+                                      f"has norm {pi.norm()}, not +-{p}^{f}")
+    if h is not None and any(poly_rem(pi.coeffs, h, p)):
+        raise InvariantViolationError(f"gcd({p}, h(xi)) in Z[mu_{m}] is not in P_c, "
+                                      f"h = {h}")
     return tuple(pi.galois(t) for t in range(1, m))
 
 
-def _split_sum(p: int, m: int, c: int, exps, memo: dict) -> CycInt:
-    """The unit sum of the row (m, exps) over F_p in closed form, where the
-    characters read xi^dlog u = u^((p-1)/m) mod P_c.
+def _closed_sum(p: int, r: int, m: int, exps, memo: dict) -> CycInt:
+    """The unit sum of the row (m, exps) over F_q, q = p^r, in closed form,
+    where the characters read xi^dlog u = u^((q-1)/m) mod P_c.
 
-    The sum is (-1)^(r+1) J with r = len(exps), and J = eps * beta,
-    beta = prod_t sigma_t(pi)^(n_t) (Stickelberger), eps = +-xi^k the one
-    unit with J = 1 mod (1 - xi)^2.  With lambda = 1 - xi, beta = sum b_k
-    xi^k is sum b_k - (sum k b_k) lambda mod lambda^2, and sum b_k must be
-    +-1 mod m; that fixes eps.  n_t = (sum_i <u a_i> - <u sum a>) / m with
+    The sum is (-1)^(k+1) J with k = len(exps), and J = eps * beta,
+    beta = prod_t sigma_t(pi)^((r/f) n_t) (Stickelberger over F_{p^f}, and
+    Hasse-Davenport from F_{p^f} to F_q), eps = +-xi^s the one unit with
+    J = 1 mod (1 - xi)^2.  With lambda = 1 - xi, beta = sum b_k xi^k is
+    sum b_k - (sum k b_k) lambda mod lambda^2, and sum b_k must be +-1 mod
+    m; that fixes eps.  n_t = (sum_i <u a_i> - <u sum a>) / m with
     u = -t^-1 and <x> = x mod m, which is S(exps)[-t mod m] for the
     Stickelberger element S = cyclo.s_element; J depends on exps only
     through S(exps), and memo keeps it on that.
     """
     key = s_element(exps, m)
     if key not in memo:
-        n = key.as_dict()
+        n, scale = key.as_dict(), r // ord_m(p, m)
         beta = CycInt.one(m)
-        for t, sigma_pi in enumerate(_split_prime(p, m, c), 1):
+        for t, sigma_pi in enumerate(_split_prime(p, r, m), 1):
             if n[-t % m]:
-                beta = beta * sigma_pi ** n[-t % m]
+                beta = beta * sigma_pi ** (scale * n[-t % m])
         sign = {1: 1, m - 1: -1}.get(sum(beta.coeffs) % m)
         if sign is None:
             raise InvariantViolationError(
-                f"pi^theta is not +-1 mod (1 - xi) at p={p}, conductor {m}")
+                f"pi^theta is not +-1 mod (1 - xi) at p={p}, r={r}, conductor {m}")
         shift = -sign * sum(i * b for i, b in enumerate(beta.coeffs))
         memo[key] = sign * CycInt.root(m, shift) * beta
     return (-1) ** (len(exps) + 1) * memo[key]
@@ -274,11 +299,13 @@ def unit_sums(field: tuple[int, int], rows) -> list[CycInt]:
     u_0 + ... + u_k = -1 of prod_i xi_m^(e_i * dlog u_i), exact in Z[mu_m].
 
     field is the pair (p, r) for F_q, q = p^r, checked by field_order; dlog
-    is to base make_field(p, r).g (primitive_root(p) when r = 1).  Scaling
-    a row by l in (Z/m)^* applies sigma_l to its sum (Ireland-Rosen ch. 8
-    and 14), so each Galois class is evaluated once, on its head, and every
-    other row is read off as sigma_{l_inv} of its head's sum.  A head
-    in_closed_form is computed by _split_sum; the rest go to the kernel,
+    is to base g of ffield.field_generator(p, r), make_field(p, r)'s own
+    (primitive_root(p) when r = 1).  Scaling a row by l in (Z/m)^* applies
+    sigma_l to its sum (Ireland-Rosen ch. 8 and 14), so each Galois class
+    is evaluated once, on its head, and every other row is read off as
+    sigma_{l_inv} of its head's sum.  A head in_closed_form (prime
+    conductor 3, 5 or 7 with ord_m(p) | r, no vanishing entry or entry sum)
+    is computed by _closed_sum with no table; the rest go to the kernel,
     which tabulates F_q only if some head does.
     """
     p, r = field
@@ -289,7 +316,7 @@ def unit_sums(field: tuple[int, int], rows) -> list[CycInt]:
     memo: dict[tuple, CycInt] = {}
     for m, e in heads:
         if in_closed_form(p, r, m, e):
-            by_head[m, e] = _split_sum(p, m, pow(primitive_root(p), (p - 1) // m, p), e, memo)
+            by_head[m, e] = _closed_sum(p, r, m, e, memo)
     kernel = [h for h in heads if h not in by_head]
     if kernel:
         by_head.update(_kernel_sums(p, r, kernel))

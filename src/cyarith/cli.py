@@ -315,6 +315,8 @@ def _cmd_zeta(args) -> None:
         else:
             results = [job(p) for p in good]
     except CapacityError as exc:
+        if exc.degree == 1:         # truncation skips extension fields, never F_p
+            raise
         raise ValidationError(
             f"{exc}; pass --max-root-field to truncate past large extension fields")
     payload = {"exponents": list(v.exponents),

@@ -14,7 +14,12 @@ class PrimalityError(ValidationError):
 
 
 class CapacityError(ValidationError):
-    """Requested computation exceeds a documented size bound."""
+    """Requested computation exceeds a documented size bound; degree is the
+    extension degree of the refused field table, if a table was refused."""
+
+    def __init__(self, message: str, degree: int | None = None):
+        super().__init__(message)
+        self.degree = degree
 
 
 class BadReductionError(ValidationError):

@@ -11,19 +11,22 @@ lookup.
 
 A table costs O(q) numpy work and little else; numpy is imported by the
 functions that build one, so code that needs no table never loads it.  One
-size rule holds at every degree, stated by check_table: q <= TABLE_BOUND.  The
-modulus is found by walking the monic candidates lazily in lexicographic
-order, low degree first, and the default generator by scanning element
-indices upward.  For a prime field that scan is primitive_root, the same
-pow-based search that labels split primes without any table; for r > 1
-each candidate is tested with Python ints, by square-and-multiply on its
-residue polynomial.
+size rule holds at every degree, stated by check_table: q <= TABLE_BOUND.
+The modulus and generator need no table, and field_generator finds them far
+beyond it (FACTOR_BOUND): the modulus by walking the monic candidates lazily
+in lexicographic order, low degree first, each tested by Rabin's test, and
+the generator by scanning element indices upward.  For a prime field that
+scan is primitive_root, the same pow-based search that labels split primes;
+for r > 1 each candidate is tested with Python ints, by square-and-multiply
+on its residue polynomial.  From the same modulus and generator,
+root_minimal_polynomial names the prime of Z[mu_m] that a character of
+order m reduces modulo, for charsum's closed form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvariantViolationError, PrimalityError, ValidationError
@@ -32,6 +35,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 TABLE_BOUND = 1 << 20   # the largest q = p^r that make_field tabulates, for every r
+FACTOR_BOUND = 1 << 40  # the largest cyclotomic factor Phi_d(p) of q - 1 that
+                        # field_generator factors, by trial division below 2^20
 
 
 def is_prime(n: int) -> bool:
@@ -105,8 +110,9 @@ def dlog(f: FieldTable, x: int) -> int:
 # -- polynomial helpers over F_p (coefficients low degree first) ---------------
 
 
-def _poly_rem(a: list[int] | tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
-    """The r coefficients of a mod the monic b over F_p, r = deg b <= deg a."""
+def poly_rem(a: list[int] | tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
+    """The r coefficients of a mod the monic b over F_p, r = deg b <= deg a,
+    for integer coefficient lists, low degree first."""
     a = list(a)
     r = len(b) - 1
     for k in range(len(a) - 1, r - 1, -1):
@@ -124,7 +130,7 @@ def _poly_mulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] += ai * bj
-    return _poly_rem(prod, modulus, p)
+    return poly_rem(prod, modulus, p)
 
 
 def _digits(i: int, p: int, r: int) -> list[int]:
@@ -132,11 +138,39 @@ def _digits(i: int, p: int, r: int) -> list[int]:
     return [i // p**j % p for j in range(r)]
 
 
+def _coprime(a: list[int], b: tuple[int, ...], p: int) -> bool:
+    """Whether a and the nonzero b have no common factor of positive degree
+    over F_p, by Euclid's algorithm on coefficient lists."""
+    def trim(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    a, b = trim(b), trim(a)
+    while b:
+        inv = pow(b[-1], -1, p)
+        for k in range(len(a) - 1, len(b) - 2, -1):
+            top = a.pop() * inv % p
+            for j in range(len(b) - 1):
+                a[k - len(b) + 1 + j] -= top * b[j]
+        a, b = b, trim(a)
+    return len(a) == 1
+
+
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Rabin's test (1980) for the monic poly of degree r over F_p:
+    x^(p^r) = x mod poly, and x^(p^(r/d)) - x is prime to poly for every
+    prime d | r.  The powers x^(p^i) are taken by repeated p-th powers."""
     r = len(poly) - 1
-    return all(any(_poly_rem(poly, low + (1,), p))
-               for d in range(1, r // 2 + 1) for low in product(range(p), repeat=d))
+    if r == 1:
+        return True
+    x = [0, 1] + [0] * (r - 2)
+    frob = [x]
+    for _ in range(r):
+        frob.append(_poly_pow(frob[-1], p, poly, p))
+    return frob[r] == x and all(_coprime([u - v for u, v in zip(frob[r // d], x)], poly, p)
+                                for d in prime_factors(r))
 
 
 def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
@@ -237,35 +271,89 @@ def field_order(p: int, r: int = 1) -> int:
     return p**r
 
 
+def _unit_group_factors(p: int, r: int) -> list[int]:
+    """Distinct prime factors of q - 1 = p^r - 1, ascending, read off its
+    cyclotomic factors Phi_d(p), d | r, each about p^phi(d) and factored by
+    trial division.  CapacityError when one exceeds FACTOR_BOUND."""
+    phi: dict[int, int] = {}
+    for d in range(1, r + 1):
+        if r % d == 0:
+            phi[d] = (p**d - 1) // math.prod(v for e, v in phi.items() if d % e == 0)
+            if phi[d] > FACTOR_BOUND:
+                raise CapacityError(f"p={p} needs the prime factors of Phi_{d}({p}), beyond "
+                                    f"the factoring bound {FACTOR_BOUND}, to find a "
+                                    f"generator of F_{p**r} (degree {r})", degree=r)
+    return sorted({l for v in phi.values() for l in prime_factors(v)})
+
+
+@lru_cache(maxsize=1 << 10)
+def field_generator(p: int, r: int = 1) -> tuple[tuple[int, ...], int]:
+    """(modulus, g) of make_field(p, r), found with Python ints and no table,
+    at any q = p^r whose cyclotomic factors Phi_d(p), d | r, are at most
+    FACTOR_BOUND: every q <= TABLE_BOUND, and every r in 1..4 or 6 for p
+    below about 10^6.  The modulus is the lexicographically smallest monic
+    irreducible of degree r, coefficients compared low degree first (x when
+    r = 1).  g is the smallest element index of order q-1:
+    primitive_root(p) when r = 1.  For r > 1 the scan starts at p, the index
+    of x: the indices below it are the constants, whose orders divide
+    p-1 < q-1.  Each candidate must have no (q-1)/l-th power equal to 1 for
+    any prime l | q-1; the powers are taken by square-and-multiply on the
+    residue polynomial."""
+    q = field_order(p, r)
+    modulus = _smallest_irreducible(p, r)
+    if r == 1:
+        return modulus, primitive_root(p)
+    factors = _unit_group_factors(p, r)
+    return modulus, next(i for i in range(p, q) if _generates(i, modulus, p, q, factors))
+
+
+def root_minimal_polynomial(p: int, r: int, m: int) -> tuple[int, ...]:
+    """The monic minimal polynomial h over F_p, low degree first, of
+    c = g^((q-1)/m) in F_q, where (modulus, g) = field_generator(p, r) and
+    m | q - 1.  A character u -> xi_m^dlog_g(u) reduces to u -> u^((q-1)/m)
+    modulo the prime (p, h(xi)) of Z[mu_m], with xi -> c.  h is the product
+    of y - c^(p^i) over the Frobenius orbit of c, and its coefficients must
+    lie in F_p."""
+    modulus, g = field_generator(p, r)
+    q = p**r
+    if (q - 1) % m:
+        raise ValidationError(f"{m} does not divide q-1 = {q - 1}")
+    if r == 1:                          # c is an int, and h = y - c
+        return -pow(g, (q - 1) // m, p) % p, 1
+    c = _poly_pow(_digits(g, p, r), (q - 1) // m, modulus, p)
+    roots = [c]
+    while (nxt := _poly_pow(roots[-1], p, modulus, p)) != c:
+        roots.append(nxt)
+    zero = [0] * r
+    h = [_digits(1, p, r)]              # coefficients in F_q, low degree first
+    for a in roots:
+        scaled = [_poly_mulmod(a, b, modulus, p) for b in h] + [zero]
+        h = [[(u - v) % p for u, v in zip(b, ab)] for b, ab in zip([zero] + h, scaled)]
+    if any(any(b[1:]) for b in h):
+        raise InvariantViolationError(f"the minimal polynomial of a root of unity of "
+                                      f"order {m} in F_{q} leaves F_{p}")
+    return tuple(b[0] for b in h)
+
+
 def check_table(p: int, r: int) -> None:
     """CapacityError unless q = p^r <= TABLE_BOUND; (p, r) is not rechecked."""
     if p**r > TABLE_BOUND:
         raise CapacityError(f"p={p} needs a table of F_{p**r} (degree {r}), "
-                            f"beyond the table bound {TABLE_BOUND}")
+                            f"beyond the table bound {TABLE_BOUND}", degree=r)
 
 
 def make_field(p: int, r: int = 1) -> FieldTable:
-    """F_{p^r}, tabulated on its canonical generator g.
-
-    The modulus is the lexicographically smallest monic irreducible of
-    degree r, coefficients compared low degree first (x when r = 1).  g is
-    the smallest element index of order q-1: primitive_root(p) when r = 1.
-    For r > 1 the scan starts at p, the index of x: the indices below it are
-    the constants, whose orders divide p-1 < q-1.  Each candidate must have
-    no (q-1)/l-th power equal to 1 for any prime l | q-1; the powers are
-    taken by square-and-multiply on the residue polynomial in Python ints.
-    exp comes from the doubling in _exp_table, dlog inverts it, and zech
-    reads dlog through the table of 1 - x at x = exp.  Above this module,
-    only charsum's kernel calls it: the other layers name a field by (p, r).
+    """F_{p^r}, tabulated on the canonical modulus and generator g of
+    field_generator.  exp comes from the doubling in _exp_table, dlog
+    inverts it, and zech reads dlog through the table of 1 - x at x = exp.
+    Above this module, only charsum's kernel calls it: the other layers name
+    a field by (p, r).
     """
     import numpy as np
 
     q = field_order(p, r)
     check_table(p, r)
-    modulus = _smallest_irreducible(p, r)
-    factors = prime_factors(q - 1)
-    g = primitive_root(p) if r == 1 else next(
-        i for i in range(p, q) if _generates(i, modulus, p, q, factors))
+    modulus, g = field_generator(p, r)
     exp = _exp_table(g, modulus, p, q)
     dl = np.full(q, -1, dtype=np.int64)
     dl[exp] = np.arange(q - 1, dtype=np.int64)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 
 from .charsum import (degree_conductors, full_alpha_set, galois_class_head,
-                      in_closed_form, unit_sums)
+                      in_closed_form, ord_m, unit_sums)
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
@@ -48,17 +48,8 @@ def splitting_data(p: int, m: int) -> tuple[int, int]:
         raise ValidationError("conductor must be at least 2")
     if math.gcd(p, m) != 1:
         raise ValidationError(f"p={p} ramifies in Q(mu_{m})")
-    f = _order_mod(p, m)
+    f = ord_m(p, m)
     return f, euler_phi(m) // f
-
-
-def _order_mod(p: int, m: int) -> int:
-    """The multiplicative order of p modulo m, for p prime to m."""
-    f, x = 1, p % m
-    while x != 1:
-        x = x * p % m
-        f += 1
-    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +311,8 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     orbits of length f <= k_max (p^f <= cutoff).  If some factor would need
     a field table F_{p^f} beyond ffield.TABLE_BOUND, check_table's
     CapacityError names the first such p before any factor is built; the
-    split-prime sums that charsum computes in closed form need no table and
-    are not counted.
+    sums that charsum computes in closed form (prime conductor 3, 5 or 7 at
+    any unramified p) need no table and are not counted.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
@@ -332,11 +323,12 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
         def degrees(p):
             """Degrees f of the tables F_{p^f} the factor at p builds: an
             orbit of tuples of conductor d has f = ord_d(p), and needs no
-            table when its sums are in closed form over F_p."""
+            table when its sums are in closed form over F_{p^f}."""
             if any(n % p == 0 for n in source.exponents):
                 return set()                    # bad reduction: no factor
-            return {_order_mod(p, d) for d, row in rows.items()
-                    if not in_closed_form(p, 1, *row)}
+            orders = {d: ord_m(p, d) for d in rows}
+            return {orders[d] for d, row in rows.items()
+                    if not in_closed_form(p, orders[d], *row)}
     elif isinstance(source, HeckeCharacter):
         euler_factor, weight = source.euler_factor, source.weight
 

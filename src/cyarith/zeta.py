@@ -152,8 +152,10 @@ def local_factor_middle(v: DiagonalVariety, p: int,
     orbit of size f needs one Jacobi sum over F_{p^f}.  max_root_field caps
     that auxiliary field size: orbits with p^f beyond the cap are skipped
     and the returned factor is truncated to the precision that stays exact.
-    charsum.jacobi_sums builds a table of F_{p^f} only for orbits that the
-    split-prime closed form does not cover.
+    charsum.jacobi_sums computes the sums of prime conductor 3, 5 and 7 in
+    closed form at every good p, over F_{p^f} for every f, and builds a
+    table of F_{p^f} only for the other orbits: composite conductors and
+    conductors l >= 11.
     """
     aset = full_alpha_set(v, p)  # validates primality and good reduction
     n = v.complex_dim

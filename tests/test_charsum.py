@@ -221,8 +221,8 @@ def test_unit_sums_match_per_row_oracle(case):
 
 
 def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
-    # one evaluation per Galois class, by the kernel or, at a split prime
-    # of conductor 5, by the closed form
+    # one evaluation per Galois class, by the kernel or, at a prime of
+    # conductor 5, by the closed form
     import cyarith.charsum as charsum
 
     lf = local_factor_middle(quintic, 11)
@@ -234,7 +234,7 @@ def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
             return real(*args)
         return wrapped
 
-    for name in ("_unit_sum", "_split_sum"):
+    for name in ("_unit_sum", "_closed_sum"):
         monkeypatch.setattr(charsum, name, counting(getattr(charsum, name)))
     tuples = full_alpha_set(quintic, 11).tuples
     sums = jacobi_sums((11, 1), tuples)
@@ -248,6 +248,6 @@ def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
     HeckeCharacter(5, (1, 1, 1, 1)).local_factor(11)
     assert len(calls) == 1
     calls.clear()
-    # at p = 2 the kernel takes every class: 51 heads over F_16
+    # at p = 2, inert mod 5, the closed form takes every class: 51 heads over F_16
     jacobi_sums((2, 4), tuples)
     assert len(calls) == 51

@@ -88,6 +88,10 @@ def test_split_prime_past_prime_field_bound(capsys):
     # gcd(3, p - 1) = 1: no character tuple, so no sum and no table
     doc = _json_out(capsys, ["count", "--exponents", "3,3,3", "-p", "100151"])
     assert doc["counts"][0]["projective_points"] == "100152"
+    # over F_{p^5} the generator search would trial-divide Phi_5(p) ~ 10^20:
+    # refused at once
+    assert run(["count", "-d", "5", "-n", "3", "-p", "100151", "-r", "5"]) == 1
+    assert "beyond the factoring bound" in capsys.readouterr().err
 
 
 def test_count_range_skips_bad(capsys):
@@ -188,9 +192,20 @@ def test_zeta_truncated_schema(capsys, tmp_path):
 
 
 def test_zeta_capacity_hint(capsys):
-    # p = 37 has residue degree 4 mod 5 and 37^4 exceeds the table bound
-    assert run(["zeta", "-d", "5", "-n", "3", "-p", "37", "--no-cache"]) == 1
-    assert "--max-root-field" in capsys.readouterr().err
+    # conductor 9 has no closed form, 11 has order 6 mod 9, and 11^6
+    # exceeds the table bound: truncation past degree 5 would help
+    assert run(["zeta", "--exponents", "9,9,9", "-p", "11", "--no-cache"]) == 1
+    assert "F_1771561 (degree 6)" in (err := capsys.readouterr().err)
+    assert "--max-root-field" in err
+
+
+def test_zeta_prime_field_refusal_has_no_hint(capsys):
+    # conductor 6 at p = 1 mod 6 above 2^20 needs F_p itself: truncating
+    # would leave the factor 1, so the refusal suggests nothing
+    assert run(["zeta", "--exponents", "2,3,6", "-p", "1048609", "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert "p=1048609 needs a table of F_1048609 (degree 1)" in err
+    assert "--max-root-field" not in err
 
 
 def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
@@ -671,11 +686,16 @@ def test_extension_below_one_refused(capsys):
     ["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "200", "--no-cache"],
     ["match", "-d", "5", "-n", "3", "-p", "11"],
     ["count", "-d", "5", "-n", "3", "-p", "11"],
+    ["zeta", "--exponents", "3,3,3", "-p", "2..71", "--jobs", "1"],
+    ["count", "--exponents", "3,3,3", "-p", "2..71", "-r", "2"],
+    ["zeta", "-d", "5", "-n", "3", "-p", "2,3", "--jobs", "1"],
 ])
 def test_split_prime_runs_load_no_numpy(argv, tmp_path, capsys):
     # numpy is imported only by the code that builds a field table or a
-    # float matrix, and split primes of conductor 5 need neither; the match
-    # reads the factor that the zeta run below caches
+    # float matrix, and sums of prime conductor 3, 5 or 7 need neither, at
+    # split and inert primes and over F_{p^2} alike (a serial run: a pool
+    # would load it in its workers); the match reads the factor that the
+    # zeta run below caches
     assert run(["zeta", "-d", "5", "-n", "3", "-p", "11", "--cache", str(tmp_path)]) == 0
     capsys.readouterr()
     code = ("import sys\nfrom cyarith.cli import run\n"

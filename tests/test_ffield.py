@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from cyarith import dlog, is_prime, make_field
-from cyarith.ffield import primitive_root
+from cyarith.ffield import field_generator, primitive_root
 from cyarith.errors import CapacityError, PrimalityError, ValidationError
 from oracles import (add, frobenius, inv, mul, neg, power, smallest_generator_direct, sub,
                      vadd, vpow)
@@ -204,3 +204,26 @@ def test_prime_field_past_ten_to_the_fifth():
     f = make_field(100003)
     assert f.q == 100003 and f.g == primitive_root(100003)
     assert f.exp[f.dlog[12345]] == 12345
+
+
+def test_field_generator_past_the_table_bound():
+    # make_field's modulus and generator, found with no table: at
+    # F_{100019^3} the modulus is the first irreducible that sympy finds,
+    # and g = x + 2 has order q - 1.  A cyclotomic factor of q - 1 beyond
+    # FACTOR_BOUND is refused, not trial-divided
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    p, r = 100019, 3
+    q = p**r
+    modulus, g = field_generator(p, r)
+    x = sympy.symbols("x")
+    first = next(c for c in ((1, 0, c2, 1) for c2 in range(p))
+                 if sympy.Poly(list(reversed(c)), x, modulus=p).is_irreducible)
+    assert modulus == first == (1, 0, 8, 1) and g == 2 + p
+    assert all(gf_pow_mod([1, 2], (q - 1) // l, list(reversed(modulus)), p, ZZ) != [1]
+               for l in sympy.factorint(q - 1))
+    f = make_field(5, 4)
+    assert field_generator(5, 4) == (f.modulus, f.g)
+    with pytest.raises(CapacityError, match=r"Phi_5\(100151\), beyond the factoring bound"):
+        field_generator(100151, 5)

@@ -244,11 +244,12 @@ def test_split_primes_past_prime_field_bound(quintic, monkeypatch):
 
 
 def test_lseries_cutoff_beyond_extension_field_bound(monkeypatch):
-    # for the cubic curve a p = 2 mod 3 has one orbit of length 2; 1031 is
-    # the first prime with 1031^2 > 2^20
+    # conductor 6 has no closed form, and a p = 5 mod 6 has orbits of length
+    # 2; 1031 is the first prime with 1031^2 > 2^20.  (The cubic curve's
+    # orbits of length 2 are in closed form and need no table.)
     calls = _count_make_field(monkeypatch)
     with pytest.raises(CapacityError, match=r"p=1031 needs a table of F_1062961 \(degree 2\)"):
-        dirichlet_coefficients(DiagonalVariety((3, 3, 3)), 1031**2)
+        dirichlet_coefficients(DiagonalVariety((2, 3, 6)), 1031**2)
     assert calls == []
 
 
