@@ -13,8 +13,7 @@ import csv
 import sys
 import time
 
-from cyarith import (CongruentZeta, DiagonalVariety, is_prime,
-                     local_factor_middle, predicted_count)
+from cyarith import DiagonalVariety, is_prime, local_factor_middle, predicted_count
 from cyarith.errors import CapacityError
 
 
@@ -50,7 +49,7 @@ def main():
         dt = time.monotonic() - t0
         sign = lf.sign     # the functional-equation sign, checked in building lf
         if lf.is_exact:
-            n1 = predicted_count(CongruentZeta(variety=v, p=p, middle=lf), 1)
+            n1 = predicted_count(lf, 1)
             status = f"exact  sign {sign:+d}  N1 {n1}"
         else:
             n1 = None

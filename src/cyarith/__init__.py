@@ -18,18 +18,17 @@ from .hecke import (HeckeCharacter, LSeriesCoefficients, MatchReport,
                     SplitPrimeIdeal, dirichlet_coefficients, ideal_jacobi_sum,
                     match_hasse_weil, partial_sum_eval, power_residue_char,
                     split_prime_ideals, splitting_data)
-from .zeta import (CongruentZeta, LocalFactor, congruent_zeta, expected_degrees,
-                   local_factor_middle, predicted_count)
+from .zeta import (LocalFactor, expected_degrees, local_factor_middle,
+                   predicted_count)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaTuple", "BadReductionError", "CapacityError", "CongruentZeta",
-    "CycInt", "DiagonalVariety", "FieldTable", "GroupRingElement",
-    "HeckeCharacter", "InvariantViolationError", "LSeriesCoefficients",
-    "LocalFactor", "MatchReport", "PrimalityError", "SplitPrimeIdeal",
-    "ValidationError", "build_alpha_set", "check_kn_identity",
-    "check_kr_identity", "congruent_zeta",
+    "AlphaTuple", "BadReductionError", "CapacityError", "CycInt",
+    "DiagonalVariety", "FieldTable", "GroupRingElement", "HeckeCharacter",
+    "InvariantViolationError", "LSeriesCoefficients", "LocalFactor",
+    "MatchReport", "PrimalityError", "SplitPrimeIdeal", "ValidationError",
+    "build_alpha_set", "check_kn_identity", "check_kr_identity",
     "count_affine", "count_projective", "cyclotomic_polynomial",
     "cyclotomic_unit", "delta_determinant", "dirichlet_coefficients", "dlog",
     "euler_Li2", "euler_phi", "expected_degrees", "full_alpha_set",

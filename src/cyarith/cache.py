@@ -1,5 +1,8 @@
 """On-disk cache of complete local zeta factors.
 
+``local_factor`` is the one path through the cache: it loads a factor, or
+computes and stores it.
+
 One JSON file per (exponent vector, prime), laid out as in
 docs/schemas/cache.schema.json: a format version, a sha256 self-check of the
 canonical encoding of the data, and the data itself (orbit Jacobi sums and
@@ -20,9 +23,10 @@ import logging
 import uuid
 from pathlib import Path
 
+from .counting import DiagonalVariety
 from .cyclo import CycInt
-from .errors import InvariantViolationError
-from .zeta import LocalFactor
+from .errors import InvariantViolationError, ValidationError
+from .zeta import LocalFactor, local_factor_middle
 
 FORMAT_VERSION = 1
 log = logging.getLogger(__name__)
@@ -102,3 +106,23 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
         except OSError:
             pass
         return None
+
+
+def local_factor(cache_dir: Path | None, v: DiagonalVariety, p: int,
+                 max_root_field: int | None = None) -> LocalFactor:
+    """The middle factor of v at p (zeta.local_factor_middle), loaded from
+    cache_dir or computed and stored there.  A capped call (max_root_field
+    set) may truncate the factor, and truncated factors are cheap and never
+    cached, so it computes directly, as does a cache_dir of None.  An entry
+    that cannot be written is a ValidationError naming it."""
+    if max_root_field is not None or cache_dir is None:
+        return local_factor_middle(v, p, max_root_field)
+    lf = load(cache_dir, v.exponents, p)
+    if lf is None:
+        lf = local_factor_middle(v, p)
+        try:
+            store(cache_dir, v.exponents, lf)
+        except OSError as exc:
+            path = entry_path(cache_dir, v.exponents, p)
+            raise ValidationError(f"cannot write cache entry {path}: {exc}") from exc
+    return lf

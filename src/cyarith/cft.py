@@ -153,14 +153,19 @@ def rogers_L(x: float) -> float:
     return euler_Li2(x) + 0.5 * math.log(x) * math.log1p(-x)
 
 
+def _rogers_sum(k: int, m: int) -> float:
+    """(1/L(1)) sum_{l=1..k} L(1/Q_{lm}^2), for (k, m) where no Q_{lm} vanishes."""
+    return sum(rogers_L(1.0 / quantum_dimension(k, l, m) ** 2)
+               for l in range(1, k + 1)) / _PI2_6
+
+
 def check_kr_identity(k: int) -> float:
     """The residual | (1/L(1)) sum_{l=1..k} L(1/Q_l^2) - 3k/(k+2) |, which
-    must stay below IDENTITY_TOL (InvariantViolationError otherwise)."""
+    must stay below IDENTITY_TOL (InvariantViolationError otherwise); the
+    m = 0 row of check_kn_identity, where no Q_l vanishes."""
     if k < 1:
         raise ValidationError("level must be a positive integer")
-    lhs = sum(rogers_L(1.0 / quantum_dimension(k, l) ** 2)
-              for l in range(1, k + 1)) / _PI2_6
-    residual = abs(lhs - 3 * k / (k + 2))
+    residual = abs(_rogers_sum(k, 0) - 3 * k / (k + 2))
     if not residual < IDENTITY_TOL:
         raise InvariantViolationError(
             f"central charge sum rule residual {residual:.3e} at k={k}")
@@ -189,8 +194,7 @@ def check_kn_identity(k: int, m: int) -> KNResult:
     if vanishing:
         return KNResult(k=k, m=m, residual=None, vanishing=vanishing,
                         lhs=None, rhs=rhs)
-    lhs = sum(rogers_L(1.0 / quantum_dimension(k, l, m) ** 2)
-              for l in range(1, k + 1)) / _PI2_6
+    lhs = _rogers_sum(k, m)
     residual = abs(lhs - rhs)
     if not residual < IDENTITY_TOL:
         raise InvariantViolationError(

@@ -77,9 +77,6 @@ class AlphaSet:
     """All admissible tuples for given per-coordinate orders, with the
     partition into orbits of alpha -> p * alpha."""
 
-    variety: DiagonalVariety
-    orders: tuple[int, ...]
-    p: int
     tuples: tuple[AlphaTuple, ...]
     orbits: tuple[tuple[AlphaTuple, ...], ...]
 
@@ -99,7 +96,7 @@ def _enumerate_tuples(orders: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
     return tuple(out)
 
 
-def _assemble(v: DiagonalVariety, orders: tuple[int, ...], p: int) -> AlphaSet:
+def _assemble(orders: tuple[int, ...], p: int) -> AlphaSet:
     tuples = _enumerate_tuples(orders)
     by_nums = {a.nums: a for a in tuples}
     seen: set[tuple[int, ...]] = set()
@@ -112,7 +109,7 @@ def _assemble(v: DiagonalVariety, orders: tuple[int, ...], p: int) -> AlphaSet:
             nums = tuple(n * p % a.den for n in nums)
         if orbit:
             orbits.append(tuple(orbit))
-    return AlphaSet(variety=v, orders=orders, p=p, tuples=tuples, orbits=tuple(orbits))
+    return AlphaSet(tuples=tuples, orbits=tuple(orbits))
 
 
 def build_alpha_set(v: DiagonalVariety, p: int, r: int = 1) -> AlphaSet:
@@ -120,7 +117,7 @@ def build_alpha_set(v: DiagonalVariety, p: int, r: int = 1) -> AlphaSet:
     checked by field_order even when no tuple survives."""
     q = field_order(p, r)
     # an order 1 leaves a coordinate no character, and _assemble no tuple
-    return _assemble(v, tuple(math.gcd(n, q - 1) for n in v.exponents), p)
+    return _assemble(tuple(math.gcd(n, q - 1) for n in v.exponents), p)
 
 
 def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
@@ -129,7 +126,7 @@ def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
         raise ValidationError(f"{p} is not prime")
     if not v.is_good_prime(p):
         raise BadReductionError(f"{p} divides an exponent of {v.exponents}")
-    return _assemble(v, v.exponents, p)
+    return _assemble(v.exponents, p)
 
 
 def degree_conductors(v: DiagonalVariety) -> dict[int, tuple]:

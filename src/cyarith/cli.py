@@ -11,11 +11,11 @@ Exit codes: 0 success, 1 validation error (bad flags, bad primes,
 inconsistent variety spec), 2 invariant violation, meaning a mathematical
 self-check failed mid-run.  The last one is the serious outcome.
 
-Complete local zeta factors go through the cyarith.cache module, one JSON
+Complete local zeta factors go through cyarith.cache.local_factor, one JSON
 file per (exponent vector, prime) under --cache or CYARITH_CACHE (default
 ./cache); --no-cache bypasses it.  Parallelism across primes is
-orchestrated here and only here (--jobs / CYARITH_JOBS, checked for every
-subcommand); the library itself stays sequential and schedule-free.
+orchestrated here and only here (--jobs, checked for every subcommand);
+the library itself stays sequential and schedule-free.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ from .errors import CapacityError, InvariantViolationError, ValidationError
 from .ffield import is_prime
 from .hecke import (HeckeCharacter, dirichlet_coefficients, match_hasse_weil,
                     partial_sum_eval, splitting_data)
-from .zeta import CongruentZeta, LocalFactor, local_factor_middle, predicted_count
+from .zeta import predicted_count
 
 CACHE_ENV = "CYARITH_CACHE"
-JOBS_ENV = "CYARITH_JOBS"
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -106,17 +105,14 @@ def _good_primes(v: DiagonalVariety, spec: str | None) -> tuple[list[int], list[
     return [p for p in primes if v.is_good_prime(p)], skipped
 
 
-def _resolve_jobs(args) -> int:
-    """--jobs, else $CYARITH_JOBS, else the CPU count; below 1 is refused."""
-    raw = args.jobs
-    if raw is None:
-        raw = os.environ.get(JOBS_ENV) or os.cpu_count() or 1
+def _jobs(raw: str) -> int:
+    """The --jobs worker count, refused below 1."""
     try:
         jobs = int(raw)
     except ValueError:
-        raise ValidationError(f"{JOBS_ENV} must be an integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
     if jobs < 1:
-        raise ValidationError(f"--jobs and {JOBS_ENV} must be at least 1, got {jobs}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
     return jobs
 
 
@@ -125,23 +121,6 @@ def _cache_dir(args) -> Path | None:
     if args.no_cache:
         return None
     return Path(args.cache or os.environ.get(CACHE_ENV) or "cache")
-
-
-def _local_factor(v: DiagonalVariety, p: int, cap: int | None,
-                  cache_dir: Path | None) -> LocalFactor:
-    """The factor at p through the cache; truncated factors are cheap and
-    never cached.  A cache that cannot be written is a ValidationError."""
-    cached = cap is None and cache_dir is not None
-    lf = cache.load(cache_dir, v.exponents, p) if cached else None
-    if lf is None:
-        lf = local_factor_middle(v, p, max_root_field=cap)
-        if cached:
-            try:
-                cache.store(cache_dir, v.exponents, lf)
-            except OSError as exc:
-                path = cache.entry_path(cache_dir, v.exponents, p)
-                raise ValidationError(f"cannot write cache entry {path}: {exc}") from exc
-    return lf
 
 
 # -- output ------------------------------------------------------------------------
@@ -279,7 +258,7 @@ def _zeta_result(exps: tuple[int, ...], cap: int | None, predict: int,
                  cache_dir: Path | None, p: int) -> dict:
     """One prime's worth of zeta JSON; module-level so workers can pickle it."""
     v = DiagonalVariety(exps)
-    lf = _local_factor(v, p, cap, cache_dir)   # RH and FE checked in building it
+    lf = cache.local_factor(cache_dir, v, p, cap)   # RH and FE checked in building it
     out = {"p": p,
            "degree": lf.full_degree,
            "coefficients": [str(c) for c in lf.coeffs],
@@ -287,8 +266,7 @@ def _zeta_result(exps: tuple[int, ...], cap: int | None, predict: int,
            "functional_sign": lf.sign,
            "predicted_counts": {}}
     if lf.is_exact:
-        z = CongruentZeta(variety=v, p=p, middle=lf)
-        out["predicted_counts"] = {str(r): str(predicted_count(z, r))
+        out["predicted_counts"] = {str(r): str(predicted_count(lf, r))
                                    for r in range(1, predict + 1)}
     else:
         out["precision"] = lf.precision
@@ -417,7 +395,7 @@ def _cmd_match(args) -> None:
     cache_dir = _cache_dir(args)
     results = []
     for p in primes:
-        rep = match_hasse_weil(v, p, _local_factor(v, p, None, cache_dir))
+        rep = match_hasse_weil(v, p, cache.local_factor(cache_dir, v, p))
         results.append({"p": rep.p, "m": rep.m, "ideals": rep.ideals,
                         "orbit_reps": rep.orbit_reps,
                         "multiset_size": rep.multiset_size,
@@ -595,9 +573,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--cache", metavar="DIR",
                      help=f"cache directory (default ${CACHE_ENV} or ./cache)")
     run.add_argument("--no-cache", action="store_true", help="bypass the factor cache")
-    run.add_argument("--jobs", type=int, metavar="W",
-                     help=f"parallel workers across primes (default ${JOBS_ENV} "
-                          "or the CPU count)")
+    run.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1, metavar="W",
+                     help="parallel workers across primes (default the CPU count)")
 
     variety = argparse.ArgumentParser(add_help=False)
     vg = variety.add_argument_group("variety")
@@ -695,7 +672,6 @@ def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        args.jobs = _resolve_jobs(args)
         args.func(args)
         return 0
     except SystemExit as exc:       # --help and friends

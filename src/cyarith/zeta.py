@@ -77,21 +77,6 @@ class LocalFactor:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class CongruentZeta:
-    """Z(t) = P_middle(t)^{(-1)^{n+1}} / prod_{j=0..n} (1 - p^j t)."""
-
-    variety: DiagonalVariety
-    p: int
-    middle: LocalFactor
-
-    @property
-    def trivial_factors(self) -> tuple[tuple[int, int], ...]:
-        """(1 - p^j t) for j = 0..n, as (constant, linear) coefficient pairs."""
-        n = self.variety.complex_dim
-        return tuple((1, -(self.p ** j)) for j in range(n + 1))
-
-
 def expand_roots(orbits, base: int, trunc: int | None) -> tuple[int, ...]:
     """Integer coefficients of prod (1 - J t^f) over the (J, f) pairs, through
     t^trunc if given; the one place the roots of a local factor are checked.
@@ -181,17 +166,13 @@ def local_factor_middle(v: DiagonalVariety, p: int,
                        orbits=tuple(orbits), precision=precision)
 
 
-def congruent_zeta(v: DiagonalVariety, p: int,
-                   max_root_field: int | None = None) -> CongruentZeta:
-    return CongruentZeta(variety=v, p=p,
-                         middle=local_factor_middle(v, p, max_root_field))
+def predicted_count(lf: LocalFactor, r: int) -> int:
+    """N_r of the variety whose middle factor at lf.p is lf, read off the
+    zeta shape Z(t) = P(t)^{(-1)^{n+1}} / prod_{j=0..n} (1 - p^j t).
 
-
-def predicted_count(z: CongruentZeta, r: int) -> int:
-    """N_r read off the zeta shape.
-
-    N_r = sum_{j=0..n} p^{jr} + (-1)^n s_r, with s_r the r-th power sum of
-    the reciprocal roots of the middle factor P(t) = 1 + c_1 t + ...  Newton's
+    N_r = sum_{j=0..n} p^{jr} + (-1)^n s_r, with n = lf.cohomology_degree and
+    s_r the r-th power sum of the reciprocal roots of P(t) = lf.coeffs =
+    1 + c_1 t + ...  Newton's
     identities give it from the integer coefficients alone:
     s_k = -k c_k - sum_{0<i<k} c_i s_{k-i}.  The sign is minus for odd middle
     dimension (factor in the numerator) and plus for even (factor in the
@@ -200,16 +181,15 @@ def predicted_count(z: CongruentZeta, r: int) -> int:
     """
     if r < 1:
         raise ValidationError("power index must be positive")
-    lf = z.middle
     if lf.precision is not None and r > lf.precision:
         raise ValidationError(
             f"factor truncated at t^{lf.precision}; cannot predict N_{r}")
-    n = z.variety.complex_dim
+    n = lf.cohomology_degree
     c = list(lf.coeffs[:r + 1]) + [0] * (r + 1 - len(lf.coeffs))
     s = [0] * (r + 1)
     for k in range(1, r + 1):
         s[k] = -k * c[k] - sum(c[i] * s[k - i] for i in range(1, k))
-    return sum(z.p ** (j * r) for j in range(n + 1)) + (-1) ** n * s[r]
+    return sum(lf.p ** (j * r) for j in range(n + 1)) + (-1) ** n * s[r]
 
 
 def expected_degrees(hodge: dict[str, int] | None, n: int) -> dict[int, int]:

@@ -134,17 +134,16 @@ def jacobi_sums_per_alpha(f, alphas):
     return unit_sums_per_row(f, [_row(a) for a in alphas])
 
 
-def predicted_count_direct(z, r):
+def predicted_count_direct(lf, r):
     """N_r = sum_{j=0..n} p^{jr} + (-1)^n sum_{orbits, f | r} f * J^{r/f},
     the orbit trace summed in Z[mu_M] and required to be a rational integer."""
     if r < 1:
         raise ValidationError("power index must be positive")
-    lf = z.middle
     if lf.precision is not None and r > lf.precision:
         raise ValidationError(
             f"factor truncated at t^{lf.precision}; cannot predict N_{r}")
-    n = z.variety.complex_dim
-    total = sum(z.p ** (j * r) for j in range(n + 1))
+    n = lf.cohomology_degree
+    total = sum(lf.p ** (j * r) for j in range(n + 1))
     relevant = [(j, f) for j, f in lf.orbits if r % f == 0]
     if relevant:
         big_m = math.lcm(*(j.m for j, _ in relevant))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cyarith import (CongruentZeta, CycInt, DiagonalVariety,
+from cyarith import (CycInt, DiagonalVariety,
                      check_kn_identity, check_kr_identity, count_projective,
                      cyclotomic_unit, dirichlet_coefficients,
                      fusion_field_match, gepner_levels, local_factor_middle,
@@ -32,19 +32,17 @@ def test_criterion_01_quintic_factor_exact_and_fast(quintic):
     t0 = time.monotonic()
     lf11 = local_factor_middle(quintic, 11)
     n1_11 = count_projective(quintic, 11)
-    z11 = CongruentZeta(variety=quintic, p=11, middle=lf11)
     dt11 = time.monotonic() - t0
 
     t0 = time.monotonic()
     lf31 = local_factor_middle(quintic, 31)
     n1_31 = count_projective(quintic, 31)
-    z31 = CongruentZeta(variety=quintic, p=31, middle=lf31)
     dt31 = time.monotonic() - t0
 
     ok = (lf11.degree == 204 and lf31.degree == 204
           and all(isinstance(c, int) for c in lf11.coeffs + lf31.coeffs)
-          and predicted_count(z11, 1) == n1_11
-          and predicted_count(z31, 1) == n1_31
+          and predicted_count(lf11, 1) == n1_11
+          and predicted_count(lf31, 1) == n1_31
           and dt11 < 10.0 and dt31 < 180.0)
     report(1, ok, f"quintic degree-204 factors at p=11, 31; N1 = {n1_11}, "
                   f"{n1_31} recovered exactly ({dt11:.2f}s, {dt31:.2f}s)")
@@ -53,12 +51,11 @@ def test_criterion_01_quintic_factor_exact_and_fast(quintic):
 def test_criterion_02_quintic_p2_extension_counts(quintic):
     t0 = time.monotonic()
     lf2 = local_factor_middle(quintic, 2)
-    z2 = CongruentZeta(variety=quintic, p=2, middle=lf2)
     counts = {r: count_projective(quintic, 2, r) for r in (1, 2, 3, 4)}
     dt = time.monotonic() - t0
     ok = (len(lf2.orbits) == 51 and all(f == 4 for _, f in lf2.orbits)
           and counts[2] == 85
-          and all(predicted_count(z2, r) == counts[r] for r in (1, 2, 3, 4))
+          and all(predicted_count(lf2, r) == counts[r] for r in (1, 2, 3, 4))
           and dt < 30.0)
     report(2, ok, f"quintic at p=2: 51 order-4 orbits, N_r = "
                   f"{[counts[r] for r in (1, 2, 3, 4)]} for r = 1..4 ({dt:.2f}s)")
@@ -90,8 +87,7 @@ def test_criterion_05_fermat_cubic():
     for p in (7, 13):
         lf = local_factor_middle(cubic, p)
         n1 = count_projective(cubic, p)
-        z = CongruentZeta(variety=cubic, p=p, middle=lf)
-        checks.append(lf.degree == 2 and predicted_count(z, 1) == n1
+        checks.append(lf.degree == 2 and predicted_count(lf, 1) == n1
                       and _rh_holds(lf))
     report(5, all(checks), "cubic curve at p = 7, 13: deg P1 = 2, N1 exact, "
                            "|beta|^2 = p exact")

@@ -101,8 +101,9 @@ def test_n2_spectrum():
 
 
 def test_kr_identity():
-    for k in range(1, 13):
-        assert check_kr_identity(k) < 1e-9
+    for k in range(1, 31):
+        # one Rogers sum serves both rules: KR is KN's m = 0 row, to the bit
+        assert check_kr_identity(k) == check_kn_identity(k, 0).residual < 1e-9
     with pytest.raises(ValidationError):
         check_kr_identity(0)
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from cyarith import DiagonalVariety, cache
 from cyarith.cli import run
+from cyarith.errors import ValidationError
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -371,6 +373,35 @@ def test_cache_load_carries_functional_sign(tmp_path, quintic, quintic_lf11, qua
         assert lf.sign == cache.load(tmp_path, v.exponents, lf.p).sign == sign
 
 
+def test_cache_local_factor_skips_capped_factors(tmp_path, monkeypatch, quintic, cubic):
+    # a cap may truncate the factor, and a truncated factor is never cached
+    lf = cache.local_factor(tmp_path, quintic, 7, max_root_field=100)
+    assert lf.precision == 3
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.chdir(tmp_path)         # no cache directory: nothing written, not even ./cache
+    assert cache.local_factor(None, cubic, 7).coeffs == (1, 1, 7)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_local_factor_loads_without_rewriting(tmp_path, cubic):
+    first = cache.local_factor(tmp_path, cubic, 7)
+    entry = cache.entry_path(tmp_path, cubic.exponents, 7)
+    inode = entry.stat().st_ino
+    os.utime(entry, ns=(0, 0))
+    again = cache.local_factor(tmp_path, cubic, 7)
+    assert (again.coeffs, again.orbits) == (first.coeffs, first.orbits)
+    # a store replaces the file: a new inode with a fresh mtime
+    assert (entry.stat().st_ino, entry.stat().st_mtime_ns) == (inode, 0)
+    assert [x.name for x in tmp_path.iterdir()] == [entry.name]
+
+
+def test_cache_local_factor_unwritable_entry(tmp_path, cubic):
+    blocked = cache.entry_path(tmp_path, cubic.exponents, 7)
+    blocked.mkdir()
+    with pytest.raises(ValidationError, match=re.escape(f"cannot write cache entry {blocked}: ")):
+        cache.local_factor(tmp_path, cubic, 7)
+
+
 def test_lseries_csv_and_eval(capsys):
     code = run(["lseries", "-d", "3", "-n", "1", "--cutoff", "20", "--csv",
                 "--deterministic"])
@@ -639,14 +670,13 @@ def test_out_unwritable(tmp_path, capsys):
 
 def test_env_vars(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CYARITH_CACHE", str(tmp_path))
-    monkeypatch.setenv("CYARITH_JOBS", "1")
     assert run(["zeta", "-d", "3", "-n", "1", "-p", "7", "--json",
                 "--deterministic"]) == 0
     capsys.readouterr()
     assert list(tmp_path.glob("v3-3-3_p7.json"))
 
 
-def test_jobs_below_one_refused(monkeypatch, capsys):
+def test_jobs_below_one_refused(capsys):
     argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--no-cache", "--json"]
     for jobs in ("0", "-4"):
         assert run(argv + ["--jobs", jobs]) == 1
@@ -654,11 +684,6 @@ def test_jobs_below_one_refused(monkeypatch, capsys):
     # checked for every subcommand, not only those that fan out over primes
     assert run(["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "10", "--jobs", "0"]) == 1
     assert "must be at least 1" in capsys.readouterr().err
-    for env in ("0", "-4"):
-        monkeypatch.setenv("CYARITH_JOBS", env)
-        assert run(argv) == 1
-        assert "must be at least 1" in capsys.readouterr().err
-    assert run(argv + ["--jobs", "1"]) == 0      # the flag wins over the variable
 
 def test_process_pool_only_for_parallel_runs(capsys):
     argv = ["zeta", "-d", "3", "-n", "1", "-p", "7,13,19", "--no-cache"]

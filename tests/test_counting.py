@@ -4,8 +4,8 @@ against exhaustive enumeration."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyarith import (DiagonalVariety, congruent_zeta, count_affine, count_projective,
-                     make_field, predicted_count)
+from cyarith import (DiagonalVariety, count_affine, count_projective,
+                     local_factor_middle, make_field, predicted_count)
 from cyarith.charsum import build_alpha_set, unit_sums
 from cyarith.errors import BadReductionError, PrimalityError, ValidationError
 from oracles import DIRECT_ENUM_BUDGET, add, count_affine_direct
@@ -98,9 +98,9 @@ def test_weil_formula_matches_enumeration(field, exps):
 def test_counts_past_the_old_convolution_cap(quintic, cubic):
     # q^2 > 2^26 at both fields; the count must equal the zeta prediction
     n2 = count_projective(quintic, 101, 2)
-    assert n2 == predicted_count(congruent_zeta(quintic, 101), 2) == 1061585385175
+    assert n2 == predicted_count(local_factor_middle(quintic, 101), 2) == 1061585385175
     n1 = count_projective(cubic, 8209)
-    assert n1 == predicted_count(congruent_zeta(cubic, 8209), 1) == 8127
+    assert n1 == predicted_count(local_factor_middle(cubic, 8209), 1) == 8127
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])

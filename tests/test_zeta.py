@@ -7,10 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import cyarith.zeta as zeta_module
-from cyarith import (CongruentZeta, CycInt, DiagonalVariety, HeckeCharacter,
-                     LocalFactor, congruent_zeta, count_projective,
-                     expected_degrees, is_prime, local_factor_middle,
-                     predicted_count, split_prime_ideals)
+from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
+                     count_projective, expected_degrees, is_prime,
+                     local_factor_middle, predicted_count, split_prime_ideals)
 from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.hecke import ideal_jacobi_sums
 from cyarith.zeta import expand_roots
@@ -22,6 +21,7 @@ TRUNCS = st.one_of(st.none(), st.integers(0, 8))
 
 def test_quintic_factor_p11(quintic_lf11):
     lf = quintic_lf11
+    assert lf.p == 11
     assert lf.full_degree == 204
     assert lf.is_exact
     assert lf.degree == 204
@@ -47,13 +47,11 @@ def test_quintic_factor_p2(quintic_lf2):
 
 
 def test_predicted_counts_match_enumeration(quintic, quintic_lf11, quintic_lf2):
-    z11 = CongruentZeta(variety=quintic, p=11, middle=quintic_lf11)
-    assert predicted_count(z11, 1) == count_projective(quintic, 11)
-    z2 = CongruentZeta(variety=quintic, p=2, middle=quintic_lf2)
+    assert predicted_count(quintic_lf11, 1) == count_projective(quintic, 11)
     for r in (1, 2, 3, 4):
-        assert predicted_count(z2, r) == count_projective(quintic, 2, r)
+        assert predicted_count(quintic_lf2, r) == count_projective(quintic, 2, r)
     with pytest.raises(ValidationError):
-        predicted_count(z2, 0)
+        predicted_count(quintic_lf2, 0)
 
 
 def test_cubic_factors():
@@ -61,8 +59,7 @@ def test_cubic_factors():
     for p, coeffs in [(7, (1, 1, 7)), (13, (1, -5, 13)), (2, (1, 0, 2))]:
         lf = local_factor_middle(cubic, p)
         assert lf.coeffs == coeffs
-        z = CongruentZeta(variety=cubic, p=p, middle=lf)
-        assert predicted_count(z, 1) == count_projective(cubic, p)
+        assert predicted_count(lf, 1) == count_projective(cubic, p)
 
 
 def test_k3_quartic_factors():
@@ -70,13 +67,11 @@ def test_k3_quartic_factors():
     lf5 = local_factor_middle(quartic, 5)
     assert lf5.coeffs[:4] == (1, 31, 250, -2050)
     assert lf5.full_degree == 21
-    z = CongruentZeta(variety=quartic, p=5, middle=lf5)
-    assert predicted_count(z, 1) == 0     # x^4 mod 5 only reaches {0, 1}
+    assert predicted_count(lf5, 1) == 0     # x^4 mod 5 only reaches {0, 1}
     lf3 = local_factor_middle(quartic, 3)
     assert lf3.coeffs[:4] == (1, -3, -90, 270)
-    z3 = CongruentZeta(variety=quartic, p=3, middle=lf3)
     for r in (1, 2):
-        assert predicted_count(z3, r) == count_projective(quartic, 3, r)
+        assert predicted_count(lf3, r) == count_projective(quartic, 3, r)
 
 
 def test_mixed_exponent_elliptic():
@@ -85,8 +80,7 @@ def test_mixed_exponent_elliptic():
                       (11, (1, 0, 11)), (13, (1, -2, 13))]:
         lf = local_factor_middle(v, p)
         assert lf.coeffs == coeffs
-        z = CongruentZeta(variety=v, p=p, middle=lf)
-        assert predicted_count(z, 1) == count_projective(v, p)
+        assert predicted_count(lf, 1) == count_projective(v, p)
 
 
 def test_riemann_hypothesis_reports(quintic_lf11, quintic_lf31):
@@ -127,13 +121,6 @@ def test_truncation(quintic):
         lf.degree
 
 
-def test_congruent_zeta_wrapper(quintic):
-    z = congruent_zeta(quintic, 11)
-    assert z.p == 11
-    assert z.trivial_factors == ((1, -1), (1, -11), (1, -121), (1, -1331))
-    assert z.middle.full_degree == 204
-
-
 def test_expected_degrees():
     # quintic threefold hodge numbers force the 204
     deg = expected_degrees({"h11": 1, "h21": 101}, 3)
@@ -150,11 +137,11 @@ def test_expected_degrees():
 def test_quintic_complete_at_large_residue_fields(quintic, p, r):
     # orbit sums over F_{7^4}, F_{13^4} and F_{19^2}; N_r ties the orbits of
     # length dividing r to an independent point count
-    z = congruent_zeta(quintic, p)
-    assert z.middle.degree == 204
-    assert z.middle.sign == 1
+    lf = local_factor_middle(quintic, p)
+    assert lf.degree == 204
+    assert lf.sign == 1
     for k in {1, r}:
-        assert predicted_count(z, k) == count_projective(quintic, p, k)
+        assert predicted_count(lf, k) == count_projective(quintic, p, k)
 
 
 # -- the norm-class expansion against the per-coefficient oracle -----------------
@@ -257,10 +244,9 @@ def test_predicted_count_matches_orbit_trace(case, cap, data):
         rs = set(range(1, min(top, 8) + 1)) | {top - 1, top} - {0}
     else:
         rs = data.draw(st.sets(st.integers(1, top), min_size=1, max_size=5))
-    z = CongruentZeta(variety=v, p=p, middle=lf)
     for r in sorted(rs):
-        assert predicted_count(z, r) == predicted_count_direct(z, r)
+        assert predicted_count(lf, r) == predicted_count_direct(lf, r)
     if not lf.is_exact:
         for predict in (predicted_count, predicted_count_direct):
             with pytest.raises(ValidationError, match="truncated"):
-                predict(z, top + 1)
+                predict(lf, top + 1)
