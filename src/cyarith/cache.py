@@ -11,7 +11,8 @@ hash and key match, the factor is complete, and rebuilding the LocalFactor
 from the stored roots (the checks a fresh factor passes) gives the stored
 coefficients; else it is deleted with a warning on the ``cyarith.cache``
 logger, and the caller recomputes.
-``store`` writes a per-writer temp file and renames it into place, so
+``store`` writes the entry as one compact JSON line (any layout of the same
+JSON loads) to a per-writer temp file and renames it into place, so
 concurrent writers of one entry never expose a half-written file.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import uuid
+import os
 from pathlib import Path
 
 from .counting import DiagonalVariety
@@ -37,12 +38,18 @@ def entry_path(cache_dir: Path, exps: tuple[int, ...], p: int) -> Path:
     return Path(cache_dir) / f"v{tag}_p{p}.json"
 
 
+def _canonical(data: dict) -> str:
+    """The sorted, compact JSON of data: what the self-check hashes."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def _record_hash(data: dict) -> str:
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(_canonical(data).encode()).hexdigest()
 
 
-def _record(exps: tuple[int, ...], lf: LocalFactor) -> dict:
+def _record_text(exps: tuple[int, ...], lf: LocalFactor) -> str:
+    """The entry for lf as one compact JSON line, the canonical data encoded
+    once for both the hash and the file."""
     data = {
         "exponents": list(exps),
         "p": lf.p,
@@ -53,9 +60,9 @@ def _record(exps: tuple[int, ...], lf: LocalFactor) -> dict:
         "coefficients": [str(x) for x in lf.coeffs],
         "precision": lf.precision,
     }
-    return {"format_version": FORMAT_VERSION,
-            "self_check": _record_hash(data),
-            "data": data}
+    blob = _canonical(data)
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    return f'{{"format_version":{FORMAT_VERSION},"self_check":"{digest}","data":{blob}}}\n'
 
 
 def store(cache_dir: Path, exps: tuple[int, ...], lf: LocalFactor) -> None:
@@ -64,9 +71,9 @@ def store(cache_dir: Path, exps: tuple[int, ...], lf: LocalFactor) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # one temp file per writer: a shared name lets one writer's replace move
     # another's half-written file into place
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     try:
-        tmp.write_text(json.dumps(_record(exps, lf), indent=1) + "\n")
+        tmp.write_text(_record_text(exps, lf))
         tmp.replace(path)   # atomic swap; concurrent writers of the same entry agree
     finally:
         tmp.unlink(missing_ok=True)     # still there only if the write or replace failed

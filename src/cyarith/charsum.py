@@ -96,17 +96,21 @@ def _enumerate_tuples(orders: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
     return tuple(out)
 
 
-def _assemble(orders: tuple[int, ...], p: int) -> AlphaSet:
+@lru_cache(maxsize=256)
+def _assemble(orders: tuple[int, ...], unit: int) -> AlphaSet:
+    """The tuples for orders, partitioned into orbits of alpha -> unit * alpha.
+    A prime p acts through its residue unit = p mod lcm(orders) alone, so
+    the partition is built once per residue and shared by every such p."""
     tuples = _enumerate_tuples(orders)
     by_nums = {a.nums: a for a in tuples}
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for a in tuples:
         orbit, nums = [], a.nums
-        while nums not in seen:       # p is a unit mod den: the walk closes at a
+        while nums not in seen:       # a unit mod den: the walk closes at a
             seen.add(nums)
             orbit.append(by_nums[nums])
-            nums = tuple(n * p % a.den for n in nums)
+            nums = tuple(n * unit % a.den for n in nums)
         if orbit:
             orbits.append(tuple(orbit))
     return AlphaSet(tuples=tuples, orbits=tuple(orbits))
@@ -117,7 +121,8 @@ def build_alpha_set(v: DiagonalVariety, p: int, r: int = 1) -> AlphaSet:
     checked by field_order even when no tuple survives."""
     q = field_order(p, r)
     # an order 1 leaves a coordinate no character, and _assemble no tuple
-    return _assemble(tuple(math.gcd(n, q - 1) for n in v.exponents), p)
+    orders = tuple(math.gcd(n, q - 1) for n in v.exponents)
+    return _assemble(orders, p % math.lcm(*orders))
 
 
 def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
@@ -126,7 +131,7 @@ def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
         raise ValidationError(f"{p} is not prime")
     if not v.is_good_prime(p):
         raise BadReductionError(f"{p} divides an exponent of {v.exponents}")
-    return _assemble(v.exponents, p)
+    return _assemble(v.exponents, p % math.lcm(*v.exponents))
 
 
 def degree_conductors(v: DiagonalVariety) -> dict[int, tuple]:
@@ -320,9 +325,11 @@ def unit_sums(field: tuple[int, int], rows) -> list[CycInt]:
     return [by_head[h] if l_inv == 1 else by_head[h].galois(l_inv) for h, l_inv in placed]
 
 
+@lru_cache(maxsize=1 << 14)
 def _row(alpha: AlphaTuple) -> tuple[int, tuple[int, ...]]:
     """The unit_sums row (m, (e_0..e_{s-1})) of alpha, m its conductor, with
-    chi_{alpha_i}(g^k) = xi_m^(e_i k); the last character is scaled away."""
+    chi_{alpha_i}(g^k) = xi_m^(e_i k); the last character is scaled away.
+    Every prime reads the same tuples, so each row is worked out once."""
     m = alpha.conductor
     return m, tuple(m * n // alpha.den for n in alpha.nums[:-1])
 

@@ -16,31 +16,31 @@ file per (exponent vector, prime) under --cache or CYARITH_CACHE (default
 ./cache); --no-cache bypasses it.  Parallelism across primes is
 orchestrated here and only here (--jobs, checked for every subcommand);
 the library itself stays sequential and schedule-free.
+
+Each subcommand imports the modules it runs when it runs, and importing
+this module loads only cyarith.errors: `count` never loads zeta or the
+cache, `zeta` never loads hecke or cft, and a process pays to compile only
+what its subcommand uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import logging
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import cache, cft
-from .charsum import AlphaTuple, full_alpha_set, jacobi_sums
-from .counting import DiagonalVariety, count_projective
-from .cyclo import CycInt, cyclotomic_unit, delta_determinant, hecke_weight, s_element
 from .errors import CapacityError, InvariantViolationError, ValidationError
-from .ffield import is_prime
-from .hecke import (HeckeCharacter, dirichlet_coefficients, match_hasse_weil,
-                    partial_sum_eval, splitting_data)
-from .zeta import predicted_count
+
+if TYPE_CHECKING:
+    from .charsum import AlphaTuple
+    from .counting import DiagonalVariety
 
 CACHE_ENV = "CYARITH_CACHE"
 
@@ -58,6 +58,7 @@ def _ints(raw: str, what: str, sep: str = ",") -> tuple[int, ...]:
 
 def _variety(args) -> DiagonalVariety:
     """The variety of either --exponents or the (degree, dim) pair."""
+    from .counting import DiagonalVariety
     if args.exponents:
         if args.degree is not None:
             raise ValidationError("give either --exponents or -d/--degree, not both")
@@ -78,6 +79,7 @@ def _parse_primes(spec: str | None) -> tuple[tuple[int, ...], bool]:
     """Prime list "11,31" (strict: non-primes and repeats refused) or range
     "2..50" (non-primes and bad primes silently skipped).  Returns (primes,
     strict)."""
+    from .ffield import is_prime
     if not spec:
         raise ValidationError("at least one prime required (-p)")
     if ".." in spec:
@@ -145,10 +147,12 @@ def _emit(args, fmt: str, payload: dict, csv_rows: list | None = None,
     table lines, to --out or stdout."""
     if fmt == "json":
         if not args.deterministic:
+            from datetime import datetime, timezone
             payload = {**payload, "generated_at":
                        datetime.now(timezone.utc).isoformat(timespec="seconds")}
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     elif fmt == "csv":
+        import csv
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         text = buf.getvalue()
@@ -167,6 +171,7 @@ def _emit(args, fmt: str, payload: dict, csv_rows: list | None = None,
 
 
 def _cmd_count(args) -> None:
+    from .counting import count_projective
     fmt = _fmt(args, "table", "json", "csv")
     v = _variety(args)
     good, skipped = _good_primes(v, args.prime)
@@ -198,6 +203,7 @@ def _cmd_count(args) -> None:
 
 
 def _parse_alpha(args, exps: tuple[int, ...]) -> AlphaTuple | None:
+    from .charsum import AlphaTuple
     if not args.alpha:
         return None
     nums = _ints(args.alpha, "alpha")
@@ -208,6 +214,8 @@ def _parse_alpha(args, exps: tuple[int, ...]) -> AlphaTuple | None:
 
 
 def _cmd_jacobi(args) -> None:
+    from .charsum import full_alpha_set, jacobi_sums
+    from .cyclo import CycInt
     fmt = _fmt(args, "json", "csv", "table")
     v = _variety(args)
     good, skipped = _good_primes(v, args.prime)
@@ -217,6 +225,7 @@ def _cmd_jacobi(args) -> None:
     single = _parse_alpha(args, v.exponents)
     r = args.extension
     if r == 1:
+        from .hecke import splitting_data
         # characters of conductor m need m | q - 1; lift to the residue degree
         r, _ = splitting_data(p, single.conductor if single else math.lcm(*v.exponents))
     q = p**r
@@ -257,6 +266,9 @@ def _cmd_jacobi(args) -> None:
 def _zeta_result(exps: tuple[int, ...], cap: int | None, predict: int,
                  cache_dir: Path | None, p: int) -> dict:
     """One prime's worth of zeta JSON; module-level so workers can pickle it."""
+    from . import cache
+    from .counting import DiagonalVariety
+    from .zeta import predicted_count
     v = DiagonalVariety(exps)
     lf = cache.local_factor(cache_dir, v, p, cap)   # RH and FE checked in building it
     out = {"p": p,
@@ -336,6 +348,7 @@ def _emit_dirichlet(args, fmt: str, coeffs, head: dict, title: str) -> None:
     payload = {**head, "coefficients": [str(an) for an in a]}
     table = [title] + [f"  a_{n} = {an}" for n, an in enumerate(a, 1) if an]
     if args.eval_at is not None:
+        from .hecke import partial_sum_eval
         res = partial_sum_eval(coeffs, args.eval_at)
         tb = res.tail_bound if math.isfinite(res.tail_bound) else None
         payload["partial_sum"] = {"s": res.s, "value": {"re": res.value, "im": 0.0},
@@ -346,6 +359,7 @@ def _emit_dirichlet(args, fmt: str, coeffs, head: dict, title: str) -> None:
 
 
 def _cmd_lseries(args) -> None:
+    from .hecke import dirichlet_coefficients
     fmt = _dirichlet_fmt(args)
     v = _variety(args)
     if args.cutoff is None:
@@ -362,6 +376,7 @@ def _cmd_lseries(args) -> None:
 
 
 def _cmd_hecke(args) -> None:
+    from .hecke import HeckeCharacter, dirichlet_coefficients
     fmt = _dirichlet_fmt(args)
     if args.cutoff is None:
         raise ValidationError("hecke needs --cutoff")
@@ -382,6 +397,8 @@ def _cmd_hecke(args) -> None:
 
 
 def _cmd_match(args) -> None:
+    from . import cache
+    from .hecke import match_hasse_weil
     fmt = _fmt(args, "table", "json")
     v = _variety(args)
     primes, strict = _parse_primes(args.prime)
@@ -413,6 +430,7 @@ def _cmd_match(args) -> None:
 
 
 def _cmd_cyclo(args) -> None:
+    from .cyclo import cyclotomic_unit, delta_determinant, hecke_weight, s_element
     actions = [name for name in ("units", "delta", "s_element") if getattr(args, name)]
     if len(actions) != 1:
         raise ValidationError("pick exactly one of --units / --delta / --s-element")
@@ -476,6 +494,7 @@ CFT_FORMATS = {"spectrum": ("csv", "json", "table"),
 
 
 def _cmd_cft(args) -> None:
+    from . import cft
     actions = [n for n in CFT_FORMATS if getattr(args, n)]
     if len(actions) != 1:
         raise ValidationError(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .charsum import build_alpha_set, jacobi_sums
 from .cyclo import CycInt
@@ -63,7 +62,8 @@ class DiagonalVariety:
     @property
     def is_calabi_yau(self) -> bool:
         # vanishing first Chern class: sum of weights d/n_i equals the degree d
-        return sum(Fraction(1, n) for n in self.exponents) == 1
+        d = math.lcm(*self.exponents)
+        return sum(d // n for n in self.exponents) == d
 
     def is_good_prime(self, p: int) -> bool:
         return is_prime(p) and all(n % p for n in self.exponents)

@@ -82,18 +82,24 @@ def expand_roots(orbits, base: int, trunc: int | None) -> tuple[int, ...]:
     t^trunc if given; the one place the roots of a local factor are checked.
 
     sigma_l J(alpha) = J(l*alpha), so the roots fall into Galois classes of
-    Z[mu_M], M the lcm of the J's conductors, and each class of a given f
-    must appear with one multiplicity (InvariantViolationError otherwise).
-    Each class must satisfy |J|^2 = base^f (RH, base = p^weight); its head
-    covers every conjugate, as sigma_l commutes with complex conjugation.
-    A class's norm polynomial prod (1 - c u) over its distinct conjugates c
-    is expanded in Z[mu_M] and must lie in Z[u]; the factor is the product
-    of those integer polynomials in u = t^f, with constant term 1.
+    Z[mu_M], M the lcm of the J's conductors.  Each class of a given f is
+    checked three ways (InvariantViolationError on a failure):
+      - |J|^2 = base^f (RH, base = p^weight) at its head, which covers every
+        conjugate, as sigma_l commutes with complex conjugation;
+      - every conjugate occurs with the head's multiplicity (Galois closure);
+      - its norm polynomial N(u) = prod (1 - c u) over the distinct
+        conjugates c, expanded in Z[mu_M], lies in Z[u] (rational_value).
+    Classes share norm polynomials (a split prime of the quintic has 51
+    classes and at most 2 distinct N), so the factor is the product over
+    distinct (N, f) of N(t^f)^e, e the summed multiplicity: each power is
+    taken by Miller's recurrence (_norm_power) and multiplied in once, and
+    the product must have constant term 1.  LocalFactor adds the degree,
+    palindrome and sign checks of a complete factor.
     """
     big_m = math.lcm(*(j.m for j, _ in orbits))  # 1 for no roots
     units = [l for l in range(1, big_m + 1) if math.gcd(l, big_m) == 1]
     left = Counter((j.lift(big_m), f) for j, f in orbits)
-    out = [1]
+    powers: Counter[tuple[tuple[int, ...], int]] = Counter()
     while left:
         j, f = next(iter(left))
         if j * j.conj() != CycInt.from_int(big_m, base ** f):
@@ -108,12 +114,48 @@ def expand_roots(orbits, base: int, trunc: int | None) -> tuple[int, ...]:
         zero, norm = CycInt.zero(big_m), [CycInt.one(big_m)]
         for c in conjugates:
             norm = [a - c * b for a, b in zip(norm + [zero], [zero] + norm)]
-        norm_z = [c.rational_value() for c in norm]  # raises if not in Z
-        for _ in range(mult):
-            out = _mul_in_power(out, norm_z, f, trunc)
+        powers[tuple(c.rational_value() for c in norm), f] += mult  # raises if not in Z
+    out = _expand_powers(powers, trunc)
     if out[0] != 1:
         raise InvariantViolationError("local factor must have constant term 1")
     return tuple(out)
+
+
+def _expand_powers(powers, trunc: int | None) -> list[int]:
+    """prod of n(t^f)^e over the ((n, f), e) items of powers, n integer
+    polynomials with n(0) = 1, through t^trunc if given: each power is taken
+    by _norm_power and multiplied in once."""
+    out = [1]
+    for (n, f), e in powers.items():
+        out = _mul_in_power(out, _norm_power(n, e, None if trunc is None else trunc // f),
+                            f, trunc)
+    # a power cut at u^(trunc // f) can leave out short of t^trunc: pad it
+    width = 1 + sum(e * (len(n) - 1) * f for (n, f), e in powers.items())
+    if trunc is not None:
+        width = min(width, trunc + 1)
+    return out + [0] * (width - len(out))
+
+
+def _norm_power(n, e: int, top: int | None) -> list[int]:
+    """n(u)^e through u^top if given, for an integer n with n(0) = 1.
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): P = n^e obeys
+    n P' = e n' P, so P_0 = 1 and k P_k = sum_{j=1..d} ((e+1) j - k) n_j P_{k-j},
+    O(e d^2) operations for d = deg n.  P lies in Z[u], so a division that
+    leaves a remainder is an InvariantViolationError.
+    """
+    if n[0] != 1:
+        raise InvariantViolationError(f"norm polynomial has constant term {n[0]}, not 1")
+    d = len(n) - 1
+    width = e * d if top is None else min(e * d, top)
+    terms = [(j, (e + 1) * j, nj) for j, nj in enumerate(n) if j and nj]
+    out = [1]
+    for k in range(1, width + 1):
+        pk, rem = divmod(sum((ej - k) * nj * out[k - j] for j, ej, nj in terms if j <= k), k)
+        if rem:
+            raise InvariantViolationError(f"{n}^{e} is not integral at u^{k}")
+        out.append(pk)
+    return out
 
 
 def _mul_in_power(a: list[int], b: list[int], f: int, trunc: int | None) -> list[int]:

@@ -4,7 +4,9 @@
 `count_affine_direct` enumerates the affine grid: the oracles of
 `charsum.jacobi_sums` and `counting.count_affine`, each with its own
 enumeration budget.  `expand_roots_direct` is the per-coefficient expansion
-that `zeta.expand_roots` replaced.  `unit_sums_per_row` runs the kernel
+that `zeta.expand_roots` replaced, and `expand_powers_by_class` multiplies
+norm polynomials in one Galois class at a time, as `zeta.expand_roots` did
+before it took one power per distinct norm polynomial.  `unit_sums_per_row` runs the kernel
 once per row instead of once per Galois class, and `jacobi_sums_per_alpha`
 reads every tuple off it, so neither goes through the class-head reduction
 or the split-prime closed form of `charsum.unit_sums`.
@@ -116,6 +118,23 @@ def expand_roots_direct(orbits, trunc):
     out = tuple(c.rational_value() for c in poly)  # raises if not in Z
     if out[0] != 1:
         raise InvariantViolationError("local factor must have constant term 1")
+    return out
+
+
+def expand_powers_by_class(powers, trunc):
+    """prod of n(t^f)^e over the ((n, f), e) items of powers, multiplying
+    n(t^f) in e times over, through t^trunc if given."""
+    out = [1]
+    for (n, f), e in powers.items():
+        for _ in range(e):
+            width = len(out) + (len(n) - 1) * f
+            if trunc is not None:
+                width = min(width, trunc + 1)
+            new = [0] * width
+            for k, nk in enumerate(n):
+                for i, a in enumerate(out[:max(0, width - k * f)]):
+                    new[i + k * f] += nk * a
+            out = new
     return out
 
 

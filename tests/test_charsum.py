@@ -38,6 +38,21 @@ def test_alpha_set_sizes(quintic):
     assert len(aset2.orbits) == 51
 
 
+def test_orbit_partition_built_once_per_residue(quintic):
+    # p acts on the degree set through p mod lcm(exponents) = p mod 5 alone
+    assert full_alpha_set(quintic, 11) is full_alpha_set(quintic, 31)
+    assert full_alpha_set(quintic, 2) is full_alpha_set(quintic, 7)
+    for p in (2, 3, 13, 29, 11):
+        for orbit in full_alpha_set(quintic, p).orbits:
+            head = orbit[0].nums
+            assert [a.nums for a in orbit] == [tuple(n * p ** k % 5 for n in head)
+                                               for k in range(len(orbit))]
+    v = DiagonalVariety((3, 6, 6))           # build_alpha_set reduces by its own orders
+    assert build_alpha_set(v, 7) is build_alpha_set(v, 13)
+    assert build_alpha_set(v, 5, 2) is build_alpha_set(v, 11, 2)
+    assert build_alpha_set(v, 5, 2) is not build_alpha_set(v, 7)
+
+
 def test_alpha_set_cubic():
     cubic = DiagonalVariety.fermat(3, 1)
     aset = full_alpha_set(cubic, 7)

@@ -229,6 +229,34 @@ def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
     assert entry.exists()                         # rewritten after recompute
 
 
+def test_cache_entry_is_compact_and_the_indented_layout_loads(capsys, caplog, tmp_path):
+    # store writes one compact line whose data is the blob the self-check
+    # hashes; an entry in the earlier indent=1 layout loads as it stands
+    argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--json", "--deterministic",
+            "--cache", str(tmp_path)]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
+    text = entry.read_text()
+    rec = json.loads(text)
+    assert text == json.dumps(rec, separators=(",", ":")) + "\n"
+    assert text.endswith(f'"data":{json.dumps(rec["data"], sort_keys=True, separators=(",", ":"))}}}\n')
+
+    data = rec["data"]
+    old = {"format_version": rec["format_version"], "self_check": rec["self_check"],
+           "data": {"exponents": data["exponents"], "p": data["p"],
+                    "cohomology_degree": data["cohomology_degree"],
+                    "full_degree": data["full_degree"],
+                    "orbits": [{"m": o["m"], "count": o["count"],
+                                "coefficients": o["coefficients"]} for o in data["orbits"]],
+                    "coefficients": data["coefficients"], "precision": data["precision"]}}
+    entry.write_text(json.dumps(old, indent=1) + "\n")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert "discarding" not in caplog.text
+    assert entry.read_text() == json.dumps(old, indent=1) + "\n"   # read, not rewritten
+
+
 def _rehashed(entry, edit):
     """Apply edit to the entry's data and store it with a matching self-check."""
     rec = json.loads(entry.read_text())
@@ -425,12 +453,12 @@ def test_hecke_table_eval(capsys):
 def test_eval_at_csv_refused(capsys, monkeypatch):
     # CSV holds only n,a_n: --eval-at with it (the default) is an error,
     # raised before any coefficient is computed
-    import cyarith.cli as cli
+    import cyarith.hecke as hecke
 
     def fail(*args):
         raise AssertionError("coefficients computed before the refusal")
 
-    monkeypatch.setattr(cli, "dirichlet_coefficients", fail)
+    monkeypatch.setattr(hecke, "dirichlet_coefficients", fail)
     for argv in (["lseries", "-d", "3", "-n", "1", "--cutoff", "20", "--eval-at", "2.5"],
                  ["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "31", "--eval-at", "3",
                   "--csv"]):
@@ -586,9 +614,11 @@ def test_cft_verlinde_violation_exits_2(capsys, monkeypatch):
 
 
 def test_jacobi_norm_failure_exits_2(capsys, monkeypatch):
-    import cyarith.cli as cli
-    real = cli.jacobi_sums
-    monkeypatch.setattr(cli, "jacobi_sums", lambda f, alphas: [j + 1 for j in real(f, alphas)])
+    # the subcommand reads jacobi_sums off cyarith.charsum when it runs
+    import cyarith.charsum as charsum
+    import cyarith.hecke  # noqa: F401  (loaded first, so no module binds the stand-in)
+    real = charsum.jacobi_sums
+    monkeypatch.setattr(charsum, "jacobi_sums", lambda f, alphas: [j + 1 for j in real(f, alphas)])
     for fmt in ("--json", "--table"):
         assert run(["jacobi", "-d", "5", "-n", "3", "-p", "11", "--orbits", fmt]) == 2
         out = capsys.readouterr()

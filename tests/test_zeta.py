@@ -13,7 +13,7 @@ from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
 from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.hecke import ideal_jacobi_sums
 from cyarith.zeta import expand_roots
-from oracles import expand_roots_direct, predicted_count_direct
+from oracles import expand_powers_by_class, expand_roots_direct, predicted_count_direct
 
 PRIMES = [p for p in range(2, 60) if is_prime(p)]
 TRUNCS = st.one_of(st.none(), st.integers(0, 8))
@@ -209,6 +209,45 @@ def test_expand_roots_checks_rh_per_galois_class():
         assert expand_roots_direct(bad, None)[0] == 1     # integral: only RH is off
         with pytest.raises(InvariantViolationError, match=r"\|J\|\^2"):
             expand_roots(bad, base, None)
+
+
+# -- one power per distinct norm polynomial ---------------------------------------
+
+
+_NORM = st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(lambda c: (1, *c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(powers=st.dictionaries(st.tuples(_NORM, st.sampled_from([1, 2, 4])),
+                              st.integers(1, 60), min_size=1, max_size=3),
+       trunc=st.one_of(st.none(), st.integers(0, 12)))
+@example(powers={((1, -3, 2), 1): 60}, trunc=None)
+@example(powers={((1, 2), 1): 7, ((1, 0, -5), 2): 3, ((1, 1, 1, 1), 4): 2}, trunc=None)
+@example(powers={((1, 2), 1): 7, ((1, 0, -5), 2): 3, ((1, 1, 1, 1), 4): 2}, trunc=9)
+@example(powers={((1, 4), 4): 5}, trunc=1)            # the power cut below t^trunc
+def test_expand_powers_matches_class_by_class(powers, trunc):
+    assert zeta_module._expand_powers(powers, trunc) == expand_powers_by_class(powers, trunc)
+
+
+@pytest.mark.parametrize("p, most", [(11, 2), (2, 1)])
+def test_one_product_per_distinct_norm(monkeypatch, quintic, p, most):
+    # p = 11 has 51 Galois classes of roots and 2 norm polynomials; p = 2 has one
+    calls = []
+    real = zeta_module._mul_in_power
+    monkeypatch.setattr(zeta_module, "_mul_in_power",
+                        lambda *args: calls.append(args) or real(*args))
+    lf = local_factor_middle(quintic, p)
+    assert lf.degree == 204 and 1 <= len(calls) <= most
+    assert lf.coeffs == expand_roots_direct(lf.orbits, None)
+
+
+def test_norm_power_needs_constant_term_one():
+    # (1 - 3u + 2u^2)^3, whole and through u^2
+    assert zeta_module._norm_power([1, -3, 2], 3, None) == [1, -9, 33, -63, 66, -36, 8]
+    assert zeta_module._norm_power([1, -3, 2], 3, 2) == [1, -9, 33]
+    for bad in ([2, 1], [0, 1], [-1, 3, 2]):
+        with pytest.raises(InvariantViolationError, match="constant term"):
+            zeta_module._norm_power(bad, 3, None)
 
 
 # -- N_r by Newton's identities against the orbit-root trace ----------------------
