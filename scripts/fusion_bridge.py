@@ -24,15 +24,16 @@ def main():
     print()
 
     rep = fusion_field_match(k)
-    print(f"quantum dimensions vs cyclotomic units of Q(mu_{rep.conductor}):")
+    print(f"quantum dimensions vs cyclotomic units of Q(mu_{rep.conductor}), "
+          f"exact in Z[mu_{2 * rep.conductor}] with xi = e^(i pi/{rep.conductor}):")
     for e in rep.entries:
         if e.unit_index is None:
             print(f"  l = {e.l}:  Q = {e.value:.15f}   "
                   f"(gcd(l+1, k+2) > 1, no unit label)")
             continue
         exact, _ = cyclotomic_unit(rep.conductor, e.unit_index)
-        print(f"  l = {e.l}:  Q = {e.value:.15f} = theta_{e.unit_index} "
-              f"= {exact}  |err| = {e.abs_err:.1e}")
+        print(f"  l = {e.l}:  Q = {e.value:.15f} = xi^-{e.l} theta_{e.unit_index}, "
+              f"theta_{e.unit_index} = {exact}")
     print()
 
     print(f"sum rules at level {k}:")

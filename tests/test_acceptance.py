@@ -96,10 +96,9 @@ def test_criterion_05_fermat_cubic():
 def test_criterion_06_hasse_weil_vs_hecke(quintic, quintic_lf11, quintic_lf31):
     reps = [match_hasse_weil(quintic, 11, quintic_lf11),
             match_hasse_weil(quintic, 31, quintic_lf31)]
-    ok = (all(r.multiset_size == 204 and r.ideals == 4 for r in reps)
-          and reps[0].sign == reps[1].sign)
-    report(6, ok, f"ideal Jacobi sums = zeta reciprocal roots as multisets, "
-                  f"global sign {reps[0].sign} at both p = 11 and 31")
+    ok = all(r.multiset_size == 204 and r.ideals == 4 for r in reps)
+    report(6, ok, "ideal Jacobi sums = zeta reciprocal roots as multisets "
+                  "at both p = 11 and 31")
 
 
 def test_criterion_07_dirichlet_coefficients(quintic):
@@ -148,7 +147,7 @@ def test_criterion_10_verlinde_fusion():
     ok = True
     for k in range(1, 21):
         N = verlinde_fusion(k)
-        if N.dtype != np.int64 or (N < 0).any():
+        if any(type(x) is not int or x < 0 for plane in N for row in plane for x in row):
             ok = False
             break
         for l in range(k + 1):
@@ -156,14 +155,15 @@ def test_criterion_10_verlinde_fusion():
                 for n in range(k + 1):
                     want = int(abs(l - m) <= n <= min(l + m, 2 * k - l - m)
                                and (l + m + n) % 2 == 0)
-                    if N[l, m, n] != want:
+                    if N[l][m][n] != want:
                         ok = False
     report(10, ok, "fusion tensors for k = 1..20 are nonnegative integers "
                    "matching the closed form exactly")
 
 
 def test_criterion_11_quantum_dimensions_are_units():
-    ok = all(e.abs_err <= 1e-12
+    # fusion_field_match raises unless Q_l = xi^-l theta_(l+1) in Z[mu_2(k+2)]
+    ok = all(e.abs_err == 0.0
              for k in range(1, 51) for e in fusion_field_match(k).entries
              if e.unit_index is not None)
     golden = (1 + math.sqrt(5)) / 2
@@ -171,7 +171,7 @@ def test_criterion_11_quantum_dimensions_are_units():
     k3 = abs(quantum_dimension(3, 1) - golden) < 1e-12 and \
         abs(theta2 - golden) < 1e-12
     report(11, ok and k3,
-           "Q_l(k) = theta_(l+1) at conductor k+2 to 1e-12 for k = 1..50; "
+           "Q_l(k) = xi^-l theta_(l+1) exactly in Z[mu_2(k+2)] for k = 1..50; "
            "k=3 gives the golden ratio")
 
 

@@ -1,15 +1,15 @@
 """Modular data, fusion rules, dilogarithm identities, and the bridge from
 quantum dimensions to cyclotomic units."""
 
-import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import spence
 
-from cyarith import (check_kn_identity, check_kr_identity, euler_Li2,
+from cyarith import (CycInt, check_kn_identity, check_kr_identity, euler_Li2,
                      fusion_field_match, gepner_levels, modular_data,
                      n2_spectrum, quantum_dimension, rogers_L, verlinde_fusion)
 import cyarith.cft as cft
@@ -74,17 +74,26 @@ def test_quantum_dimension():
         quantum_dimension(3, 4)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 41))
 def test_verlinde_fusion_matches_closed_form(k):
+    labels = range(k + 1)
     N = verlinde_fusion(k)
-    for l in range(k + 1):
-        for m in range(k + 1):
-            for n in range(k + 1):
-                assert N[l, m, n] == su2_fusion_oracle(k, l, m, n)
-    # vacuum column and total symmetry come along for free
-    assert (N[0] == np.eye(k + 1, dtype=np.int64)).all()
-    assert (N == N.transpose(1, 0, 2)).all()
-    assert (N == N.transpose(0, 2, 1)).all()
+    assert N == tuple(tuple(tuple(su2_fusion_oracle(k, l, m, n) for n in labels)
+                            for m in labels) for l in labels)
+    assert {type(x) for plane in N for row in plane for x in row} == {int}
+
+
+def test_fusion_ring_holds_in_cyclotomic_integers():
+    # Q_a Q_b = sum_c N_ab^c Q_c in Z[mu_2n], Q_l = sum_t xi^(l-2t), n = k+2
+    for k in range(1, 41):
+        n2 = 2 * (k + 2)
+        N = verlinde_fusion(k)
+        qs = [CycInt.from_exponent_counts(n2, Counter((l - 2 * t) % n2 for t in range(l + 1)))
+              for l in range(k + 1)]
+        for a in range(k + 1):
+            for b in range(a + 1):
+                assert qs[a] * qs[b] == sum((x * q for x, q in zip(N[a][b], qs)),
+                                            CycInt.zero(n2)), (k, a, b)
 
 
 def test_n2_spectrum():
@@ -128,12 +137,12 @@ def test_fusion_field_match():
     rep = fusion_field_match(3)
     assert rep.conductor == 5
     assert [e.unit_index for e in rep.entries] == [1, 2, 3, 4]
-    assert all(e.abs_err <= 1e-12 for e in rep.entries)
+    assert all(e.abs_err == 0.0 for e in rep.entries)
     # gcd(l+1, k+2) > 1 labels are carried but not matched
     rep2 = fusion_field_match(2)
     assert rep2.conductor == 4
     assert [e.unit_index for e in rep2.entries] == [1, None, 3]
-    assert all(e.abs_err <= 1e-12 for e in rep2.entries if e.unit_index)
+    assert [e.abs_err for e in rep2.entries] == [0.0, None, 0.0]
 
 
 def _scaled_rogers_L(monkeypatch, factor):
@@ -152,31 +161,31 @@ def test_sum_rules_raise_past_identity_tol(monkeypatch):
     assert check_kn_identity(2, 1).residual is None
 
 
-def test_fusion_field_match_raises_past_unit_tol(monkeypatch):
+def test_fusion_field_match_raises_off_the_unit(monkeypatch):
     real = cft.cyclotomic_unit
 
     def off(m, j):
         exact, numeric = real(m, j)
-        return exact, numeric + (1e-9 if j == 2 else 0.0)
+        return (exact + 1 if j == 2 else exact), numeric
 
     monkeypatch.setattr(cft, "cyclotomic_unit", off)
     with pytest.raises(InvariantViolationError, match="theta_2"):
         fusion_field_match(3)
 
 
-@pytest.mark.parametrize("eps", [1e-7, 1e-3])
-def test_verlinde_fusion_raises_off_integers(monkeypatch, eps):
-    # 1e-7 lies in what used to be a separate "suspect" band; one bound now
-    real = cft.modular_data
+@pytest.mark.parametrize("fault", ["extra", "missing"])
+def test_verlinde_fusion_raises_on_a_broken_character(monkeypatch, fault):
+    # one term too many in Q_1, or one too few in Q_2, breaks N_ab = N_ba
+    real = cft._character
 
-    def perturbed(k):
-        md = real(k)
-        S = md.S.copy()
-        S[1, 1] += eps
-        return dataclasses.replace(md, S=S)
+    def broken(l, n2):
+        exps = real(l, n2)
+        if fault == "extra":
+            return exps + [0] if l == 1 else exps
+        return exps[1:] if l == 2 else exps
 
-    monkeypatch.setattr(cft, "modular_data", perturbed)
-    with pytest.raises(InvariantViolationError, match="Verlinde sum off integers"):
+    monkeypatch.setattr(cft, "_character", broken)
+    with pytest.raises(InvariantViolationError, match="not equal and nonnegative"):
         verlinde_fusion(3)
 
 

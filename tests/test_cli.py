@@ -492,6 +492,17 @@ def test_match_json(capsys):
     assert doc["results"][0]["sign"] == 1
 
 
+def test_match_table_states_the_product_only_where_it_holds(capsys):
+    # the K3 quartic's class (2,2,2) mod 4 has one row, so 2 x 11 != 21
+    assert run(["match", "--exponents", "4,4,4,4", "-p", "5,13", "--no-cache"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  p = 5      2 ideals, 11 orbits, 21 values  matched, sign +1",
+        "  p = 13     2 ideals, 11 orbits, 21 values  matched, sign +1"]
+    assert run(["match", "-d", "5", "-n", "3", "-p", "11", "--no-cache"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "  p = 11     4 ideals x 51 orbits = 204 values  matched, sign +1"
+
+
 def test_match_range_skips_bad_and_non_split(capsys):
     # 2, 3, 7 are inert and 5 is bad; a strict list still refuses them
     doc = _json_out(capsys, ["match", "-d", "5", "-n", "3", "-p", "2..12", "--no-cache"])
@@ -505,7 +516,7 @@ def test_match_range_skips_bad_and_non_split(capsys):
 
 
 def test_match_failure_exits_2(capsys, monkeypatch):
-    # one perturbed Hecke sum breaks the multiset match for both signs
+    # one perturbed Hecke sum breaks the multiset match
     import cyarith.hecke as hecke
     real = hecke.ideal_jacobi_sums
 
@@ -591,7 +602,7 @@ def test_cft_fusion_field_violation_exits_2(capsys, monkeypatch):
 
     def off(m, j):
         exact, numeric = real(m, j)
-        return exact, numeric + 1e-9
+        return exact + 1, numeric
 
     monkeypatch.setattr(cft, "cyclotomic_unit", off)
     assert run(["cft", "--level", "3", "--fusion-field"]) == 2
@@ -599,18 +610,12 @@ def test_cft_fusion_field_violation_exits_2(capsys, monkeypatch):
 
 
 def test_cft_verlinde_violation_exits_2(capsys, monkeypatch):
-    import dataclasses
-
     import cyarith.cft as cft
-    real = cft.modular_data
-
-    def perturbed(k):
-        md = real(k)
-        return dataclasses.replace(md, S=md.S + 1e-7)
-
-    monkeypatch.setattr(cft, "modular_data", perturbed)
+    real = cft._character
+    monkeypatch.setattr(cft, "_character", 
+                        lambda l, n2: real(l, n2) + ([0] if l == 1 else []))
     assert run(["cft", "--level", "3", "--fusion"]) == 2
-    assert "Verlinde sum off integers" in capsys.readouterr().err
+    assert "not equal and nonnegative" in capsys.readouterr().err
 
 
 def test_jacobi_norm_failure_exits_2(capsys, monkeypatch):
@@ -677,6 +682,24 @@ def test_cft_fusion_prints_only_json(capsys):
         out = capsys.readouterr()
         assert out.out == "" and f"{fmt} is not available" in out.err
     assert _json_out(capsys, ["cft", "--level", "3", "--fusion"])["level"] == 3
+
+
+def test_zeta_coefficients_past_the_int_str_limit(capsys, caplog, tmp_path):
+    # degree 6,666 at p = 3, with coefficients of up to 6,361 digits: past
+    # Python's 4,300-digit limit, in the printed JSON and in the cache entry
+    limit = sys.get_int_max_str_digits()
+    argv = ["zeta", "-d", "7", "-n", "4", "-p", "3", "--json", "--deterministic", "--jobs", "1"]
+    assert run(argv + ["--no-cache"]) == 0
+    printed = capsys.readouterr().out
+    assert max(map(len, json.loads(printed)["results"][0]["coefficients"])) > 4300
+    stamps = []
+    for _ in ("cold", "warm"):
+        assert run(argv + ["--cache", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == printed
+        stamps.append({e: e.stat().st_mtime_ns for e in tmp_path.iterdir()})
+    assert len(stamps[0]) == 1 and stamps[0] == stamps[1]     # the warm run loaded it
+    assert "discarding" not in caplog.text
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_out_file(tmp_path, capsys):

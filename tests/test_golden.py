@@ -6,8 +6,9 @@ Each file under tests/golden/ holds the output of one command below,
 were written by the enumeration-based Jacobi sums that preceded the
 two-variable recursion, the count pins by the additive convolution that
 preceded Weil's formula, and the cutoff-300 L-series pin by the
-per-coefficient CycInt expansion that preceded the Galois norm classes.  A
-refactor must reproduce every one exactly.
+per-coefficient CycInt expansion that preceded the Galois norm classes, and
+the cft pins by the float Verlinde sum and float unit match that preceded
+the integer ones.  A refactor must reproduce every one exactly.
 """
 
 from pathlib import Path
@@ -35,6 +36,8 @@ GOLDEN = {
         "lseries -d 5 -n 3 --cutoff 30 --eval-at 3.5 --table",
     "hecke_m5_cutoff100_eval_csv": "hecke -m 5 --a 1,1,1,1 --cutoff 100 --csv",
     "hecke_m5_cutoff100_table": "hecke -m 5 --a 1,1,1,1 --cutoff 100 --table",
+    "cft_fusion_level4": "cft --fusion --level 4",
+    "cft_fusion_field_level5_table": "cft --fusion-field --level 5 --table",
 }
 
 SUFFIX = {"--json": "json", "--csv": "csv", "--table": "txt"}

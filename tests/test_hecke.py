@@ -118,11 +118,23 @@ def test_ideal_jacobi_sum_matches_brute_force(case):
 def test_match_hasse_weil(quintic, quintic_lf11, quintic_lf31):
     for p, lf in ((11, quintic_lf11), (31, quintic_lf31)):
         rep = match_hasse_weil(quintic, p, lf)
-        assert rep.sign == 1
         assert rep.ideals == 4 and rep.orbit_reps == 51
         assert rep.multiset_size == 204
     with pytest.raises(ValidationError):
         match_hasse_weil(quintic, 7)          # f = 4, not split
+
+
+@pytest.mark.parametrize("exps, p, sizes", [
+    ((4, 4, 4, 4), 5, (2, 11, 21)),
+    ((4, 4, 4, 4), 13, (2, 11, 21)),
+    ((8, 8, 8, 8), 17, (4, 81, 301)),
+])
+def test_match_hasse_weil_weights_classes_smaller_than_phi(exps, p, sizes):
+    # the class of (2,2,2) mod 4 has one row, not phi(4) = 2: unweighted, the
+    # Hecke side had 22 values against the K3 quartic's 21 roots
+    rep = match_hasse_weil(DiagonalVariety(exps), p)
+    assert (rep.ideals, rep.orbit_reps, rep.multiset_size) == sizes
+    assert rep.multiset_size == local_factor_middle(DiagonalVariety(exps), p).degree
 
 
 def test_match_hasse_weil_raises_on_mismatch(quintic, quintic_lf11, monkeypatch):

@@ -36,7 +36,11 @@ def _cli(*argv: str) -> str:
      {"cyarith.hecke", "cyarith.cft"}),
     (_cli("hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "200"),
      {"cyarith.cache", "cyarith.cft", "hashlib"}),
-], ids=["import", "count", "zeta", "hecke"])
+    (_cli("cft", "--fusion", "--level", "40"),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
+    (_cli("cft", "--fusion-field", "--level", "40"),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
+], ids=["import", "count", "zeta", "hecke", "cft-fusion", "cft-fusion-field"])
 def test_a_subcommand_loads_only_what_it_runs(tmp_path, code, absent):
     loaded = _modules_after(code, tmp_path)
     assert "cyarith.cli" in loaded
