@@ -2,47 +2,34 @@
 
 Rational data (central charge, anomalous dimensions, U(1) charges) is kept
 in exact fractions, and fusion and the quantum dimensions as cyclotomic
-units of conductor k+2 in integers; only the S-matrix, quantum-dimension
-values and dilogarithms are floating point.  The dilogarithm identities
-recover c and the anomalous dimensions from quantum dimensions alone.
+units of conductor k+2 in integers; only quantum-dimension values and the
+dilogarithms are floating point.  The dilogarithm identities recover c and
+the anomalous dimensions from quantum dimensions alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .cyclo import CycInt, cyclotomic_unit
 from .errors import InvariantViolationError, ValidationError
 
-if TYPE_CHECKING:
-    import numpy as np
-
 IDENTITY_TOL = 1e-9      # a KR / KN sum-rule residual must stay below this
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ModularData:
     k: int
-    S: np.ndarray                   # (k+1) x (k+1), S_{lm} = sqrt(2/(k+2)) sin(...)
     c: Fraction                     # 3k/(k+2)
     deltas: tuple[Fraction, ...]    # l(l+2)/(4(k+2)) for l = 0..k
 
 
 def modular_data(k: int) -> ModularData:
-    import numpy as np
-
     if k < 1:
         raise ValidationError("level must be a positive integer")
     n = k + 2
-    grid = np.arange(1, k + 2, dtype=np.float64)
-    S = math.sqrt(2.0 / n) * np.sin(np.outer(grid, grid) * math.pi / n)
-    if not np.allclose(S @ S, np.eye(k + 1), atol=1e-12):
-        raise InvariantViolationError(f"S*S != 1 at level {k}")
-    if not (S[0] > 0).all():
-        raise InvariantViolationError(f"first S row not positive at level {k}")
-    return ModularData(k=k, S=S, c=Fraction(3 * k, n),
+    return ModularData(k=k, c=Fraction(3 * k, n),
                        deltas=tuple(Fraction(l * (l + 2), 4 * n) for l in range(k + 1)))
 
 
@@ -161,25 +148,6 @@ def rogers_L(x: float) -> float:
     return euler_Li2(x) + 0.5 * math.log(x) * math.log1p(-x)
 
 
-def _rogers_sum(k: int, m: int) -> float:
-    """(1/L(1)) sum_{l=1..k} L(1/Q_{lm}^2), for (k, m) where no Q_{lm} vanishes."""
-    return sum(rogers_L(1.0 / quantum_dimension(k, l, m) ** 2)
-               for l in range(1, k + 1)) / _PI2_6
-
-
-def check_kr_identity(k: int) -> float:
-    """The residual | (1/L(1)) sum_{l=1..k} L(1/Q_l^2) - 3k/(k+2) |, which
-    must stay below IDENTITY_TOL (InvariantViolationError otherwise); the
-    m = 0 row of check_kn_identity, where no Q_l vanishes."""
-    if k < 1:
-        raise ValidationError("level must be a positive integer")
-    residual = abs(_rogers_sum(k, 0) - 3 * k / (k + 2))
-    if not residual < IDENTITY_TOL:
-        raise InvariantViolationError(
-            f"central charge sum rule residual {residual:.3e} at k={k}")
-    return residual
-
-
 @dataclass(frozen=True)
 class KNResult:
     k: int
@@ -193,7 +161,8 @@ class KNResult:
 def check_kn_identity(k: int, m: int) -> KNResult:
     """(1/L(1)) sum_{l=1..k} L(1/Q_{lm}^2) = 3k/(k+2) - 24 Delta^m + 6m,
     skipped exactly when some Q_{lm} vanishes (1 <= l <= k); a residual of
-    IDENTITY_TOL or more raises InvariantViolationError."""
+    IDENTITY_TOL or more raises InvariantViolationError, naming the central
+    charge sum rule at m = 0 and the dilogarithm sum rule otherwise."""
     if k < 1 or not 0 <= m <= k:
         raise ValidationError(f"bad (k, m) = ({k}, {m})")
     n = k + 2
@@ -202,13 +171,22 @@ def check_kn_identity(k: int, m: int) -> KNResult:
     if vanishing:
         return KNResult(k=k, m=m, residual=None, vanishing=vanishing,
                         lhs=None, rhs=rhs)
-    lhs = _rogers_sum(k, m)
+    lhs = sum(rogers_L(1.0 / quantum_dimension(k, l, m) ** 2)
+              for l in range(1, k + 1)) / _PI2_6
     residual = abs(lhs - rhs)
     if not residual < IDENTITY_TOL:
+        rule = "dilogarithm" if m else "central charge"
         raise InvariantViolationError(
-            f"dilogarithm sum rule residual {residual:.3e} at k={k}, m={m}")
+            f"{rule} sum rule residual {residual:.3e} at k={k}, m={m}")
     return KNResult(k=k, m=m, residual=residual, vanishing=(),
                     lhs=lhs, rhs=rhs)
+
+
+def check_kr_identity(k: int) -> float:
+    """The residual | (1/L(1)) sum_{l=1..k} L(1/Q_l^2) - 3k/(k+2) |: the
+    m = 0 row of check_kn_identity, where no Q_l vanishes, and raising as
+    it does."""
+    return check_kn_identity(k, 0).residual
 
 
 # -- quantum dimensions as cyclotomic units ----------------------------------------

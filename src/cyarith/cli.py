@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import logging
 import math
 import os
 import sys
@@ -214,7 +213,7 @@ def _parse_alpha(args, exps: tuple[int, ...]) -> AlphaTuple | None:
 
 
 def _cmd_jacobi(args) -> None:
-    from .charsum import full_alpha_set, jacobi_sums
+    from .charsum import full_alpha_set, jacobi_sums, ord_m
     from .cyclo import CycInt
     fmt = _fmt(args, "json", "csv", "table")
     v = _variety(args)
@@ -225,9 +224,8 @@ def _cmd_jacobi(args) -> None:
     single = _parse_alpha(args, v.exponents)
     r = args.extension
     if r == 1:
-        from .hecke import splitting_data
         # characters of conductor m need m | q - 1; lift to the residue degree
-        r, _ = splitting_data(p, single.conductor if single else math.lcm(*v.exponents))
+        r = ord_m(p, single.conductor if single else math.lcm(*v.exponents))
     q = p**r
     if single is not None:
         alphas = [single]
@@ -711,6 +709,7 @@ def run(argv=None) -> int:
 
 
 def console_entry() -> None:
+    import logging
     # library warnings (a discarded cache entry) reach stderr as "warning: ..."
     logging.addLevelName(logging.WARNING, "warning")
     logging.basicConfig(format="%(levelname)s: %(message)s")

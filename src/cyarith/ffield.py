@@ -300,10 +300,10 @@ def field_generator(p: int, r: int = 1) -> tuple[tuple[int, ...], int]:
     any prime l | q-1; the powers are taken by square-and-multiply on the
     residue polynomial."""
     q = field_order(p, r)
-    modulus = _smallest_irreducible(p, r)
     if r == 1:
-        return modulus, primitive_root(p)
-    factors = _unit_group_factors(p, r)
+        return _smallest_irreducible(p, 1), primitive_root(p)
+    factors = _unit_group_factors(p, r)         # refuses before the irreducible walk
+    modulus = _smallest_irreducible(p, r)
     return modulus, next(i for i in range(p, q) if _generates(i, modulus, p, q, factors))
 
 

@@ -596,6 +596,13 @@ def test_cft_kn_violation_exits_2(capsys, monkeypatch):
     assert out.out == "" and "dilogarithm sum rule residual" in out.err
 
 
+def test_cft_kn_m0_violation_names_the_central_charge_rule(capsys, monkeypatch):
+    _perturb_rogers_L(monkeypatch)
+    assert run(["cft", "--level", "3", "--check", "kn", "--m", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "central charge sum rule residual" in out.err
+
+
 def test_cft_fusion_field_violation_exits_2(capsys, monkeypatch):
     import cyarith.cft as cft
     real = cft.cyclotomic_unit

@@ -227,3 +227,17 @@ def test_field_generator_past_the_table_bound():
     assert field_generator(5, 4) == (f.modulus, f.g)
     with pytest.raises(CapacityError, match=r"Phi_5\(100151\), beyond the factoring bound"):
         field_generator(100151, 5)
+
+
+def test_field_generator_refuses_before_the_irreducible_walk(monkeypatch):
+    # a cyclotomic factor beyond FACTOR_BOUND is refused before the walk
+    # over degree-r candidates, which at (11, 45) alone takes seconds
+    import cyarith.ffield as ffield
+
+    def walk(p, r):
+        raise AssertionError(f"the irreducible walk ran at the refused ({p}, {r})")
+
+    monkeypatch.setattr(ffield, "_smallest_irreducible", walk)
+    for p, r in ((11, 45), (100151, 5)):
+        with pytest.raises(CapacityError, match=rf"Phi_{r}\({p}\), beyond the factoring bound"):
+            field_generator(p, r)

@@ -29,18 +29,23 @@ def _cli(*argv: str) -> str:
 
 @pytest.mark.parametrize("code, absent", [
     ("import cyarith.cli",
-     {"cyarith.cache", "cyarith.zeta", "cyarith.hecke", "cyarith.cft", "numpy"}),
+     {"cyarith.cache", "cyarith.zeta", "cyarith.hecke", "cyarith.cft", "numpy", "logging"}),
     (_cli("count", "--exponents", "3,3,3", "-p", "2..71", "-r", "2"),
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft"}),
+    (_cli("jacobi", "-d", "5", "-n", "3", "-p", "11", "--orbits"),
+     {"cyarith.hecke", "cyarith.zeta", "cyarith.cache", "cyarith.cft"}),
     (_cli("zeta", "-d", "5", "-n", "3", "-p", "2,3", "--no-cache", "--jobs", "1"),
      {"cyarith.hecke", "cyarith.cft"}),
     (_cli("hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "200"),
      {"cyarith.cache", "cyarith.cft", "hashlib"}),
+    (_cli("cft", "--spectrum", "--level", "40"),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
     (_cli("cft", "--fusion", "--level", "40"),
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
     (_cli("cft", "--fusion-field", "--level", "40"),
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
-], ids=["import", "count", "zeta", "hecke", "cft-fusion", "cft-fusion-field"])
+], ids=["import", "count", "jacobi", "zeta", "hecke", "cft-spectrum", "cft-fusion",
+        "cft-fusion-field"])
 def test_a_subcommand_loads_only_what_it_runs(tmp_path, code, absent):
     loaded = _modules_after(code, tmp_path)
     assert "cyarith.cli" in loaded
