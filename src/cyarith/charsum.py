@@ -15,9 +15,9 @@ conjugates of a generator pi of the degree-f prime of Z[mu_l] that the
 characters reduce modulo, raised to r/f (Hasse-Davenport).  pi is p itself
 when p is inert, and otherwise is found by Euclid's gcd; no field table is
 built (Ireland-Rosen ch. 14; Berndt-Evans-Williams ch. 11; Weil 1952).
-Every other sum, of a composite conductor or l >= 11, or with a vanishing
-character or character product, is read off one (dlog(1-v), dlog v) class
-table per field, built from the field's Zech logarithms alone (the kernel).
+Every other sum (in_closed_form says which) is read off one
+(dlog(1-v), dlog v) class table per field, built from the field's Zech
+logarithms alone (the kernel).
 """
 from __future__ import annotations
 
@@ -209,9 +209,11 @@ def _kernel_sums(p: int, r: int, heads) -> dict[tuple, CycInt]:
 # -- Jacobi sums of prime conductor: Stickelberger's factorisation ---------------------
 
 def ord_m(p: int, m: int) -> int:
-    """The multiplicative order of p modulo m, for p prime to m."""
+    """The multiplicative order of p modulo m; 1 for m = 1."""
+    if math.gcd(p, m) != 1:
+        raise ValidationError(f"p={p} has no order mod {m}: it is not prime to {m}")
     f, x = 1, p % m
-    while x != 1:
+    while x > 1:                        # x is 0 only for m = 1
         x = x * p % m
         f += 1
     return f
@@ -305,10 +307,9 @@ def unit_sums(field: tuple[int, int], rows) -> list[CycInt]:
     (primitive_root(p) when r = 1).  Scaling a row by l in (Z/m)^* applies
     sigma_l to its sum (Ireland-Rosen ch. 8 and 14), so each Galois class
     is evaluated once, on its head, and every other row is read off as
-    sigma_{l_inv} of its head's sum.  A head in_closed_form (prime
-    conductor 3, 5 or 7 with ord_m(p) | r, no vanishing entry or entry sum)
-    is computed by _closed_sum with no table; the rest go to the kernel,
-    which tabulates F_q only if some head does.
+    sigma_{l_inv} of its head's sum.  A head in_closed_form is computed by
+    _closed_sum with no table; the rest go to the kernel, which tabulates
+    F_q only if some head does.
     """
     p, r = field
     field_order(p, r)

@@ -10,11 +10,10 @@ hypersurface, which is the whole point of the exercise.  The ideal
 labelled c = g^(tau (p-1)/m) reads its characters through
 xi^(tau_inv * dlog), so its sums are sigma_{tau_inv} of one base sum: the
 phi(m) ideals above p are one Galois class, and charsum.unit_sums
-evaluates one sum for all of them.  For m in
-charsum.STICKELBERGER_CONDUCTORS (3, 5, 7) and a vector whose sum is nonzero
-mod m, that sum is Stickelberger's closed form and needs no table either,
-so such a character has no prime bound; other characters read F_p's table,
-up to ffield.TABLE_BOUND.
+evaluates one sum for all of them.  Where charsum.in_closed_form holds,
+that sum is Stickelberger's closed form and needs no table either, so such
+a character has no prime bound; other characters read F_p's table, up to
+ffield.TABLE_BOUND.
 
 Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
 of a Jacobi-sum character, are built from zeta.LocalFactor: each local
@@ -311,8 +310,8 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     orbits of length f <= k_max (p^f <= cutoff).  If some factor would need
     a field table F_{p^f} beyond ffield.TABLE_BOUND, check_table's
     CapacityError names the first such p before any factor is built; the
-    sums that charsum computes in closed form (prime conductor 3, 5 or 7 at
-    any unramified p) need no table and are not counted.
+    sums in closed form (charsum.in_closed_form) need no table and are not
+    counted.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")

@@ -179,10 +179,8 @@ def local_factor_middle(v: DiagonalVariety, p: int,
     orbit of size f needs one Jacobi sum over F_{p^f}.  max_root_field caps
     that auxiliary field size: orbits with p^f beyond the cap are skipped
     and the returned factor is truncated to the precision that stays exact.
-    charsum.jacobi_sums computes the sums of prime conductor 3, 5 and 7 in
-    closed form at every good p, over F_{p^f} for every f, and builds a
-    table of F_{p^f} only for the other orbits: composite conductors and
-    conductors l >= 11.
+    charsum.jacobi_sums builds a table of F_{p^f} only for the orbits whose
+    sums are not in closed form (charsum.in_closed_form).
     """
     aset = full_alpha_set(v, p)  # validates primality and good reduction
     n = v.complex_dim
@@ -246,6 +244,10 @@ def expected_degrees(hodge: dict[str, int] | None, n: int) -> dict[int, int]:
         return {0: 1, 1: 2 * g, 2: 1}
     if n == 2:
         return {0: 1, 1: 0, 2: 22, 3: 0, 4: 1}
+    missing = [h for h in {3: ("h11", "h21"), 4: ("h11", "h21", "h31", "h22")}.get(n, ())
+               if h not in hodge]
+    if missing:
+        raise ValidationError(f"complex dimension {n} needs Hodge numbers {', '.join(missing)}")
     if n == 3:
         h11, h21 = hodge["h11"], hodge["h21"]
         return {0: 1, 1: 0, 2: h11, 3: 2 + 2 * h21, 4: h11, 5: 0, 6: 1}

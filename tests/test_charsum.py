@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cyarith import (AlphaTuple, CycInt, DiagonalVariety, build_alpha_set,
                      full_alpha_set, jacobi_sum, make_field)
-from cyarith.charsum import dlog_pair_table, galois_class_head, jacobi_sums, unit_sums
+from cyarith.charsum import (dlog_pair_table, galois_class_head, jacobi_sums, ord_m,
+                             unit_sums)
 from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.hecke import HeckeCharacter, match_hasse_weil
 from cyarith.zeta import local_factor_middle
@@ -24,6 +25,14 @@ def test_alpha_tuple_validation():
     a = AlphaTuple((1, 1, 1, 1, 1), 5)
     assert a.conductor == 5
     assert a.conjugate().nums == (4, 4, 4, 4, 4)
+
+
+def test_ord_m():
+    assert [ord_m(p, 5) for p in (2, 3, 4, 11, 19)] == [4, 4, 2, 1, 2]
+    assert ord_m(7, 1) == 1
+    for p, m in ((2, 6), (3, 3), (5, 10)):
+        with pytest.raises(ValidationError, match="not prime to"):
+            ord_m(p, m)
 
 
 def test_alpha_set_sizes(quintic):

@@ -66,3 +66,19 @@ def test_golden_output_through_cache(name, capsys, caplog, tmp_path):
     assert run(argv) == 0 and capsys.readouterr().out.encode() == golden
     assert stored and stored == {e: e.stat().st_mtime_ns for e in tmp_path.iterdir()}
     assert "discarding" not in caplog.text
+
+
+def test_cold_and_warm_zeta_range_then_warm_match(capsys, caplog, tmp_path):
+    # p = 2..31 reaches the f = 2 primes 19 and 29, which the pins above do
+    # not; the match then reads its p = 11 factor from the filled cache
+    cache = ["--json", "--deterministic", "--jobs", "1", "--cache", str(tmp_path)]
+    argv = "zeta -d 5 -n 3 -p 2..31".split() + cache
+    assert run(argv) == 0
+    cold = capsys.readouterr().out
+    stored = {e: e.stat().st_mtime_ns for e in tmp_path.iterdir()}
+    assert run(argv) == 0 and capsys.readouterr().out == cold
+    assert stored and stored == {e: e.stat().st_mtime_ns for e in tmp_path.iterdir()}
+    assert run("match -d 5 -n 3 -p 11".split() + cache) == 0
+    golden = (GOLDEN_DIR / "match_quintic_p11.json").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+    assert "discarding" not in caplog.text

@@ -29,23 +29,28 @@ def _cli(*argv: str) -> str:
 
 @pytest.mark.parametrize("code, absent", [
     ("import cyarith.cli",
-     {"cyarith.cache", "cyarith.zeta", "cyarith.hecke", "cyarith.cft", "numpy", "logging"}),
+     {"cyarith.cache", "cyarith.zeta", "cyarith.hecke", "cyarith.cft", "numpy", "logging",
+      "dataclasses", "inspect", "datetime", "csv"}),
+    (_cli("count", "-d", "5", "-n", "3", "-p", "11"),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", "numpy"}),
     (_cli("count", "--exponents", "3,3,3", "-p", "2..71", "-r", "2"),
-     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft"}),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", "numpy"}),
     (_cli("jacobi", "-d", "5", "-n", "3", "-p", "11", "--orbits"),
      {"cyarith.hecke", "cyarith.zeta", "cyarith.cache", "cyarith.cft"}),
     (_cli("zeta", "-d", "5", "-n", "3", "-p", "2,3", "--no-cache", "--jobs", "1"),
-     {"cyarith.hecke", "cyarith.cft"}),
+     {"cyarith.hecke", "cyarith.cft", "numpy"}),
     (_cli("hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "200"),
-     {"cyarith.cache", "cyarith.cft", "hashlib"}),
+     {"cyarith.cache", "cyarith.cft", "hashlib", "numpy"}),
     (_cli("cft", "--spectrum", "--level", "40"),
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
     (_cli("cft", "--fusion", "--level", "40"),
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
     (_cli("cft", "--fusion-field", "--level", "40"),
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
-], ids=["import", "count", "jacobi", "zeta", "hecke", "cft-spectrum", "cft-fusion",
-        "cft-fusion-field"])
+    (_cli("cft", "--check", "kr", "--level", "40"),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
+], ids=["import", "count-quintic", "count", "jacobi", "zeta", "hecke", "cft-spectrum",
+        "cft-fusion", "cft-fusion-field", "cft-check-kr"])
 def test_a_subcommand_loads_only_what_it_runs(tmp_path, code, absent):
     loaded = _modules_after(code, tmp_path)
     assert "cyarith.cli" in loaded

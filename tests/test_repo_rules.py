@@ -1,0 +1,43 @@
+"""Module-boundary rules of the source tree, checked line by line.
+
+Each row is (files scanned, pattern, files allowed to match), with paths
+relative to src/.  A rule fails on any line of a scanned `.py` file outside
+its allow-list that the pattern finds."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RULES = {
+    # only ffield and charsum's kernel build a field table
+    "make-field": ("**/*.py", r"make_field\(", {"cyarith/ffield.py", "cyarith/charsum.py"}),
+    # brute-force oracles live in tests/
+    "oracles": ("**/*.py", r"def [A-Za-z0-9_]*_direct\b|DIRECT_[A-Z0-9_]*_BUDGET", set()),
+    # checks live where values are computed, not in the CLI
+    "cli-tolerance": ("cyarith/cli.py", r"^[A-Z0-9_]*_TOL\b", set()),
+    # removed names stay gone
+    "rh-report": ("**/*.py", r"def check_riemann_hypothesis\b|class RHReport\b", set()),
+    "table-bounds": ("**/*.py", r"\b(PRIME_FIELD_BOUND|EXTENSION_FIELD_BOUND|table_bound"
+                                r"|_stickelberger_exponents)\b", set()),
+    "congruent-zeta": ("**/*.py", r"\bCongruentZeta\b|\bcongruent_zeta\b|CYARITH_JOBS", set()),
+    "fusion-tolerances": ("**/*.py", r"FUSION_ACCEPT|UNIT_TOL", set()),
+    # only cache.py loads, stores and names cache entries
+    "cache-entries": ("**/*.py", r"cache\.(load|store|entry_path)\(", {"cyarith/cache.py"}),
+    # one table rule, raised only by ffield
+    "capacity-error": ("**/*.py", r"raise CapacityError", {"cyarith/ffield.py"}),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_repo_rule(rule):
+    files, pattern, allowed = RULES[rule]
+    scanned = {path.relative_to(SRC).as_posix(): path for path in SRC.glob(files)}
+    assert scanned and allowed <= scanned.keys()
+    hits = [f"{name}:{no}: {line}" for name, path in sorted(scanned.items())
+            if name not in allowed
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+    assert not hits, "\n".join(hits)

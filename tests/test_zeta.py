@@ -131,6 +131,10 @@ def test_expected_degrees():
     assert k3[2] == 22
     curve = expected_degrees(None, 1)
     assert curve[1] == 2
+    with pytest.raises(ValidationError, match="h11, h21"):
+        expected_degrees(None, 3)
+    with pytest.raises(ValidationError, match="needs Hodge numbers h31, h22"):
+        expected_degrees({"h11": 1, "h21": 0}, 4)
 
 
 @pytest.mark.parametrize("p,r", [(7, 4), (13, 1), (19, 2)])
