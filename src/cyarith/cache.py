@@ -22,6 +22,7 @@ import hashlib
 import json
 import logging
 import os
+import sys
 from pathlib import Path
 
 from .counting import DiagonalVariety
@@ -72,10 +73,13 @@ def store(cache_dir: Path, exps: tuple[int, ...], lf: LocalFactor) -> None:
     # one temp file per writer: a shared name lets one writer's replace move
     # another's half-written file into place
     tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)       # coefficients can pass Python's 4,300 digits
     try:
         tmp.write_text(_record_text(exps, lf))
         tmp.replace(path)   # atomic swap; concurrent writers of the same entry agree
     finally:
+        sys.set_int_max_str_digits(limit)
         tmp.unlink(missing_ok=True)     # still there only if the write or replace failed
 
 
@@ -85,6 +89,8 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
     path = entry_path(cache_dir, exps, p)
     if not path.exists():
         return None
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)       # stored coefficients can pass 4,300 digits
     try:
         rec = json.loads(path.read_text())
         if not isinstance(rec, dict):
@@ -113,6 +119,8 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
         except OSError:
             pass
         return None
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def local_factor(cache_dir: Path | None, v: DiagonalVariety, p: int,

@@ -137,9 +137,9 @@ def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
 def degree_conductors(v: DiagonalVariety) -> dict[int, tuple]:
     """{d: _row(a)}, a a tuple of conductor d, for each d in v's degree set.
     An orbit of conductor d has length f = ord_d(p), and in_closed_form on
-    the row over (p, f) says if its sums read F_{p^f}'s table: so the factor
-    at p reads tables of F_{p^f} for these f alone, found without walking
-    the orbits."""
+    the row over (p, f) says if its sums read F_{p^f}'s table: so
+    table_degrees(p, rows) of these rows gives the tables the factor at p
+    reads, found without walking the orbits."""
     return {row[0]: row for row in map(_row, _enumerate_tuples(v.exponents))}
 
 
@@ -228,6 +228,14 @@ def in_closed_form(p: int, r: int, m: int, exps) -> bool:
     the dropped one.)"""
     return (m in STICKELBERGER_CONDUCTORS and p % m != 0 and r % ord_m(p, m) == 0
             and all(e % m for e in exps) and sum(exps) % m != 0)
+
+
+def table_degrees(p: int, rows) -> set[int]:
+    """The degrees f of the tables F_{p^f} that unit_sums builds for the rows
+    (m, exps), each summed over its residue field, f = ord_m(p): the f of
+    every row not in_closed_form.  p must be prime to every m."""
+    orders = {m: ord_m(p, m) for m, _ in rows}
+    return {orders[m] for m, e in rows if not in_closed_form(p, orders[m], m, e)}
 
 
 @lru_cache(maxsize=256)

@@ -19,17 +19,18 @@ Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
 of a Jacobi-sum character, are built from zeta.LocalFactor: each local
 factor is expanded in Z[t] and checked (Galois closure, |J|^2 = p^weight,
 integrality, the functional equation) by its constructor, so every a_n is a
-plain int.
+plain int.  dirichlet_coefficients decides each prime once, by one plan per
+source: bad, omitted, or the table degrees charsum.table_degrees names.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .charsum import (degree_conductors, full_alpha_set, galois_class_head,
-                      in_closed_form, ord_m, unit_sums)
+from .charsum import (degree_conductors, full_alpha_set, galois_class_head, ord_m,
+                      table_degrees, unit_sums)
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
@@ -161,8 +162,7 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
         lf = local_factor_middle(v, p)
     zeta_side = Counter(j.lift(m) for j, _ in lf.orbits)
 
-    rows = [(m, tuple(n * (m // t.den) % m for n in t.nums[1:]))
-            for t in full_alpha_set(v, p).tuples]
+    rows = [(m, t.nums[1:]) for t in full_alpha_set(v, p).tuples]   # t.den == m
     sizes = Counter(galois_class_head(row)[0][1] for row in rows)
     sums = ideal_jacobi_sums(split_prime_ideals(p, m), list(sizes))    # ideal by ideal
     hecke_side: Counter[CycInt] = Counter()
@@ -180,21 +180,14 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
 BAD, OMITTED = "bad", "omitted"
 
 
-def _hasse_weil_factor(v: DiagonalVariety, p: int, k_max: int):
-    """BAD, or v's middle factor at p through the orbits with f <= k_max,
-    which keeps it exact through t^k_max."""
-    if not v.is_good_prime(p):
-        return BAD
-    return local_factor_middle(v, p, max_root_field=p ** k_max)
-
-
 @dataclass(frozen=True, eq=False)
 class HeckeCharacter:
     """Jacobi-sum Hecke character of Q(mu_m) with exponent vector a.
 
-    The Euler product is restricted to totally split rational primes (each
-    contributing its phi(m) ideals of norm p); other good primes are
-    flagged as omitted, ramified ones as bad.
+    local_factor covers a totally split p, with its phi(m) ideals of norm
+    p.  In dirichlet_coefficients its plan flags the other good primes as
+    omitted and the ramified ones as bad, and charsum.table_degrees names
+    the table a split p reads.
     """
 
     m: int
@@ -229,15 +222,6 @@ class HeckeCharacter:
         sums = ideal_jacobi_sums(split_prime_ideals(p, self.m), [self.a])
         return LocalFactor(p=p, cohomology_degree=self.weight,
                            full_degree=euler_phi(self.m), orbits=tuple((j, 1) for j in sums))
-
-    def euler_factor(self, p: int, k_max: int):
-        """BAD if p ramifies, OMITTED unless it splits totally, else
-        local_factor(p)."""
-        if self.m % p == 0:
-            return BAD
-        if splitting_data(p, self.m)[0] != 1:
-            return OMITTED
-        return self.local_factor(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,64 +287,65 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     """Expand L = prod 1/P_p(p^-s) into integer a_1..a_cutoff.
 
     source is a DiagonalVariety (the Hasse-Weil L-series of its middle
-    cohomology) or a HeckeCharacter.  Prime by prime, with k_max the largest
-    k such that p^k <= cutoff, its Euler factor is BAD, OMITTED, or a checked
-    LocalFactor exact through t^k_max; bad and omitted primes give a_n = 0.
-    A variety's factor at p is built when it is needed, from the Frobenius
-    orbits of length f <= k_max (p^f <= cutoff).  If some factor would need
-    a field table F_{p^f} beyond ffield.TABLE_BOUND, check_table's
-    CapacityError names the first such p before any factor is built; the
-    sums in closed form (charsum.in_closed_form) need no table and are not
-    counted.
+    cohomology) or a HeckeCharacter.  Its plan decides each prime p up to
+    the cutoff once: BAD (p divides an exponent or the conductor), OMITTED
+    (a character's non-split p), or the degrees f of the tables F_{p^f}
+    its factor reads (charsum.table_degrees); bad and omitted primes give
+    a_n = 0.  check_table refuses a planned table with p^f <= cutoff beyond
+    ffield.TABLE_BOUND, naming the first such p, before any factor is
+    built.  Then each planned factor is built as a LocalFactor exact
+    through t^k_max, k_max the largest k with p^k <= cutoff: a variety's
+    from its Frobenius orbits of length f <= k_max alone.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
     if isinstance(source, DiagonalVariety):
-        euler_factor, weight = partial(_hasse_weil_factor, source), source.complex_dim
-        rows = degree_conductors(source)
+        weight, rows = source.complex_dim, degree_conductors(source).values()
 
-        def degrees(p):
-            """Degrees f of the tables F_{p^f} the factor at p builds: an
-            orbit of tuples of conductor d has f = ord_d(p), and needs no
-            table when its sums are in closed form over F_{p^f}."""
+        def plan(p):
             if any(n % p == 0 for n in source.exponents):
-                return set()                    # bad reduction: no factor
-            orders = {d: ord_m(p, d) for d in rows}
-            return {orders[d] for d, row in rows.items()
-                    if not in_closed_form(p, orders[d], *row)}
-    elif isinstance(source, HeckeCharacter):
-        euler_factor, weight = source.euler_factor, source.weight
+                return BAD
+            return table_degrees(p, rows)
 
-        def degrees(p):
-            split = p % source.m == 1
-            return {1} if split and not in_closed_form(p, 1, source.m, source.a) else set()
+        def factor(p, k_max):
+            return local_factor_middle(source, p, max_root_field=p ** k_max)
+    elif isinstance(source, HeckeCharacter):
+        weight, m = source.weight, source.m
+
+        def plan(p):
+            if m % p == 0:
+                return BAD
+            if p % m != 1:
+                return OMITTED
+            return table_degrees(p, [(m, source.a)])
+
+        def factor(p, k_max):
+            return source.local_factor(p)
     else:
         raise ValidationError(f"unsupported coefficient source {type(source).__name__}")
     spf = _smallest_prime_factors(cutoff)
-    primes = []
+    planned, skipped = [], {BAD: [], OMITTED: []}
     for p in (n for n in range(2, cutoff + 1) if spf[n] == n):
         k_max = 0
         while p ** (k_max + 1) <= cutoff:
             k_max += 1
-        primes.append((p, k_max))
-        for f in sorted(f for f in degrees(p) if f <= k_max):
+        degrees = plan(p)
+        if degrees in (BAD, OMITTED):
+            skipped[degrees].append(p)
+            continue
+        for f in sorted(f for f in degrees if f <= k_max):
             check_table(p, f)
-    prime_series: dict[int, list[int]] = {}
-    included, bad, omitted = [], [], []
-    for p, k_max in primes:
-        factor = euler_factor(p, k_max)
-        if factor == BAD:
-            bad.append(p)
-        elif factor == OMITTED:
-            omitted.append(p)
-        else:
-            prime_series[p] = _invert_local(factor.coeffs, k_max)
-            included.append((p, factor.full_degree))
+        planned.append((p, k_max))
+    prime_series, included = {}, []
+    for p, k_max in planned:
+        lf = factor(p, k_max)
+        prime_series[p] = _invert_local(lf.coeffs, k_max)
+        included.append((p, lf.full_degree))
     return LSeriesCoefficients(cutoff=cutoff, weight=weight,
                                values=tuple(_assemble(spf, prime_series)),
                                included_primes=tuple(included),
-                               bad_primes=tuple(bad),
-                               omitted_primes=tuple(omitted))
+                               bad_primes=tuple(skipped[BAD]),
+                               omitted_primes=tuple(skipped[OMITTED]))
 
 
 # -- diagnostic partial sums -------------------------------------------------------

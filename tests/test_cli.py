@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output formats, schemas, caching."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import re
 import subprocess
 import sys
 import threading
+from datetime import datetime, timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -123,6 +127,75 @@ def test_missing_variety(capsys):
     assert run(["count", "-d", "5", "-p", "11"]) == 1     # -n required with -d
     assert run(["count", "-d", "5", "-n", "2", "--exponents", "5,5,5,5,5",
                 "-p", "11"]) == 1                          # inconsistent pair
+
+
+QUINTIC = ["-d", "5", "-n", "3"]
+
+REFUSALS = {
+    "non-prime": (["count", *QUINTIC, "-p", "11,12"], "12 is not prime"),
+    "empty-range": (["count", *QUINTIC, "-p", "5..3"], "empty or invalid prime range '5..3'"),
+    "bad-range": (["count", *QUINTIC, "-p", "2..x"], "cannot parse prime range '2..x'"),
+    "no-prime": (["count", *QUINTIC], "at least one prime required (-p)"),
+    "exponent-count": (["count", "--exponents", "5,5,5", "-n", "2", "-p", "11"],
+                       "exponent count 3 inconsistent with dimension 2 (need n+2 = 4)"),
+    "two-formats": (["count", *QUINTIC, "-p", "11", "--json", "--csv"],
+                    "pick at most one of --json / --csv / --table"),
+    "jobs": (["count", *QUINTIC, "-p", "11", "--jobs", "x"],
+             "argument --jobs: invalid int value: 'x'"),
+    "jacobi-two-primes": (["jacobi", *QUINTIC, "-p", "11,31"],
+                          "jacobi wants exactly one good prime"),
+    "zeta-no-good-prime": (["zeta", *QUINTIC, "-p", "5..5", "--no-cache"],
+                           "no good primes in the requested set"),
+    "lseries-cutoff": (["lseries", *QUINTIC], "lseries needs --cutoff"),
+    "hecke-cutoff": (["hecke", "-m", "5", "--a", "1,1,1,1"], "hecke needs --cutoff"),
+    "cyclo-no-action": (["cyclo", "-m", "5"],
+                        "pick exactly one of --units / --delta / --s-element"),
+    "cyclo-two-actions": (["cyclo", "-m", "5", "--units", "--delta", "-p", "11"],
+                          "pick exactly one of --units / --delta / --s-element"),
+    "units-conductor": (["cyclo", "--units"], "--units needs -m/--conductor"),
+    "delta-prime": (["cyclo", "--delta"], "--delta needs -p"),
+    "s-element-vector": (["cyclo", "-m", "5", "--s-element"],
+                         "--s-element needs -m/--conductor and --a"),
+    "cft-no-action": (["cft", "--level", "3"], "pick exactly one of --spectrum / --check"
+                      " / --fusion / --fusion-field / --gepner"),
+    "spectrum-level": (["cft", "--spectrum"], "cft needs --level for this action"),
+    "kn-row": (["cft", "--level", "3", "--check", "kn"], "--check kn needs --m"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_input_exits_1(capsys, case):
+    argv, message = REFUSALS[case]
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+# one run of each subcommand, keyed by its schema
+STAMPED = {
+    "count": ["count", "-d", "3", "-n", "1", "-p", "7"],
+    "jacobi": ["jacobi", "-d", "3", "-n", "1", "-p", "7"],
+    "zeta": ["zeta", "-d", "3", "-n", "1", "-p", "7", "--no-cache"],
+    "lseries": ["lseries", "-d", "3", "-n", "1", "--cutoff", "30"],
+    "hecke": ["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "31"],
+    "match": ["match", "-d", "3", "-n", "1", "-p", "7", "--no-cache"],
+    "cyclo": ["cyclo", "-m", "5", "--units"],
+    "cft": ["cft", "--level", "3", "--spectrum"],
+}
+
+
+@pytest.mark.parametrize("schema", STAMPED)
+def test_json_without_deterministic_is_stamped(capsys, schema):
+    # the one difference from --deterministic is an ISO-8601 UTC generated_at
+    argv = STAMPED[schema] + ["--json"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    _validate(schema, doc)
+    stamp = doc.pop("generated_at")
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    assert datetime.fromisoformat(stamp).utcoffset() == timedelta(0)
+    assert run(argv + ["--deterministic"]) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_jacobi_json(capsys):
@@ -542,6 +615,8 @@ def test_cyclo_units_json(capsys):
     _validate("cyclo", doc)
     mods = {u["j"]: u["modulus"] for u in doc["units"]}
     assert mods[2] == pytest.approx(1.618033988749895, rel=1e-12)
+    doc = _json_out(capsys, ["cyclo", "-m", "6", "--units"])
+    assert [u["j"] for u in doc["units"]] == [5]            # of 2..5, only 5 is prime to 6
 
 
 def test_cyclo_units_conductor_below_two_refused(capsys):
@@ -573,6 +648,28 @@ def test_cft_check_table_format(capsys):
     assert run(["cft", "--level", "2", "--check", "kn", "--m", "1",
                 "--table"]) == 0
     assert "skipped" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_cft_spectrum_formats(capsys, k):
+    doc = _json_out(capsys, ["cft", "--level", str(k), "--spectrum"])
+    _validate("cft", doc)
+    entries = doc["entries"]
+    # the chiral primaries (l, q = l, s = 0) have Delta = Q/2 = l/(2(k+2))
+    chiral = {e["l"]: e for e in entries if e["q"] == e["l"] and e["s"] == 0}
+    assert sorted(chiral) == list(range(k + 1))
+    for l, e in chiral.items():
+        delta = Fraction(e["delta"]["num"], e["delta"]["den"])
+        charge = Fraction(e["charge"]["num"], e["charge"]["den"])
+        assert delta == charge / 2 == Fraction(l, 2 * (k + 2))
+    assert run(["cft", "--level", str(k), "--spectrum", "--csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["l", "q", "s", "delta_num", "delta_den", "Q_num", "Q_den"]
+    assert rows[1:] == [[str(x) for x in (e["l"], e["q"], e["s"], e["delta"]["num"],
+                                          e["delta"]["den"], e["charge"]["num"],
+                                          e["charge"]["den"])] for e in entries]
+    assert run(["cft", "--level", str(k), "--spectrum", "--table"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(entries)
 
 
 def _perturb_rogers_L(monkeypatch):
@@ -705,6 +802,19 @@ def test_zeta_coefficients_past_the_int_str_limit(capsys, caplog, tmp_path):
         assert capsys.readouterr().out == printed
         stamps.append({e: e.stat().st_mtime_ns for e in tmp_path.iterdir()})
     assert len(stamps[0]) == 1 and stamps[0] == stamps[1]     # the warm run loaded it
+    assert "discarding" not in caplog.text
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_cache_round_trip_past_the_int_str_limit_in_library_code(caplog, tmp_path):
+    # no run() here to lift Python's 4,300-digit limit: store and load lift
+    # it around their own conversions, and restore the caller's
+    limit = sys.get_int_max_str_digits()
+    v = DiagonalVariety((7,) * 6)
+    lf = cache.local_factor(tmp_path, v, 3)
+    assert max(map(abs, lf.coeffs)) > 10 ** 4300
+    loaded = cache.load(tmp_path, v.exponents, 3)
+    assert loaded is not None and loaded.coeffs == lf.coeffs
     assert "discarding" not in caplog.text
     assert sys.get_int_max_str_digits() == limit
 

@@ -14,8 +14,9 @@ from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
                      is_prime, local_factor_middle, make_field, match_hasse_weil,
                      partial_sum_eval,
                      power_residue_char, split_prime_ideals, splitting_data)
+from cyarith import ffield
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
-from cyarith.hecke import _assemble, _smallest_prime_factors
+from cyarith.hecke import _assemble, _smallest_prime_factors, ideal_jacobi_sums
 
 
 def test_splitting_data():
@@ -83,6 +84,7 @@ def test_ideal_jacobi_sum_degenerate():
     for ideal in split_prime_ideals(11, 5):
         j = ideal_jacobi_sum(ideal, (1, 4))
         assert j.rational_value() == 1
+    assert ideal_jacobi_sums([], [(1, 4)]) == []             # no ideals, no sums
 
 
 def _ideal_sum_brute(ideal, a):
@@ -186,6 +188,28 @@ def test_dirichlet_gap_detection(quintic):
         dirichlet_coefficients(quintic, 0)
 
 
+LIBRARY_GUARDS = {
+    "rank-0": (lambda: ideal_jacobi_sums(split_prime_ideals(11, 5), [()]),
+               "rank must be at least 1"),
+    "two-primes": (lambda: ideal_jacobi_sums(split_prime_ideals(11, 5)[:1]
+                                             + split_prime_ideals(31, 5)[:1], [(1, 1)]),
+                   "ideals must lie over one prime of one conductor"),
+    "a-of-0": (lambda: dirichlet_coefficients(HeckeCharacter(5, (1, 4)), 10).a(0),
+               "n=0 outside 1..10"),
+    "source": (lambda: dirichlet_coefficients("x", 10), "unsupported coefficient source str"),
+    "root-order": (lambda: ffield.root_minimal_polynomial(11, 1, 3),
+                   "3 does not divide q-1 = 10"),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_GUARDS)
+def test_library_guards(case):
+    call, message = LIBRARY_GUARDS[case]
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_hecke_character():
     chi = HeckeCharacter(5, (1, 1, 1, 1))
     assert chi.weight == 3
@@ -263,6 +287,34 @@ def test_lseries_cutoff_beyond_extension_field_bound(monkeypatch):
     with pytest.raises(CapacityError, match=r"p=1031 needs a table of F_1062961 \(degree 2\)"):
         dirichlet_coefficients(DiagonalVariety((2, 3, 6)), 1031**2)
     assert calls == []
+
+
+PLANNED_SOURCES = {
+    "2,3,6": DiagonalVariety((2, 3, 6)), "3,3,6,6": DiagonalVariety((3, 3, 6, 6)),
+    "4,4,4,4": DiagonalVariety((4, 4, 4, 4)), "2,2,2,2": DiagonalVariety((2, 2, 2, 2)),
+    "3,3,3": DiagonalVariety((3, 3, 3)), "quintic": DiagonalVariety.fermat(5, 3),
+    "12;1,5,6": HeckeCharacter(12, (1, 5, 6)), "5;1,4": HeckeCharacter(5, (1, 4)),
+    "7;1,2,4": HeckeCharacter(7, (1, 2, 4)), "4;1,1,1": HeckeCharacter(4, (1, 1, 1)),
+    "5;1,1,1,1": HeckeCharacter(5, (1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", PLANNED_SOURCES)
+def test_planned_tables_are_the_tables_built(name, monkeypatch):
+    # the plan checks against the table bound exactly the (p, f) whose
+    # tables the factors then build: no table unchecked, no check wasted
+    import cyarith.hecke as hecke
+
+    checked = []
+
+    def check_table(p, f):
+        checked.append((p, f))
+        return ffield.check_table(p, f)
+
+    monkeypatch.setattr(hecke, "check_table", check_table)
+    built = _count_make_field(monkeypatch)
+    dirichlet_coefficients(PLANNED_SOURCES[name], 3000)
+    assert sorted(checked) == sorted(built)
 
 
 # (m, a) with sum(a) = 0 mod m (trivial character product, weight r - 2)

@@ -26,6 +26,8 @@ RULES = {
     "fusion-tolerances": ("**/*.py", r"FUSION_ACCEPT|UNIT_TOL", set()),
     # only cache.py loads, stores and names cache entries
     "cache-entries": ("**/*.py", r"cache\.(load|store|entry_path)\(", {"cyarith/cache.py"}),
+    # only charsum decides which sums read a table
+    "closed-form": ("**/*.py", r"in_closed_form\(", {"cyarith/charsum.py"}),
     # one table rule, raised only by ffield
     "capacity-error": ("**/*.py", r"raise CapacityError", {"cyarith/ffield.py"}),
 }

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import cyarith.zeta as zeta_module
 from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
-                     count_projective, expected_degrees, is_prime,
+                     count_projective, expected_degrees, full_alpha_set, is_prime,
                      local_factor_middle, predicted_count, split_prime_ideals)
 from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.hecke import ideal_jacobi_sums
@@ -133,6 +133,11 @@ def test_expected_degrees():
     assert curve[1] == 2
     with pytest.raises(ValidationError, match="h11, h21"):
         expected_degrees(None, 3)
+    # the sextic fourfold: deg P_4 = 2 + 2 h31 + h22 = 2606 counts the
+    # hyperplane class h^2 and the 2,605 tuples of the degree set
+    deg = expected_degrees({"h11": 1, "h21": 0, "h31": 426, "h22": 1752}, 4)
+    assert deg == {0: 1, 1: 0, 2: 1, 3: 0, 4: 2606, 5: 0, 6: 1, 7: 0, 8: 1}
+    assert deg[4] == 1 + len(full_alpha_set(DiagonalVariety((6,) * 6), 7).tuples)
     with pytest.raises(ValidationError, match="needs Hodge numbers h31, h22"):
         expected_degrees({"h11": 1, "h21": 0}, 4)
 
