@@ -20,7 +20,7 @@ _EXPORTS = {
     "counting": ("DiagonalVariety", "count_affine", "count_projective"),
     "cyclo": ("CycInt", "GroupRingElement", "cyclotomic_polynomial",
               "cyclotomic_unit", "delta_determinant", "euler_phi",
-              "hecke_weight", "regulator_matrix", "s_element"),
+              "hecke_weight", "s_element"),
     "errors": ("BadReductionError", "CapacityError", "InvariantViolationError",
                "PrimalityError", "ValidationError"),
     "ffield": ("FieldTable", "dlog", "is_prime", "make_field"),

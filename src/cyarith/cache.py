@@ -18,9 +18,7 @@ concurrent writers of one entry never expose a half-written file.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -31,7 +29,6 @@ from .errors import InvariantViolationError, ValidationError
 from .zeta import LocalFactor, local_factor_middle
 
 FORMAT_VERSION = 1
-log = logging.getLogger(__name__)
 
 
 def entry_path(cache_dir: Path, exps: tuple[int, ...], p: int) -> Path:
@@ -45,12 +42,14 @@ def _canonical(data: dict) -> str:
 
 
 def _record_hash(data: dict) -> str:
+    import hashlib      # here, not above: a run that hashes no entry never maps OpenSSL
     return hashlib.sha256(_canonical(data).encode()).hexdigest()
 
 
 def _record_text(exps: tuple[int, ...], lf: LocalFactor) -> str:
     """The entry for lf as one compact JSON line, the canonical data encoded
     once for both the hash and the file."""
+    import hashlib
     data = {
         "exponents": list(exps),
         "p": lf.p,
@@ -113,7 +112,8 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
         return lf
     except (OSError, ValueError, KeyError, TypeError, IndexError,
             InvariantViolationError) as exc:
-        log.warning("discarding corrupt cache entry %s: %s", path, exc)
+        import logging  # only a discard logs
+        logging.getLogger(__name__).warning("discarding corrupt cache entry %s: %s", path, exc)
         try:
             path.unlink()
         except OSError:

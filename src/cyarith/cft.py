@@ -9,20 +9,23 @@ the anomalous dimensions from quantum dimensions alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycInt, cyclotomic_unit
 from .errors import InvariantViolationError, ValidationError
+from .record import Record, Value
 
 IDENTITY_TOL = 1e-9      # a KR / KN sum-rule residual must stay below this
 
 
-@dataclass(frozen=True)
-class ModularData:
-    k: int
-    c: Fraction                     # 3k/(k+2)
-    deltas: tuple[Fraction, ...]    # l(l+2)/(4(k+2)) for l = 0..k
+class ModularData(Value):
+    """Level k, central charge c = 3k/(k+2), and the anomalous dimensions
+    deltas[l] = l(l+2)/(4(k+2)) for l = 0..k."""
+
+    __slots__ = ("k", "c", "deltas")
+
+    def __init__(self, k: int, c: Fraction, deltas: tuple[Fraction, ...]):
+        self._fill(k, c, deltas)
 
 
 def modular_data(k: int) -> ModularData:
@@ -33,19 +36,21 @@ def modular_data(k: int) -> ModularData:
                        deltas=tuple(Fraction(l * (l + 2), 4 * n) for l in range(k + 1)))
 
 
-@dataclass(frozen=True)
-class N2Entry:
-    l: int
-    q: int
-    s: int
-    delta: Fraction
-    charge: Fraction
+class N2Entry(Value):
+    """One primary (l, q, s) of the N=2 minimal model: its dimension and
+    U(1) charge."""
+
+    __slots__ = ("l", "q", "s", "delta", "charge")
+
+    def __init__(self, l: int, q: int, s: int, delta: Fraction, charge: Fraction):
+        self._fill(l, q, s, delta, charge)
 
 
-@dataclass(frozen=True, eq=False)
-class N2Spectrum:
-    k: int
-    entries: tuple[N2Entry, ...]
+class N2Spectrum(Record):
+    __slots__ = ("k", "entries")
+
+    def __init__(self, k: int, entries: tuple[N2Entry, ...]):
+        self._fill(k, entries)
 
 
 def n2_spectrum(k: int) -> N2Spectrum:
@@ -148,14 +153,15 @@ def rogers_L(x: float) -> float:
     return euler_Li2(x) + 0.5 * math.log(x) * math.log1p(-x)
 
 
-@dataclass(frozen=True)
-class KNResult:
-    k: int
-    m: int
-    residual: float | None          # None iff skipped
-    vanishing: tuple[int, ...]      # labels l with Q_{lm} = 0
-    lhs: float | None
-    rhs: float
+class KNResult(Value):
+    """One row of check_kn_identity: residual and lhs are None iff the row
+    is skipped, because Q_{lm} = 0 at the labels l in vanishing."""
+
+    __slots__ = ("k", "m", "residual", "vanishing", "lhs", "rhs")
+
+    def __init__(self, k: int, m: int, residual: float | None, vanishing: tuple[int, ...],
+                 lhs: float | None, rhs: float):
+        self._fill(k, m, residual, vanishing, lhs, rhs)
 
 
 def check_kn_identity(k: int, m: int) -> KNResult:
@@ -192,19 +198,22 @@ def check_kr_identity(k: int) -> float:
 # -- quantum dimensions as cyclotomic units ----------------------------------------
 
 
-@dataclass(frozen=True)
-class FusionFieldEntry:
-    l: int
-    value: float
-    unit_index: int | None     # j with Q_l = theta_j, None when gcd(j, k+2) > 1
-    abs_err: float | None      # 0.0 for a matched unit: the match is exact
+class FusionFieldEntry(Value):
+    """Q_l as a float, and unit_index = j with Q_l = theta_j, None when
+    gcd(j, k+2) > 1; abs_err is 0.0 for a matched unit (the match is exact)
+    and None for the others."""
+
+    __slots__ = ("l", "value", "unit_index", "abs_err")
+
+    def __init__(self, l: int, value: float, unit_index: int | None, abs_err: float | None):
+        self._fill(l, value, unit_index, abs_err)
 
 
-@dataclass(frozen=True)
-class FusionFieldReport:
-    k: int
-    conductor: int
-    entries: tuple[FusionFieldEntry, ...]
+class FusionFieldReport(Value):
+    __slots__ = ("k", "conductor", "entries")
+
+    def __init__(self, k: int, conductor: int, entries: tuple[FusionFieldEntry, ...]):
+        self._fill(k, conductor, entries)
 
 
 def fusion_field_match(k: int) -> FusionFieldReport:

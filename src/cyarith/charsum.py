@@ -22,7 +22,6 @@ logarithms alone (the kernel).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
@@ -30,6 +29,7 @@ from typing import TYPE_CHECKING
 from .cyclo import CycInt, cyclotomic_gcd, s_element
 from .errors import BadReductionError, InvariantViolationError, ValidationError
 from .ffield import field_order, is_prime, make_field, poly_rem, root_minimal_polynomial
+from .record import Record, Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,22 +43,20 @@ if TYPE_CHECKING:
 STICKELBERGER_CONDUCTORS = frozenset({3, 5, 7})
 
 
-@dataclass(frozen=True)
-class AlphaTuple:
+class AlphaTuple(Value):
     """Entries nums[i]/den with 0 < nums[i] < den and integer sum."""
 
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("nums", "den")
 
-    def __post_init__(self):
-        nums = tuple(int(n) for n in self.nums)
-        object.__setattr__(self, "nums", nums)
-        if self.den < 2:
+    def __init__(self, nums: tuple[int, ...], den: int):
+        nums = tuple(int(n) for n in nums)
+        if den < 2:
             raise ValidationError("denominator must be at least 2")
-        if any(not 0 < n < self.den for n in nums):
+        if any(not 0 < n < den for n in nums):
             raise ValidationError("entries must lie strictly between 0 and 1")
-        if sum(nums) % self.den:
+        if sum(nums) % den:
             raise ValidationError("entry sum must be an integer")
+        self._fill(nums, den)
 
     @property
     def conductor(self) -> int:
@@ -72,13 +70,15 @@ class AlphaTuple:
         return AlphaTuple(tuple(self.den - n for n in self.nums), self.den)
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaSet:
+class AlphaSet(Record):
     """All admissible tuples for given per-coordinate orders, with the
     partition into orbits of alpha -> p * alpha."""
 
-    tuples: tuple[AlphaTuple, ...]
-    orbits: tuple[tuple[AlphaTuple, ...], ...]
+    __slots__ = ("tuples", "orbits")
+
+    def __init__(self, tuples: tuple[AlphaTuple, ...],
+                 orbits: tuple[tuple[AlphaTuple, ...], ...]):
+        self._fill(tuples, orbits)
 
 
 @lru_cache(maxsize=64)
@@ -129,7 +129,7 @@ def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
     """The degree set (l_i = n_i), orbit-partitioned under the given prime."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    if not v.is_good_prime(p):
+    if any(n % p == 0 for n in v.exponents):
         raise BadReductionError(f"{p} divides an exponent of {v.exponents}")
     return _assemble(v.exponents, p % math.lcm(*v.exponents))
 
@@ -262,6 +262,13 @@ def _split_prime(p: int, r: int, m: int) -> tuple[CycInt, ...]:
     return tuple(pi.galois(t) for t in range(1, m))
 
 
+@lru_cache(maxsize=1 << 14)
+def _stickelberger_element(m: int, exps: tuple[int, ...]):
+    """s_element(exps, m), built once per row: the heads of one variety or
+    character repeat at every prime."""
+    return s_element(exps, m)
+
+
 def _closed_sum(p: int, r: int, m: int, exps, memo: dict) -> CycInt:
     """The unit sum of the row (m, exps) over F_q, q = p^r, in closed form,
     where the characters read xi^dlog u = u^((q-1)/m) mod P_c.
@@ -276,7 +283,7 @@ def _closed_sum(p: int, r: int, m: int, exps, memo: dict) -> CycInt:
     Stickelberger element S = cyclo.s_element; J depends on exps only
     through S(exps), and memo keeps it on that.
     """
-    key = s_element(exps, m)
+    key = _stickelberger_element(m, tuple(exps))
     if key not in memo:
         n, scale = key.as_dict(), r // ord_m(p, m)
         beta = CycInt.one(m)

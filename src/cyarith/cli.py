@@ -20,7 +20,10 @@ the library itself stays sequential and schedule-free.
 Each subcommand imports the modules it runs when it runs, and importing
 this module loads only cyarith.errors: `count` never loads zeta or the
 cache, `zeta` never loads hecke or cft, and a process pays to compile only
-what its subcommand uses.
+what its subcommand uses.  No process loads dataclasses (the records are
+plain __slots__ classes, cyarith.record), and logging and hashlib (with
+OpenSSL) load only once a run opens a cache directory: logging for the
+"warning: ..." line of a discarded entry, hashlib to read or write one.
 """
 
 from __future__ import annotations
@@ -118,9 +121,14 @@ def _jobs(raw: str) -> int:
 
 
 def _cache_dir(args) -> Path | None:
-    """The factor cache directory, or None under --no-cache."""
+    """The factor cache directory, or None under --no-cache.  A run that
+    opens one sends the cache's warnings (a discarded entry) to stderr as
+    "warning: ...", and only such a run loads logging."""
     if args.no_cache:
         return None
+    import logging
+    logging.addLevelName(logging.WARNING, "warning")
+    logging.basicConfig(format="%(levelname)s: %(message)s")
     return Path(args.cache or os.environ.get(CACHE_ENV) or "cache")
 
 
@@ -538,7 +546,8 @@ def _cmd_cft(args) -> None:
     elif action == "fusion_field":
         rep = cft.fusion_field_match(k)    # raises unless every unit matches
         payload = {"level": rep.k, "conductor": rep.conductor, "all_match": True,
-                   "entries": [vars(e) for e in rep.entries]}   # l, value, unit_index, abs_err
+                   "entries": [{"l": e.l, "value": e.value, "unit_index": e.unit_index,
+                                "abs_err": e.abs_err} for e in rep.entries]}
         table = [f"level {k}: quantum dimensions vs units of conductor {rep.conductor}"]
         table += [f"  l = {e.l:<3d} d = {e.value:.12f} " + (
                   f"= theta_{e.unit_index} (err {e.abs_err:.2e})" if e.unit_index
@@ -709,10 +718,6 @@ def run(argv=None) -> int:
 
 
 def console_entry() -> None:
-    import logging
-    # library warnings (a discarded cache entry) reach stderr as "warning: ..."
-    logging.addLevelName(logging.WARNING, "warning")
-    logging.basicConfig(format="%(levelname)s: %(message)s")
     sys.exit(run(sys.argv[1:]))
 
 

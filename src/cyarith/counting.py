@@ -14,27 +14,26 @@ independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .charsum import build_alpha_set, jacobi_sums
 from .cyclo import CycInt
 from .errors import InvariantViolationError, ValidationError
 from .ffield import is_prime
+from .record import Value
 
 
-@dataclass(frozen=True)
-class DiagonalVariety:
+class DiagonalVariety(Value):
     """Exponent data of sum_i x_i^{n_i} = 0 in P_s."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
-        exps = tuple(int(n) for n in self.exponents)
-        object.__setattr__(self, "exponents", exps)
+    def __init__(self, exponents: tuple[int, ...]):
+        exps = tuple(int(n) for n in exponents)
         if len(exps) < 3:
             raise ValidationError("need at least 3 coordinates")
         if any(n < 2 for n in exps):
             raise ValidationError("all exponents must be >= 2")
+        self._fill(exps)
 
     @classmethod
     def fermat(cls, degree: int, dim: int) -> "DiagonalVariety":

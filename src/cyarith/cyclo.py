@@ -4,21 +4,17 @@ Everything here is integer-exact: products are reduced modulo the m-th
 cyclotomic polynomial, Galois maps permute root exponents, and norms are
 checked to land in Z.  Division with remainder, and with it Euclid's gcd,
 works where Z[mu_m] is norm-Euclidean.  Floating point appears only in the
-numeric views (embeddings, unit moduli, determinants, regulators).
+numeric views (embeddings, unit moduli, determinants).
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING
 
 from .errors import InvariantViolationError, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
+from .record import Value
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -87,17 +83,17 @@ def _substitute(m: int, items, s: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
-@dataclass(frozen=True)
-class CycInt:
+class CycInt(Value):
     """Cyclotomic integer: coeffs[k] multiplies xi^k, len(coeffs) = phi(m)."""
 
-    m: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("m", "coeffs")
 
-    def __post_init__(self):
-        phi = _ring(self.m)[0]
-        if len(self.coeffs) != phi:
-            raise ValidationError(f"conductor {self.m} needs {phi} coefficients")
+    def __init__(self, m: int, coeffs: tuple[int, ...]):
+        phi = _ring(m)[0]
+        if len(coeffs) != phi:
+            raise ValidationError(f"conductor {m} needs {phi} coefficients")
+        object.__setattr__(self, "m", m)            # not _fill: the hot constructor
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ----------------------------------------------------------
 
@@ -290,17 +286,17 @@ def cyclotomic_gcd(a: CycInt, b: CycInt) -> CycInt:
 # -- group ring of (Z/m)^* ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
-    """Integer combination of Galois elements sigma_ell, keys coprime to m."""
+class GroupRingElement(Value):
+    """Integer combination of Galois elements sigma_ell, keys coprime to m;
+    terms are the sorted (ell, coefficient) pairs."""
 
-    m: int
-    terms: tuple[tuple[int, int], ...]  # sorted (ell, coefficient) pairs
+    __slots__ = ("m", "terms")
 
-    def __post_init__(self):
-        for ell, _ in self.terms:
-            if math.gcd(ell % self.m, self.m) != 1:
-                raise ValidationError(f"key {ell} not coprime to {self.m}")
+    def __init__(self, m: int, terms: tuple[tuple[int, int], ...]):
+        for ell, _ in terms:
+            if math.gcd(ell % m, m) != 1:
+                raise ValidationError(f"key {ell} not coprime to {m}")
+        self._fill(m, terms)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
@@ -333,7 +329,7 @@ def hecke_weight(a, m: int) -> int | None:
     return sums.pop() if len(sums) == 1 else None
 
 
-# -- cyclotomic units, determinant, regulator -----------------------------------
+# -- cyclotomic units and their determinant -------------------------------------
 
 
 def cyclotomic_unit(m: int, j: int) -> tuple[CycInt, float]:
@@ -361,21 +357,3 @@ def delta_determinant(p: int) -> float:
     cs = np.arange(1, (p - 3) // 2 + 1)
     mat = np.sin(np.outer(cs, ks) * np.pi / p) / np.sin(cs * np.pi / p)[:, None]
     return abs(float(np.linalg.det(mat)))
-
-
-def regulator_matrix(units: list[CycInt], m: int) -> np.ndarray:
-    """Rows log|rho_c(u)| over the phi(m)/2 embeddings up to conjugation,
-    c running over units mod m with 1 <= c < m/2."""
-    import numpy as np
-
-    reps = [c for c in range(1, (m + 1) // 2) if math.gcd(c, m) == 1]
-    if not reps:
-        raise ValidationError(f"conductor {m} has no complex embedding pairs")
-    rows = []
-    for u in units:
-        if u.m != m:
-            raise ValidationError("unit conductor mismatch")
-        if not u:
-            raise ValidationError("zero is not a unit")
-        rows.append([math.log(abs(u.embed(c))) for c in reps])
-    return np.array(rows, dtype=float)

@@ -25,11 +25,11 @@ order m reduces modulo, for charsum's closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvariantViolationError, PrimalityError, ValidationError
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,24 +80,21 @@ def primitive_root(p: int) -> int:
                 if all(pow(g, (p - 1) // l, p) != 1 for l in factors))
 
 
-@dataclass(frozen=True, eq=False)
-class FieldTable:
+class FieldTable(Record):
     """A fully tabulated finite field.
 
-    dlog[x] is the discrete logarithm of element index x base the canonical
-    generator g (dlog[0] = -1 sentinel); exp[e] is the element index of g**e
-    for e in 0..q-2; zech[e] = dlog(1 - g**e), so zech[0] = -1.  The arrays
-    must be treated as read-only.
+    modulus is monic, its r+1 coefficients low degree first.  dlog[x] is
+    the discrete logarithm of element index x base the canonical generator
+    g (dlog[0] = -1 sentinel); exp[e] is the element index of g**e for e in
+    0..q-2; zech[e] = dlog(1 - g**e), so zech[0] = -1.  The arrays must be
+    treated as read-only.
     """
 
-    p: int
-    r: int
-    q: int
-    modulus: tuple[int, ...]  # monic, coefficients low degree first, length r+1
-    g: int
-    dlog: np.ndarray
-    exp: np.ndarray
-    zech: np.ndarray
+    __slots__ = ("p", "r", "q", "modulus", "g", "dlog", "exp", "zech")
+
+    def __init__(self, p: int, r: int, q: int, modulus: tuple[int, ...], g: int,
+                 dlog: np.ndarray, exp: np.ndarray, zech: np.ndarray):
+        self._fill(p, r, q, modulus, g, dlog, exp, zech)
 
 
 def dlog(f: FieldTable, x: int) -> int:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .charsum import (degree_conductors, full_alpha_set, galois_class_head, ord_m,
@@ -35,6 +34,7 @@ from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
 from .ffield import check_table, is_prime, primitive_root
+from .record import Record, Value
 from .zeta import LocalFactor, local_factor_middle
 
 
@@ -52,8 +52,7 @@ def splitting_data(p: int, m: int) -> tuple[int, int]:
     return f, euler_phi(m) // f
 
 
-@dataclass(frozen=True, eq=False)
-class SplitPrimeIdeal:
+class SplitPrimeIdeal(Record):
     """One of the phi(m) primes above a totally split p, labelled by the
     residue c of xi: an element of F_p of exact multiplicative order m.
 
@@ -61,20 +60,20 @@ class SplitPrimeIdeal:
     and chi_p(u) = xi^(tau_inv * dlog_g u).
     """
 
-    p: int
-    m: int
-    c: int
-    tau_inv: int = dc_field(init=False, repr=False)
+    __slots__ = ("p", "m", "c", "tau_inv")
 
-    def __post_init__(self):
-        f, _ = splitting_data(self.p, self.m)
+    def __init__(self, p: int, m: int, c: int):
+        f, _ = splitting_data(p, m)
         if f != 1:
-            raise ValidationError(f"p={self.p} is not totally split mod {self.m}")
-        w = pow(primitive_root(self.p), (self.p - 1) // self.m, self.p)
-        tau = _power_index(w, self.c, self.p, self.m)
-        if tau is None or math.gcd(tau, self.m) != 1:
-            raise ValidationError(f"c={self.c} does not have exact order {self.m}")
-        object.__setattr__(self, "tau_inv", pow(tau, -1, self.m))
+            raise ValidationError(f"p={p} is not totally split mod {m}")
+        w = pow(primitive_root(p), (p - 1) // m, p)
+        tau = _power_index(w, c, p, m)
+        if tau is None or math.gcd(tau, m) != 1:
+            raise ValidationError(f"c={c} does not have exact order {m}")
+        self._fill(p, m, c, pow(tau, -1, m))
+
+    def __repr__(self):             # tau_inv is derived from the label
+        return f"SplitPrimeIdeal(p={self.p!r}, m={self.m!r}, c={self.c!r})"
 
 
 def _power_index(base: int, x: int, p: int, n: int) -> int | None:
@@ -138,13 +137,14 @@ def ideal_jacobi_sum(ideal: SplitPrimeIdeal, a: tuple[int, ...]) -> CycInt:
 # -- Hasse-Weil vs Hecke local data -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    p: int
-    m: int
-    ideals: int
-    orbit_reps: int      # Galois-class heads
-    multiset_size: int
+class MatchReport(Value):
+    """What match_hasse_weil compared at p; orbit_reps counts the
+    Galois-class heads."""
+
+    __slots__ = ("p", "m", "ideals", "orbit_reps", "multiset_size")
+
+    def __init__(self, p: int, m: int, ideals: int, orbit_reps: int, multiset_size: int):
+        self._fill(p, m, ideals, orbit_reps, multiset_size)
 
 
 def match_hasse_weil(v: DiagonalVariety, p: int,
@@ -180,8 +180,7 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
 BAD, OMITTED = "bad", "omitted"
 
 
-@dataclass(frozen=True, eq=False)
-class HeckeCharacter:
+class HeckeCharacter(Record):
     """Jacobi-sum Hecke character of Q(mu_m) with exponent vector a.
 
     local_factor covers a totally split p, with its phi(m) ideals of norm
@@ -190,15 +189,14 @@ class HeckeCharacter:
     the table a split p reads.
     """
 
-    m: int
-    a: tuple[int, ...]
+    __slots__ = ("m", "a")
 
-    def __post_init__(self):
-        if self.m < 2:
+    def __init__(self, m: int, a: tuple[int, ...]):
+        if m < 2:
             raise ValidationError("conductor must be at least 2")
-        if not self.a or any(x % self.m == 0 for x in self.a):
+        if not a or any(x % m == 0 for x in a):
             raise ValidationError("exponent vector entries must be nonzero mod m")
-        object.__setattr__(self, "a", tuple(x % self.m for x in self.a))
+        self._fill(m, tuple(x % m for x in a))
 
     @property
     def weight(self) -> int:
@@ -224,21 +222,22 @@ class HeckeCharacter:
                            full_degree=euler_phi(self.m), orbits=tuple((j, 1) for j in sums))
 
 
-@dataclass(frozen=True, eq=False)
-class LSeriesCoefficients:
-    """Integer a_n for n = 1..cutoff; multiplicative by construction.
+class LSeriesCoefficients(Record):
+    """Integer a_n for n = 1..cutoff, a_n at values[n-1]; multiplicative by
+    construction.  included_primes holds (p, local degree) pairs.
 
     Primes whose factors are deliberately absent (bad reduction, or
     non-split primes of a split-only Hecke character) contribute a_p = 0
     and are flagged rather than silently zeroed.
     """
 
-    cutoff: int
-    weight: int
-    values: tuple[int, ...]                        # a_n at index n-1
-    included_primes: tuple[tuple[int, int], ...]   # (p, local degree)
-    bad_primes: tuple[int, ...]
-    omitted_primes: tuple[int, ...]
+    __slots__ = ("cutoff", "weight", "values", "included_primes", "bad_primes",
+                 "omitted_primes")
+
+    def __init__(self, cutoff: int, weight: int, values: tuple[int, ...],
+                 included_primes: tuple[tuple[int, int], ...], bad_primes: tuple[int, ...],
+                 omitted_primes: tuple[int, ...]):
+        self._fill(cutoff, weight, values, included_primes, bad_primes, omitted_primes)
 
     def a(self, n: int) -> int:
         if not 1 <= n <= self.cutoff:
@@ -353,12 +352,13 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
 TAIL_THETA = 0.5   # divisor-growth allowance in |a_n| <= C n^(w/2 + theta)
 
 
-@dataclass(frozen=True)
-class PartialSumResult:
-    s: float
-    cutoff: int
-    value: float
-    tail_bound: float
+class PartialSumResult(Value):
+    """sum_{n <= cutoff} a_n n^-s and its tail bound (partial_sum_eval)."""
+
+    __slots__ = ("s", "cutoff", "value", "tail_bound")
+
+    def __init__(self, s: float, cutoff: int, value: float, tail_bound: float):
+        self._fill(s, cutoff, value, tail_bound)
 
 
 def partial_sum_eval(coeffs: LSeriesCoefficients, s: float) -> PartialSumResult:

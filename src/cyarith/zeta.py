@@ -16,55 +16,51 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 
 from .charsum import AlphaTuple, full_alpha_set, jacobi_sums
 from .counting import DiagonalVariety
 from .cyclo import CycInt
 from .errors import InvariantViolationError, ValidationError
+from .record import Record
 
 
-@dataclass(frozen=True, eq=False)
-class LocalFactor:
+class LocalFactor(Record):
     """Middle local factor P(t) = prod over orbits of (1 - J t^f).
 
-    When orbits were skipped because their Jacobi sums would live over a
-    field beyond a caller-imposed cap, `precision` is the largest power of
-    t to which `coeffs` is still exact; None means the factor is complete.
+    cohomology_degree is the "i" of P_i: the middle degree n, or a Hecke
+    weight.  full_degree is |A|, the sum of all orbit sizes, or phi(m).
+    orbits holds the computed (J, f) pairs.  When orbits were skipped
+    because their Jacobi sums would live over a field beyond a
+    caller-imposed cap, `precision` is the largest power of t to which
+    `coeffs` is still exact; None means the factor is complete.
     Building one computes `coeffs` by expand_roots, which checks the roots.
     A complete factor of degree B must also satisfy the functional equation
     t^B p^{iB/2} P(1/(p^i t)) = sign * P(t) exactly, and keeps its sign;
     a truncated one has sign None.
     """
 
-    p: int
-    cohomology_degree: int                    # "i" in P_i: middle degree n, or a Hecke weight
-    full_degree: int                          # |A| = sum of all orbit sizes, or phi(m)
-    orbits: tuple[tuple[CycInt, int], ...]    # computed (J, f) pairs
-    precision: int | None = None
-    coeffs: tuple[int, ...] = dc_field(init=False)
-    sign: int | None = dc_field(init=False)
+    __slots__ = ("p", "cohomology_degree", "full_degree", "orbits", "precision",
+                 "coeffs", "sign")
 
-    def __post_init__(self):
-        i, p = self.cohomology_degree, self.p
-        c = expand_roots(self.orbits, p ** i, self.precision)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "sign", None)
-        if self.precision is not None:
-            return
-        B = len(c) - 1
-        if B != self.full_degree:
-            raise InvariantViolationError("expanded degree disagrees with |A|")
-        if (i * B) % 2:
-            raise InvariantViolationError("i*B odd: no integral palindrome normalisation")
-        if abs(c[B]) != p ** (i * B // 2):
-            raise InvariantViolationError(
-                f"|leading coeff| = {abs(c[B])} != p^(iB/2) = {p ** (i * B // 2)}")
-        sign = 1 if c[B] > 0 else -1
-        if any(c[B - k] != sign * c[k] * p ** (i * (B - 2 * k) // 2)
-               for k in range(B // 2 + 1)):
-            raise InvariantViolationError("palindrome fails for the forced sign")
-        object.__setattr__(self, "sign", sign)
+    def __init__(self, p: int, cohomology_degree: int, full_degree: int,
+                 orbits: tuple[tuple[CycInt, int], ...], precision: int | None = None):
+        i = cohomology_degree
+        c = expand_roots(orbits, p ** i, precision)
+        sign = None
+        if precision is None:
+            B = len(c) - 1
+            if B != full_degree:
+                raise InvariantViolationError("expanded degree disagrees with |A|")
+            if (i * B) % 2:
+                raise InvariantViolationError("i*B odd: no integral palindrome normalisation")
+            if abs(c[B]) != p ** (i * B // 2):
+                raise InvariantViolationError(
+                    f"|leading coeff| = {abs(c[B])} != p^(iB/2) = {p ** (i * B // 2)}")
+            sign = 1 if c[B] > 0 else -1
+            if any(c[B - k] != sign * c[k] * p ** (i * (B - 2 * k) // 2)
+                   for k in range(B // 2 + 1)):
+                raise InvariantViolationError("palindrome fails for the forced sign")
+        self._fill(p, cohomology_degree, full_degree, orbits, precision, c, sign)
 
     @property
     def is_exact(self) -> bool:

@@ -20,7 +20,6 @@ the order of every element index in turn with `mul`, and `with_generator`
 re-indexes a table's logarithms to another generator.
 """
 
-import dataclasses
 import math
 from itertools import product
 
@@ -29,6 +28,7 @@ import numpy as np
 from cyarith.charsum import _row, _unit_sum, dlog_pair_table
 from cyarith.cyclo import CycInt
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
+from cyarith.ffield import FieldTable
 
 DIRECT_SUM_BUDGET = 1 << 28     # (q-1)^s cap for the direct Jacobi summation
 DIRECT_ENUM_BUDGET = 1 << 25    # affine grid cells for the exhaustive count
@@ -256,5 +256,5 @@ def with_generator(f, k):
     def reindex(logs):
         return np.where(logs >= 0, logs * k_inv % n, -1)
 
-    return dataclasses.replace(f, g=int(f.exp[k]), dlog=reindex(f.dlog), exp=f.exp[e],
-                               zech=reindex(f.zech[e]))
+    return FieldTable(p=f.p, r=f.r, q=f.q, modulus=f.modulus, g=int(f.exp[k]),
+                      dlog=reindex(f.dlog), exp=f.exp[e], zech=reindex(f.zech[e]))

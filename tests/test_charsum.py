@@ -1,16 +1,18 @@
 """Jacobi sums: direct-definition oracle, Galois equivariance, Weil bound."""
 
-import dataclasses
 import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cyarith import (AlphaTuple, CycInt, DiagonalVariety, build_alpha_set,
+import cyarith.charsum as charsum
+import cyarith.counting as counting
+from cyarith import (AlphaTuple, CycInt, DiagonalVariety, FieldTable, build_alpha_set,
                      full_alpha_set, jacobi_sum, make_field)
 from cyarith.charsum import (dlog_pair_table, galois_class_head, jacobi_sums, ord_m,
                              unit_sums)
-from cyarith.errors import InvariantViolationError, ValidationError
+from cyarith.errors import BadReductionError, InvariantViolationError, ValidationError
+from cyarith.ffield import is_prime
 from cyarith.hecke import HeckeCharacter, match_hasse_weil
 from cyarith.zeta import local_factor_middle
 from oracles import (DIRECT_SUM_BUDGET, jacobi_sum_direct, jacobi_sums_per_alpha,
@@ -45,6 +47,25 @@ def test_alpha_set_sizes(quintic):
     assert len(aset2.tuples) == 204
     assert sorted({len(o) for o in aset2.orbits}) == [4]
     assert len(aset2.orbits) == 51
+
+
+def test_full_alpha_set_tests_primality_once(quintic, monkeypatch):
+    # every module that binds is_prime counts into one list
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in (charsum, counting):
+        monkeypatch.setattr(module, "is_prime", counted)
+    full_alpha_set(quintic, 11)
+    assert calls == [11]
+    with pytest.raises(BadReductionError, match="5 divides an exponent of"):
+        full_alpha_set(quintic, 5)
+    with pytest.raises(ValidationError, match="9 is not prime"):
+        full_alpha_set(quintic, 9)
+    assert calls == [11, 5, 9]
 
 
 def test_orbit_partition_built_once_per_residue(quintic):
@@ -159,7 +180,8 @@ def test_pair_table_marginals(p, r):
     bad = f.zech.copy()
     bad[1] = bad[2]                        # two v with one value of 1 - v
     with pytest.raises(InvariantViolationError):
-        dlog_pair_table(dataclasses.replace(f, zech=bad), f.q - 1)
+        dlog_pair_table(FieldTable(p=f.p, r=f.r, q=f.q, modulus=f.modulus, g=f.g,
+                                   dlog=f.dlog, exp=f.exp, zech=bad), f.q - 1)
 
 
 # -- one kernel row per Galois class against one row per tuple -------------------

@@ -1,6 +1,7 @@
 """What a process loads: the package resolves its names on first access, and
 each CLI subcommand imports only the modules it runs.  Every check starts a
-fresh interpreter, since this session has long since loaded everything."""
+fresh interpreter, since this session has long since loaded everything; the
+console rows run cyarith.cli as `python -m` does, console_entry included."""
 
 import json
 import os
@@ -21,6 +22,17 @@ def _modules_after(code: str, cwd: Path) -> set[str]:
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _console(*argv: str) -> str:
+    """`python -m cyarith.cli argv` as -m starts it, through runpy, with
+    console_entry and its exit code 0."""
+    return ("import runpy, sys\n"
+            f"sys.argv = ['cyarith', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('cyarith.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code")
 
 
 def _cli(*argv: str) -> str:
@@ -55,6 +67,20 @@ def test_a_subcommand_loads_only_what_it_runs(tmp_path, code, absent):
     loaded = _modules_after(code, tmp_path)
     assert "cyarith.cli" in loaded
     assert not loaded & absent
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "200"], "cyarith.hecke"),
+    (["count", "--exponents", "3,3,3", "-p", "2..71", "-r", "2"], "cyarith.counting"),
+    (["zeta", "--exponents", "3,3,3", "-p", "2..71", "--no-cache", "--jobs", "1"],
+     "cyarith.cache"),
+], ids=["hecke", "count", "zeta-no-cache"])
+def test_a_console_run_loads_no_records_logging_or_openssl(tmp_path, argv, ran):
+    # no dataclasses (nor the inspect it pulls in), and logging and hashlib
+    # only where a cache entry is read or written
+    loaded = _modules_after(_console(*argv), tmp_path)
+    assert {"cyarith.errors", ran} <= loaded      # cyarith.cli ran as __main__
+    assert not loaded & {"dataclasses", "inspect", "logging", "hashlib", "_hashlib"}
 
 
 def test_package_exports_resolve_on_first_access(tmp_path):

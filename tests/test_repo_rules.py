@@ -30,6 +30,10 @@ RULES = {
     "closed-form": ("**/*.py", r"in_closed_form\(", {"cyarith/charsum.py"}),
     # one table rule, raised only by ffield
     "capacity-error": ("**/*.py", r"raise CapacityError", {"cyarith/ffield.py"}),
+    # records are __slots__ classes on cyarith.record: no process loads dataclasses
+    "dataclasses": ("**/*.py", r"^\s*(import\s+[\w., ]*\b|from\s+)dataclasses\b", set()),
+    # logging and hashlib load where a cache entry is read or written, not at import
+    "eager-imports": ("**/*.py", r"^(import\s+[\w., ]*\b|from\s+)(logging|hashlib)\b", set()),
 }
 
 

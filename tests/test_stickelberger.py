@@ -15,6 +15,7 @@ from cyarith.cyclo import GroupRingElement
 from cyarith.errors import InvariantViolationError
 from cyarith.ffield import primitive_root
 from cyarith.hecke import SplitPrimeIdeal, ideal_jacobi_sums
+from cyarith.zeta import local_factor_middle
 from oracles import jacobi_sums_per_alpha, unit_sums_per_row
 
 SPLIT_PRIMES = {l: [p for p in range(3, 2001) if is_prime(p) and p % l == 1]
@@ -121,6 +122,23 @@ def test_closed_form_matches_kernel_over_extensions(case):
     assert in_closed_form(p, r + 1, l, (1,)) == (ord_m(p, l) == 1)
 
 
+def test_stickelberger_element_built_once_per_head(quintic, monkeypatch):
+    # the quintic's 51 class heads recur at every prime, all in closed form:
+    # 8 primes build each S(a) once, not 8 times
+    built = []
+    real = charsum.s_element
+
+    def counted(exps, m):
+        built.append((m, tuple(exps)))
+        return real(exps, m)
+
+    monkeypatch.setattr(charsum, "s_element", counted)
+    charsum._stickelberger_element.cache_clear()
+    for p in (2, 3, 11, 31, 41, 61, 71, 101):
+        local_factor_middle(quintic, p)
+    assert len(built) == len(set(built)) == 51
+
+
 def test_split_prime_checks(monkeypatch):
     # pi is checked for norm +-p^f, for lying in P_c, and pi^theta for being
     # +-1 mod (1 - xi); each failure raises.  11 splits mod 5, and 2 is inert
@@ -128,6 +146,7 @@ def test_split_prime_checks(monkeypatch):
 
     def fresh(p=p, r=r):
         charsum._split_prime.cache_clear()
+        charsum._stickelberger_element.cache_clear()
         return charsum._closed_sum(p, r, l, exps, {})
 
     good, inert = fresh(), fresh(2, 4)
