@@ -6,11 +6,12 @@ computes and stores it.
 One JSON file per (exponent vector, prime), laid out as in
 docs/schemas/cache.schema.json: a format version, a sha256 self-check of the
 canonical encoding of the data, and the data itself (orbit Jacobi sums and
-the expanded coefficients).  ``load`` trusts an entry only if the version,
-hash and key match, the factor is complete, and rebuilding the LocalFactor
-from the stored roots (the checks a fresh factor passes) gives the stored
-coefficients; else it is deleted with a warning on the ``cyarith.cache``
-logger, and the caller recomputes.
+the expanded coefficients).  The self-check is computed by the interpreter's
+own sha256 (``_sha256``), not hashlib, so no run maps OpenSSL.  ``load``
+trusts an entry only if the version, hash and key match, the factor is
+complete, and rebuilding the LocalFactor from the stored roots (the checks
+a fresh factor passes) gives the stored coefficients; else it is deleted
+with a warning on the ``cyarith.cache`` logger, and the caller recomputes.
 ``store`` writes the entry as one compact JSON line (any layout of the same
 JSON loads) to a per-writer temp file and renames it into place, so
 concurrent writers of one entry never expose a half-written file.
@@ -41,15 +42,27 @@ def _canonical(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _sha256(text: str) -> str:
+    """The hex sha256 of text's UTF-8, hashlib.sha256's digest from the
+    interpreter's own C module (_sha256 to 3.11, _sha2 from 3.12), which
+    links no OpenSSL; hashlib only on a build that has neither."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
+
+
 def _record_hash(data: dict) -> str:
-    import hashlib      # here, not above: a run that hashes no entry never maps OpenSSL
-    return hashlib.sha256(_canonical(data).encode()).hexdigest()
+    return _sha256(_canonical(data))
 
 
 def _record_text(exps: tuple[int, ...], lf: LocalFactor) -> str:
     """The entry for lf as one compact JSON line, the canonical data encoded
     once for both the hash and the file."""
-    import hashlib
     data = {
         "exponents": list(exps),
         "p": lf.p,
@@ -61,7 +74,7 @@ def _record_text(exps: tuple[int, ...], lf: LocalFactor) -> str:
         "precision": lf.precision,
     }
     blob = _canonical(data)
-    digest = hashlib.sha256(blob.encode()).hexdigest()
+    digest = _sha256(blob)
     return f'{{"format_version":{FORMAT_VERSION},"self_check":"{digest}","data":{blob}}}\n'
 
 

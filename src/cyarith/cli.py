@@ -21,9 +21,10 @@ Each subcommand imports the modules it runs when it runs, and importing
 this module loads only cyarith.errors: `count` never loads zeta or the
 cache, `zeta` never loads hecke or cft, and a process pays to compile only
 what its subcommand uses.  No process loads dataclasses (the records are
-plain __slots__ classes, cyarith.record), and logging and hashlib (with
-OpenSSL) load only once a run opens a cache directory: logging for the
-"warning: ..." line of a discarded entry, hashlib to read or write one.
+plain __slots__ classes, cyarith.record), logging loads only once a run
+opens a cache directory, for the "warning: ..." line of a discarded entry,
+and no run maps OpenSSL: the cache self-check uses the interpreter's own
+sha256 (cyarith.cache._sha256).
 """
 
 from __future__ import annotations
@@ -102,11 +103,14 @@ def _good_primes(v: DiagonalVariety, spec: str | None) -> tuple[list[int], list[
     """The primes of a -p spec where v has good reduction, and the bad ones
     a range skips; a bad prime in a strict list is an error."""
     primes, strict = _parse_primes(spec)
-    skipped = [p for p in primes if not v.is_good_prime(p)]
+    good: list[int] = []
+    skipped: list[int] = []
+    for p in primes:    # already proved prime: only the exponents decide
+        (skipped if any(n % p == 0 for n in v.exponents) else good).append(p)
     if strict and skipped:
         raise ValidationError(
             f"p={skipped[0]} divides an exponent of {v.exponents} (bad reduction)")
-    return [p for p in primes if v.is_good_prime(p)], skipped
+    return good, skipped
 
 
 def _jobs(raw: str) -> int:

@@ -106,6 +106,33 @@ def test_count_range_skips_bad(capsys):
     assert [r["p"] for r in doc["counts"]] == [2, 3, 7, 11]
 
 
+def test_a_prime_range_is_trial_divided_once_per_layer(capsys, monkeypatch):
+    # every module that binds is_prime counts into one list: 70 calls scan
+    # 2..71, 19 come from full_alpha_set and 27 from field_order, and
+    # _good_primes adds none: the exponents alone decide a proven prime
+    import cyarith.charsum as charsum
+    import cyarith.counting as counting
+    import cyarith.ffield as ffield
+    import cyarith.hecke as hecke
+
+    calls = []
+    is_prime = ffield.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in (ffield, charsum, counting, hecke):
+        monkeypatch.setattr(module, "is_prime", counted)
+        for memo in vars(module).values():      # earlier tests' memos skip some calls
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+    doc = _json_out(capsys, ["zeta", "--exponents", "3,3,3", "-p", "2..71", "--no-cache",
+                             "--jobs", "1"])
+    assert doc["skipped_bad_primes"] == [3]
+    assert len(calls) == 116
+
+
 def test_count_range_without_good_prime_exits_1(capsys):
     assert run(["count", "-d", "3", "-n", "1", "-p", "3..3"]) == 1
     out = capsys.readouterr()
@@ -302,6 +329,15 @@ def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
     assert entry.exists()                         # rewritten after recompute
 
 
+# the entry zeta -d 3 -n 1 -p 7 writes, byte for byte: format version 1
+CUBIC_P7_ENTRY = (
+    '{"format_version":1,'
+    '"self_check":"40edc109cfb8713c030ef7dbb7885eb826ee171140178eda0dccf693cce31c1c",'
+    '"data":{"coefficients":["1","1","7"],"cohomology_degree":1,"exponents":[3,3,3],'
+    '"full_degree":2,"orbits":[{"coefficients":["1","3"],"count":1,"m":3},'
+    '{"coefficients":["-2","-3"],"count":1,"m":3}],"p":7,"precision":null}}\n')
+
+
 def test_cache_entry_is_compact_and_the_indented_layout_loads(capsys, caplog, tmp_path):
     # store writes one compact line whose data is the blob the self-check
     # hashes; an entry in the earlier indent=1 layout loads as it stands
@@ -311,6 +347,7 @@ def test_cache_entry_is_compact_and_the_indented_layout_loads(capsys, caplog, tm
     first = capsys.readouterr().out
     entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
     text = entry.read_text()
+    assert text == CUBIC_P7_ENTRY
     rec = json.loads(text)
     assert text == json.dumps(rec, separators=(",", ":")) + "\n"
     assert text.endswith(f'"data":{json.dumps(rec["data"], sort_keys=True, separators=(",", ":"))}}}\n')
@@ -328,6 +365,17 @@ def test_cache_entry_is_compact_and_the_indented_layout_loads(capsys, caplog, tm
     assert capsys.readouterr().out == first
     assert "discarding" not in caplog.text
     assert entry.read_text() == json.dumps(old, indent=1) + "\n"   # read, not rewritten
+
+
+def test_cache_self_check_is_hashlibs_sha256(tmp_path, quintic, quintic_lf11):
+    import hashlib
+
+    cache.store(tmp_path, quintic.exponents, quintic_lf11)
+    rec = json.loads(cache.entry_path(tmp_path, quintic.exponents, 11).read_text())
+    blob = cache._canonical(rec["data"])
+    assert cache._sha256(blob) == rec["self_check"]
+    for text in ("", "cyarith", blob):
+        assert cache._sha256(text) == hashlib.sha256(text.encode()).hexdigest()
 
 
 def _rehashed(entry, edit):

@@ -76,11 +76,28 @@ def test_a_subcommand_loads_only_what_it_runs(tmp_path, code, absent):
      "cyarith.cache"),
 ], ids=["hecke", "count", "zeta-no-cache"])
 def test_a_console_run_loads_no_records_logging_or_openssl(tmp_path, argv, ran):
-    # no dataclasses (nor the inspect it pulls in), and logging and hashlib
-    # only where a cache entry is read or written
+    # no dataclasses (nor the inspect it pulls in), logging only where a
+    # cache directory is opened, and hashlib nowhere
     loaded = _modules_after(_console(*argv), tmp_path)
     assert {"cyarith.errors", ran} <= loaded      # cyarith.cli ran as __main__
     assert not loaded & {"dataclasses", "inspect", "logging", "hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["zeta-cold", "match-warm"])
+def test_a_cached_console_run_maps_no_openssl(tmp_path, warm):
+    # the self-check hashes with the interpreter's own sha256: a cold zeta
+    # stores the entry, and a warm match on the same directory reads it back
+    cache_dir = tmp_path / "cache"
+    zeta = ["zeta", "-d", "5", "-n", "3", "-p", "11", "--cache", str(cache_dir)]
+    entry = cache_dir / "v5-5-5-5-5_p11.json"
+    if warm:
+        _modules_after(_console(*zeta), tmp_path)
+        stamp = entry.stat().st_mtime_ns
+    argv = ["match", *zeta[1:]] if warm else zeta
+    loaded = _modules_after(_console(*argv), tmp_path)
+    assert "cyarith.cache" in loaded
+    assert not loaded & {"hashlib", "_hashlib"}
+    assert entry.exists() and (not warm or entry.stat().st_mtime_ns == stamp)
 
 
 def test_package_exports_resolve_on_first_access(tmp_path):
