@@ -886,6 +886,17 @@ def test_out_unwritable(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_out_refused_mid_range_creates_no_file(tmp_path, capsys):
+    # every prime is computed before the first byte is written: the refusal
+    # at p = 1031 (F_{1031^2} is past the table bound) leaves nothing behind
+    target = tmp_path / "zeta.json"
+    assert run(["zeta", "--exponents", "2,3,6", "-p", "2..1100", "--jobs", "1",
+                "--no-cache", "--out", str(target)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: p=1031 needs a table of F_1062961")
+    assert not target.exists()
+
+
 def test_env_vars(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CYARITH_CACHE", str(tmp_path))
     assert run(["zeta", "-d", "3", "-n", "1", "-p", "7", "--json",
