@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from datetime import datetime, timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from cyarith import DiagonalVariety, cache
+from cyarith import DiagonalVariety, cache, cli
 from cyarith.cli import run
 from cyarith.errors import ValidationError
 
@@ -884,6 +885,86 @@ def test_out_unwritable(tmp_path, capsys):
     assert out.out == ""
     assert out.err.startswith(f"error: cannot write --out {target}: ")
     assert not target.parent.exists()
+
+
+QUINTIC_2_101 = ["zeta", *QUINTIC, "-p", "2..101", "--deterministic", "--no-cache",
+                 "--jobs", "1"]
+BATCH = 64 * 1024
+
+
+class _WriteThrough:
+    """A stdout on which every write would be a system call: it keeps the
+    text of each write, or with lengths_only (under tracemalloc) its length."""
+
+    def __init__(self, lengths_only=False):
+        self.lengths_only, self.writes = lengths_only, []
+
+    def write(self, text):
+        self.writes.append(len(text) if self.lengths_only else text)
+        return len(text)
+
+
+def _emit_rise(*emit_args):
+    """The tracemalloc peak that cli._emit(*emit_args) reaches above what was
+    live when it began, and the length of what it wrote.  csv is imported
+    already (above), so its import is not counted."""
+    sink = _WriteThrough(lengths_only=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._emit(*emit_args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak, sum(sink.writes)
+
+
+def _emit_call(argv):
+    """The arguments that the subcommand of argv hands to cli._emit, with the
+    CSV rows listed; nothing is written."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_emit", lambda args, fmt, payload, csv_rows=(), table=():
+                   calls.append((args, fmt, payload, list(csv_rows), table)))
+        assert run(argv) == 0
+    [call] = calls
+    return call
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv", "--table"])
+def test_emit_writes_in_batches(monkeypatch, fmt):
+    # under PYTHONUNBUFFERED each write to stdout is a system call: the text
+    # goes out in 64 KiB runs, not one piece at a time, and no run is much
+    # longer than a batch and a line (the one-string writer made one write)
+    sink = _WriteThrough()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert run(QUINTIC_2_101 + [fmt]) == 0
+    text = "".join(sink.writes)
+    longest = max(map(len, text.splitlines(keepends=True)))
+    assert len(sink.writes) <= math.ceil(len(text.encode()) / BATCH) + 1
+    assert max(map(len, sink.writes)) < BATCH + longest
+
+
+def test_json_emit_holds_under_a_quarter_of_its_output():
+    # zeta -p 2..101 prints 0.7 MB of JSON; json.dumps held all of it at once
+    # (a 1.8 MB rise), the encoder's pieces now leave as they are made
+    peak, length = _emit_rise(*_emit_call(QUINTIC_2_101 + ["--json"]))
+    assert length > 8 * BATCH and peak < length / 4
+
+
+@pytest.mark.parametrize("argv, times", [
+    (QUINTIC_2_101 + ["--csv"], 8),
+    (["lseries", *QUINTIC, "--cutoff", "3000", "--deterministic", "--csv"], 64),
+])
+def test_csv_emit_memory_does_not_grow_with_its_rows(argv, times):
+    # csv.writer keeps each row in a buffer of 4 bytes a character, 128 KiB
+    # at least (512 KiB for zeta's p = 101 row), and lseries' 21 KB fit in
+    # one batch; with the rows repeated until those fixed costs are small
+    # beside the output, the emit holds under a quarter of what it writes
+    args, fmt, payload, rows, table = _emit_call(argv)
+    peak, length = _emit_rise(args, fmt, payload, rows[:1] + rows[1:] * times, table)
+    assert length > 8 * BATCH and peak < length / 4
 
 
 def test_out_refused_mid_range_creates_no_file(tmp_path, capsys):
