@@ -25,9 +25,7 @@ _EXPORTS = {
                "PrimalityError", "ValidationError"),
     "ffield": ("FieldTable", "dlog", "is_prime", "make_field"),
     "hecke": ("HeckeCharacter", "LSeriesCoefficients", "MatchReport",
-              "SplitPrimeIdeal", "dirichlet_coefficients", "ideal_jacobi_sum",
-              "match_hasse_weil", "partial_sum_eval", "power_residue_char",
-              "split_prime_ideals", "splitting_data"),
+              "dirichlet_coefficients", "match_hasse_weil", "partial_sum_eval"),
     "zeta": ("LocalFactor", "expected_degrees", "local_factor_middle",
              "predicted_count"),
 }

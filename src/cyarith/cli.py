@@ -613,7 +613,8 @@ def _build_parser() -> _Parser:
                      help=f"cache directory (default ${CACHE_ENV} or ./cache)")
     run.add_argument("--no-cache", action="store_true", help="bypass the factor cache")
     run.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1, metavar="W",
-                     help="parallel workers across primes (default the CPU count)")
+                     help="parallel workers across primes for zeta (default the CPU "
+                          "count); the other subcommands run serially")
 
     variety = argparse.ArgumentParser(add_help=False)
     vg = variety.add_argument_group("variety")

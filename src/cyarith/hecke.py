@@ -1,19 +1,16 @@
-"""Power-residue characters, ideal Jacobi sums and L-series coefficients.
+"""Jacobi-sum Hecke characters, the Hasse-Weil match and L-series coefficients.
 
-A prime p = 1 mod m splits completely in Q(mu_m); the phi(m) primes above
-p are labelled concretely by the elements c of F_p of exact order m (the
-possible residues of xi mod the ideal), found with pow from the smallest
-primitive root g, as are the power-residue symbols: no field table is
-needed to name an ideal or read its character.  Rank-r Jacobi sums over
-such an ideal reproduce the middle local factor of the matching diagonal
-hypersurface, which is the whole point of the exercise.  The ideal
-labelled c = g^(tau (p-1)/m) reads its characters through
-xi^(tau_inv * dlog), so its sums are sigma_{tau_inv} of one base sum: the
-phi(m) ideals above p are one Galois class, and charsum.unit_sums
-evaluates one sum for all of them.  Where charsum.in_closed_form holds,
-that sum is Stickelberger's closed form and needs no table either, so such
-a character has no prime bound; other characters read F_p's table, up to
-ffield.TABLE_BOUND.
+A prime p = 1 mod m splits completely in Q(mu_m), into phi(m) primes of
+norm p; the power-residue characters of order m on F_p^* that they define
+are the conjugates chi^l, l in (Z/m)^*, of one.  So the local data of the
+Jacobi-sum character J_a at p are the phi(m) conjugate sums J_{l a}, which
+_conjugate_sums takes from one charsum.unit_sums call (one sum per Galois
+class); which prime carries which sum is not needed, and the tests' oracle
+labels them.  Rank-r Jacobi sums at these primes reproduce the middle local
+factor of the matching diagonal hypersurface, which is the whole point of
+the exercise.  Where charsum.in_closed_form holds, the sum is
+Stickelberger's closed form and needs no table, so such a character has no
+prime bound; other characters read F_p's table, up to ffield.TABLE_BOUND.
 
 Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
 of a Jacobi-sum character, are built from zeta.LocalFactor: each local
@@ -26,112 +23,24 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 
 from .charsum import (degree_conductors, full_alpha_set, galois_class_head, ord_m,
                       table_degrees, unit_sums)
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
-from .ffield import check_table, is_prime, primitive_root
+from .ffield import check_table
 from .record import Record, Value
 from .zeta import LocalFactor, local_factor_middle
 
 
-@lru_cache(maxsize=1 << 12)
-def splitting_data(p: int, m: int) -> tuple[int, int]:
-    """(f, g): residue degree and number of primes above p in Q(mu_m).
-    Cached: each ideal above p asks again."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    if m < 2:
-        raise ValidationError("conductor must be at least 2")
-    if math.gcd(p, m) != 1:
-        raise ValidationError(f"p={p} ramifies in Q(mu_{m})")
-    f = ord_m(p, m)
-    return f, euler_phi(m) // f
-
-
-class SplitPrimeIdeal(Record):
-    """One of the phi(m) primes above a totally split p, labelled by the
-    residue c of xi: an element of F_p of exact multiplicative order m.
-
-    With g = primitive_root(p), c = g^(tau (p-1)/m) for one tau prime to m,
-    and chi_p(u) = xi^(tau_inv * dlog_g u).
-    """
-
-    __slots__ = ("p", "m", "c", "tau_inv")
-
-    def __init__(self, p: int, m: int, c: int):
-        f, _ = splitting_data(p, m)
-        if f != 1:
-            raise ValidationError(f"p={p} is not totally split mod {m}")
-        w = pow(primitive_root(p), (p - 1) // m, p)
-        tau = _power_index(w, c, p, m)
-        if tau is None or math.gcd(tau, m) != 1:
-            raise ValidationError(f"c={c} does not have exact order {m}")
-        self._fill(p, m, c, pow(tau, -1, m))
-
-    def __repr__(self):             # tau_inv is derived from the label
-        return f"SplitPrimeIdeal(p={self.p!r}, m={self.m!r}, c={self.c!r})"
-
-
-def _power_index(base: int, x: int, p: int, n: int) -> int | None:
-    """The t in 0..n-1 with base^t = x mod p, or None."""
-    y = 1
-    for t in range(n):
-        if y == x % p:
-            return t
-        y = y * base % p
-    return None
-
-
-def split_prime_ideals(p: int, m: int) -> tuple[SplitPrimeIdeal, ...]:
-    """All primes above p, in increasing order of the label c."""
-    if splitting_data(p, m)[0] != 1:
-        raise ValidationError(f"p={p} is not totally split mod {m}")
-    w = pow(primitive_root(p), (p - 1) // m, p)
-    cs = sorted(pow(w, t, p) for t in range(1, m) if math.gcd(t, m) == 1)
-    return tuple(SplitPrimeIdeal(p, m, c) for c in cs)
-
-
-def power_residue_char(ideal: SplitPrimeIdeal, u: int) -> CycInt:
-    """The m-th root of unity congruent to u^((p-1)/m) mod the ideal: xi^j
-    with c^j = u^((p-1)/m) in F_p."""
-    p, m = ideal.p, ideal.m
-    u %= p
-    if u == 0:
-        raise ValidationError("power residue symbol needs a unit argument")
-    j = _power_index(ideal.c, pow(u, (p - 1) // m, p), p, m)
-    if j is None:
-        raise InvariantViolationError("power residue labelling broke")
-    return CycInt.root(m, j)
-
-
-def ideal_jacobi_sums(ideals, vectors) -> list[CycInt]:
-    """J_a(p) = (-1)^(r+1) * sum over units u_1..u_r with sum(u) = -1 of
-    prod chi(u_i)^(a_i), exact in Z[mu_m], for every ideal and every a.
-
-    The ideals must lie over one prime; charsum.unit_sums evaluates one sum
-    per Galois class, and builds F_p's table only if some class needs the
-    kernel (see charsum.in_closed_form).
-    """
-    ideals, vectors = tuple(ideals), list(vectors)
-    if any(len(a) < 1 for a in vectors):
-        raise ValidationError("rank must be at least 1")
-    if not ideals:
-        return []
-    if len({(i.p, i.m) for i in ideals}) != 1:
-        raise ValidationError("ideals must lie over one prime of one conductor")
-    m = ideals[0].m
-    rows = [(m, [x * ideal.tau_inv % m for x in a]) for ideal in ideals for a in vectors]
-    sums = unit_sums((ideals[0].p, 1), rows)
-    return [(-1) ** (len(e) + 1) * j for (_, e), j in zip(rows, sums)]
-
-
-def ideal_jacobi_sum(ideal: SplitPrimeIdeal, a: tuple[int, ...]) -> CycInt:
-    """J_a(p) for one ideal; see ideal_jacobi_sums."""
-    return ideal_jacobi_sums([ideal], [a])[0]
+def _conjugate_sums(p: int, m: int, heads) -> list[CycInt]:
+    """J_{l a} = (-1)^(r+1) * sum over units u_1..u_r of F_p with sum(u) = -1
+    of prod chi(u_i)^(l a_i), chi of order m, for each head a and each l in
+    (Z/m)^*, head by head: the J_a of the phi(m) primes above a split p."""
+    rows = [(m, [l * x % m for x in a])
+            for a in heads for l in range(1, m) if math.gcd(l, m) == 1]
+    return [(-1) ** (len(e) + 1) * j for (_, e), j in zip(rows, unit_sums((p, 1), rows))]
 
 
 # -- Hasse-Weil vs Hecke local data -----------------------------------------------
@@ -149,24 +58,27 @@ class MatchReport(Value):
 
 def match_hasse_weil(v: DiagonalVariety, p: int,
                      lf: LocalFactor | None = None) -> MatchReport:
-    """Compare the ideal Jacobi sums of the Galois-class heads over the
-    phi(m) primes above p with the reciprocal roots of the middle local
-    factor, as multisets (InvariantViolationError if they differ).  The
-    ideals give each sum of a head's class phi(m) / |class| times, so each
-    ideal value counts |class| times against phi(m) copies of the roots."""
+    """Compare the Jacobi sums at the phi(m) primes above a split p with the
+    reciprocal roots of the middle local factor, as multisets
+    (InvariantViolationError if they differ).  Both sides are unit_sums of
+    the same tuples: the independent content here is the reindexing by
+    Galois-class head and the weighting, each of a head's phi(m) conjugate
+    sums counting |class| times against phi(m) copies of the roots."""
     m = math.lcm(*v.exponents)
-    f, g = splitting_data(p, m)
+    tuples = full_alpha_set(v, p).tuples          # p prime, of good reduction
+    f = ord_m(p, m)
     if f != 1:
         raise ValidationError(f"p={p} is not split (f={f}); match needs p = 1 mod {m}")
+    g = euler_phi(m)
     if lf is None:
         lf = local_factor_middle(v, p)
     zeta_side = Counter(j.lift(m) for j, _ in lf.orbits)
 
-    rows = [(m, t.nums[1:]) for t in full_alpha_set(v, p).tuples]   # t.den == m
+    rows = [(m, t.nums[1:]) for t in tuples]      # t.den == m
     sizes = Counter(galois_class_head(row)[0][1] for row in rows)
-    sums = ideal_jacobi_sums(split_prime_ideals(p, m), list(sizes))    # ideal by ideal
+    sums = _conjugate_sums(p, m, list(sizes))     # head by head
     hecke_side: Counter[CycInt] = Counter()
-    for j, n in zip(sums, list(sizes.values()) * g):
+    for j, n in zip(sums, [n for n in sizes.values() for _ in range(g)]):
         hecke_side[j] += n
     if hecke_side != Counter({j: g * n for j, n in zeta_side.items()}):
         raise InvariantViolationError(
@@ -210,14 +122,17 @@ class HeckeCharacter(Record):
         return w - 2 if sum(self.a) % self.m == 0 else w
 
     def local_factor(self, p: int) -> LocalFactor:
-        """prod over the ideals above a split p of (1 - J_a(ideal) t), as a
-        LocalFactor of degree phi(m) with the weight in cohomology_degree.
+        """prod of (1 - J t) over the sums J at the phi(m) primes above a
+        split p, as a LocalFactor of degree phi(m) with the weight in
+        cohomology_degree.
 
-        The ideals are Galois conjugates, so the product is a norm and lies
+        The sums are Galois conjugates, so the product is a norm and lies
         in Z[t]; building the LocalFactor checks that exactly, with
         |J|^2 = p^weight and the functional equation.
         """
-        sums = ideal_jacobi_sums(split_prime_ideals(p, self.m), [self.a])
+        if p % self.m != 1:
+            raise ValidationError(f"p={p} is not totally split mod {self.m}")
+        sums = _conjugate_sums(p, self.m, [self.a])
         return LocalFactor(p=p, cohomology_degree=self.weight,
                            full_degree=euler_phi(self.m), orbits=tuple((j, 1) for j in sums))
 

@@ -11,24 +11,31 @@ once per row instead of once per Galois class, and `jacobi_sums_per_alpha`
 reads every tuple off it, so neither goes through the class-head reduction
 or the split-prime closed form of `charsum.unit_sums`.
 `predicted_count_direct` takes N_r from the orbit roots' powers in Z[mu_M]
-instead of Newton's identities on the integer factor.  The scalar and
-vectorised field operations at the end read the field's exp/dlog tables;
-for addition they derive the base-p digit rows from the element index
-themselves, so nothing here shares the kernel's Zech table.
+instead of Newton's identities on the integer factor.
+`split_prime_ideals` labels the phi(m) primes above a totally split p by
+the residues c of xi, `power_residue_char` reads a prime's character off
+its label, and `ideal_jacobi_sums` takes the Jacobi sums ideal by ideal:
+the labelled-ideal layer that `hecke._conjugate_sums` replaced, kept as
+the independent check of which conjugate sums the primes above p carry.
+The scalar and vectorised field operations at the end read the field's
+exp/dlog tables; for addition they derive the base-p digit rows from the
+element index themselves, so nothing here shares the kernel's Zech table.
 `smallest_generator_direct` finds make_field's default generator by taking
 the order of every element index in turn with `mul`, and `with_generator`
 re-indexes a table's logarithms to another generator.
 """
 
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from cyarith.charsum import _row, _unit_sum, dlog_pair_table
-from cyarith.cyclo import CycInt
+from cyarith.charsum import _row, _unit_sum, dlog_pair_table, ord_m, unit_sums
+from cyarith.cyclo import CycInt, euler_phi
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
-from cyarith.ffield import FieldTable
+from cyarith.ffield import FieldTable, is_prime, primitive_root
+from cyarith.record import Record
 
 DIRECT_SUM_BUDGET = 1 << 28     # (q-1)^s cap for the direct Jacobi summation
 DIRECT_ENUM_BUDGET = 1 << 25    # affine grid cells for the exhaustive count
@@ -171,6 +178,105 @@ def predicted_count_direct(lf, r):
             acc = acc + f * (j ** (r // f)).lift(big_m)
         total += (-1) ** n * acc.rational_value()  # raises if not rational
     return total
+
+
+# -- the primes above a split p, labelled one by one ----------------------------
+
+
+@lru_cache(maxsize=1 << 12)
+def splitting_data(p: int, m: int) -> tuple[int, int]:
+    """(f, g): residue degree and number of primes above p in Q(mu_m).
+    Cached: each ideal above p asks again."""
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
+    if m < 2:
+        raise ValidationError("conductor must be at least 2")
+    if math.gcd(p, m) != 1:
+        raise ValidationError(f"p={p} ramifies in Q(mu_{m})")
+    f = ord_m(p, m)
+    return f, euler_phi(m) // f
+
+
+class SplitPrimeIdeal(Record):
+    """One of the phi(m) primes above a totally split p, labelled by the
+    residue c of xi: an element of F_p of exact multiplicative order m.
+
+    With g = primitive_root(p), c = g^(tau (p-1)/m) for one tau prime to m,
+    and chi_p(u) = xi^(tau_inv * dlog_g u).
+    """
+
+    __slots__ = ("p", "m", "c", "tau_inv")
+
+    def __init__(self, p: int, m: int, c: int):
+        f, _ = splitting_data(p, m)
+        if f != 1:
+            raise ValidationError(f"p={p} is not totally split mod {m}")
+        w = pow(primitive_root(p), (p - 1) // m, p)
+        tau = _power_index(w, c, p, m)
+        if tau is None or math.gcd(tau, m) != 1:
+            raise ValidationError(f"c={c} does not have exact order {m}")
+        self._fill(p, m, c, pow(tau, -1, m))
+
+    def __repr__(self):             # tau_inv is derived from the label
+        return f"SplitPrimeIdeal(p={self.p!r}, m={self.m!r}, c={self.c!r})"
+
+
+def _power_index(base: int, x: int, p: int, n: int) -> int | None:
+    """The t in 0..n-1 with base^t = x mod p, or None."""
+    y = 1
+    for t in range(n):
+        if y == x % p:
+            return t
+        y = y * base % p
+    return None
+
+
+def split_prime_ideals(p: int, m: int) -> tuple[SplitPrimeIdeal, ...]:
+    """All primes above p, in increasing order of the label c."""
+    if splitting_data(p, m)[0] != 1:
+        raise ValidationError(f"p={p} is not totally split mod {m}")
+    w = pow(primitive_root(p), (p - 1) // m, p)
+    cs = sorted(pow(w, t, p) for t in range(1, m) if math.gcd(t, m) == 1)
+    return tuple(SplitPrimeIdeal(p, m, c) for c in cs)
+
+
+def power_residue_char(ideal: SplitPrimeIdeal, u: int) -> CycInt:
+    """The m-th root of unity congruent to u^((p-1)/m) mod the ideal: xi^j
+    with c^j = u^((p-1)/m) in F_p."""
+    p, m = ideal.p, ideal.m
+    u %= p
+    if u == 0:
+        raise ValidationError("power residue symbol needs a unit argument")
+    j = _power_index(ideal.c, pow(u, (p - 1) // m, p), p, m)
+    if j is None:
+        raise InvariantViolationError("power residue labelling broke")
+    return CycInt.root(m, j)
+
+
+def ideal_jacobi_sums(ideals, vectors) -> list[CycInt]:
+    """J_a(p) = (-1)^(r+1) * sum over units u_1..u_r with sum(u) = -1 of
+    prod chi(u_i)^(a_i), exact in Z[mu_m], for every ideal and every a.
+
+    The ideals must lie over one prime; charsum.unit_sums evaluates one sum
+    per Galois class, and builds F_p's table only if some class needs the
+    kernel (see charsum.in_closed_form).
+    """
+    ideals, vectors = tuple(ideals), list(vectors)
+    if any(len(a) < 1 for a in vectors):
+        raise ValidationError("rank must be at least 1")
+    if not ideals:
+        return []
+    if len({(i.p, i.m) for i in ideals}) != 1:
+        raise ValidationError("ideals must lie over one prime of one conductor")
+    m = ideals[0].m
+    rows = [(m, [x * ideal.tau_inv % m for x in a]) for ideal in ideals for a in vectors]
+    sums = unit_sums((ideals[0].p, 1), rows)
+    return [(-1) ** (len(e) + 1) * j for (_, e), j in zip(rows, sums)]
+
+
+def ideal_jacobi_sum(ideal: SplitPrimeIdeal, a: tuple[int, ...]) -> CycInt:
+    """J_a(p) for one ideal; see ideal_jacobi_sums."""
+    return ideal_jacobi_sums([ideal], [a])[0]
 
 
 # -- FieldTable arithmetic on element indices ------------------------------------

@@ -114,7 +114,6 @@ def test_a_prime_range_is_trial_divided_once_per_layer(capsys, monkeypatch):
     import cyarith.charsum as charsum
     import cyarith.counting as counting
     import cyarith.ffield as ffield
-    import cyarith.hecke as hecke
 
     calls = []
     is_prime = ffield.is_prime
@@ -123,7 +122,7 @@ def test_a_prime_range_is_trial_divided_once_per_layer(capsys, monkeypatch):
         calls.append(n)
         return is_prime(n)
 
-    for module in (ffield, charsum, counting, hecke):
+    for module in (ffield, charsum, counting):
         monkeypatch.setattr(module, "is_prime", counted)
         for memo in vars(module).values():      # earlier tests' memos skip some calls
             if hasattr(memo, "cache_clear"):
@@ -148,6 +147,13 @@ def test_unknown_flag_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert run(["zeta", "--help"]) == 0
+
+
+def test_jobs_help_says_only_zeta_uses_workers(capsys):
+    # every subcommand takes --jobs, and its help says which one reads it
+    assert run(["hecke", "--help"]) == 0
+    assert ("--jobs W parallel workers across primes for zeta (default the CPU count); "
+            "the other subcommands run serially") in " ".join(capsys.readouterr().out.split())
 
 
 def test_missing_variety(capsys):
@@ -188,6 +194,11 @@ REFUSALS = {
                       " / --fusion / --fusion-field / --gepner"),
     "spectrum-level": (["cft", "--spectrum"], "cft needs --level for this action"),
     "kn-row": (["cft", "--level", "3", "--check", "kn"], "--check kn needs --m"),
+    "match-bad-prime": (["match", *QUINTIC, "-p", "5"],
+                        "5 divides an exponent of (5, 5, 5, 5, 5)"),
+    "match-non-prime": (["match", *QUINTIC, "-p", "21"], "21 is not prime"),
+    "match-inert": (["match", *QUINTIC, "-p", "7", "--no-cache"],
+                    "p=7 is not split (f=4); match needs p = 1 mod 5"),
 }
 
 
@@ -640,13 +651,13 @@ def test_match_range_skips_bad_and_non_split(capsys):
 def test_match_failure_exits_2(capsys, monkeypatch):
     # one perturbed Hecke sum breaks the multiset match
     import cyarith.hecke as hecke
-    real = hecke.ideal_jacobi_sums
+    real = hecke._conjugate_sums
 
-    def perturbed(ideals, vectors):
-        sums = real(ideals, vectors)
+    def perturbed(p, m, heads):
+        sums = real(p, m, heads)
         return [sums[0] + 1] + sums[1:]
 
-    monkeypatch.setattr(hecke, "ideal_jacobi_sums", perturbed)
+    monkeypatch.setattr(hecke, "_conjugate_sums", perturbed)
     assert run(["match", "-d", "5", "-n", "3", "-p", "11", "--no-cache"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "disagree as multisets at p=11" in out.err

@@ -1,22 +1,24 @@
-"""Split-prime ideals, ideal Jacobi sums, Dirichlet coefficients, and the
-Hasse-Weil vs Hecke multiset match."""
+"""The conjugate Jacobi sums at a split prime against the labelled-ideal
+oracle, Dirichlet coefficients, and the Hasse-Weil vs Hecke multiset match."""
 
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
                      count_projective,
-                     dirichlet_coefficients, euler_phi, ideal_jacobi_sum,
+                     dirichlet_coefficients, euler_phi,
                      is_prime, local_factor_middle, make_field, match_hasse_weil,
-                     partial_sum_eval,
-                     power_residue_char, split_prime_ideals, splitting_data)
+                     partial_sum_eval)
 from cyarith import ffield
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
-from cyarith.hecke import _assemble, _smallest_prime_factors, ideal_jacobi_sums
+from cyarith.hecke import _assemble, _conjugate_sums, _smallest_prime_factors
+from oracles import (SplitPrimeIdeal, ideal_jacobi_sum, ideal_jacobi_sums,
+                     power_residue_char, split_prime_ideals, splitting_data)
 
 
 def test_splitting_data():
@@ -36,7 +38,6 @@ def test_split_prime_ideals_p11():
     # each label has exact multiplicative order 5 in F_11
     for i in ideals:
         assert pow(i.c, 5, 11) == 1 and i.c != 1
-    from cyarith.hecke import SplitPrimeIdeal
     with pytest.raises(ValidationError):
         SplitPrimeIdeal(11, 5, 2)             # order 10, not 5
     with pytest.raises(ValidationError):
@@ -102,12 +103,16 @@ def _ideal_sum_brute(ideal, a):
 
 
 @st.composite
-def _ideal_and_vector(draw):
+def _split_prime_and_vector(draw):
     p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
     m = draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
-    ideal = draw(st.sampled_from(split_prime_ideals(p, m)))
-    a = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
-    return ideal, tuple(a)
+    return p, m, tuple(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4)))
+
+
+@st.composite
+def _ideal_and_vector(draw):
+    p, m, a = draw(_split_prime_and_vector())
+    return draw(st.sampled_from(split_prime_ideals(p, m))), a
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,6 +120,21 @@ def _ideal_and_vector(draw):
 def test_ideal_jacobi_sum_matches_brute_force(case):
     ideal, a = case
     assert ideal_jacobi_sum(ideal, a) == _ideal_sum_brute(ideal, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_split_prime_and_vector())
+@example((13, 4, (1, 3)))                 # composite m, sum(a) = 0 mod m
+@example((7, 6, (0, 5, 1)))
+@example((11, 10, (3, 0, 7, 0)))
+@example((13, 12, (1, 5, 6)))
+@example((31, 5, (1, 1, 1, 1)))
+def test_conjugate_sums_match_labelled_ideals(case):
+    # the phi(m) conjugates of one sum are the sums at the primes above p,
+    # each prime labelled and its sum enumerated by the oracle
+    p, m, a = case
+    assert Counter(_conjugate_sums(p, m, [a])) == Counter(
+        _ideal_sum_brute(ideal, a) for ideal in split_prime_ideals(p, m))
 
 
 def test_match_hasse_weil(quintic, quintic_lf11, quintic_lf31):
@@ -141,13 +161,13 @@ def test_match_hasse_weil_weights_classes_smaller_than_phi(exps, p, sizes):
 
 def test_match_hasse_weil_raises_on_mismatch(quintic, quintic_lf11, monkeypatch):
     import cyarith.hecke as hecke
-    real = hecke.ideal_jacobi_sums
+    real = hecke._conjugate_sums
 
-    def perturbed(ideals, vectors):
-        sums = real(ideals, vectors)
+    def perturbed(p, m, heads):
+        sums = real(p, m, heads)
         return [sums[0] + 1] + sums[1:]
 
-    monkeypatch.setattr(hecke, "ideal_jacobi_sums", perturbed)
+    monkeypatch.setattr(hecke, "_conjugate_sums", perturbed)
     with pytest.raises(InvariantViolationError, match="disagree as multisets at p=11"):
         match_hasse_weil(quintic, 11, quintic_lf11)
 
@@ -189,11 +209,18 @@ def test_dirichlet_gap_detection(quintic):
 
 
 LIBRARY_GUARDS = {
-    "rank-0": (lambda: ideal_jacobi_sums(split_prime_ideals(11, 5), [()]),
-               "rank must be at least 1"),
-    "two-primes": (lambda: ideal_jacobi_sums(split_prime_ideals(11, 5)[:1]
-                                             + split_prime_ideals(31, 5)[:1], [(1, 1)]),
-                   "ideals must lie over one prime of one conductor"),
+    "factor-inert": (lambda: HeckeCharacter(5, (1, 1, 1, 1)).local_factor(7),
+                     "p=7 is not totally split mod 5"),
+    "factor-ramified": (lambda: HeckeCharacter(5, (1, 1, 1, 1)).local_factor(5),
+                        "p=5 is not totally split mod 5"),
+    "factor-non-prime": (lambda: HeckeCharacter(5, (1, 1, 1, 1)).local_factor(21),
+                         "21 is not prime"),
+    "match-bad-prime": (lambda: match_hasse_weil(DiagonalVariety.fermat(5, 3), 5),
+                        "5 divides an exponent of (5, 5, 5, 5, 5)"),
+    "match-inert": (lambda: match_hasse_weil(DiagonalVariety.fermat(5, 3), 7),
+                    "p=7 is not split (f=4); match needs p = 1 mod 5"),
+    "match-non-prime": (lambda: match_hasse_weil(DiagonalVariety.fermat(5, 3), 21),
+                        "21 is not prime"),
     "a-of-0": (lambda: dirichlet_coefficients(HeckeCharacter(5, (1, 4)), 10).a(0),
                "n=0 outside 1..10"),
     "source": (lambda: dirichlet_coefficients("x", 10), "unsupported coefficient source str"),
@@ -277,6 +304,30 @@ def test_split_primes_past_prime_field_bound(quintic, monkeypatch):
     full = local_factor_middle(quintic, 100151)
     assert full.is_exact and full.degree == 204
     assert calls == []
+
+
+def test_split_primes_are_trial_divided_twice(monkeypatch):
+    # the sieve proves every prime to the cutoff; a split prime is divided
+    # again only by the input checks of unit_sums' field_order and of
+    # field_generator, and hecke itself calls is_prime nowhere
+    import cyarith.charsum as charsum
+    import cyarith.hecke as hecke
+
+    calls = []
+    is_prime = ffield.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in (ffield, charsum):
+        monkeypatch.setattr(module, "is_prime", counted)
+        for memo in vars(module).values():      # earlier tests' memos skip some calls
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+    coeffs = dirichlet_coefficients(HeckeCharacter(5, (1, 1, 1, 1)), 20000)
+    assert len(coeffs.included_primes) == 563 and len(calls) == 1126
+    assert not hasattr(hecke, "is_prime")
 
 
 def test_lseries_cutoff_beyond_extension_field_bound(monkeypatch):

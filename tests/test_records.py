@@ -12,8 +12,9 @@ import pytest
 from cyarith import DiagonalVariety, cft, dirichlet_coefficients, make_field
 from cyarith.charsum import AlphaSet, AlphaTuple
 from cyarith.cyclo import CycInt, GroupRingElement
-from cyarith.hecke import HeckeCharacter, MatchReport, PartialSumResult, SplitPrimeIdeal
+from cyarith.hecke import HeckeCharacter, MatchReport, PartialSumResult
 from cyarith.zeta import local_factor_middle
+from oracles import SplitPrimeIdeal
 
 CUBIC = (3, 3, 3)
 

@@ -24,6 +24,9 @@ RULES = {
                                 r"|_stickelberger_exponents)\b", set()),
     "congruent-zeta": ("**/*.py", r"\bCongruentZeta\b|\bcongruent_zeta\b|CYARITH_JOBS", set()),
     "fusion-tolerances": ("**/*.py", r"FUSION_ACCEPT|UNIT_TOL", set()),
+    # the labelled ideals above a split prime are the tests' oracle
+    "ideal-layer": ("**/*.py", r"\bSplitPrimeIdeal\b|split_prime_ideals|power_residue_char"
+                               r"|splitting_data|ideal_jacobi_sums?\b", set()),
     # only cache.py loads, stores and names cache entries
     "cache-entries": ("**/*.py", r"cache\.(load|store|entry_path)\(", {"cyarith/cache.py"}),
     # only charsum decides which sums read a table

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cyarith.charsum as charsum
-from cyarith import (CycInt, DiagonalVariety, full_alpha_set, ideal_jacobi_sum,
-                     is_prime, make_field, split_prime_ideals)
+from cyarith import CycInt, DiagonalVariety, full_alpha_set, is_prime, make_field
 from cyarith.charsum import (STICKELBERGER_CONDUCTORS, galois_class_head, in_closed_form,
                              jacobi_sum, jacobi_sums, ord_m, unit_sums)
 from cyarith.cyclo import GroupRingElement
 from cyarith.errors import InvariantViolationError
 from cyarith.ffield import primitive_root
-from cyarith.hecke import SplitPrimeIdeal, ideal_jacobi_sums
 from cyarith.zeta import local_factor_middle
-from oracles import jacobi_sums_per_alpha, unit_sums_per_row
+from oracles import (SplitPrimeIdeal, ideal_jacobi_sum, ideal_jacobi_sums,
+                     jacobi_sums_per_alpha, split_prime_ideals, unit_sums_per_row)
 
 SPLIT_PRIMES = {l: [p for p in range(3, 2001) if is_prime(p) and p % l == 1]
                 for l in sorted(STICKELBERGER_CONDUCTORS)}

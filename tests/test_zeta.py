@@ -9,11 +9,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 import cyarith.zeta as zeta_module
 from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
                      count_projective, expected_degrees, full_alpha_set, is_prime,
-                     local_factor_middle, predicted_count, split_prime_ideals)
+                     local_factor_middle, predicted_count)
 from cyarith.errors import InvariantViolationError, ValidationError
-from cyarith.hecke import ideal_jacobi_sums
 from cyarith.zeta import expand_roots
-from oracles import expand_powers_by_class, expand_roots_direct, predicted_count_direct
+from oracles import (expand_powers_by_class, expand_roots_direct, ideal_jacobi_sums,
+                     predicted_count_direct, split_prime_ideals)
 
 PRIMES = [p for p in range(2, 60) if is_prime(p)]
 TRUNCS = st.one_of(st.none(), st.integers(0, 8))
