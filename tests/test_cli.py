@@ -40,6 +40,12 @@ def _validate(name, payload):
     jsonschema.Draft202012Validator(_schema(name)).validate(payload)
 
 
+@pytest.mark.parametrize("path", sorted(SCHEMA_DIR.glob("*.schema.json")), ids=lambda p: p.name)
+def test_schema_files_are_valid_schemas(path):
+    # _validate trusts each schema; a malformed one must not land
+    jsonschema.Draft202012Validator.check_schema(json.loads(path.read_text()))
+
+
 def test_count_json(capsys):
     doc = _json_out(capsys, ["count", "-d", "5", "-n", "3", "-p", "11"])
     _validate("count", doc)
@@ -333,7 +339,7 @@ def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
     assert capsys.readouterr().out == first       # byte-identical reread
 
     rec = json.loads(entry.read_text())
-    rec["data"]["coefficients"][1] = "999"        # hash no longer matches
+    rec["data"]["orbits"][0]["coefficients"][1] = "999"    # hash no longer matches
     entry.write_text(json.dumps(rec))
     assert run(argv) == 0
     assert capsys.readouterr().out == first       # recomputed, same answer
@@ -341,8 +347,17 @@ def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
     assert entry.exists()                         # rewritten after recompute
 
 
-# the entry zeta -d 3 -n 1 -p 7 writes, byte for byte: format version 1
+# the entry zeta -d 3 -n 1 -p 7 writes, byte for byte: format version 2,
+# the roots alone
 CUBIC_P7_ENTRY = (
+    '{"format_version":2,'
+    '"self_check":"3c6ddad3381c487176239fc0ddb6d37046172721dcb489603ba3b62475b1f9fc",'
+    '"data":{"cohomology_degree":1,"exponents":[3,3,3],'
+    '"full_degree":2,"orbits":[{"coefficients":["1","3"],"count":1,"m":3},'
+    '{"coefficients":["-2","-3"],"count":1,"m":3}],"p":7,"precision":null}}\n')
+
+# the entry that format version 1 wrote for it, the coefficients stored too
+CUBIC_P7_ENTRY_V1 = (
     '{"format_version":1,'
     '"self_check":"40edc109cfb8713c030ef7dbb7885eb826ee171140178eda0dccf693cce31c1c",'
     '"data":{"coefficients":["1","1","7"],"cohomology_degree":1,"exponents":[3,3,3],'
@@ -371,12 +386,40 @@ def test_cache_entry_is_compact_and_the_indented_layout_loads(capsys, caplog, tm
                     "full_degree": data["full_degree"],
                     "orbits": [{"m": o["m"], "count": o["count"],
                                 "coefficients": o["coefficients"]} for o in data["orbits"]],
-                    "coefficients": data["coefficients"], "precision": data["precision"]}}
+                    "precision": data["precision"]}}
     entry.write_text(json.dumps(old, indent=1) + "\n")
     assert run(argv) == 0
     assert capsys.readouterr().out == first
     assert "discarding" not in caplog.text
     assert entry.read_text() == json.dumps(old, indent=1) + "\n"   # read, not rewritten
+
+
+def test_cache_version_1_entry_is_discarded_once_and_rewritten(capsys, caplog, tmp_path):
+    # an entry of the earlier format goes through the version check like
+    # any other: discarded with a warning, recomputed, and stored as version 2
+    argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--json", "--deterministic",
+            "--cache", str(tmp_path)]
+    assert run(argv[:-2] + ["--no-cache"]) == 0
+    fresh = capsys.readouterr().out
+    entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
+    entry.write_text(CUBIC_P7_ENTRY_V1)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == fresh
+    assert f"discarding corrupt cache entry {entry}: format version 1" in caplog.text
+    assert entry.read_text() == CUBIC_P7_ENTRY
+    caplog.clear()
+    assert run(argv) == 0                         # the rewritten entry loads
+    assert capsys.readouterr().out == fresh and "discarding" not in caplog.text
+
+
+def test_cache_entry_holds_the_roots_alone(tmp_path):
+    # the quintic at p = 101: 204 roots of a few digits each, where the
+    # factor's coefficients reach 614 digits (84,035 B with them stored)
+    lf = cache.local_factor(tmp_path, DiagonalVariety.fermat(5, 3), 101)
+    entry = cache.entry_path(tmp_path, (5,) * 5, 101)
+    assert "coefficients" not in json.loads(entry.read_text())["data"]
+    assert max(len(str(abs(c))) for c in lf.coeffs) == 614
+    assert entry.stat().st_size < 16_000
 
 
 def test_cache_self_check_is_hashlibs_sha256(tmp_path, quintic, quintic_lf11):
@@ -398,15 +441,16 @@ def _rehashed(entry, edit):
     entry.write_text(json.dumps(rec))
 
 
-def _bump_a_coefficient(data):
-    data["coefficients"][1] = str(int(data["coefficients"][1]) + 1)
+def _bump_a_root(data):
+    root = data["orbits"][0]["coefficients"]
+    root[0] = str(int(root[0]) + 1)
 
 
 def _mark_truncated(data):
     data["precision"] = 1
 
 
-@pytest.mark.parametrize("edit, reason", [(_bump_a_coefficient, "stored coefficients differ"),
+@pytest.mark.parametrize("edit, reason", [(_bump_a_root, "not Galois-closed"),
                                           (_mark_truncated, "truncated"),
                                           ("[]", "not a JSON object"),
                                           ("null", "not a JSON object")])
@@ -437,7 +481,7 @@ def test_cache_discard_warning_on_stderr(tmp_path):
     cold = subprocess.run(argv, capture_output=True, text=True)
     assert cold.returncode == 0 and cold.stderr == ""
     entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
-    _rehashed(entry, _bump_a_coefficient)
+    _rehashed(entry, _bump_a_root)
     warm = subprocess.run(argv, capture_output=True, text=True)
     assert warm.returncode == 0 and warm.stdout == cold.stdout
     assert warm.stderr.startswith(f"warning: discarding corrupt cache entry {entry}: ")
@@ -867,8 +911,9 @@ def test_zeta_coefficients_past_the_int_str_limit(capsys, caplog, tmp_path):
 
 
 def test_cache_round_trip_past_the_int_str_limit_in_library_code(caplog, tmp_path):
-    # no run() here to lift Python's 4,300-digit limit: store and load lift
-    # it around their own conversions, and restore the caller's
+    # no run() here to lift Python's 4,300-digit limit: an entry holds the
+    # roots alone, so store and load convert none of the expanded
+    # coefficients to or from a string, and leave the caller's limit as it was
     limit = sys.get_int_max_str_digits()
     v = DiagonalVariety((7,) * 6)
     lf = cache.local_factor(tmp_path, v, 3)
@@ -962,6 +1007,61 @@ def test_json_emit_holds_under_a_quarter_of_its_output():
     # (a 1.8 MB rise), the encoder's pieces now leave as they are made
     peak, length = _emit_rise(*_emit_call(QUINTIC_2_101 + ["--json"]))
     assert length > 8 * BATCH and peak < length / 4
+
+
+def _live_at_emit(monkeypatch, argv, start=None):
+    """The bytes that tracemalloc counts live when cli._emit is called for
+    argv (nothing is written), traced from the start of the run with every
+    memo of cyarith cleared, or, given start = (module, name), from the
+    return of that function."""
+    import importlib
+
+    live = []
+    monkeypatch.setattr(cli, "_emit", lambda *args, **kwargs: live.append(
+        tracemalloc.get_traced_memory()[0]))
+    if start is None:
+        for name in ("charsum", "counting", "cyclo", "ffield", "hecke", "zeta"):
+            for memo in vars(importlib.import_module(f"cyarith.{name}")).values():
+                if hasattr(memo, "cache_clear"):
+                    memo.cache_clear()
+        tracemalloc.start()
+    else:
+        module, name = start
+        inner = getattr(module, name)
+
+        def traced(*args):
+            out = inner(*args)
+            tracemalloc.start()
+            return out
+        monkeypatch.setattr(module, name, traced)
+    try:
+        assert run(argv) == 0
+    finally:
+        tracemalloc.stop()
+    [at_emit] = live
+    return at_emit
+
+
+def test_zeta_holds_its_coefficients_as_ints_until_the_emit(monkeypatch):
+    # the quintic to p = 401 has 78 factors of 205 coefficients, of up to
+    # 797 digits at p = 401; held as decimal strings they and the memos
+    # were 4.3 MB live at the emit, as ints 2.0-2.2 MB, and the strings are
+    # made one at a time as the encoder writes them
+    assert run(["zeta", *QUINTIC, "-p", "2", "--no-cache", "--jobs", "1"]) == 0  # imports
+    argv = ["zeta", *QUINTIC, "-p", "2..401", "--json", "--deterministic", "--no-cache",
+            "--jobs", "1"]
+    assert _live_at_emit(monkeypatch, argv) < 3_000_000
+
+
+def test_dirichlet_json_holds_no_decimal_strings(monkeypatch):
+    # what the JSON payload adds to the computed a_n: a tuple of references,
+    # 8 B an a_n (92 KB here), where a list of their strings took 599 KB
+    import cyarith.hecke as hecke
+
+    cutoff = 10_000
+    argv = ["hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", str(cutoff), "--json",
+            "--deterministic"]
+    assert _live_at_emit(monkeypatch, argv, (hecke, "dirichlet_coefficients")) < 16 * cutoff
 
 
 @pytest.mark.parametrize("argv, times", [
