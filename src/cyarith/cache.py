@@ -14,7 +14,9 @@ trusts an entry only if the version, hash and key match, the factor is
 complete, and the LocalFactor rebuilt from the stored roots passes every
 check a fresh factor passes (RH, Galois closure, integrality, degree and
 the functional equation); else it is deleted with a warning on the
-``cyarith.cache`` logger, and the caller recomputes and stores it.  So an
+``cyarith.cache`` logger, and the caller recomputes and stores it.  Only
+such a discard imports logging, and the library sets none of it up: the
+CLI's ``before_warning`` does, just before the warning is logged.  So an
 entry of an earlier format version is discarded once and rewritten.
 ``store`` writes the entry as one compact JSON line (any layout of the same
 JSON loads) to a per-writer temp file and renames it into place, so
@@ -33,6 +35,10 @@ from .errors import InvariantViolationError, ValidationError
 from .zeta import LocalFactor, local_factor_middle
 
 FORMAT_VERSION = 2
+
+# None, or a function called with the logging module before a discard is
+# logged: the CLI's prints the warning on stderr as "warning: ..."
+before_warning = None
 
 
 def entry_path(cache_dir: Path, exps: tuple[int, ...], p: int) -> Path:
@@ -120,6 +126,8 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
     except (OSError, ValueError, KeyError, TypeError, IndexError,
             InvariantViolationError) as exc:
         import logging  # only a discard logs
+        if before_warning is not None:
+            before_warning(logging)
         logging.getLogger(__name__).warning("discarding corrupt cache entry %s: %s", path, exc)
         try:
             path.unlink()

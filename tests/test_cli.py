@@ -18,8 +18,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from cyarith import DiagonalVariety, cache, cli
+from cyarith import DiagonalVariety, cache
 from cyarith.cli import run
+from cyarith.commands import common
 from cyarith.errors import ValidationError
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -662,8 +663,9 @@ def test_hecke_json(capsys):
     assert doc["split_primes"] == [11, 31]
 
 
-def test_match_json(capsys):
-    doc = _json_out(capsys, ["match", "-d", "5", "-n", "3", "-p", "11"])
+def test_match_json(capsys, tmp_path):
+    doc = _json_out(capsys, ["match", "-d", "5", "-n", "3", "-p", "11",
+                             "--cache", str(tmp_path)])
     _validate("match", doc)
     assert doc["results"][0]["matched"] is True
     assert doc["results"][0]["sign"] == 1
@@ -680,13 +682,13 @@ def test_match_table_states_the_product_only_where_it_holds(capsys):
         "  p = 11     4 ideals x 51 orbits = 204 values  matched, sign +1"
 
 
-def test_match_range_skips_bad_and_non_split(capsys):
+def test_match_range_skips_bad_and_non_split(capsys, tmp_path):
     # 2, 3, 7 are inert and 5 is bad; a strict list still refuses them
     doc = _json_out(capsys, ["match", "-d", "5", "-n", "3", "-p", "2..12", "--no-cache"])
     _validate("match", doc)
     assert [(r["p"], r["matched"]) for r in doc["results"]] == [(11, True)]
     for spec in ("2..10", "2,11", "5"):
-        assert run(["match", "-d", "5", "-n", "3", "-p", spec]) == 1
+        assert run(["match", "-d", "5", "-n", "3", "-p", spec, "--cache", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "no split primes" in err and "p=2 is not split" in err
     assert "bad reduction" in err or "divides an exponent" in err
@@ -961,7 +963,7 @@ class _WriteThrough:
 
 
 def _emit_rise(*emit_args):
-    """The tracemalloc peak that cli._emit(*emit_args) reaches above what was
+    """The tracemalloc peak that common.emit(*emit_args) reaches above what was
     live when it began, and the length of what it wrote.  csv is imported
     already (above), so its import is not counted."""
     sink = _WriteThrough(lengths_only=True)
@@ -969,7 +971,7 @@ def _emit_rise(*emit_args):
         mp.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
-            cli._emit(*emit_args)
+            common.emit(*emit_args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -977,11 +979,11 @@ def _emit_rise(*emit_args):
 
 
 def _emit_call(argv):
-    """The arguments that the subcommand of argv hands to cli._emit, with the
+    """The arguments that the subcommand of argv hands to common.emit, with the
     CSV rows listed; nothing is written."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_emit", lambda args, fmt, payload, csv_rows=(), table=():
+        mp.setattr(common, "emit", lambda args, fmt, payload, csv_rows=(), table=():
                    calls.append((args, fmt, payload, list(csv_rows), table)))
         assert run(argv) == 0
     [call] = calls
@@ -1010,14 +1012,14 @@ def test_json_emit_holds_under_a_quarter_of_its_output():
 
 
 def _live_at_emit(monkeypatch, argv, start=None):
-    """The bytes that tracemalloc counts live when cli._emit is called for
+    """The bytes that tracemalloc counts live when common.emit is called for
     argv (nothing is written), traced from the start of the run with every
     memo of cyarith cleared, or, given start = (module, name), from the
     return of that function."""
     import importlib
 
     live = []
-    monkeypatch.setattr(cli, "_emit", lambda *args, **kwargs: live.append(
+    monkeypatch.setattr(common, "emit", lambda *args, **kwargs: live.append(
         tracemalloc.get_traced_memory()[0]))
     if start is None:
         for name in ("charsum", "counting", "cyclo", "ffield", "hecke", "zeta"):
@@ -1117,6 +1119,16 @@ def test_process_pool_only_for_parallel_runs(capsys):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_console_pool_prints_the_serial_bytes():
+    # the pool's workers take the zeta job by its module path while the
+    # front end runs as __main__
+    argv = [sys.executable, "-m", "cyarith.cli", "zeta", "-d", "3", "-n", "1",
+            "-p", "7,13,19", "--no-cache", "--json", "--deterministic", "--jobs"]
+    serial, pooled = (subprocess.run(argv + [jobs], capture_output=True) for jobs in ("1", "2"))
+    assert serial.returncode == pooled.returncode == 0 and serial.stderr == pooled.stderr == b""
+    assert pooled.stdout == serial.stdout and b'"p": 19' in serial.stdout
 
 
 def test_extension_below_one_refused(capsys):

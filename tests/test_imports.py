@@ -42,7 +42,7 @@ def _cli(*argv: str) -> str:
 @pytest.mark.parametrize("code, absent", [
     ("import cyarith.cli",
      {"cyarith.cache", "cyarith.zeta", "cyarith.hecke", "cyarith.cft", "numpy", "logging",
-      "dataclasses", "inspect", "datetime", "csv"}),
+      "dataclasses", "inspect", "datetime", "csv", "cyarith.commands"}),
     (_cli("count", "-d", "5", "-n", "3", "-p", "11"),
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", "numpy"}),
     (_cli("count", "--exponents", "3,3,3", "-p", "2..71", "-r", "2"),
@@ -77,7 +77,7 @@ def test_a_subcommand_loads_only_what_it_runs(tmp_path, code, absent):
 ], ids=["hecke", "count", "zeta-no-cache"])
 def test_a_console_run_loads_no_records_logging_or_openssl(tmp_path, argv, ran):
     # no dataclasses (nor the inspect it pulls in), logging only where a
-    # cache directory is opened, and hashlib nowhere
+    # cache entry is discarded, and hashlib nowhere
     loaded = _modules_after(_console(*argv), tmp_path)
     assert {"cyarith.errors", ran} <= loaded      # cyarith.cli ran as __main__
     assert not loaded & {"dataclasses", "inspect", "logging", "hashlib", "_hashlib"}
@@ -85,8 +85,9 @@ def test_a_console_run_loads_no_records_logging_or_openssl(tmp_path, argv, ran):
 
 @pytest.mark.parametrize("warm", [False, True], ids=["zeta-cold", "match-warm"])
 def test_a_cached_console_run_maps_no_openssl(tmp_path, warm):
-    # the self-check hashes with the interpreter's own sha256: a cold zeta
-    # stores the entry, and a warm match on the same directory reads it back
+    # the self-check hashes with the interpreter's own sha256, and only a
+    # discard loads logging: a cold zeta stores the entry, and a warm match
+    # on the same directory reads it back
     cache_dir = tmp_path / "cache"
     zeta = ["zeta", "-d", "5", "-n", "3", "-p", "11", "--cache", str(cache_dir)]
     entry = cache_dir / "v5-5-5-5-5_p11.json"
@@ -96,8 +97,30 @@ def test_a_cached_console_run_maps_no_openssl(tmp_path, warm):
     argv = ["match", *zeta[1:]] if warm else zeta
     loaded = _modules_after(_console(*argv), tmp_path)
     assert "cyarith.cache" in loaded
-    assert not loaded & {"hashlib", "_hashlib"}
+    assert not loaded & {"hashlib", "_hashlib", "logging"}
     assert entry.exists() and (not warm or entry.stat().st_mtime_ns == stamp)
+
+
+SUBCOMMANDS = {
+    "count": ["-d", "5", "-n", "3", "-p", "11"],
+    "jacobi": ["-d", "3", "-n", "1", "-p", "7"],
+    "zeta": ["-d", "3", "-n", "1", "-p", "7", "--no-cache", "--jobs", "1"],
+    "lseries": ["-d", "3", "-n", "1", "--cutoff", "50"],
+    "hecke": ["-m", "5", "--a", "1,1,1,1", "--cutoff", "50"],
+    "match": ["-d", "3", "-n", "1", "-p", "7", "--no-cache"],
+    "cyclo": ["--units", "-m", "7"],
+    "cft": ["--spectrum", "--level", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_a_console_run_compiles_one_handler(tmp_path, name):
+    # the front end runs as __main__ and is never imported a second time as
+    # cyarith.cli, and of the handler modules only the subcommand's own loads
+    loaded = _modules_after(_console(name, *SUBCOMMANDS[name]), tmp_path)
+    assert {f"cyarith.commands.{name}", "cyarith.commands.common"} <= loaded
+    assert not loaded & {f"cyarith.commands.{other}" for other in SUBCOMMANDS if other != name}
+    assert "cyarith.cli" not in loaded
 
 
 def test_package_exports_resolve_on_first_access(tmp_path):
