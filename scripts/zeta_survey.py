@@ -54,9 +54,10 @@ def main():
         else:
             n1 = None
             status = f"truncated at t^{lf.precision}"
-        print(f"p = {p:<6d} deg {lf.full_degree:<6d} orbits {len(lf.orbits):<5d} "
+        orbits = sum(n for *_, n in lf.classes)
+        print(f"p = {p:<6d} deg {lf.full_degree:<6d} orbits {orbits:<5d} "
               f"{status}  [{dt:.2f}s]")
-        rows.append([p, lf.full_degree, len(lf.orbits), sign,
+        rows.append([p, lf.full_degree, orbits, sign,
                      lf.precision if not lf.is_exact else "", n1, f"{dt:.3f}"])
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

@@ -5,19 +5,20 @@ computes and stores it.
 
 One JSON file per (exponent vector, prime), laid out as in
 docs/schemas/cache.schema.json: a format version, a sha256 self-check of the
-canonical encoding of the data, and the data itself, the factor's roots (one
-Jacobi sum per Frobenius orbit, with the orbit length) and its degrees.  The
-expanded coefficients are not stored: ``load`` rebuilds them from the roots,
-as a fresh factor is built.  The self-check is computed by the interpreter's
-own sha256 (``_sha256``), not hashlib, so no run maps OpenSSL.  ``load``
-trusts an entry only if the version, hash and key match, the factor is
-complete, and the LocalFactor rebuilt from the stored roots passes every
-check a fresh factor passes (RH, Galois closure, integrality, degree and
-the functional equation); else it is deleted with a warning on the
-``cyarith.cache`` logger, and the caller recomputes and stores it.  Only
-such a discard imports logging, and the library sets none of it up: the
-CLI's ``before_warning`` does, just before the warning is logged.  So an
-entry of an earlier format version is discarded once and rewritten.
+canonical encoding of the data, and the data itself, the factor's Galois
+classes (one head Jacobi sum each, with its orbit length f and orbit count
+n) and its degrees.  The expanded coefficients are not stored: ``load``
+rebuilds them from the classes, as a fresh factor is built.  The self-check
+is computed by the interpreter's own sha256 (``_sha256``), not hashlib, so
+no run maps OpenSSL.  ``load`` trusts an entry only if the version, hash
+and key match, the factor is complete, and the LocalFactor rebuilt from the
+stored classes passes every check a fresh factor passes (RH, whole Galois
+classes, integrality, degree and the functional equation); else it is
+deleted with a warning on the ``cyarith.cache`` logger, and the caller
+recomputes and stores it.  Only such a discard imports logging, and the
+library sets none of it up: the CLI's ``before_warning`` does, just before
+the warning is logged.  So an entry of an earlier format version is
+discarded once and rewritten.
 ``store`` writes the entry as one compact JSON line (any layout of the same
 JSON loads) to a per-writer temp file and renames it into place, so
 concurrent writers of one entry never expose a half-written file.
@@ -34,7 +35,7 @@ from .cyclo import CycInt
 from .errors import InvariantViolationError, ValidationError
 from .zeta import LocalFactor, local_factor_middle
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # None, or a function called with the logging module before a discard is
 # logged: the CLI's prints the warning on stderr as "warning: ..."
@@ -77,8 +78,8 @@ def _record_text(exps: tuple[int, ...], lf: LocalFactor) -> str:
         "p": lf.p,
         "cohomology_degree": lf.cohomology_degree,
         "full_degree": lf.full_degree,
-        "orbits": [{"m": j.m, "count": c, "coefficients": [str(x) for x in j.coeffs]}
-                   for j, c in lf.orbits],
+        "classes": [{"m": j.m, "f": f, "n": n, "coefficients": [str(x) for x in j.coeffs]}
+                    for j, f, n in lf.classes],
         "precision": lf.precision,
     }
     blob = _canonical(data)
@@ -119,10 +120,10 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
             raise ValueError("entry keyed to a different variety or prime")
         if data["precision"] is not None:
             raise ValueError("truncated factors are never cached")
-        orbits = tuple((CycInt(o["m"], tuple(int(x) for x in o["coefficients"])),
-                        int(o["count"])) for o in data["orbits"])
+        classes = tuple((CycInt(c["m"], tuple(int(x) for x in c["coefficients"])),
+                         int(c["f"]), int(c["n"])) for c in data["classes"])
         return LocalFactor(p=p, cohomology_degree=int(data["cohomology_degree"]),
-                           full_degree=int(data["full_degree"]), orbits=orbits)
+                           full_degree=int(data["full_degree"]), classes=classes)
     except (OSError, ValueError, KeyError, TypeError, IndexError,
             InvariantViolationError) as exc:
         import logging  # only a discard logs

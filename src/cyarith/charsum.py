@@ -22,11 +22,12 @@ logarithms alone (the kernel).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .cyclo import CycInt, cyclotomic_gcd, s_element
+from .cyclo import CycInt, cyclotomic_gcd, euler_phi, s_element
 from .errors import BadReductionError, InvariantViolationError, ValidationError
 from .ffield import field_order, is_prime, make_field, poly_rem, root_minimal_polynomial
 from .record import Record, Value
@@ -127,20 +128,38 @@ def build_alpha_set(v: DiagonalVariety, p: int, r: int = 1) -> AlphaSet:
 
 def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
     """The degree set (l_i = n_i), orbit-partitioned under the given prime."""
+    check_good_prime(v, p)
+    return _assemble(v.exponents, p % math.lcm(*v.exponents))
+
+
+def check_good_prime(v: DiagonalVariety, p: int) -> None:
+    """ValidationError unless p is prime and divides no exponent of v."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if any(n % p == 0 for n in v.exponents):
         raise BadReductionError(f"{p} divides an exponent of {v.exponents}")
-    return _assemble(v.exponents, p % math.lcm(*v.exponents))
 
 
-def degree_conductors(v: DiagonalVariety) -> dict[int, tuple]:
-    """{d: _row(a)}, a a tuple of conductor d, for each d in v's degree set.
-    An orbit of conductor d has length f = ord_d(p), and in_closed_form on
-    the row over (p, f) says if its sums read F_{p^f}'s table: so
-    table_degrees(p, rows) of these rows gives the tables the factor at p
-    reads, found without walking the orbits."""
-    return {row[0]: row for row in map(_row, _enumerate_tuples(v.exponents))}
+@lru_cache(maxsize=64)
+def galois_heads(exponents: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
+    """One tuple per Galois class of the degree set (l_i = n_i), the one
+    whose _row is the class's galois_class_head.  (Z/d)^* acts freely on
+    the tuples of conductor d, so a class has phi(d) of them, else the set
+    is not Galois-closed (InvariantViolationError).  At a good p it is
+    phi(d)/f Frobenius orbits of length f = ord_d(p)."""
+    sizes: Counter[tuple] = Counter()
+    heads = {}
+    for a in _enumerate_tuples(exponents):
+        row = _row(a)
+        head = galois_class_head(row)[0]
+        sizes[head] += 1
+        if head == row:
+            heads[head] = a
+    for (d, exps), n in sizes.items():
+        if n != euler_phi(d):
+            raise InvariantViolationError(f"the Galois class of {exps} mod {d} has {n} "
+                                          f"tuples, not phi({d}) = {euler_phi(d)}")
+    return tuple(heads[h] for h in sizes)
 
 
 # -- Jacobi sums: the kernel ---------------------------------------------------------

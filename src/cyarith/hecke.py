@@ -1,46 +1,33 @@
 """Jacobi-sum Hecke characters, the Hasse-Weil match and L-series coefficients.
 
 A prime p = 1 mod m splits completely in Q(mu_m), into phi(m) primes of
-norm p; the power-residue characters of order m on F_p^* that they define
-are the conjugates chi^l, l in (Z/m)^*, of one.  So the local data of the
-Jacobi-sum character J_a at p are the phi(m) conjugate sums J_{l a}, which
-_conjugate_sums takes from one charsum.unit_sums call (one sum per Galois
-class); which prime carries which sum is not needed, and the tests' oracle
-labels them.  Rank-r Jacobi sums at these primes reproduce the middle local
-factor of the matching diagonal hypersurface, which is the whole point of
+norm p, whose power-residue characters of order m on F_p^* are the
+conjugates chi^l, l in (Z/m)^*, of one.  So the local data of the
+Jacobi-sum character J_a at p are the conjugates of one sum, one Galois
+class; the tests' oracle labels which prime carries which.  Rank-r Jacobi
+sums at these primes reproduce the middle local factor of the matching
+diagonal hypersurface (Weil's factorisation), which is the whole point of
 the exercise.  Where charsum.in_closed_form holds, the sum is
 Stickelberger's closed form and needs no table, so such a character has no
 prime bound; other characters read F_p's table, up to ffield.TABLE_BOUND.
 
 Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
-of a Jacobi-sum character, are built from zeta.LocalFactor: each local
-factor is expanded in Z[t] and checked (Galois closure, |J|^2 = p^weight,
-integrality, the functional equation) by its constructor, so every a_n is a
-plain int.  dirichlet_coefficients decides each prime once, by one plan per
-source: bad, omitted, or the table degrees charsum.table_degrees names.
+of a Jacobi-sum character, are built from zeta.LocalFactor, expanded in
+Z[t] and checked by its constructor, so every a_n is a plain int.
+dirichlet_coefficients decides each prime once, by one plan per source:
+bad, omitted, or the table degrees charsum.table_degrees names.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 
-from .charsum import (degree_conductors, full_alpha_set, galois_class_head, ord_m,
-                      table_degrees, unit_sums)
+from .charsum import _row, check_good_prime, galois_heads, ord_m, table_degrees, unit_sums
 from .counting import DiagonalVariety
-from .cyclo import CycInt, euler_phi, hecke_weight
+from .cyclo import euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
 from .ffield import check_table
 from .record import Record, Value
-from .zeta import LocalFactor, local_factor_middle
-
-
-def _conjugate_sums(p: int, m: int, heads) -> list[CycInt]:
-    """J_{l a} = (-1)^(r+1) * sum over units u_1..u_r of F_p with sum(u) = -1
-    of prod chi(u_i)^(l a_i), chi of order m, for each head a and each l in
-    (Z/m)^*, head by head: the J_a of the phi(m) primes above a split p."""
-    rows = [(m, [l * x % m for x in a])
-            for a in heads for l in range(1, m) if math.gcd(l, m) == 1]
-    return [(-1) ** (len(e) + 1) * j for (_, e), j in zip(rows, unit_sums((p, 1), rows))]
+from .zeta import LocalFactor, expand_roots, local_factor_middle
 
 
 # -- Hasse-Weil vs Hecke local data -----------------------------------------------
@@ -58,33 +45,27 @@ class MatchReport(Value):
 
 def match_hasse_weil(v: DiagonalVariety, p: int,
                      lf: LocalFactor | None = None) -> MatchReport:
-    """Compare the Jacobi sums at the phi(m) primes above a split p with the
-    reciprocal roots of the middle local factor, as multisets
-    (InvariantViolationError if they differ).  Both sides are unit_sums of
-    the same tuples: the independent content here is the reindexing by
-    Galois-class head and the weighting, each of a head's phi(m) conjugate
-    sums counting |class| times against phi(m) copies of the roots."""
+    """Check Weil's factorisation at a split p: lf's coefficients must be
+    those of the Hecke classes (J, 1, phi(d)) of the Galois-class heads
+    alpha, d the conductor (InvariantViolationError if not).  J is summed
+    afresh, in one unit_sums call, on rows that drop alpha's first entry
+    where the zeta side drops its last, so a cached lf meets new sums."""
     m = math.lcm(*v.exponents)
-    tuples = full_alpha_set(v, p).tuples          # p prime, of good reduction
+    check_good_prime(v, p)
     f = ord_m(p, m)
     if f != 1:
         raise ValidationError(f"p={p} is not split (f={f}); match needs p = 1 mod {m}")
-    g = euler_phi(m)
     if lf is None:
         lf = local_factor_middle(v, p)
-    zeta_side = Counter(j.lift(m) for j, _ in lf.orbits)
-
-    rows = [(m, t.nums[1:]) for t in tuples]      # t.den == m
-    sizes = Counter(galois_class_head(row)[0][1] for row in rows)
-    sums = _conjugate_sums(p, m, list(sizes))     # head by head
-    hecke_side: Counter[CycInt] = Counter()
-    for j, n in zip(sums, [n for n in sizes.values() for _ in range(g)]):
-        hecke_side[j] += n
-    if hecke_side != Counter({j: g * n for j, n in zeta_side.items()}):
+    heads = galois_heads(v.exponents)
+    sums = unit_sums((p, 1), [(m, a.nums[1:]) for a in heads])      # a.den == m
+    w = v.complex_dim
+    hecke = [((-1) ** w * j, 1, euler_phi(a.conductor)) for a, j in zip(heads, sums)]
+    if expand_roots(hecke, p ** w, None) != lf.coeffs:
         raise InvariantViolationError(
-            f"zeta roots and Hecke Jacobi sums disagree as multisets at p={p}")
-    return MatchReport(p=p, m=m, ideals=g, orbit_reps=len(sizes),
-                       multiset_size=sum(zeta_side.values()))
+            f"the zeta factor and the Hecke factors of its heads disagree at p={p}")
+    return MatchReport(p=p, m=m, ideals=euler_phi(m), orbit_reps=len(heads),
+                       multiset_size=sum(n for *_, n in lf.classes))
 
 
 # -- Dirichlet coefficients --------------------------------------------------------
@@ -124,17 +105,18 @@ class HeckeCharacter(Record):
     def local_factor(self, p: int) -> LocalFactor:
         """prod of (1 - J t) over the sums J at the phi(m) primes above a
         split p, as a LocalFactor of degree phi(m) with the weight in
-        cohomology_degree.
+        cohomology_degree: the one Galois class (J_a, 1, phi(m)).
 
-        The sums are Galois conjugates, so the product is a norm and lies
-        in Z[t]; building the LocalFactor checks that exactly, with
-        |J|^2 = p^weight and the functional equation.
+        Its product is a norm power and lies in Z[t]; building the
+        LocalFactor checks that exactly, with |J|^2 = p^weight and the
+        functional equation.
         """
         if p % self.m != 1:
             raise ValidationError(f"p={p} is not totally split mod {self.m}")
-        sums = _conjugate_sums(p, self.m, [self.a])
-        return LocalFactor(p=p, cohomology_degree=self.weight,
-                           full_degree=euler_phi(self.m), orbits=tuple((j, 1) for j in sums))
+        j = (-1) ** (len(self.a) + 1) * unit_sums((p, 1), [(self.m, self.a)])[0]
+        g = euler_phi(self.m)
+        return LocalFactor(p=p, cohomology_degree=self.weight, full_degree=g,
+                           classes=((j, 1, g),))
 
 
 class LSeriesCoefficients(Record):
@@ -209,12 +191,15 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     ffield.TABLE_BOUND, naming the first such p, before any factor is
     built.  Then each planned factor is built as a LocalFactor exact
     through t^k_max, k_max the largest k with p^k <= cutoff: a variety's
-    from its Frobenius orbits of length f <= k_max alone.
+    from its Galois classes of orbit length f <= k_max alone.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
     if isinstance(source, DiagonalVariety):
-        weight, rows = source.complex_dim, degree_conductors(source).values()
+        # one row per conductor: every row of a tuple of prime conductor
+        # passes in_closed_form's entry tests
+        weight = source.complex_dim
+        rows = {r[0]: r for r in map(_row, galois_heads(source.exponents))}.values()
 
         def plan(p):
             if any(n % p == 0 for n in source.exponents):

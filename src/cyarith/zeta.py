@@ -2,24 +2,22 @@
 
 The middle local factor at a good prime p is the product over Frobenius
 orbits of the degree set A of (1 - J t^f), where f is the orbit length and
-J the Jacobi sum of the orbit representative over F_{p^f}.  The roots fall
-into Galois classes (sigma_l J(alpha) = J(l*alpha)); each class's norm
-polynomial is expanded exactly in Z[mu_M] and must lie in Z[t], and the
-factor is the product of those integer polynomials.  The point-count
-trace, Riemann hypothesis and functional equation serve as exact
-self-checks rather than floating-point diagnostics.  A LocalFactor expands
-and checks its roots when built, and a complete one also checks the
-functional equation and keeps its sign, so fresh, cached and Hecke factors
-pass one gate.
+J the Jacobi sum of the orbit representative over F_{p^f}.  The n orbits
+of one Galois class carry the conjugates of one sum (Weil 1952), so a
+factor is held as classes (J_head, f, n), each expanded by its integer
+norm polynomial.  The point-count trace, Riemann hypothesis and functional
+equation serve as exact self-checks.  A LocalFactor expands and checks its
+classes when built, and a complete one also checks the functional equation
+and keeps its sign, so fresh, cached and Hecke factors pass one gate.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 
-from .charsum import AlphaTuple, full_alpha_set, jacobi_sums
+from .charsum import check_good_prime, galois_heads, jacobi_sums, ord_m
 from .counting import DiagonalVariety
-from .cyclo import CycInt
+from .cyclo import CycInt, euler_phi
 from .errors import InvariantViolationError, ValidationError
 from .record import Record
 
@@ -28,24 +26,23 @@ class LocalFactor(Record):
     """Middle local factor P(t) = prod over orbits of (1 - J t^f).
 
     cohomology_degree is the "i" of P_i: the middle degree n, or a Hecke
-    weight.  full_degree is |A|, the sum of all orbit sizes, or phi(m).
-    orbits holds the computed (J, f) pairs.  When orbits were skipped
-    because their Jacobi sums would live over a field beyond a
-    caller-imposed cap, `precision` is the largest power of t to which
-    `coeffs` is still exact; None means the factor is complete.
-    Building one computes `coeffs` by expand_roots, which checks the roots.
-    A complete factor of degree B must also satisfy the functional equation
-    t^B p^{iB/2} P(1/(p^i t)) = sign * P(t) exactly, and keeps its sign;
-    a truncated one has sign None.
+    weight.  full_degree is |A| or phi(m).  classes holds the computed
+    Galois classes (J, f, n) of expand_roots.  When classes were skipped
+    because their sums would live over a field beyond a caller-imposed cap,
+    `precision` is the largest power of t to which `coeffs` is still exact;
+    None means the factor is complete.  Building one computes `coeffs` by
+    expand_roots, which checks the classes.  A complete factor of degree B
+    must also satisfy t^B p^{iB/2} P(1/(p^i t)) = sign * P(t) exactly, and
+    keeps its sign; a truncated one has sign None.
     """
 
-    __slots__ = ("p", "cohomology_degree", "full_degree", "orbits", "precision",
+    __slots__ = ("p", "cohomology_degree", "full_degree", "classes", "precision",
                  "coeffs", "sign")
 
     def __init__(self, p: int, cohomology_degree: int, full_degree: int,
-                 orbits: tuple[tuple[CycInt, int], ...], precision: int | None = None):
+                 classes: tuple[tuple[CycInt, int, int], ...], precision: int | None = None):
         i = cohomology_degree
-        c = expand_roots(orbits, p ** i, precision)
+        c = expand_roots(classes, p ** i, precision)
         sign = None
         if precision is None:
             B = len(c) - 1
@@ -64,7 +61,7 @@ class LocalFactor(Record):
                 if c[B - k] != sign * c[k] * power:
                     raise InvariantViolationError("palindrome fails for the forced sign")
                 power *= step
-        self._fill(p, cohomology_degree, full_degree, orbits, precision, c, sign)
+        self._fill(p, cohomology_degree, full_degree, classes, precision, c, sign)
 
     @property
     def is_exact(self) -> bool:
@@ -77,44 +74,45 @@ class LocalFactor(Record):
         return len(self.coeffs) - 1
 
 
-def expand_roots(orbits, base: int, trunc: int | None) -> tuple[int, ...]:
-    """Integer coefficients of prod (1 - J t^f) over the (J, f) pairs, through
-    t^trunc if given; the one place the roots of a local factor are checked.
+def expand_roots(classes, base: int, trunc: int | None) -> tuple[int, ...]:
+    """Integer coefficients of the product over the classes (J, f, n) of n
+    factors (1 - c t^f), c running over the k distinct conjugates of J
+    equally often, through t^trunc if given; the one place the roots of a
+    local factor are checked.
 
-    sigma_l J(alpha) = J(l*alpha), so the roots fall into Galois classes of
-    Z[mu_M], M the lcm of the J's conductors.  Each class of a given f is
-    checked three ways (InvariantViolationError on a failure):
-      - |J|^2 = base^f (RH, base = p^weight) at its head, which covers every
-        conjugate, as sigma_l commutes with complex conjugation;
-      - every conjugate occurs with the head's multiplicity (Galois closure);
-      - its norm polynomial N(u) = prod (1 - c u) over the distinct
-        conjugates c, expanded in Z[mu_M], lies in Z[u] (rational_value).
-    Classes share norm polynomials (a split prime of the quintic has 51
-    classes and at most 2 distinct N), so the factor is the product over
-    distinct (N, f) of N(t^f)^e, e the summed multiplicity: each power is
-    taken by Miller's recurrence (_norm_power) and multiplied in once, and
-    the product must have constant term 1.  LocalFactor adds the degree,
-    palindrome and sign checks of a complete factor.
+    Classes of one f with conjugate sums are merged (the quintic's 51
+    classes at p = 2 are all -64), and each merged class is checked three
+    ways (InvariantViolationError on a failure):
+      - |J|^2 = base^f (RH, base = p^weight), which covers every conjugate,
+        as sigma_l commutes with complex conjugation;
+      - every n is a whole number of copies of the k conjugates;
+      - its norm polynomial N(u) = prod (1 - c u) over them, expanded in
+        Z[mu_m], lies in Z[u] (rational_value).
+    The factor is the product over distinct (N, f) of N(t^f)^e, e the
+    summed n / k (a split prime of the quintic has 2 distinct N): each
+    power is taken by Miller's recurrence (_norm_power) and multiplied in
+    once, and the product must have constant term 1.  LocalFactor adds the
+    degree, palindrome and sign checks of a complete factor.
     """
-    big_m = math.lcm(*(j.m for j, _ in orbits))  # 1 for no roots
-    units = [l for l in range(1, big_m + 1) if math.gcd(l, big_m) == 1]
-    left = Counter((j.lift(big_m), f) for j, f in orbits)
+    left: dict[tuple[CycInt, int], list[int]] = {}
+    for j, f, n in classes:
+        left.setdefault((j, f), []).append(n)
     powers: Counter[tuple[tuple[int, ...], int]] = Counter()
     while left:
         j, f = next(iter(left))
-        if j * j.conj() != CycInt.from_int(big_m, base ** f):
+        if j * j.conj() != CycInt.from_int(j.m, base ** f):
             raise InvariantViolationError(f"|J|^2 != {base}^{f} for the root {j.coeffs}")
-        mult = left[j, f]
-        conjugates = {j.galois(l) for l in units}
-        for c in conjugates:
-            if left.pop((c, f), 0) != mult:
-                raise InvariantViolationError(
-                    f"roots are not Galois-closed: a conjugate of the f={f} "
-                    f"root {j.coeffs} does not occur {mult} times")
-        zero, norm = CycInt.zero(big_m), [CycInt.one(big_m)]
+        conjugates = {j} | {j.galois(l) for l in range(2, j.m) if math.gcd(l, j.m) == 1}
+        counts = [n for c in conjugates for n in left.pop((c, f), ())]
+        k = len(conjugates)
+        if any(n % k for n in counts):
+            raise InvariantViolationError(
+                f"the f={f} class of {j.coeffs} has {counts} roots, not whole copies "
+                f"of its {k} conjugates")
+        zero, norm = CycInt.zero(j.m), [CycInt.one(j.m)]
         for c in conjugates:
             norm = [a - c * b for a, b in zip(norm + [zero], [zero] + norm)]
-        powers[tuple(c.rational_value() for c in norm), f] += mult  # raises if not in Z
+        powers[tuple(c.rational_value() for c in norm), f] += sum(counts) // k  # raises if not in Z
     out = _expand_powers(powers, trunc)
     if out[0] != 1:
         raise InvariantViolationError("local factor must have constant term 1")
@@ -173,37 +171,34 @@ def _mul_in_power(a: list[int], b: list[int], f: int, trunc: int | None) -> list
 
 def local_factor_middle(v: DiagonalVariety, p: int,
                         max_root_field: int | None = None) -> LocalFactor:
-    """Middle local factor at a good prime.
+    """Middle local factor at a good prime, from one Jacobi sum per Galois
+    class of the degree set (charsum.galois_heads).
 
-    The degree set is partitioned into Frobenius orbits under a -> p*a; an
-    orbit of size f needs one Jacobi sum over F_{p^f}.  max_root_field caps
-    that auxiliary field size: orbits with p^f beyond the cap are skipped
-    and the returned factor is truncated to the precision that stays exact.
-    charsum.jacobi_sums builds a table of F_{p^f} only for the orbits whose
+    A class of conductor d is n = phi(d)/f orbits of length f = ord_d(p),
+    and needs its head's sum over F_{p^f}.  max_root_field caps that
+    auxiliary field size: classes with p^f beyond the cap are skipped and
+    the returned factor is truncated to the precision that stays exact.
+    charsum.jacobi_sums builds a table of F_{p^f} only for the heads whose
     sums are not in closed form (charsum.in_closed_form).
     """
-    aset = full_alpha_set(v, p)  # validates primality and good reduction
-    n = v.complex_dim
-    reps: list[tuple[AlphaTuple, int]] = [(o[0], len(o)) for o in aset.orbits]
-
-    skipped = [f for _, f in reps
-               if max_root_field is not None and p ** f > max_root_field]
+    check_good_prime(v, p)
+    heads, by_f = galois_heads(v.exponents), {}
+    for a in heads:
+        by_f.setdefault(ord_m(p, a.conductor), []).append(a)
+    skipped = [f for f in by_f if max_root_field is not None and p ** f > max_root_field]
     precision = None if not skipped else min(skipped) - 1
-
-    by_f: dict[int, list[AlphaTuple]] = {}
-    for rep, f in reps:
-        if precision is None or f <= precision:
-            by_f.setdefault(f, []).append(rep)
 
     # Weil's sign: the reciprocal root attached to alpha is (-1)^n times the
     # plain hyperplane Jacobi sum (minus for odd middle dimension, plus for
     # even), pinned by the exact point-count oracle at p=2,7,11.
-    root_sign = (-1) ** n
-    orbits: list[tuple[CycInt, int]] = []
-    for f in sorted(by_f):
-        orbits += [(root_sign * j, f) for j in jacobi_sums((p, f), by_f[f])]
-    return LocalFactor(p=p, cohomology_degree=n, full_degree=len(aset.tuples),
-                       orbits=tuple(orbits), precision=precision)
+    n = v.complex_dim
+    classes: list[tuple[CycInt, int, int]] = []
+    for f in sorted(f for f in by_f if precision is None or f <= precision):
+        classes += [((-1) ** n * j, f, euler_phi(a.conductor) // f)
+                    for a, j in zip(by_f[f], jacobi_sums((p, f), by_f[f]))]
+    return LocalFactor(p=p, cohomology_degree=n,
+                       full_degree=sum(euler_phi(a.conductor) for a in heads),
+                       classes=tuple(classes), precision=precision)
 
 
 def predicted_count(lf: LocalFactor, r: int) -> int:

@@ -10,13 +10,17 @@ before it took one power per distinct norm polynomial.  `unit_sums_per_row` runs
 once per row instead of once per Galois class, and `jacobi_sums_per_alpha`
 reads every tuple off it, so neither goes through the class-head reduction
 or the split-prime closed form of `charsum.unit_sums`.
-`predicted_count_direct` takes N_r from the orbit roots' powers in Z[mu_M]
+`orbit_roots` walks the Frobenius orbits and takes one Jacobi sum per
+orbit, as `zeta.local_factor_middle` did before it took one sum per Galois
+class, and `class_roots` spells a factor's classes out as those roots.
+`predicted_count_direct` takes N_r from the roots' powers in Z[mu_M]
 instead of Newton's identities on the integer factor.
 `split_prime_ideals` labels the phi(m) primes above a totally split p by
 the residues c of xi, `power_residue_char` reads a prime's character off
 its label, and `ideal_jacobi_sums` takes the Jacobi sums ideal by ideal:
-the labelled-ideal layer that `hecke._conjugate_sums` replaced, kept as
-the independent check of which conjugate sums the primes above p carry.
+the labelled-ideal layer that a Hecke factor's one Galois class replaced,
+kept as the independent check of which conjugate sums the primes above p
+carry.
 The scalar and vectorised field operations at the end read the field's
 exp/dlog tables; for addition they derive the base-p digit rows from the
 element index themselves, so nothing here shares the kernel's Zech table.
@@ -31,7 +35,8 @@ from itertools import product
 
 import numpy as np
 
-from cyarith.charsum import _row, _unit_sum, dlog_pair_table, ord_m, unit_sums
+from cyarith.charsum import (_row, _unit_sum, dlog_pair_table, full_alpha_set, jacobi_sums,
+                             ord_m, unit_sums)
 from cyarith.cyclo import CycInt, euler_phi
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
 from cyarith.ffield import FieldTable, is_prime, primitive_root
@@ -103,14 +108,14 @@ def count_affine_direct(v, f):
     return total
 
 
-def expand_roots_direct(orbits, trunc):
+def expand_roots_direct(roots, trunc):
     """prod (1 - J t^f) multiplied out one CycInt coefficient at a time in
     Z[mu_M], M the lcm of the conductors, through t^trunc if given."""
-    if not orbits:
+    if not roots:
         return (1,)
-    big_m = math.lcm(*(j.m for j, _ in orbits))
+    big_m = math.lcm(*(j.m for j, _ in roots))
     poly = [CycInt.one(big_m)]
-    for j, f in orbits:
+    for j, f in roots:
         jl = j.lift(big_m)
         width = len(poly) + f
         if trunc is not None:
@@ -160,9 +165,34 @@ def jacobi_sums_per_alpha(f, alphas):
     return unit_sums_per_row(f, [_row(a) for a in alphas])
 
 
+def orbit_roots(v, p):
+    """The reciprocal roots (J, f) of v's middle factor at the good prime p,
+    one per Frobenius orbit: the jacobi_sums value of the orbit's first
+    tuple over F_{p^f}, f the orbit length, times Weil's sign (-1)^n."""
+    by_f = {}
+    for orbit in full_alpha_set(v, p).orbits:
+        by_f.setdefault(len(orbit), []).append(orbit[0])
+    sign = (-1) ** v.complex_dim
+    return [(sign * j, f) for f, reps in by_f.items() for j in jacobi_sums((p, f), reps)]
+
+
+def class_roots(classes):
+    """The roots (c, f) of the Galois classes (J, f, n): n of them, each
+    distinct conjugate c of J equally often."""
+    out = []
+    for j, f, n in classes:
+        conjugates = {j.galois(l) for l in range(1, j.m + 1) if math.gcd(l, j.m) == 1}
+        if n % len(conjugates):
+            raise InvariantViolationError(f"{n} roots are not whole copies of "
+                                          f"{len(conjugates)} conjugates")
+        out += [(c, f) for c in conjugates for _ in range(n // len(conjugates))]
+    return out
+
+
 def predicted_count_direct(lf, r):
-    """N_r = sum_{j=0..n} p^{jr} + (-1)^n sum_{orbits, f | r} f * J^{r/f},
-    the orbit trace summed in Z[mu_M] and required to be a rational integer."""
+    """N_r = sum_{j=0..n} p^{jr} + (-1)^n sum_{roots, f | r} f * J^{r/f},
+    the trace over class_roots summed in Z[mu_M] and required to be a
+    rational integer."""
     if r < 1:
         raise ValidationError("power index must be positive")
     if lf.precision is not None and r > lf.precision:
@@ -170,7 +200,7 @@ def predicted_count_direct(lf, r):
             f"factor truncated at t^{lf.precision}; cannot predict N_{r}")
     n = lf.cohomology_degree
     total = sum(lf.p ** (j * r) for j in range(n + 1))
-    relevant = [(j, f) for j, f in lf.orbits if r % f == 0]
+    relevant = [(j, f) for j, f in class_roots(lf.classes) if r % f == 0]
     if relevant:
         big_m = math.lcm(*(j.m for j, _ in relevant))
         acc = CycInt.zero(big_m)

@@ -18,6 +18,7 @@ from cyarith import (CycInt, DiagonalVariety,
                      fusion_field_match, gepner_levels, local_factor_middle,
                      match_hasse_weil, predicted_count,
                      quantum_dimension, verlinde_fusion)
+from oracles import class_roots
 
 
 def report(num, ok, detail):
@@ -51,7 +52,7 @@ def test_criterion_02_quintic_p2_extension_counts(quintic):
     lf2 = local_factor_middle(quintic, 2)
     counts = {r: count_projective(quintic, 2, r) for r in (1, 2, 3, 4)}
     dt = time.monotonic() - t0
-    ok = (len(lf2.orbits) == 51 and all(f == 4 for _, f in lf2.orbits)
+    ok = (len(lf2.classes) == 51 and all((f, n) == (4, 1) for _, f, n in lf2.classes)
           and counts[2] == 85
           and all(predicted_count(lf2, r) == counts[r] for r in (1, 2, 3, 4))
           and dt < 30.0)
@@ -62,11 +63,12 @@ def test_criterion_02_quintic_p2_extension_counts(quintic):
 def _rh_holds(lf):
     """|J|^2 = p^(i*f) exactly in Z[mu_m] for every computed root of lf."""
     return all(j * j.conj() == CycInt.from_int(j.m, lf.p ** (lf.cohomology_degree * f))
-               for j, f in lf.orbits)
+               for j, f in class_roots(lf.classes))
 
 
 def test_criterion_03_riemann_hypothesis_exact(quintic_lf11, quintic_lf31):
-    ok = all(len(lf.orbits) == 204 and sum(f for _, f in lf.orbits) == 204
+    ok = all(len(class_roots(lf.classes)) == 204
+             and sum(f for _, f in class_roots(lf.classes)) == 204
              and _rh_holds(lf) for lf in (quintic_lf11, quintic_lf31))
     report(3, ok, "beta * conj(beta) = p^3 exactly in Z[mu_5] for all 204 "
                   "roots at p = 11 and 31")
@@ -95,8 +97,8 @@ def test_criterion_06_hasse_weil_vs_hecke(quintic, quintic_lf11, quintic_lf31):
     reps = [match_hasse_weil(quintic, 11, quintic_lf11),
             match_hasse_weil(quintic, 31, quintic_lf31)]
     ok = all(r.multiset_size == 204 and r.ideals == 4 for r in reps)
-    report(6, ok, "ideal Jacobi sums = zeta reciprocal roots as multisets "
-                  "at both p = 11 and 31")
+    report(6, ok, "zeta factor = product of the Hecke factors of its 51 Galois-class "
+                  "heads (Weil's factorisation) at both p = 11 and 31")
 
 
 def test_criterion_07_dirichlet_coefficients(quintic):

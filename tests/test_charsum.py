@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import cyarith.charsum as charsum
 import cyarith.counting as counting
 from cyarith import (AlphaTuple, CycInt, DiagonalVariety, FieldTable, build_alpha_set,
-                     full_alpha_set, jacobi_sum, make_field)
+                     euler_phi, full_alpha_set, jacobi_sum, make_field)
 from cyarith.charsum import (dlog_pair_table, galois_class_head, jacobi_sums, ord_m,
                              unit_sums)
 from cyarith.errors import BadReductionError, InvariantViolationError, ValidationError
@@ -236,6 +236,28 @@ def test_galois_class_head(m, data):
     assert head == min(tuple(e * l % m for e in exps) for l in units)
     assert all(galois_class_head((m, tuple(e * l % m for e in exps)))[0] == (m, head)
                for l in units)
+
+
+@pytest.mark.parametrize("exps, classes", [((5,) * 5, 51), ((3, 3, 6, 6), 9),
+                                            ((4, 4, 4, 4), 11)])
+def test_galois_heads_are_the_class_heads(exps, classes):
+    # one head per Galois class, whose row is the class's galois_class_head;
+    # the classes of conductor d have phi(d) tuples and cover the degree set
+    heads = charsum.galois_heads(exps)
+    tuples = full_alpha_set(DiagonalVariety(exps), 7).tuples
+    assert len(heads) == classes
+    assert all(galois_class_head(charsum._row(a))[0] == charsum._row(a) for a in heads)
+    assert sum(euler_phi(a.conductor) for a in heads) == len(tuples)
+    assert {galois_class_head(charsum._row(a))[0] for a in tuples} == set(map(charsum._row, heads))
+
+
+def test_galois_heads_refuse_a_class_short_of_phi(monkeypatch):
+    # the closure check: a degree set missing one tuple leaves its class
+    # with phi(5) - 1 = 3 tuples
+    real = charsum._enumerate_tuples
+    monkeypatch.setattr(charsum, "_enumerate_tuples", lambda orders: real(orders)[1:])
+    with pytest.raises(InvariantViolationError, match=r"has 3 tuples, not phi\(5\) = 4"):
+        charsum.galois_heads.__wrapped__((5,) * 5)     # bypassing the memo
 
 
 @st.composite

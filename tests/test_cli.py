@@ -18,7 +18,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from cyarith import DiagonalVariety, cache
+from cyarith import CycInt, DiagonalVariety, cache
 from cyarith.cli import run
 from cyarith.commands import common
 from cyarith.errors import ValidationError
@@ -340,7 +340,7 @@ def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
     assert capsys.readouterr().out == first       # byte-identical reread
 
     rec = json.loads(entry.read_text())
-    rec["data"]["orbits"][0]["coefficients"][1] = "999"    # hash no longer matches
+    rec["data"]["classes"][0]["coefficients"][1] = "999"   # hash no longer matches
     entry.write_text(json.dumps(rec))
     assert run(argv) == 0
     assert capsys.readouterr().out == first       # recomputed, same answer
@@ -348,9 +348,16 @@ def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
     assert entry.exists()                         # rewritten after recompute
 
 
-# the entry zeta -d 3 -n 1 -p 7 writes, byte for byte: format version 2,
-# the roots alone
+# the entry zeta -d 3 -n 1 -p 7 writes, byte for byte: format version 3,
+# the one Galois class (J, f, n) alone
 CUBIC_P7_ENTRY = (
+    '{"format_version":3,'
+    '"self_check":"09b00d1d37b274efd7b0dad21a2ccac4631c6ab755a1959f52e35798b5b1f7ec",'
+    '"data":{"classes":[{"coefficients":["1","3"],"f":1,"m":3,"n":2}],'
+    '"cohomology_degree":1,"exponents":[3,3,3],"full_degree":2,"p":7,"precision":null}}\n')
+
+# the entry that format version 2 wrote for it, every root stored
+CUBIC_P7_ENTRY_V2 = (
     '{"format_version":2,'
     '"self_check":"3c6ddad3381c487176239fc0ddb6d37046172721dcb489603ba3b62475b1f9fc",'
     '"data":{"cohomology_degree":1,"exponents":[3,3,3],'
@@ -385,8 +392,8 @@ def test_cache_entry_is_compact_and_the_indented_layout_loads(capsys, caplog, tm
            "data": {"exponents": data["exponents"], "p": data["p"],
                     "cohomology_degree": data["cohomology_degree"],
                     "full_degree": data["full_degree"],
-                    "orbits": [{"m": o["m"], "count": o["count"],
-                                "coefficients": o["coefficients"]} for o in data["orbits"]],
+                    "classes": [{"m": c["m"], "f": c["f"], "n": c["n"],
+                                 "coefficients": c["coefficients"]} for c in data["classes"]],
                     "precision": data["precision"]}}
     entry.write_text(json.dumps(old, indent=1) + "\n")
     assert run(argv) == 0
@@ -396,31 +403,37 @@ def test_cache_entry_is_compact_and_the_indented_layout_loads(capsys, caplog, tm
 
 
 def test_cache_version_1_entry_is_discarded_once_and_rewritten(capsys, caplog, tmp_path):
-    # an entry of the earlier format goes through the version check like
-    # any other: discarded with a warning, recomputed, and stored as version 2
+    # an entry of an earlier format, 1 or 2, goes through the version check
+    # like any other: discarded with a warning, recomputed, and stored as
+    # version 3
     argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--json", "--deterministic",
             "--cache", str(tmp_path)]
     assert run(argv[:-2] + ["--no-cache"]) == 0
     fresh = capsys.readouterr().out
     entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
-    entry.write_text(CUBIC_P7_ENTRY_V1)
-    assert run(argv) == 0
-    assert capsys.readouterr().out == fresh
-    assert f"discarding corrupt cache entry {entry}: format version 1" in caplog.text
-    assert entry.read_text() == CUBIC_P7_ENTRY
-    caplog.clear()
-    assert run(argv) == 0                         # the rewritten entry loads
-    assert capsys.readouterr().out == fresh and "discarding" not in caplog.text
+    for version, old in ((1, CUBIC_P7_ENTRY_V1), (2, CUBIC_P7_ENTRY_V2)):
+        caplog.clear()
+        entry.write_text(old)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == fresh
+        assert caplog.text.count("discarding") == 1
+        assert f"discarding corrupt cache entry {entry}: format version {version}" in caplog.text
+        assert entry.read_text() == CUBIC_P7_ENTRY
+        caplog.clear()
+        assert run(argv) == 0                     # the rewritten entry loads
+        assert capsys.readouterr().out == fresh and "discarding" not in caplog.text
 
 
 def test_cache_entry_holds_the_roots_alone(tmp_path):
-    # the quintic at p = 101: 204 roots of a few digits each, where the
-    # factor's coefficients reach 614 digits (84,035 B with them stored)
+    # the quintic at p = 101: 51 class heads of a few digits each, where the
+    # factor's coefficients reach 614 digits (84,035 B with them stored,
+    # 12,604 B with all 204 roots)
     lf = cache.local_factor(tmp_path, DiagonalVariety.fermat(5, 3), 101)
     entry = cache.entry_path(tmp_path, (5,) * 5, 101)
-    assert "coefficients" not in json.loads(entry.read_text())["data"]
+    data = json.loads(entry.read_text())["data"]
+    assert "coefficients" not in data and len(data["classes"]) == 51
     assert max(len(str(abs(c))) for c in lf.coeffs) == 614
-    assert entry.stat().st_size < 16_000
+    assert entry.stat().st_size <= 4_000
 
 
 def test_cache_self_check_is_hashlibs_sha256(tmp_path, quintic, quintic_lf11):
@@ -443,15 +456,22 @@ def _rehashed(entry, edit):
 
 
 def _bump_a_root(data):
-    root = data["orbits"][0]["coefficients"]
-    root[0] = str(int(root[0]) + 1)
+    # 1 + 3 xi_3 to 1 + 4 xi_3, of norm 13: |J|^2 = 7 fails.  (2 + 3 xi_3 has
+    # norm 7, and would load as the factor 1 - t + 7t^2.)
+    root = data["classes"][0]["coefficients"]
+    root[-1] = str(int(root[-1]) + 1)
+
+
+def _add_a_root(data):
+    data["classes"][0]["n"] += 1
 
 
 def _mark_truncated(data):
     data["precision"] = 1
 
 
-@pytest.mark.parametrize("edit, reason", [(_bump_a_root, "not Galois-closed"),
+@pytest.mark.parametrize("edit, reason", [(_bump_a_root, "|J|^2"),
+                                          (_add_a_root, "not whole copies"),
                                           (_mark_truncated, "truncated"),
                                           ("[]", "not a JSON object"),
                                           ("null", "not a JSON object")])
@@ -565,7 +585,7 @@ def test_concurrent_cache_writers(tmp_path):
         assert not t.is_alive()
     assert errors == []
     loaded = cache.load(tmp_path, v.exponents, 7)
-    assert (loaded.coeffs, loaded.orbits) == (lf.coeffs, lf.orbits)
+    assert (loaded.coeffs, loaded.classes) == (lf.coeffs, lf.classes)
     assert [x.name for x in tmp_path.iterdir()] == [path.name]
 
 
@@ -595,7 +615,7 @@ def test_cache_local_factor_loads_without_rewriting(tmp_path, cubic):
     inode = entry.stat().st_ino
     os.utime(entry, ns=(0, 0))
     again = cache.local_factor(tmp_path, cubic, 7)
-    assert (again.coeffs, again.orbits) == (first.coeffs, first.orbits)
+    assert (again.coeffs, again.classes) == (first.coeffs, first.classes)
     # a store replaces the file: a new inode with a fresh mtime
     assert (entry.stat().st_ino, entry.stat().st_mtime_ns) == (inode, 0)
     assert [x.name for x in tmp_path.iterdir()] == [entry.name]
@@ -695,18 +715,18 @@ def test_match_range_skips_bad_and_non_split(capsys, tmp_path):
 
 
 def test_match_failure_exits_2(capsys, monkeypatch):
-    # one perturbed Hecke sum breaks the multiset match
+    # one Hecke-side sum turned by xi breaks Weil's factorisation
     import cyarith.hecke as hecke
-    real = hecke._conjugate_sums
+    real = hecke.unit_sums
 
-    def perturbed(p, m, heads):
-        sums = real(p, m, heads)
-        return [sums[0] + 1] + sums[1:]
+    def perturbed(field, rows):
+        sums = real(field, rows)
+        return [sums[0] * CycInt.root(sums[0].m)] + sums[1:]
 
-    monkeypatch.setattr(hecke, "_conjugate_sums", perturbed)
+    monkeypatch.setattr(hecke, "unit_sums", perturbed)
     assert run(["match", "-d", "5", "-n", "3", "-p", "11", "--no-cache"]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and "disagree as multisets at p=11" in out.err
+    assert out.out == "" and "disagree at p=11" in out.err
 
 
 def test_match_csv_refused(capsys):

@@ -1,5 +1,5 @@
 """The conjugate Jacobi sums at a split prime against the labelled-ideal
-oracle, Dirichlet coefficients, and the Hasse-Weil vs Hecke multiset match."""
+oracle, Dirichlet coefficients, and the Hasse-Weil vs Hecke match."""
 
 import math
 import random
@@ -9,16 +9,18 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
+from cyarith import (CycInt, DiagonalVariety, HeckeCharacter,
                      count_projective,
                      dirichlet_coefficients, euler_phi,
                      is_prime, local_factor_middle, make_field, match_hasse_weil,
                      partial_sum_eval)
 from cyarith import ffield
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
-from cyarith.hecke import _assemble, _conjugate_sums, _smallest_prime_factors
-from oracles import (SplitPrimeIdeal, ideal_jacobi_sum, ideal_jacobi_sums,
-                     power_residue_char, split_prime_ideals, splitting_data)
+from cyarith.charsum import unit_sums
+from cyarith.hecke import _assemble, _smallest_prime_factors
+from oracles import (SplitPrimeIdeal, class_roots, expand_roots_direct, ideal_jacobi_sum,
+                     ideal_jacobi_sums, power_residue_char, split_prime_ideals,
+                     splitting_data)
 
 
 def test_splitting_data():
@@ -130,10 +132,12 @@ def test_ideal_jacobi_sum_matches_brute_force(case):
 @example((13, 12, (1, 5, 6)))
 @example((31, 5, (1, 1, 1, 1)))
 def test_conjugate_sums_match_labelled_ideals(case):
-    # the phi(m) conjugates of one sum are the sums at the primes above p,
-    # each prime labelled and its sum enumerated by the oracle
+    # the phi(m) conjugates of one sum, the class (J_a, 1, phi(m)), are the
+    # sums at the primes above p, each prime labelled and its sum
+    # enumerated by the oracle
     p, m, a = case
-    assert Counter(_conjugate_sums(p, m, [a])) == Counter(
+    j = (-1) ** (len(a) + 1) * unit_sums((p, 1), [(m, a)])[0]
+    assert Counter(c for c, _ in class_roots([(j, 1, euler_phi(m))])) == Counter(
         _ideal_sum_brute(ideal, a) for ideal in split_prime_ideals(p, m))
 
 
@@ -160,15 +164,17 @@ def test_match_hasse_weil_weights_classes_smaller_than_phi(exps, p, sizes):
 
 
 def test_match_hasse_weil_raises_on_mismatch(quintic, quintic_lf11, monkeypatch):
+    # xi times one Hecke-side sum keeps |J|^2 and an integral norm
+    # polynomial, but breaks Weil's factorisation against the kept factor
     import cyarith.hecke as hecke
-    real = hecke._conjugate_sums
+    real = hecke.unit_sums
 
-    def perturbed(p, m, heads):
-        sums = real(p, m, heads)
-        return [sums[0] + 1] + sums[1:]
+    def perturbed(field, rows):
+        sums = real(field, rows)
+        return [sums[0] * CycInt.root(sums[0].m)] + sums[1:]
 
-    monkeypatch.setattr(hecke, "_conjugate_sums", perturbed)
-    with pytest.raises(InvariantViolationError, match="disagree as multisets at p=11"):
+    monkeypatch.setattr(hecke, "unit_sums", perturbed)
+    with pytest.raises(InvariantViolationError, match="disagree at p=11"):
         match_hasse_weil(quintic, 11, quintic_lf11)
 
 
@@ -388,12 +394,11 @@ def test_hecke_local_factor_invariants(m, a):
         assert len(lf.coeffs) == euler_phi(m) + 1 and all(type(c) is int for c in lf.coeffs)
         assert coeffs.a(p) == -lf.coeffs[1]
         sums = [ideal_jacobi_sum(i, chi.a) for i in split_prime_ideals(p, m)]
-        factor = LocalFactor(p=p, cohomology_degree=chi.weight, full_degree=euler_phi(m),
-                             orbits=tuple((j, 1) for j in sums))
-        assert factor.coeffs == lf.coeffs
+        assert Counter(class_roots(lf.classes)) == Counter((j, 1) for j in sums)
+        assert expand_roots_direct([(j, 1) for j in sums], None) == lf.coeffs
         assert all(j * j.conj() == CycInt.from_int(j.m, p ** chi.weight)
                    for j in sums), (p, chi.weight)
-        assert factor.sign == lf.sign in (1, -1)
+        assert lf.sign in (1, -1)
 
 def _trial_division(n):
     factors, d = {}, 2

@@ -48,7 +48,7 @@ RECORDS = {
     "FieldTable": (lambda: make_field(5), None,
                    ("p", "r", "q", "modulus", "g", "dlog", "exp", "zech")),
     "LocalFactor": (lambda: local_factor_middle(DiagonalVariety(CUBIC), 7), None,
-                    ("p", "cohomology_degree", "full_degree", "orbits", "precision",
+                    ("p", "cohomology_degree", "full_degree", "classes", "precision",
                      "coeffs", "sign")),
     "SplitPrimeIdeal": (lambda: SplitPrimeIdeal(11, 5, 3), None, ("p", "m", "c")),
     "HeckeCharacter": (lambda: HeckeCharacter(5, (1, 1, 1, 1)), None, ("m", "a")),

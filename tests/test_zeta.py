@@ -1,7 +1,7 @@
 """Local zeta factors: frozen coefficients, point-count recovery, RH, and the
 functional equation."""
 
-import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,8 +12,9 @@ from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
                      local_factor_middle, predicted_count)
 from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.zeta import expand_roots
-from oracles import (expand_powers_by_class, expand_roots_direct, ideal_jacobi_sums,
-                     predicted_count_direct, split_prime_ideals)
+from oracles import (class_roots, expand_powers_by_class, expand_roots_direct,
+                     ideal_jacobi_sums, orbit_roots, predicted_count_direct,
+                     split_prime_ideals)
 
 PRIMES = [p for p in range(2, 60) if is_prime(p)]
 TRUNCS = st.one_of(st.none(), st.integers(0, 8))
@@ -38,10 +39,11 @@ def test_quintic_factor_p31_head(quintic_lf31):
 
 def test_quintic_factor_p2(quintic_lf2):
     lf = quintic_lf2
-    # 51 Frobenius orbits of length 4; every orbit root is -64 = -(2^4)^{3/2}
-    assert len(lf.orbits) == 51
-    assert all(f == 4 for _, f in lf.orbits)
-    assert all(j.rational_value() == -64 for j, _ in lf.orbits)
+    # 51 Galois classes, each one Frobenius orbit of length 4; every root
+    # is -64 = -(2^4)^{3/2}
+    assert len(lf.classes) == 51
+    assert all((f, n) == (4, 1) for _, f, n in lf.classes)
+    assert all(j.rational_value() == -64 for j, _, _ in lf.classes)
     assert lf.coeffs[4] == 51 * 64 == 3264
     assert all(lf.coeffs[i] == 0 for i in range(1, 4))
 
@@ -84,10 +86,10 @@ def test_mixed_exponent_elliptic():
 
 
 def test_riemann_hypothesis_reports(quintic_lf11, quintic_lf31):
-    # LocalFactor checks RH once per Galois class; here every root is checked
+    # LocalFactor checks RH once per merged Galois class; here every root is
     for lf in (quintic_lf11, quintic_lf31):
-        assert len(lf.orbits) == 204
-        for j, f in lf.orbits:
+        assert len(class_roots(lf.classes)) == 204
+        for j, f in class_roots(lf.classes):
             assert j * j.conj() == CycInt.from_int(j.m, lf.p ** (3 * f))
 
 
@@ -105,9 +107,9 @@ def test_functional_equation(quintic_lf11, quintic_lf2):
 def test_local_factor_checks_functional_equation(monkeypatch, coeffs, reason):
     # RH and Galois closure imply the functional equation, so forged
     # expansions (p = 2, weight 1) stand in for a broken one
-    monkeypatch.setattr(zeta_module, "expand_roots", lambda orbits, base, trunc: coeffs)
+    monkeypatch.setattr(zeta_module, "expand_roots", lambda classes, base, trunc: coeffs)
     with pytest.raises(InvariantViolationError, match=reason):
-        LocalFactor(p=2, cohomology_degree=1, full_degree=len(coeffs) - 1, orbits=())
+        LocalFactor(p=2, cohomology_degree=1, full_degree=len(coeffs) - 1, classes=())
 
 
 def test_truncation(quintic):
@@ -171,51 +173,76 @@ def _good_vector_and_prime(draw):
 @example(case=(DiagonalVariety((2, 3, 6)), 13), trunc=1)        # non-Fermat
 def test_expand_roots_matches_direct_on_local_factors(case, trunc):
     v, p = case
-    orbits = local_factor_middle(v, p, max_root_field=4096).orbits
+    classes = local_factor_middle(v, p, max_root_field=4096).classes
+    roots = class_roots(classes)
     # the oracle is quadratic in the degree: keep complete expansions small
-    assume(trunc is not None or sum(f for _, f in orbits) <= 204)
-    assert expand_roots(orbits, p ** v.complex_dim, trunc) == expand_roots_direct(orbits, trunc)
+    assume(trunc is not None or sum(f for _, f in roots) <= 204)
+    assert expand_roots(classes, p ** v.complex_dim, trunc) == expand_roots_direct(roots, trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_good_vector_and_prime())
+@example(case=(DiagonalVariety((5,) * 5), 11))      # quintic, split
+@example(case=(DiagonalVariety((5,) * 5), 2))       # quintic, p = 2
+@example(case=(DiagonalVariety((2, 2, 2, 2)), 3))   # quadric
+@example(case=(DiagonalVariety((2, 3, 6)), 13))     # non-Fermat
+@example(case=(DiagonalVariety((3, 3, 6, 6)), 7))   # two conductors, 3 and 6
+def test_classes_spell_out_the_orbit_roots(case):
+    # one sum per Galois class against one per Frobenius orbit: the same
+    # roots, as multisets, and the same factor
+    v, p = case
+    lf = local_factor_middle(v, p, max_root_field=4096)
+    assume(lf.is_exact and lf.degree <= 204)
+    roots = class_roots(lf.classes)
+    assert Counter(roots) == Counter(orbit_roots(v, p))
+    assert lf.coeffs == expand_roots_direct(roots, None)
 
 
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(3, 13), data=st.data(), trunc=TRUNCS)
 def test_expand_roots_matches_direct_on_hecke_roots(m, data, trunc):
+    # the character's one class against the sums at its labelled primes
     a = data.draw(st.lists(st.integers(1, m - 1), min_size=2, max_size=4))
     chi = HeckeCharacter(m, tuple(a))
     p = data.draw(st.sampled_from([p for p in range(2, 200)
                                    if is_prime(p) and p % m == 1]))
     roots = [(j, 1) for j in ideal_jacobi_sums(split_prime_ideals(p, m), [chi.a])]
-    assert expand_roots(roots, p ** chi.weight, trunc) == expand_roots_direct(roots, trunc)
-    if trunc is None:
-        assert chi.local_factor(p).coeffs == expand_roots_direct(roots, None)
+    lf = chi.local_factor(p)
+    assert expand_roots(lf.classes, p ** chi.weight, trunc) == expand_roots_direct(roots, trunc)
+    assert lf.coeffs == expand_roots_direct(roots, None)
 
 
 def test_expand_roots_needs_whole_galois_classes():
-    orbits = list(local_factor_middle(DiagonalVariety((3, 3, 6, 6)), 7).orbits)
-    k = next(i for i, (j, _) in enumerate(orbits) if not j.is_rational())
-    assert expand_roots(orbits, 7 ** 2, None) == expand_roots_direct(orbits, None)
-    for bad in (orbits[:k] + orbits[k + 1:], orbits + [orbits[k]]):
-        with pytest.raises(InvariantViolationError, match="Galois-closed"):
-            expand_roots(bad, 7 ** 2, None)
+    # a class stands for whole copies of its k distinct conjugates: an n
+    # that k does not divide is refused
+    classes = list(local_factor_middle(DiagonalVariety((3, 3, 6, 6)), 7).classes)
+    assert expand_roots(classes, 7 ** 2, None) == expand_roots_direct(class_roots(classes),
+                                                                      None)
+    k = next(i for i, (j, _, _) in enumerate(classes) if not j.is_rational())
+    j, f, n = classes[k]
+    for bad_n in (n - 1, n + 1):
+        with pytest.raises(InvariantViolationError, match="not whole copies"):
+            expand_roots(classes[:k] + [(j, f, bad_n)] + classes[k + 1:], 7 ** 2, None)
 
 
-def _doubled_class(roots):
-    """roots with every member of one non-rational Galois class times 2: still
-    Galois-closed with an integral norm polynomial, but |2J|^2 = 4|J|^2."""
-    head = next(j for j, _ in roots if not j.is_rational())
-    units = [l for l in range(1, head.m) if math.gcd(l, head.m) == 1]
-    cls = {head.galois(l) for l in units}
-    return [(2 * j if j in cls else j, f) for j, f in roots]
+def _doubled_class(classes):
+    """classes with the head of one non-rational class times 2: still whole
+    copies with an integral norm polynomial, but |2J|^2 = 4|J|^2."""
+    k = next(i for i, (j, _, _) in enumerate(classes) if not j.is_rational())
+    j, f, n = classes[k]
+    return classes[:k] + [(2 * j, f, n)] + classes[k + 1:]
 
 
 def test_expand_roots_checks_rh_per_galois_class():
-    zeta_roots = list(local_factor_middle(DiagonalVariety((3, 3, 6, 6)), 7).orbits)
+    zeta_classes = list(local_factor_middle(DiagonalVariety((3, 3, 6, 6)), 7).classes)
     chi = HeckeCharacter(5, (1, 1, 1, 1))
-    hecke_roots = [(j, 1) for j in ideal_jacobi_sums(split_prime_ideals(11, 5), [chi.a])]
-    for roots, base in ((zeta_roots, 7 ** 2), (hecke_roots, 11 ** chi.weight)):
-        assert expand_roots(roots, base, None) == expand_roots_direct(roots, None)
-        bad = _doubled_class(roots)
-        assert expand_roots_direct(bad, None)[0] == 1     # integral: only RH is off
+    hecke_classes = list(chi.local_factor(11).classes)
+    for classes, base in ((zeta_classes, 7 ** 2), (hecke_classes, 11 ** chi.weight)):
+        assert expand_roots(classes, base, None) == expand_roots_direct(class_roots(classes),
+                                                                        None)
+        bad = _doubled_class(classes)
+        # integral: only RH is off
+        assert expand_roots_direct(class_roots(bad), None)[0] == 1
         with pytest.raises(InvariantViolationError, match=r"\|J\|\^2"):
             expand_roots(bad, base, None)
 
@@ -240,14 +267,14 @@ def test_expand_powers_matches_class_by_class(powers, trunc):
 
 @pytest.mark.parametrize("p, most", [(11, 2), (2, 1)])
 def test_one_product_per_distinct_norm(monkeypatch, quintic, p, most):
-    # p = 11 has 51 Galois classes of roots and 2 norm polynomials; p = 2 has one
+    # p = 11 has 51 Galois classes and 2 norm polynomials; p = 2 has one
     calls = []
     real = zeta_module._mul_in_power
     monkeypatch.setattr(zeta_module, "_mul_in_power",
                         lambda *args: calls.append(args) or real(*args))
     lf = local_factor_middle(quintic, p)
     assert lf.degree == 204 and 1 <= len(calls) <= most
-    assert lf.coeffs == expand_roots_direct(lf.orbits, None)
+    assert lf.coeffs == expand_roots_direct(class_roots(lf.classes), None)
 
 
 def test_norm_power_needs_constant_term_one():
