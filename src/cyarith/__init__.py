@@ -16,7 +16,7 @@ _EXPORTS = {
     "cft": ("check_kn_identity", "check_kr_identity", "euler_Li2",
             "fusion_field_match", "gepner_levels", "modular_data", "n2_spectrum",
             "quantum_dimension", "rogers_L", "verlinde_fusion"),
-    "charsum": ("AlphaTuple", "build_alpha_set", "full_alpha_set", "jacobi_sum"),
+    "charsum": ("AlphaTuple", "jacobi_sum"),
     "counting": ("DiagonalVariety", "count_affine", "count_projective"),
     "cyclo": ("CycInt", "GroupRingElement", "cyclotomic_polynomial",
               "cyclotomic_unit", "delta_determinant", "euler_phi",

@@ -28,12 +28,15 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 from .counting import DiagonalVariety
 from .cyclo import CycInt
 from .errors import InvariantViolationError, ValidationError
 from .zeta import LocalFactor, local_factor_middle
+
+TYPE_CHECKING = False    # true to type checkers; no run imports typing
+if TYPE_CHECKING:
+    from pathlib import Path
 
 FORMAT_VERSION = 3
 
@@ -43,6 +46,7 @@ before_warning = None
 
 
 def entry_path(cache_dir: Path, exps: tuple[int, ...], p: int) -> Path:
+    from pathlib import Path
     tag = "-".join(str(n) for n in exps)
     return Path(cache_dir) / f"v{tag}_p{p}.json"
 

@@ -2,6 +2,9 @@
 
 An admissible tuple alpha = (a_0/l_0, ..., a_s/l_s) has every entry in (0,1)
 with denominator dividing the per-coordinate order and integer entry sum.
+degree_set lists them all, once per orders; galois_heads keeps one tuple
+per Galois class (a point count and a local zeta factor are sums over
+these classes), and frobenius_heads one per orbit of alpha -> p * alpha.
 The Jacobi sum
 
     j_q(alpha) = 1/(q-1) * sum over (u_i) in (F_q^*)^{s+1}, sum u_i = 0,
@@ -25,13 +28,13 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING
 
 from .cyclo import CycInt, cyclotomic_gcd, euler_phi, s_element
 from .errors import BadReductionError, InvariantViolationError, ValidationError
 from .ffield import field_order, is_prime, make_field, poly_rem, root_minimal_polynomial
-from .record import Record, Value
+from .record import Value
 
+TYPE_CHECKING = False    # true to type checkers; no run imports typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -71,22 +74,12 @@ class AlphaTuple(Value):
         return AlphaTuple(tuple(self.den - n for n in self.nums), self.den)
 
 
-class AlphaSet(Record):
-    """All admissible tuples for given per-coordinate orders, with the
-    partition into orbits of alpha -> p * alpha."""
-
-    __slots__ = ("tuples", "orbits")
-
-    def __init__(self, tuples: tuple[AlphaTuple, ...],
-                 orbits: tuple[tuple[AlphaTuple, ...], ...]):
-        self._fill(tuples, orbits)
-
-
 @lru_cache(maxsize=64)
-def _enumerate_tuples(orders: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
-    """Every admissible tuple for the given orders, in lexicographic order of
-    the numerators a_i/l_i.  It depends on the orders alone, so it is built
-    once per orders and shared by every prime."""
+def degree_set(orders: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
+    """Every admissible tuple for the given per-coordinate orders, in
+    lexicographic order of the numerators a_i/l_i; none if an order is 1.
+    It depends on the orders alone, so it is built once per orders and
+    shared by every prime."""
     den = math.lcm(*orders)
     weights = [den // l for l in orders]
     out = []
@@ -95,41 +88,6 @@ def _enumerate_tuples(orders: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
         if sum(nums) % den == 0:
             out.append(AlphaTuple(nums, den))
     return tuple(out)
-
-
-@lru_cache(maxsize=256)
-def _assemble(orders: tuple[int, ...], unit: int) -> AlphaSet:
-    """The tuples for orders, partitioned into orbits of alpha -> unit * alpha.
-    A prime p acts through its residue unit = p mod lcm(orders) alone, so
-    the partition is built once per residue and shared by every such p."""
-    tuples = _enumerate_tuples(orders)
-    by_nums = {a.nums: a for a in tuples}
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for a in tuples:
-        orbit, nums = [], a.nums
-        while nums not in seen:       # a unit mod den: the walk closes at a
-            seen.add(nums)
-            orbit.append(by_nums[nums])
-            nums = tuple(n * unit % a.den for n in nums)
-        if orbit:
-            orbits.append(tuple(orbit))
-    return AlphaSet(tuples=tuples, orbits=tuple(orbits))
-
-
-def build_alpha_set(v: DiagonalVariety, p: int, r: int = 1) -> AlphaSet:
-    """Admissible tuples for F_q, q = p^r: l_i = gcd(n_i, q-1); (p, r) is
-    checked by field_order even when no tuple survives."""
-    q = field_order(p, r)
-    # an order 1 leaves a coordinate no character, and _assemble no tuple
-    orders = tuple(math.gcd(n, q - 1) for n in v.exponents)
-    return _assemble(orders, p % math.lcm(*orders))
-
-
-def full_alpha_set(v: DiagonalVariety, p: int) -> AlphaSet:
-    """The degree set (l_i = n_i), orbit-partitioned under the given prime."""
-    check_good_prime(v, p)
-    return _assemble(v.exponents, p % math.lcm(*v.exponents))
 
 
 def check_good_prime(v: DiagonalVariety, p: int) -> None:
@@ -141,15 +99,15 @@ def check_good_prime(v: DiagonalVariety, p: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def galois_heads(exponents: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
-    """One tuple per Galois class of the degree set (l_i = n_i), the one
-    whose _row is the class's galois_class_head.  (Z/d)^* acts freely on
-    the tuples of conductor d, so a class has phi(d) of them, else the set
-    is not Galois-closed (InvariantViolationError).  At a good p it is
-    phi(d)/f Frobenius orbits of length f = ord_d(p)."""
+def galois_heads(orders: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
+    """One tuple per Galois class of degree_set(orders), the one whose _row
+    is the class's galois_class_head.  (Z/d)^* acts freely on the tuples of
+    conductor d, so a class has phi(d) of them, else the set is not
+    Galois-closed (InvariantViolationError).  At a prime p prime to the
+    orders it is phi(d)/f Frobenius orbits of length f = ord_d(p)."""
     sizes: Counter[tuple] = Counter()
     heads = {}
-    for a in _enumerate_tuples(exponents):
+    for a in degree_set(orders):
         row = _row(a)
         head = galois_class_head(row)[0]
         sizes[head] += 1
@@ -160,6 +118,16 @@ def galois_heads(exponents: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
             raise InvariantViolationError(f"the Galois class of {exps} mod {d} has {n} "
                                           f"tuples, not phi({d}) = {euler_phi(d)}")
     return tuple(heads[h] for h in sizes)
+
+
+def frobenius_heads(orders: tuple[int, ...], p: int) -> tuple[AlphaTuple, ...]:
+    """The tuples of degree_set(orders) that are least in their orbit under
+    alpha -> p * alpha, p prime to the orders: in the set's lexicographic
+    order, the first tuple of each Frobenius orbit."""
+    den = math.lcm(*orders)
+    units = [pow(p, k, den) for k in range(1, ord_m(p, den))]
+    return tuple(a for a in degree_set(orders)
+                 if all(a.nums <= tuple(n * u % den for n in a.nums) for u in units))
 
 
 # -- Jacobi sums: the kernel ---------------------------------------------------------

@@ -16,12 +16,13 @@ import math
 import os
 import sys
 from itertools import chain
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from ..errors import ValidationError
 
+TYPE_CHECKING = False    # true to type checkers; no run imports typing
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from ..counting import DiagonalVariety
 
 CACHE_ENV = "CYARITH_CACHE"
@@ -96,6 +97,8 @@ def cache_dir(args) -> Path | None:
     discards loads logging."""
     if args.no_cache:
         return None
+    from pathlib import Path
+
     from .. import cache
     cache.before_warning = _warning_lines
     return Path(args.cache or os.environ.get(CACHE_ENV) or "cache")

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from ..errors import InvariantViolationError, ValidationError
 from . import common
 
+TYPE_CHECKING = False    # true to type checkers; no run imports typing
 if TYPE_CHECKING:
     from ..charsum import AlphaTuple
 
@@ -25,7 +25,7 @@ def _parse_alpha(args, exps: tuple[int, ...]) -> AlphaTuple | None:
 
 
 def main(args) -> None:
-    from ..charsum import full_alpha_set, jacobi_sums, ord_m
+    from ..charsum import degree_set, frobenius_heads, jacobi_sums, ord_m
     from ..cyclo import CycInt
     fmt = common.output_format(args, "json", "csv", "table")
     v = common.variety(args)
@@ -41,9 +41,10 @@ def main(args) -> None:
     q = p**r
     if single is not None:
         alphas = [single]
+    elif args.orbits:
+        alphas = frobenius_heads(v.exponents, p)
     else:
-        aset = full_alpha_set(v, p)
-        alphas = [o[0] for o in aset.orbits] if args.orbits else list(aset.tuples)
+        alphas = degree_set(v.exponents)
     entries = []
     for a, j in zip(alphas, jacobi_sums((p, r), alphas)):
         # Weil's bound, exactly: |J|^2 = q^{s-2} for s nonzero entries

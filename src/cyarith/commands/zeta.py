@@ -5,10 +5,13 @@ from __future__ import annotations
 import sys
 from functools import partial
 from itertools import chain
-from pathlib import Path
 
 from ..errors import CapacityError, ValidationError
 from . import common
+
+TYPE_CHECKING = False    # true to type checkers; no run imports typing
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
 def _zeta_result(exps: tuple[int, ...], cap: int | None, predict: int,

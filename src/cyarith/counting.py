@@ -6,19 +6,20 @@ torus: N = (N_affine - 1) / (q - 1), which is exact for every finite field
 because the fibres of the quotient map are full G_m-torsors.
 
 Affine counts come from Weil's formula: the hyperplane count q^s plus (q-1)
-times the Jacobi sums j_q(alpha) of the admissible character tuples, all
-from charsum.jacobi_sums over the field (p, r) (Weil 1949; Ireland-Rosen
-ch. 8 section 7).  tests/oracles.py enumerates the affine grid as the
-independent oracle.
+times the Jacobi sums j_q(alpha) of the admissible character tuples.  The
+tuples of one Galois class carry the conjugates of one sum, so the total is
+the sum of the traces of the class heads' sums (charsum.galois_heads and
+charsum.jacobi_sums over the field (p, r); Weil 1949; Ireland-Rosen ch. 8
+section 7).  tests/oracles.py enumerates the affine grid as the independent
+oracle.
 """
 from __future__ import annotations
 
 import math
 
-from .charsum import build_alpha_set, jacobi_sums
-from .cyclo import CycInt
+from .charsum import galois_heads, jacobi_sums
 from .errors import InvariantViolationError, ValidationError
-from .ffield import is_prime
+from .ffield import field_order
 from .record import Value
 
 
@@ -64,27 +65,19 @@ class DiagonalVariety(Value):
         d = math.lcm(*self.exponents)
         return sum(d // n for n in self.exponents) == d
 
-    def is_good_prime(self, p: int) -> bool:
-        return is_prime(p) and all(n % p for n in self.exponents)
-
 
 # -- affine solution counting ----------------------------------------------------
 
 
 def count_affine(v: DiagonalVariety, p: int, r: int = 1) -> int:
     """Number of affine F_q solutions, q = p^r, by Weil's formula
-
-        N = q^s + (q-1) * sum over alpha in build_alpha_set(v, p, r) of j_q(alpha),
-
-    which needs only gcd(n_i, q-1), so it also holds when p divides an n_i.
-    The Jacobi-sum total must be a rational integer; rational_value() checks it.
-    """
-    tuples = build_alpha_set(v, p, r).tuples        # checks (p, r)
-    sums = jacobi_sums((p, r), tuples)              # no tuple, no sum and no table
-    q, s = p**r, v.ambient_dim
-    big_m = math.lcm(*(j.m for j in sums))
-    total = sum((j.lift(big_m) for j in sums), CycInt.zero(big_m))
-    return q**s + (q - 1) * total.rational_value()
+    N = q^s + (q-1) * sum of Tr j_q(alpha) over the Galois-class heads alpha
+    of the orders l_i = gcd(n_i, q-1), so it also holds when p divides an
+    n_i; trace() checks that each class total is a rational integer."""
+    q = field_order(p, r)           # checks (p, r) also when no tuple survives
+    heads = galois_heads(tuple(math.gcd(n, q - 1) for n in v.exponents))
+    total = sum(j.trace() for j in jacobi_sums((p, r), heads))   # no head, no table
+    return q**v.ambient_dim + (q - 1) * total
 
 
 def count_projective(v: DiagonalVariety, p: int, r: int = 1) -> int:

@@ -209,6 +209,11 @@ class CycInt(Value):
             raise InvariantViolationError("norm did not collapse to Z")
         return out.coeffs[0]
 
+    def trace(self) -> int:
+        """Sum over all Galois conjugates; must be a rational integer."""
+        units = (ell for ell in range(2, self.m + 1) if math.gcd(ell, self.m) == 1)
+        return sum(map(self.galois, units), self).rational_value()
+
     # -- views -----------------------------------------------------------------
 
     def is_rational(self) -> bool:

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvariantViolationError, PrimalityError, ValidationError
 from .record import Record
 
+TYPE_CHECKING = False    # true to type checkers; no run imports typing
 if TYPE_CHECKING:
     import numpy as np
 

@@ -10,9 +10,11 @@ before it took one power per distinct norm polynomial.  `unit_sums_per_row` runs
 once per row instead of once per Galois class, and `jacobi_sums_per_alpha`
 reads every tuple off it, so neither goes through the class-head reduction
 or the split-prime closed form of `charsum.unit_sums`.
-`orbit_roots` walks the Frobenius orbits and takes one Jacobi sum per
-orbit, as `zeta.local_factor_middle` did before it took one sum per Galois
-class, and `class_roots` spells a factor's classes out as those roots.
+`frobenius_orbits` walks the Frobenius orbits of the degree set on its own
+grid, the oracle of `charsum.frobenius_heads`, and `orbit_roots` takes one
+Jacobi sum per orbit, as `zeta.local_factor_middle` did before it took one
+sum per Galois class, and `class_roots` spells a factor's classes out as
+those roots.
 `predicted_count_direct` takes N_r from the roots' powers in Z[mu_M]
 instead of Newton's identities on the integer factor.
 `split_prime_ideals` labels the phi(m) primes above a totally split p by
@@ -35,8 +37,8 @@ from itertools import product
 
 import numpy as np
 
-from cyarith.charsum import (_row, _unit_sum, dlog_pair_table, full_alpha_set, jacobi_sums,
-                             ord_m, unit_sums)
+from cyarith.charsum import (AlphaTuple, _row, _unit_sum, dlog_pair_table, jacobi_sums, ord_m,
+                             unit_sums)
 from cyarith.cyclo import CycInt, euler_phi
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
 from cyarith.ffield import FieldTable, is_prime, primitive_root
@@ -165,12 +167,33 @@ def jacobi_sums_per_alpha(f, alphas):
     return unit_sums_per_row(f, [_row(a) for a in alphas])
 
 
+def frobenius_orbits(v, p):
+    """The orbits of alpha -> p * alpha on v's degree set, p prime to every
+    exponent, each walked from its least tuple: the grid of numerators
+    k * den/n_i, 0 < k < n_i, is read in lexicographic order, and a tuple
+    of integer entry sum not yet seen starts an orbit."""
+    den = math.lcm(*v.exponents)
+    if math.gcd(p, den) != 1:
+        raise ValidationError(f"{p} divides an exponent of {v.exponents}")
+    seen, orbits = set(), []
+    for nums in product(*(range(den // n, den, den // n) for n in v.exponents)):
+        if sum(nums) % den or nums in seen:
+            continue
+        orbit = []
+        while nums not in seen:
+            seen.add(nums)
+            orbit.append(AlphaTuple(nums, den))
+            nums = tuple(x * p % den for x in nums)
+        orbits.append(orbit)
+    return orbits
+
+
 def orbit_roots(v, p):
     """The reciprocal roots (J, f) of v's middle factor at the good prime p,
     one per Frobenius orbit: the jacobi_sums value of the orbit's first
     tuple over F_{p^f}, f the orbit length, times Weil's sign (-1)^n."""
     by_f = {}
-    for orbit in full_alpha_set(v, p).orbits:
+    for orbit in frobenius_orbits(v, p):
         by_f.setdefault(len(orbit), []).append(orbit[0])
     sign = (-1) ** v.complex_dim
     return [(sign * j, f) for f, reps in by_f.items() for j in jacobi_sums((p, f), reps)]

@@ -6,17 +6,21 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import cyarith.charsum as charsum
-import cyarith.counting as counting
-from cyarith import (AlphaTuple, CycInt, DiagonalVariety, FieldTable, build_alpha_set,
-                     euler_phi, full_alpha_set, jacobi_sum, make_field)
-from cyarith.charsum import (dlog_pair_table, galois_class_head, jacobi_sums, ord_m,
-                             unit_sums)
-from cyarith.errors import BadReductionError, InvariantViolationError, ValidationError
-from cyarith.ffield import is_prime
+from cyarith import (AlphaTuple, CycInt, DiagonalVariety, FieldTable, count_affine, euler_phi,
+                     jacobi_sum, make_field)
+from cyarith.charsum import (degree_set, dlog_pair_table, frobenius_heads, galois_class_head,
+                             jacobi_sums, ord_m, unit_sums)
+from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.hecke import HeckeCharacter, match_hasse_weil
 from cyarith.zeta import local_factor_middle
-from oracles import (DIRECT_SUM_BUDGET, jacobi_sum_direct, jacobi_sums_per_alpha,
+from oracles import (DIRECT_ENUM_BUDGET, DIRECT_SUM_BUDGET, count_affine_direct,
+                     frobenius_orbits, jacobi_sum_direct, jacobi_sums_per_alpha,
                      unit_sums_per_row, with_generator)
+
+
+def field_set(exps, p, r=1):
+    """The degree set over F_q, q = p^r: orders l_i = gcd(n_i, q-1)."""
+    return degree_set(tuple(math.gcd(n, p**r - 1) for n in exps))
 
 
 def test_alpha_tuple_validation():
@@ -39,64 +43,28 @@ def test_ord_m():
 
 def test_alpha_set_sizes(quintic):
     # (d-1 choose s+1)-style count: 204 interior lattice points for the quintic
-    aset = full_alpha_set(quintic, 11)
-    assert len(aset.tuples) == 204
-    # p = 11 is 1 mod 5: Frobenius acts trivially, all orbits singletons
-    assert all(len(o) == 1 for o in aset.orbits)
-    aset2 = full_alpha_set(quintic, 2)
-    assert len(aset2.tuples) == 204
-    assert sorted({len(o) for o in aset2.orbits}) == [4]
-    assert len(aset2.orbits) == 51
-
-
-def test_full_alpha_set_tests_primality_once(quintic, monkeypatch):
-    # every module that binds is_prime counts into one list
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return is_prime(n)
-
-    for module in (charsum, counting):
-        monkeypatch.setattr(module, "is_prime", counted)
-    full_alpha_set(quintic, 11)
-    assert calls == [11]
-    with pytest.raises(BadReductionError, match="5 divides an exponent of"):
-        full_alpha_set(quintic, 5)
-    with pytest.raises(ValidationError, match="9 is not prime"):
-        full_alpha_set(quintic, 9)
-    assert calls == [11, 5, 9]
-
-
-def test_orbit_partition_built_once_per_residue(quintic):
-    # p acts on the degree set through p mod lcm(exponents) = p mod 5 alone
-    assert full_alpha_set(quintic, 11) is full_alpha_set(quintic, 31)
-    assert full_alpha_set(quintic, 2) is full_alpha_set(quintic, 7)
-    for p in (2, 3, 13, 29, 11):
-        for orbit in full_alpha_set(quintic, p).orbits:
-            head = orbit[0].nums
-            assert [a.nums for a in orbit] == [tuple(n * p ** k % 5 for n in head)
-                                               for k in range(len(orbit))]
-    v = DiagonalVariety((3, 6, 6))           # build_alpha_set reduces by its own orders
-    assert build_alpha_set(v, 7) is build_alpha_set(v, 13)
-    assert build_alpha_set(v, 5, 2) is build_alpha_set(v, 11, 2)
-    assert build_alpha_set(v, 5, 2) is not build_alpha_set(v, 7)
+    tuples = degree_set(quintic.exponents)
+    assert len(tuples) == 204
+    # p = 11 is 1 mod 5: Frobenius acts trivially, every tuple heads its orbit
+    assert frobenius_heads(quintic.exponents, 11) == tuples
+    # p = 2 has order 4 mod 5: 51 orbits of length 4
+    heads = frobenius_heads(quintic.exponents, 2)
+    assert len(heads) == 51
+    orbits = frobenius_orbits(quintic, 2)
+    assert [o[0] for o in orbits] == list(heads) and {len(o) for o in orbits} == {4}
+    with pytest.raises(ValidationError, match="not prime to"):
+        frobenius_heads(quintic.exponents, 5)
 
 
 def test_alpha_set_cubic():
-    cubic = DiagonalVariety.fermat(3, 1)
-    aset = full_alpha_set(cubic, 7)
-    assert [a.nums for a in aset.tuples] == [(1, 1, 1), (2, 2, 2)]
+    assert [a.nums for a in degree_set((3, 3, 3))] == [(1, 1, 1), (2, 2, 2)]
 
 
-def test_build_alpha_set_respects_field_orders():
+def test_degree_set_respects_field_orders():
     # over F_2 itself every character is trivial; the degree set must be empty
-    v = DiagonalVariety.fermat(3, 1)
-    aset = build_alpha_set(v, 2)
-    assert aset.tuples == ()
+    assert field_set((3, 3, 3), 2) == ()
     # over F_4 the full cubic set reappears
-    aset4 = build_alpha_set(v, 2, 2)
-    assert len(aset4.tuples) == 2
+    assert field_set((3, 3, 3), 2, 2) == degree_set((3, 3, 3))
 
 
 @pytest.mark.parametrize("exps,p,r", [
@@ -110,8 +78,7 @@ def test_build_alpha_set_respects_field_orders():
 def test_histogram_sum_matches_direct_definition(exps, p, r):
     v = DiagonalVariety(exps)
     f = make_field(p, r)
-    aset = build_alpha_set(v, p, r)
-    for a in aset.tuples[:40]:
+    for a in field_set(v.exponents, p, r)[:40]:
         assert jacobi_sum((p, r), a) == jacobi_sum_direct(f, a)
 
 
@@ -120,7 +87,7 @@ def test_generator_independence(quintic):
     # alpha labels along with them: the multiset over A is an invariant
     from collections import Counter
 
-    f, tuples = make_field(11), full_alpha_set(quintic, 11).tuples
+    f, tuples = make_field(11), degree_set(quintic.exponents)
     reference = Counter(j.coeffs for j in jacobi_sums((11, 1), tuples))
     for k, g in ((3, 8), (7, 7), (9, 6)):          # g = 2^k mod 11
         other = with_generator(f, k)
@@ -129,13 +96,13 @@ def test_generator_independence(quintic):
 
 
 def test_conjugation_equivariance(quintic):
-    for a in full_alpha_set(quintic, 11).tuples[:30]:
+    for a in degree_set(quintic.exponents)[:30]:
         assert jacobi_sum((11, 1), a.conjugate()) == jacobi_sum((11, 1), a).conj()
 
 
 def test_weil_bound_exact(quintic):
     q = 11
-    for a in full_alpha_set(quintic, 11).tuples[:30]:
+    for a in degree_set(quintic.exponents)[:30]:
         j = jacobi_sum((q, 1), a)
         assert j * j.conj() == CycInt.from_int(j.m, q ** (len(a.nums) - 2))
 
@@ -161,9 +128,9 @@ def test_kernel_matches_direct_oracle(field, data):
     f = make_field(*field)
     usable = [n for n in range(2, 7) if math.gcd(n, f.q - 1) > 1]
     exps = data.draw(st.lists(st.sampled_from(usable), min_size=3, max_size=5))
-    aset = build_alpha_set(DiagonalVariety(tuple(exps)), *field)
-    assume(aset.tuples)
-    a = data.draw(st.sampled_from(aset.tuples))
+    tuples = field_set(exps, *field)
+    assume(tuples)
+    a = data.draw(st.sampled_from(tuples))
     assert (f.q - 1) ** (len(exps) - 1) <= DIRECT_SUM_BUDGET
     assert jacobi_sum(field, a) == jacobi_sum_direct(f, a)
 
@@ -211,7 +178,7 @@ def _field_and_exponents(draw):
 def test_jacobi_sums_match_per_alpha_oracle(case, data):
     field, exps = case
     f = make_field(*field)
-    tuples = build_alpha_set(DiagonalVariety(tuple(exps)), *field).tuples
+    tuples = field_set(exps, *field)
     assume(tuples)
     # the whole set, element by element: a multiset comparison would not see
     # sigma_l put where sigma_{l^-1} belongs
@@ -244,7 +211,7 @@ def test_galois_heads_are_the_class_heads(exps, classes):
     # one head per Galois class, whose row is the class's galois_class_head;
     # the classes of conductor d have phi(d) tuples and cover the degree set
     heads = charsum.galois_heads(exps)
-    tuples = full_alpha_set(DiagonalVariety(exps), 7).tuples
+    tuples = degree_set(exps)
     assert len(heads) == classes
     assert all(galois_class_head(charsum._row(a))[0] == charsum._row(a) for a in heads)
     assert sum(euler_phi(a.conductor) for a in heads) == len(tuples)
@@ -254,10 +221,41 @@ def test_galois_heads_are_the_class_heads(exps, classes):
 def test_galois_heads_refuse_a_class_short_of_phi(monkeypatch):
     # the closure check: a degree set missing one tuple leaves its class
     # with phi(5) - 1 = 3 tuples
-    real = charsum._enumerate_tuples
-    monkeypatch.setattr(charsum, "_enumerate_tuples", lambda orders: real(orders)[1:])
+    real = charsum.degree_set
+    monkeypatch.setattr(charsum, "degree_set", lambda orders: real(orders)[1:])
     with pytest.raises(InvariantViolationError, match=r"has 3 tuples, not phi\(5\) = 4"):
         charsum.galois_heads.__wrapped__((5,) * 5)     # bypassing the memo
+
+
+# fields whose affine grid in 3 coordinates fits the enumeration budget:
+# r = 1, 2, 3 and p = 2 among them
+COUNT_FIELDS = [(p, r) for p in (2, 3, 5, 7, 11, 13) for r in (1, 2, 3)
+                if p ** (3 * r) <= DIRECT_ENUM_BUDGET]
+
+
+@st.composite
+def _count_case(draw):
+    """A field of COUNT_FIELDS and 3-5 exponents in 2..6, as many as its
+    grid allows."""
+    p, r = draw(st.sampled_from(COUNT_FIELDS))
+    width = max(k for k in (3, 4, 5) if p ** (k * r) <= DIRECT_ENUM_BUDGET)
+    return (p, r), tuple(draw(st.lists(st.integers(2, 6), min_size=3, max_size=width)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_count_case())
+@example(case=((2, 1), (5,) * 5))       # the quintic: 51 orbits of length 4
+@example(case=((3, 2), (3, 6, 2)))      # p divides exponents
+@example(case=((2, 3), (3, 3, 3)))      # r = 3 at p = 2
+def test_frobenius_heads_and_counts_match_oracles(case):
+    # one enumeration serves the orbits and the counts: the least tuple of
+    # each orbit is the oracle's first, and the traces of the Galois-class
+    # heads' sums give the affine count of the grid
+    (p, r), exps = case
+    v = DiagonalVariety(exps)
+    if all(n % p for n in exps):
+        assert frobenius_heads(exps, p) == tuple(o[0] for o in frobenius_orbits(v, p))
+    assert count_affine(v, p, r) == count_affine_direct(v, make_field(p, r))
 
 
 @st.composite
@@ -304,7 +302,7 @@ def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
 
     for name in ("_unit_sum", "_closed_sum"):
         monkeypatch.setattr(charsum, name, counting(getattr(charsum, name)))
-    tuples = full_alpha_set(quintic, 11).tuples
+    tuples = degree_set(quintic.exponents)
     sums = jacobi_sums((11, 1), tuples)
     assert len(sums) == 204 and len(calls) == 51
     calls.clear()

@@ -116,10 +116,10 @@ def test_count_range_skips_bad(capsys):
 
 def test_a_prime_range_is_trial_divided_once_per_layer(capsys, monkeypatch):
     # every module that binds is_prime counts into one list: 70 calls scan
-    # 2..71, 19 come from full_alpha_set and 27 from field_order, and
-    # _good_primes adds none: the exponents alone decide a proven prime
+    # 2..71, 19 come from local_factor_middle's check_good_prime and 27 from
+    # field_order, and good_primes adds none: the exponents alone decide a
+    # proven prime
     import cyarith.charsum as charsum
-    import cyarith.counting as counting
     import cyarith.ffield as ffield
 
     calls = []
@@ -129,7 +129,7 @@ def test_a_prime_range_is_trial_divided_once_per_layer(capsys, monkeypatch):
         calls.append(n)
         return is_prime(n)
 
-    for module in (ffield, charsum, counting):
+    for module in (ffield, charsum):
         monkeypatch.setattr(module, "is_prime", counted)
         for memo in vars(module).values():      # earlier tests' memos skip some calls
             if hasattr(memo, "cache_clear"):

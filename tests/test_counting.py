@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyarith import (DiagonalVariety, count_affine, count_projective,
                      local_factor_middle, make_field, predicted_count)
-from cyarith.charsum import build_alpha_set, unit_sums
+from cyarith.charsum import check_good_prime, unit_sums
 from cyarith.errors import BadReductionError, PrimalityError, ValidationError
 from oracles import DIRECT_ENUM_BUDGET, add, count_affine_direct
 
@@ -35,10 +35,12 @@ def test_calabi_yau_condition():
 
 
 def test_good_primes(quintic):
-    assert quintic.is_good_prime(2)
-    assert quintic.is_good_prime(11)
-    assert not quintic.is_good_prime(5)
-    assert not quintic.is_good_prime(4)
+    check_good_prime(quintic, 2)
+    check_good_prime(quintic, 11)
+    with pytest.raises(BadReductionError, match="5 divides an exponent of"):
+        check_good_prime(quintic, 5)
+    with pytest.raises(ValidationError, match="4 is not prime"):
+        check_good_prime(quintic, 4)
 
 
 def test_quintic_count_f11(quintic):
@@ -75,7 +77,7 @@ def test_field_checked_without_a_table(cubic, monkeypatch):
     # size: gcd(3, 100151 - 1) = 1, beyond the prime-field table bound
     import cyarith.charsum as charsum
     monkeypatch.setattr(charsum, "make_field", None)
-    for call in (build_alpha_set, count_affine, count_projective):
+    for call in (count_affine, count_projective):
         with pytest.raises(PrimalityError, match="^9 is not prime$"):
             call(cubic, 9)
         with pytest.raises(ValidationError, match="^extension degree must be positive$"):
@@ -125,6 +127,7 @@ def _sum_indices(f, t):
 
 
 def test_bad_reduction_raises(quintic):
-    from cyarith.charsum import full_alpha_set
+    # a count holds at a bad prime; a local factor is refused there
+    assert count_projective(quintic, 5) == 1 + 5 + 5**2 + 5**3
     with pytest.raises(BadReductionError):
-        full_alpha_set(quintic, 5)
+        local_factor_middle(quintic, 5)

@@ -60,6 +60,19 @@ def test_norm_multiplicative(m, data):
     assert (x * y).norm() == x.norm() * y.norm()
 
 
+@pytest.mark.parametrize("m", [1, 2, *CONDUCTORS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trace_is_the_sum_of_the_embeddings(m, data):
+    x = data.draw(_elements(m))
+    y = data.draw(_elements(m))
+    units = [c for c in range(1, m + 1) if math.gcd(c, m) == 1]
+    scale = 1 + sum(map(abs, x.coeffs))
+    assert abs(x.trace() - sum(x.embed(c) for c in units)) < 1e-9 * scale * len(units)
+    assert (x + y).trace() == x.trace() + y.trace()
+    assert CycInt.from_int(m, 3).trace() == 3 * euler_phi(m)
+
+
 @pytest.mark.parametrize("m", CONDUCTORS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

@@ -1,10 +1,14 @@
 """What a process loads: the package resolves its names on first access, and
 each CLI subcommand imports only the modules it runs.  Every check starts a
 fresh interpreter, since this session has long since loaded everything; the
-console rows run cyarith.cli as `python -m` does, console_entry included."""
+console rows run cyarith.cli as `python -m` does, console_entry included.
+The interpreter starts with -S, the site directories put on its path by
+hand: what a site's .pth files import at start-up (some load typing and
+pathlib) is not the package's doing."""
 
 import json
 import os
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +20,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def _modules_after(code: str, cwd: Path) -> set[str]:
     """sys.modules of a fresh interpreter that ran code."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH"),
+                                         *site.getsitepackages()]))
     script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
+    done = subprocess.run([sys.executable, "-S", "-c", script], cwd=cwd, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
@@ -39,28 +44,32 @@ def _cli(*argv: str) -> str:
     return f"from cyarith.cli import run\nassert run({list(argv)!r}) == 0"
 
 
+# no run imports typing, and one that opens no cache no pathlib
+NO_CACHE = {"typing", "pathlib"}
+
+
 @pytest.mark.parametrize("code, absent", [
     ("import cyarith.cli",
      {"cyarith.cache", "cyarith.zeta", "cyarith.hecke", "cyarith.cft", "numpy", "logging",
-      "dataclasses", "inspect", "datetime", "csv", "cyarith.commands"}),
+      "dataclasses", "inspect", "datetime", "csv", "cyarith.commands", *NO_CACHE}),
     (_cli("count", "-d", "5", "-n", "3", "-p", "11"),
-     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", "numpy"}),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", "numpy", *NO_CACHE}),
     (_cli("count", "--exponents", "3,3,3", "-p", "2..71", "-r", "2"),
-     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", "numpy"}),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", "numpy", *NO_CACHE}),
     (_cli("jacobi", "-d", "5", "-n", "3", "-p", "11", "--orbits"),
-     {"cyarith.hecke", "cyarith.zeta", "cyarith.cache", "cyarith.cft"}),
+     {"cyarith.hecke", "cyarith.zeta", "cyarith.cache", "cyarith.cft", *NO_CACHE}),
     (_cli("zeta", "-d", "5", "-n", "3", "-p", "2,3", "--no-cache", "--jobs", "1"),
-     {"cyarith.hecke", "cyarith.cft", "numpy"}),
+     {"cyarith.hecke", "cyarith.cft", "numpy", *NO_CACHE}),
     (_cli("hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "200"),
-     {"cyarith.cache", "cyarith.cft", "hashlib", "numpy"}),
+     {"cyarith.cache", "cyarith.cft", "hashlib", "numpy", *NO_CACHE}),
     (_cli("cft", "--spectrum", "--level", "40"),
-     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy", *NO_CACHE}),
     (_cli("cft", "--fusion", "--level", "40"),
-     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy", *NO_CACHE}),
     (_cli("cft", "--fusion-field", "--level", "40"),
-     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy", *NO_CACHE}),
     (_cli("cft", "--check", "kr", "--level", "40"),
-     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy"}),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy", *NO_CACHE}),
 ], ids=["import", "count-quintic", "count", "jacobi", "zeta", "hecke", "cft-spectrum",
         "cft-fusion", "cft-fusion-field", "cft-check-kr"])
 def test_a_subcommand_loads_only_what_it_runs(tmp_path, code, absent):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cyarith import DiagonalVariety, cft, dirichlet_coefficients, make_field
-from cyarith.charsum import AlphaSet, AlphaTuple
+from cyarith.charsum import AlphaTuple
 from cyarith.cyclo import CycInt, GroupRingElement
 from cyarith.hecke import HeckeCharacter, MatchReport, PartialSumResult
 from cyarith.zeta import local_factor_middle
@@ -43,8 +43,6 @@ RECORDS = {
                          ("l", "value", "unit_index", "abs_err")),
     "FusionFieldReport": (lambda: cft.fusion_field_match(2), cft.fusion_field_match(3),
                           ("k", "conductor", "entries")),
-    "AlphaSet": (lambda: AlphaSet((AlphaTuple((1, 2), 3),), ((AlphaTuple((1, 2), 3),),)),
-                 None, ("tuples", "orbits")),
     "FieldTable": (lambda: make_field(5), None,
                    ("p", "r", "q", "modulus", "g", "dlog", "exp", "zech")),
     "LocalFactor": (lambda: local_factor_middle(DiagonalVariety(CUBIC), 7), None,

@@ -26,6 +26,11 @@ RULES = {
                                 r"|_stickelberger_exponents)\b", set()),
     "congruent-zeta": ("**/*.py", r"\bCongruentZeta\b|\bcongruent_zeta\b|CYARITH_JOBS", set()),
     "fusion-tolerances": ("**/*.py", r"FUSION_ACCEPT|UNIT_TOL", set()),
+    # removed names stay gone: characters are listed by charsum.degree_set
+    # alone, and filtered by galois_heads and frobenius_heads
+    "alpha-set": ("**/*.py", r"\b(AlphaSet|build_alpha_set|full_alpha_set|is_good_prime)\b",
+                  set()),
+    "orbit-partition": ("cyarith/charsum.py", r"\b_assemble\b", set()),
     # the labelled ideals above a split prime are the tests' oracle
     "ideal-layer": ("**/*.py", r"\bSplitPrimeIdeal\b|split_prime_ideals|power_residue_char"
                                r"|splitting_data|ideal_jacobi_sums?\b", set()),
@@ -37,8 +42,12 @@ RULES = {
     "capacity-error": ("**/*.py", r"raise CapacityError", {"cyarith/ffield.py"}),
     # records are __slots__ classes on cyarith.record: no process loads dataclasses
     "dataclasses": ("**/*.py", r"^\s*(import\s+[\w., ]*\b|from\s+)dataclasses\b", set()),
-    # logging and hashlib load where a cache entry is read or written, not at import
-    "eager-imports": ("**/*.py", r"^(import\s+[\w., ]*\b|from\s+)(logging|hashlib)\b", set()),
+    # logging and hashlib load where a cache entry is read or written, and
+    # pathlib where a cache is opened, not at import; typing never loads
+    # (TYPE_CHECKING = False guards the annotation-only imports)
+    "eager-imports": ("**/*.py",
+                      r"^(import\s+[\w., ]*\b|from\s+)(logging|hashlib|typing|pathlib)\b",
+                      set()),
     # the cache self-check uses the interpreter's own sha256: hashlib (and
     # with it OpenSSL) only as the fallback of a build that lacks it
     "hashlib": ("**/*.py", r"^\s*(import\s+[\w., ]*\b|from\s+)hashlib\b",

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import cyarith.zeta as zeta_module
 from cyarith import (CycInt, DiagonalVariety, HeckeCharacter, LocalFactor,
-                     count_projective, expected_degrees, full_alpha_set, is_prime,
-                     local_factor_middle, predicted_count)
+                     count_projective, expected_degrees, is_prime, local_factor_middle,
+                     predicted_count)
+from cyarith.charsum import degree_set
 from cyarith.errors import InvariantViolationError, ValidationError
 from cyarith.zeta import expand_roots
 from oracles import (class_roots, expand_powers_by_class, expand_roots_direct,
@@ -139,7 +140,7 @@ def test_expected_degrees():
     # hyperplane class h^2 and the 2,605 tuples of the degree set
     deg = expected_degrees({"h11": 1, "h21": 0, "h31": 426, "h22": 1752}, 4)
     assert deg == {0: 1, 1: 0, 2: 1, 3: 0, 4: 2606, 5: 0, 6: 1, 7: 0, 8: 1}
-    assert deg[4] == 1 + len(full_alpha_set(DiagonalVariety((6,) * 6), 7).tuples)
+    assert deg[4] == 1 + len(degree_set((6,) * 6))
     with pytest.raises(ValidationError, match="needs Hodge numbers h31, h22"):
         expected_degrees({"h11": 1, "h21": 0}, 4)
 
@@ -162,7 +163,7 @@ def test_quintic_complete_at_large_residue_fields(quintic, p, r):
 def _good_vector_and_prime(draw):
     v = DiagonalVariety(tuple(draw(st.lists(st.integers(2, 7), min_size=3,
                                             max_size=5))))
-    return v, draw(st.sampled_from([p for p in PRIMES if v.is_good_prime(p)]))
+    return v, draw(st.sampled_from([p for p in PRIMES if all(n % p for n in v.exponents)]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,7 +296,7 @@ def _nonempty_vector_and_prime(draw):
     vectors have an empty degree set."""
     if draw(st.booleans()):
         v = DiagonalVariety((draw(st.integers(2, 7)),) * draw(st.integers(3, 5)))
-        return v, draw(st.sampled_from([p for p in PRIMES if v.is_good_prime(p)]))
+        return v, draw(st.sampled_from([p for p in PRIMES if all(n % p for n in v.exponents)]))
     return draw(_good_vector_and_prime())
 
 
