@@ -2,9 +2,10 @@
 
 An admissible tuple alpha = (a_0/l_0, ..., a_s/l_s) has every entry in (0,1)
 with denominator dividing the per-coordinate order and integer entry sum.
-degree_set lists them all, once per orders; galois_heads keeps one tuple
-per Galois class (a point count and a local zeta factor are sums over
-these classes), and frobenius_heads one per orbit of alpha -> p * alpha.
+degree_set lists them all, once per orders; galois_heads gives the
+unit_sums row of one tuple per Galois class (a point count and a local zeta
+factor are sums over these classes), and frobenius_heads one tuple per
+orbit of alpha -> p * alpha.
 The Jacobi sum
 
     j_q(alpha) = 1/(q-1) * sum over (u_i) in (F_q^*)^{s+1}, sum u_i = 0,
@@ -70,9 +71,6 @@ class AlphaTuple(Value):
     def entry_denominators(self) -> tuple[int, ...]:
         return tuple(self.den // math.gcd(n, self.den) for n in self.nums)
 
-    def conjugate(self) -> "AlphaTuple":
-        return AlphaTuple(tuple(self.den - n for n in self.nums), self.den)
-
 
 @lru_cache(maxsize=64)
 def degree_set(orders: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
@@ -99,25 +97,18 @@ def check_good_prime(v: DiagonalVariety, p: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def galois_heads(orders: tuple[int, ...]) -> tuple[AlphaTuple, ...]:
-    """One tuple per Galois class of degree_set(orders), the one whose _row
-    is the class's galois_class_head.  (Z/d)^* acts freely on the tuples of
-    conductor d, so a class has phi(d) of them, else the set is not
-    Galois-closed (InvariantViolationError).  At a prime p prime to the
-    orders it is phi(d)/f Frobenius orbits of length f = ord_d(p)."""
-    sizes: Counter[tuple] = Counter()
-    heads = {}
-    for a in degree_set(orders):
-        row = _row(a)
-        head = galois_class_head(row)[0]
-        sizes[head] += 1
-        if head == row:
-            heads[head] = a
+def galois_heads(orders: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """One unit_sums row (d, exps) per Galois class of degree_set(orders):
+    the class's galois_class_head, d its conductor.  (Z/d)^* acts freely on
+    the tuples of conductor d, so a class has phi(d) of them, else the set
+    is not Galois-closed (InvariantViolationError).  At a prime p prime to
+    the orders it is phi(d)/f Frobenius orbits of length f = ord_d(p)."""
+    sizes: Counter[tuple] = Counter(galois_class_head(_row(a))[0] for a in degree_set(orders))
     for (d, exps), n in sizes.items():
         if n != euler_phi(d):
             raise InvariantViolationError(f"the Galois class of {exps} mod {d} has {n} "
                                           f"tuples, not phi({d}) = {euler_phi(d)}")
-    return tuple(heads[h] for h in sizes)
+    return tuple(sizes)
 
 
 def frobenius_heads(orders: tuple[int, ...], p: int) -> tuple[AlphaTuple, ...]:
@@ -328,11 +319,9 @@ def unit_sums(field: tuple[int, int], rows) -> list[CycInt]:
     return [by_head[h] if l_inv == 1 else by_head[h].galois(l_inv) for h, l_inv in placed]
 
 
-@lru_cache(maxsize=1 << 14)
 def _row(alpha: AlphaTuple) -> tuple[int, tuple[int, ...]]:
     """The unit_sums row (m, (e_0..e_{s-1})) of alpha, m its conductor, with
-    chi_{alpha_i}(g^k) = xi_m^(e_i k); the last character is scaled away.
-    Every prime reads the same tuples, so each row is worked out once."""
+    chi_{alpha_i}(g^k) = xi_m^(e_i k); the last character is scaled away."""
     m = alpha.conductor
     return m, tuple(m * n // alpha.den for n in alpha.nums[:-1])
 

@@ -17,6 +17,9 @@ def _parse_alpha(args, exps: tuple[int, ...]) -> AlphaTuple | None:
     from ..charsum import AlphaTuple
     if not args.alpha:
         return None
+    if args.orbits:             # one given tuple need not head its orbit
+        raise ValidationError("--alpha and --orbits do not combine: --orbits lists "
+                              "the orbit representatives of the whole degree set")
     nums = common.ints(args.alpha, "alpha")
     alpha = AlphaTuple(nums, math.lcm(*exps) if args.den is None else args.den)
     if len(nums) != len(exps) or any(n % d for d, n in zip(alpha.entry_denominators(), exps)):

@@ -8,16 +8,16 @@ because the fibres of the quotient map are full G_m-torsors.
 Affine counts come from Weil's formula: the hyperplane count q^s plus (q-1)
 times the Jacobi sums j_q(alpha) of the admissible character tuples.  The
 tuples of one Galois class carry the conjugates of one sum, so the total is
-the sum of the traces of the class heads' sums (charsum.galois_heads and
-charsum.jacobi_sums over the field (p, r); Weil 1949; Ireland-Rosen ch. 8
-section 7).  tests/oracles.py enumerates the affine grid as the independent
-oracle.
+the sum of the traces of the class heads' sums (charsum.unit_sums of the
+rows of charsum.galois_heads over the field (p, r); Weil 1949; Ireland-Rosen
+ch. 8 section 7).  tests/oracles.py enumerates the affine grid as the
+independent oracle.
 """
 from __future__ import annotations
 
 import math
 
-from .charsum import galois_heads, jacobi_sums
+from .charsum import galois_heads, unit_sums
 from .errors import InvariantViolationError, ValidationError
 from .ffield import field_order
 from .record import Value
@@ -75,8 +75,8 @@ def count_affine(v: DiagonalVariety, p: int, r: int = 1) -> int:
     of the orders l_i = gcd(n_i, q-1), so it also holds when p divides an
     n_i; trace() checks that each class total is a rational integer."""
     q = field_order(p, r)           # checks (p, r) also when no tuple survives
-    heads = galois_heads(tuple(math.gcd(n, q - 1) for n in v.exponents))
-    total = sum(j.trace() for j in jacobi_sums((p, r), heads))   # no head, no table
+    rows = galois_heads(tuple(math.gcd(n, q - 1) for n in v.exponents))
+    total = sum(j.trace() for j in unit_sums((p, r), rows))   # no row, no table
     return q**v.ambient_dim + (q - 1) * total
 
 

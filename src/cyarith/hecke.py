@@ -11,9 +11,9 @@ the exercise.  Where charsum.in_closed_form holds, the sum is
 Stickelberger's closed form and needs no table, so such a character has no
 prime bound; other characters read F_p's table, up to ffield.TABLE_BOUND.
 
-Both Euler products here, the Hasse-Weil one of a variety and the Hecke one
-of a Jacobi-sum character, are built from zeta.LocalFactor, expanded in
-Z[t] and checked by its constructor, so every a_n is a plain int.
+Every factor here (a variety's, a Jacobi-sum character's, match's Hecke
+side) comes from zeta.galois_factor as a LocalFactor, expanded in Z[t] and
+checked by its constructor, so every a_n is a plain int.
 dirichlet_coefficients decides each prime once, by one plan per source:
 bad, omitted, or the table degrees charsum.table_degrees names.
 """
@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 
-from .charsum import _row, check_good_prime, galois_heads, ord_m, table_degrees, unit_sums
+from .charsum import check_good_prime, galois_heads, ord_m, table_degrees
 from .counting import DiagonalVariety
 from .cyclo import euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
 from .ffield import check_table
 from .record import Record, Value
-from .zeta import LocalFactor, expand_roots, local_factor_middle
+from .zeta import LocalFactor, galois_factor, local_factor_middle
 
 
 # -- Hasse-Weil vs Hecke local data -----------------------------------------------
@@ -46,10 +46,10 @@ class MatchReport(Value):
 def match_hasse_weil(v: DiagonalVariety, p: int,
                      lf: LocalFactor | None = None) -> MatchReport:
     """Check Weil's factorisation at a split p: lf's coefficients must be
-    those of the Hecke classes (J, 1, phi(d)) of the Galois-class heads
-    alpha, d the conductor (InvariantViolationError if not).  J is summed
-    afresh, in one unit_sums call, on rows that drop alpha's first entry
-    where the zeta side drops its last, so a cached lf meets new sums."""
+    those of the Hecke classes (J, 1, phi(d)) of the Galois-class heads,
+    d the conductor (InvariantViolationError if not).  zeta.galois_factor
+    sums J afresh, on rows that drop the head's first entry where the zeta
+    side drops its last, so a cached lf meets new sums."""
     m = math.lcm(*v.exponents)
     check_good_prime(v, p)
     f = ord_m(p, m)
@@ -57,14 +57,11 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
         raise ValidationError(f"p={p} is not split (f={f}); match needs p = 1 mod {m}")
     if lf is None:
         lf = local_factor_middle(v, p)
-    heads = galois_heads(v.exponents)
-    sums = unit_sums((p, 1), [(m, a.nums[1:]) for a in heads])      # a.den == m
-    w = v.complex_dim
-    hecke = [((-1) ** w * j, 1, euler_phi(a.conductor)) for a, j in zip(heads, sums)]
-    if expand_roots(hecke, p ** w, None) != lf.coeffs:
+    rows = [(d, e[1:] + (-sum(e) % d,)) for d, e in galois_heads(v.exponents)]
+    if galois_factor(p, v.complex_dim, rows).coeffs != lf.coeffs:
         raise InvariantViolationError(
             f"the zeta factor and the Hecke factors of its heads disagree at p={p}")
-    return MatchReport(p=p, m=m, ideals=euler_phi(m), orbit_reps=len(heads),
+    return MatchReport(p=p, m=m, ideals=euler_phi(m), orbit_reps=len(rows),
                        multiset_size=sum(n for *_, n in lf.classes))
 
 
@@ -105,7 +102,7 @@ class HeckeCharacter(Record):
     def local_factor(self, p: int) -> LocalFactor:
         """prod of (1 - J t) over the sums J at the phi(m) primes above a
         split p, as a LocalFactor of degree phi(m) with the weight in
-        cohomology_degree: the one Galois class (J_a, 1, phi(m)).
+        cohomology_degree: zeta.galois_factor of the one class row (m, a).
 
         Its product is a norm power and lies in Z[t]; building the
         LocalFactor checks that exactly, with |J|^2 = p^weight and the
@@ -113,10 +110,7 @@ class HeckeCharacter(Record):
         """
         if p % self.m != 1:
             raise ValidationError(f"p={p} is not totally split mod {self.m}")
-        j = (-1) ** (len(self.a) + 1) * unit_sums((p, 1), [(self.m, self.a)])[0]
-        g = euler_phi(self.m)
-        return LocalFactor(p=p, cohomology_degree=self.weight, full_degree=g,
-                           classes=((j, 1, g),))
+        return galois_factor(p, self.weight, [(self.m, self.a)])
 
 
 class LSeriesCoefficients(Record):
@@ -199,7 +193,7 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
         # one row per conductor: every row of a tuple of prime conductor
         # passes in_closed_form's entry tests
         weight = source.complex_dim
-        rows = {r[0]: r for r in map(_row, galois_heads(source.exponents))}.values()
+        rows = {r[0]: r for r in galois_heads(source.exponents)}.values()
 
         def plan(p):
             if any(n % p == 0 for n in source.exponents):

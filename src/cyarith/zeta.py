@@ -5,17 +5,18 @@ orbits of the degree set A of (1 - J t^f), where f is the orbit length and
 J the Jacobi sum of the orbit representative over F_{p^f}.  The n orbits
 of one Galois class carry the conjugates of one sum (Weil 1952), so a
 factor is held as classes (J_head, f, n), each expanded by its integer
-norm polynomial.  The point-count trace, Riemann hypothesis and functional
-equation serve as exact self-checks.  A LocalFactor expands and checks its
-classes when built, and a complete one also checks the functional equation
-and keeps its sign, so fresh, cached and Hecke factors pass one gate.
+norm polynomial; galois_factor builds a variety's, a Hecke character's and
+match's Hecke side from one unit_sums row per class.  The point-count
+trace, RH and functional equation are exact self-checks: a LocalFactor
+checks its classes when built, and a complete one its functional
+equation, keeping its sign, so fresh, cached and Hecke factors pass one gate.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 
-from .charsum import check_good_prime, galois_heads, jacobi_sums, ord_m
+from .charsum import check_good_prime, galois_heads, ord_m, unit_sums
 from .counting import DiagonalVariety
 from .cyclo import CycInt, euler_phi
 from .errors import InvariantViolationError, ValidationError
@@ -169,36 +170,36 @@ def _mul_in_power(a: list[int], b: list[int], f: int, trunc: int | None) -> list
     return out
 
 
-def local_factor_middle(v: DiagonalVariety, p: int,
-                        max_root_field: int | None = None) -> LocalFactor:
-    """Middle local factor at a good prime, from one Jacobi sum per Galois
-    class of the degree set (charsum.galois_heads).
-
-    A class of conductor d is n = phi(d)/f orbits of length f = ord_d(p),
-    and needs its head's sum over F_{p^f}.  max_root_field caps that
-    auxiliary field size: classes with p^f beyond the cap are skipped and
-    the returned factor is truncated to the precision that stays exact.
-    charsum.jacobi_sums builds a table of F_{p^f} only for the heads whose
-    sums are not in closed form (charsum.in_closed_form).
-    """
-    check_good_prime(v, p)
-    heads, by_f = galois_heads(v.exponents), {}
-    for a in heads:
-        by_f.setdefault(ord_m(p, a.conductor), []).append(a)
+def galois_factor(p: int, weight: int, rows,
+                  max_root_field: int | None = None) -> LocalFactor:
+    """The LocalFactor of cohomology degree weight at p of the Galois classes
+    whose unit_sums rows (d, exps) the sequence rows lists, one per class:
+    Weil's factorisation, and the one place a factor is built from sums.  A
+    class is phi(d)/f orbits of length f = ord_d(p), its root the row's sum
+    over F_{p^f} times Weil's sign (-1)^(len(exps)+1), pinned by the exact
+    point-count oracle at p=2,7,11; unit_sums runs once per f.  Classes with
+    p^f beyond max_root_field are skipped, and the factor is truncated to the
+    precision that stays exact."""
+    by_f = {}
+    for row in rows:
+        by_f.setdefault(ord_m(p, row[0]), []).append(row)
     skipped = [f for f in by_f if max_root_field is not None and p ** f > max_root_field]
     precision = None if not skipped else min(skipped) - 1
-
-    # Weil's sign: the reciprocal root attached to alpha is (-1)^n times the
-    # plain hyperplane Jacobi sum (minus for odd middle dimension, plus for
-    # even), pinned by the exact point-count oracle at p=2,7,11.
-    n = v.complex_dim
     classes: list[tuple[CycInt, int, int]] = []
     for f in sorted(f for f in by_f if precision is None or f <= precision):
-        classes += [((-1) ** n * j, f, euler_phi(a.conductor) // f)
-                    for a, j in zip(by_f[f], jacobi_sums((p, f), by_f[f]))]
-    return LocalFactor(p=p, cohomology_degree=n,
-                       full_degree=sum(euler_phi(a.conductor) for a in heads),
+        classes += [((-1) ** (len(exps) + 1) * j, f, euler_phi(d) // f)
+                    for (d, exps), j in zip(by_f[f], unit_sums((p, f), by_f[f]))]
+    return LocalFactor(p=p, cohomology_degree=weight,
+                       full_degree=sum(euler_phi(d) for d, _ in rows),
                        classes=tuple(classes), precision=precision)
+
+
+def local_factor_middle(v: DiagonalVariety, p: int,
+                        max_root_field: int | None = None) -> LocalFactor:
+    """Middle local factor at a good prime: galois_factor of the Galois
+    classes of the degree set (charsum.galois_heads)."""
+    check_good_prime(v, p)
+    return galois_factor(p, v.complex_dim, galois_heads(v.exponents), max_root_field)
 
 
 def predicted_count(lf: LocalFactor, r: int) -> int:

@@ -30,7 +30,6 @@ def test_alpha_tuple_validation():
         AlphaTuple((1, 1, 1), 5)           # sum not integral
     a = AlphaTuple((1, 1, 1, 1, 1), 5)
     assert a.conductor == 5
-    assert a.conjugate().nums == (4, 4, 4, 4, 4)
 
 
 def test_ord_m():
@@ -95,9 +94,14 @@ def test_generator_independence(quintic):
         assert Counter(j.coeffs for j in jacobi_sums_per_alpha(other, tuples)) == reference
 
 
+def _conjugate(a):
+    """The tuple of the conjugate characters, 1 - alpha_i entrywise."""
+    return AlphaTuple(tuple(a.den - n for n in a.nums), a.den)
+
+
 def test_conjugation_equivariance(quintic):
     for a in degree_set(quintic.exponents)[:30]:
-        assert jacobi_sum((11, 1), a.conjugate()) == jacobi_sum((11, 1), a).conj()
+        assert jacobi_sum((11, 1), _conjugate(a)) == jacobi_sum((11, 1), a).conj()
 
 
 def test_weil_bound_exact(quintic):
@@ -188,7 +192,7 @@ def test_jacobi_sums_match_per_alpha_oracle(case, data):
     # duplicates, conjugate pairs and shuffled order in one request
     picked = data.draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=10))
     alphas = data.draw(st.permutations(picked + picked[:3]
-                                       + [a.conjugate() for a in picked[::2]]))
+                                       + [_conjugate(a) for a in picked[::2]]))
     assert jacobi_sums(field, alphas) == jacobi_sums_per_alpha(f, alphas)
 
 
@@ -208,14 +212,16 @@ def test_galois_class_head(m, data):
 @pytest.mark.parametrize("exps, classes", [((5,) * 5, 51), ((3, 3, 6, 6), 9),
                                             ((4, 4, 4, 4), 11)])
 def test_galois_heads_are_the_class_heads(exps, classes):
-    # one head per Galois class, whose row is the class's galois_class_head;
-    # the classes of conductor d have phi(d) tuples and cover the degree set
+    # one row per Galois class, the class's galois_class_head, of the
+    # tuple's conductor d; the classes have phi(d) tuples and cover the
+    # degree set
     heads = charsum.galois_heads(exps)
     tuples = degree_set(exps)
-    assert len(heads) == classes
-    assert all(galois_class_head(charsum._row(a))[0] == charsum._row(a) for a in heads)
-    assert sum(euler_phi(a.conductor) for a in heads) == len(tuples)
-    assert {galois_class_head(charsum._row(a))[0] for a in tuples} == set(map(charsum._row, heads))
+    assert len(heads) == len(set(heads)) == classes
+    assert all(galois_class_head(row)[0] == row for row in heads)
+    assert {d for d, _ in heads} == {a.conductor for a in tuples}
+    assert sum(euler_phi(d) for d, _ in heads) == len(tuples)
+    assert {galois_class_head(charsum._row(a))[0] for a in tuples} == set(heads)
 
 
 def test_galois_heads_refuse_a_class_short_of_phi(monkeypatch):

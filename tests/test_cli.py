@@ -185,6 +185,12 @@ REFUSALS = {
              "argument --jobs: invalid int value: 'x'"),
     "jacobi-two-primes": (["jacobi", *QUINTIC, "-p", "11,31"],
                           "jacobi wants exactly one good prime"),
+    # (4,4,4,4,4)/5 does not head its orbit under p = 2, (1,1,1,1,1)/5 does:
+    # the pair would print a non-representative as a representative
+    "jacobi-alpha-orbits": (["jacobi", *QUINTIC, "-p", "2", "--alpha", "4,4,4,4,4",
+                             "--den", "5", "--orbits"],
+                            "--alpha and --orbits do not combine: --orbits lists the "
+                            "orbit representatives of the whole degree set"),
     "zeta-no-good-prime": (["zeta", *QUINTIC, "-p", "5..5", "--no-cache"],
                            "no good primes in the requested set"),
     "lseries-cutoff": (["lseries", *QUINTIC], "lseries needs --cutoff"),
@@ -714,17 +720,21 @@ def test_match_range_skips_bad_and_non_split(capsys, tmp_path):
     assert "bad reduction" in err or "divides an exponent" in err
 
 
-def test_match_failure_exits_2(capsys, monkeypatch):
-    # one Hecke-side sum turned by xi breaks Weil's factorisation
-    import cyarith.hecke as hecke
-    real = hecke.unit_sums
+def test_match_failure_exits_2(capsys, monkeypatch, tmp_path):
+    # one Hecke-side sum turned by xi breaks Weil's factorisation; the zeta
+    # factor is cached first, so the perturbed sums reach the Hecke side only
+    import cyarith.zeta as zeta
+    argv = ["match", "-d", "5", "-n", "3", "-p", "11", "--cache", str(tmp_path)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    real = zeta.unit_sums
 
     def perturbed(field, rows):
         sums = real(field, rows)
         return [sums[0] * CycInt.root(sums[0].m)] + sums[1:]
 
-    monkeypatch.setattr(hecke, "unit_sums", perturbed)
-    assert run(["match", "-d", "5", "-n", "3", "-p", "11", "--no-cache"]) == 2
+    monkeypatch.setattr(zeta, "unit_sums", perturbed)
+    assert run(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and "disagree at p=11" in out.err
 
@@ -863,8 +873,8 @@ def test_jacobi_norm_failure_exits_2(capsys, monkeypatch):
 def test_zeta_rh_failure_exits_2(capsys, monkeypatch):
     # doubled roots stay Galois-closed with an integral norm; only RH breaks
     import cyarith.zeta as zeta
-    real = zeta.jacobi_sums
-    monkeypatch.setattr(zeta, "jacobi_sums", lambda f, alphas: [2 * j for j in real(f, alphas)])
+    real = zeta.unit_sums
+    monkeypatch.setattr(zeta, "unit_sums", lambda f, rows: [2 * j for j in real(f, rows)])
     assert run(["zeta", "-d", "3", "-n", "1", "-p", "7", "--no-cache"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "|J|^2 != 7^1" in out.err

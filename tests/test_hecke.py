@@ -154,6 +154,11 @@ def test_match_hasse_weil(quintic, quintic_lf11, quintic_lf31):
     ((4, 4, 4, 4), 5, (2, 11, 21)),
     ((4, 4, 4, 4), 13, (2, 11, 21)),
     ((8, 8, 8, 8), 17, (4, 81, 301)),
+    # non-Fermat: the derived last entry of a Hecke row mixes denominators
+    ((3, 3, 6, 6), 7, (2, 9, 18)),
+    ((2, 3, 6), 13, (2, 1, 2)),
+    ((2, 4, 4), 5, (2, 1, 2)),
+    ((2, 6, 6, 6), 7, (2, 11, 21)),
 ])
 def test_match_hasse_weil_weights_classes_smaller_than_phi(exps, p, sizes):
     # the class of (2,2,2) mod 4 has one row, not phi(4) = 2: unweighted, the
@@ -165,15 +170,16 @@ def test_match_hasse_weil_weights_classes_smaller_than_phi(exps, p, sizes):
 
 def test_match_hasse_weil_raises_on_mismatch(quintic, quintic_lf11, monkeypatch):
     # xi times one Hecke-side sum keeps |J|^2 and an integral norm
-    # polynomial, but breaks Weil's factorisation against the kept factor
-    import cyarith.hecke as hecke
-    real = hecke.unit_sums
+    # polynomial, but breaks Weil's factorisation against the kept factor,
+    # built before the sums that galois_factor reads are perturbed
+    import cyarith.zeta as zeta
+    real = zeta.unit_sums
 
     def perturbed(field, rows):
         sums = real(field, rows)
         return [sums[0] * CycInt.root(sums[0].m)] + sums[1:]
 
-    monkeypatch.setattr(hecke, "unit_sums", perturbed)
+    monkeypatch.setattr(zeta, "unit_sums", perturbed)
     with pytest.raises(InvariantViolationError, match="disagree at p=11"):
         match_hasse_weil(quintic, 11, quintic_lf11)
 

@@ -36,6 +36,13 @@ RULES = {
                                r"|splitting_data|ideal_jacobi_sums?\b", set()),
     # only cache.py loads, stores and names cache entries
     "cache-entries": ("**/*.py", r"cache\.(load|store|entry_path)\(", {"cyarith/cache.py"}),
+    # one factor builder: zeta.galois_factor sums Galois-class rows and
+    # expands them for every factor; counts sum the same rows' traces
+    "unit-sums": ("**/*.py", r"unit_sums\(",
+                  {"cyarith/charsum.py", "cyarith/zeta.py", "cyarith/counting.py"}),
+    "expand-roots": ("**/*.py", r"expand_roots\(", {"cyarith/zeta.py"}),
+    # a tuple's row is charsum's own: other modules read galois_heads' rows
+    "private-row": ("**/*.py", r"\b_row\b", {"cyarith/charsum.py"}),
     # only charsum decides which sums read a table
     "closed-form": ("**/*.py", r"in_closed_form\(", {"cyarith/charsum.py"}),
     # one table rule, raised only by ffield
