@@ -330,8 +330,16 @@ def jacobi_sums(field: tuple[int, int], alphas) -> list[CycInt]:
     """Exact j_q(alpha) in Z[mu_m], m the conductor, for every alpha, in input
     order, over the field (p, r) of unit_sums, from each alpha's _row.
     unit_sums evaluates one sum per Galois class, and tabulates F_q only
-    for the classes that have no closed form."""
-    return unit_sums(field, [_row(a) for a in alphas])
+    for the classes that have no closed form.  Each sum must meet Weil's
+    bound exactly, |J|^2 = q^(s-2) for s entries (InvariantViolationError)."""
+    alphas = list(alphas)
+    sums = unit_sums(field, [_row(a) for a in alphas])
+    q = field[0] ** field[1]
+    for a, j in zip(alphas, sums):
+        w = len(a.nums) - 2
+        if j * j.conj() != CycInt.from_int(j.m, q ** w):
+            raise InvariantViolationError(f"|J|^2 != {q}^{w} for alpha {a.nums}/{a.den}")
+    return sums
 
 
 def jacobi_sum(field: tuple[int, int], alpha: AlphaTuple) -> CycInt:

@@ -17,6 +17,6 @@ def main(args) -> None:
             "cutoff": args.cutoff,
             "bad_primes": list(coeffs.bad_primes),
             "omitted_primes": list(coeffs.omitted_primes),
-            "split_primes": [p for p, _ in coeffs.included_primes]}
+            "split_primes": list(coeffs.included_primes)}
     common.emit_dirichlet(args, fmt, coeffs, head,
                           f"Hecke character m = {chi.m}, a = {chi.a}, weight {chi.weight}")

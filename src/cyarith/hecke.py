@@ -14,8 +14,10 @@ prime bound; other characters read F_p's table, up to ffield.TABLE_BOUND.
 Every factor here (a variety's, a Jacobi-sum character's, match's Hecke
 side) comes from zeta.galois_factor as a LocalFactor, expanded in Z[t] and
 checked by its constructor, so every a_n is a plain int.
-dirichlet_coefficients decides each prime once, by one plan per source:
-bad, omitted, or the table degrees charsum.table_degrees names.
+dirichlet_coefficients reads either source as its weight and Galois-class
+rows, decides each prime once, by one plan (bad, omitted, or the table
+degrees charsum.table_degrees names), and builds every planned factor from
+the rows by galois_factor.
 """
 from __future__ import annotations
 
@@ -67,16 +69,13 @@ def match_hasse_weil(v: DiagonalVariety, p: int,
 
 # -- Dirichlet coefficients --------------------------------------------------------
 
-BAD, OMITTED = "bad", "omitted"
-
-
 class HeckeCharacter(Record):
     """Jacobi-sum Hecke character of Q(mu_m) with exponent vector a.
 
     local_factor covers a totally split p, with its phi(m) ideals of norm
-    p.  In dirichlet_coefficients its plan flags the other good primes as
-    omitted and the ramified ones as bad, and charsum.table_degrees names
-    the table a split p reads.
+    p.  dirichlet_coefficients reads the character as the one class row
+    (m, a) split by m: the plan flags the other good primes as omitted and
+    the ramified ones as bad, and builds a split p's factor from the row.
     """
 
     __slots__ = ("m", "a")
@@ -115,7 +114,8 @@ class HeckeCharacter(Record):
 
 class LSeriesCoefficients(Record):
     """Integer a_n for n = 1..cutoff, a_n at values[n-1]; multiplicative by
-    construction.  included_primes holds (p, local degree) pairs.
+    construction.  included_primes holds the primes whose factors were
+    built; the local degree belongs to the source.
 
     Primes whose factors are deliberately absent (bad reduction, or
     non-split primes of a split-only Hecke character) contribute a_p = 0
@@ -126,7 +126,7 @@ class LSeriesCoefficients(Record):
                  "omitted_primes")
 
     def __init__(self, cutoff: int, weight: int, values: tuple[int, ...],
-                 included_primes: tuple[tuple[int, int], ...], bad_primes: tuple[int, ...],
+                 included_primes: tuple[int, ...], bad_primes: tuple[int, ...],
                  omitted_primes: tuple[int, ...]):
         self._fill(cutoff, weight, values, included_primes, bad_primes, omitted_primes)
 
@@ -177,68 +177,49 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     """Expand L = prod 1/P_p(p^-s) into integer a_1..a_cutoff.
 
     source is a DiagonalVariety (the Hasse-Weil L-series of its middle
-    cohomology) or a HeckeCharacter.  Its plan decides each prime p up to
-    the cutoff once: BAD (p divides an exponent or the conductor), OMITTED
-    (a character's non-split p), or the degrees f of the tables F_{p^f}
-    its factor reads (charsum.table_degrees); bad and omitted primes give
-    a_n = 0.  check_table refuses a planned table with p^f <= cutoff beyond
-    ffield.TABLE_BOUND, naming the first such p, before any factor is
-    built.  Then each planned factor is built as a LocalFactor exact
-    through t^k_max, k_max the largest k with p^k <= cutoff: a variety's
-    from its Galois classes of orbit length f <= k_max alone.
+    cohomology) or a HeckeCharacter, read once as its weight, its Galois-class
+    rows, the moduli whose prime divisors are bad (the exponents, or m) and
+    the modulus a character splits by (None for a variety).  One plan decides
+    each prime p up to the cutoff once: bad, omitted (a character's non-split
+    p) or planned; bad and omitted primes give a_n = 0.  check_table refuses
+    a planned table F_{p^f} with p^f <= cutoff beyond ffield.TABLE_BOUND
+    (charsum.table_degrees), naming the first such p, before any factor is
+    built.  Each factor is zeta.galois_factor of the rows, exact through
+    t^k_max, k_max the largest k with p^k <= cutoff.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
     if isinstance(source, DiagonalVariety):
-        # one row per conductor: every row of a tuple of prime conductor
-        # passes in_closed_form's entry tests
-        weight = source.complex_dim
-        rows = {r[0]: r for r in galois_heads(source.exponents)}.values()
-
-        def plan(p):
-            if any(n % p == 0 for n in source.exponents):
-                return BAD
-            return table_degrees(p, rows)
-
-        def factor(p, k_max):
-            return local_factor_middle(source, p, max_root_field=p ** k_max)
+        weight, rows = source.complex_dim, galois_heads(source.exponents)
+        moduli, split = source.exponents, None
     elif isinstance(source, HeckeCharacter):
-        weight, m = source.weight, source.m
-
-        def plan(p):
-            if m % p == 0:
-                return BAD
-            if p % m != 1:
-                return OMITTED
-            return table_degrees(p, [(m, source.a)])
-
-        def factor(p, k_max):
-            return source.local_factor(p)
+        weight, rows = source.weight, ((source.m, source.a),)
+        moduli, split = (source.m,), source.m
     else:
         raise ValidationError(f"unsupported coefficient source {type(source).__name__}")
+    # one row per conductor: every row of a tuple of prime conductor passes
+    # in_closed_form's entry tests
+    plan_rows = {r[0]: r for r in rows}.values()
     spf = _smallest_prime_factors(cutoff)
-    planned, skipped = [], {BAD: [], OMITTED: []}
+    planned, bad, omitted = [], [], []
     for p in (n for n in range(2, cutoff + 1) if spf[n] == n):
-        k_max = 0
-        while p ** (k_max + 1) <= cutoff:
-            k_max += 1
-        degrees = plan(p)
-        if degrees in (BAD, OMITTED):
-            skipped[degrees].append(p)
-            continue
-        for f in sorted(f for f in degrees if f <= k_max):
-            check_table(p, f)
-        planned.append((p, k_max))
-    prime_series, included = {}, []
-    for p, k_max in planned:
-        lf = factor(p, k_max)
-        prime_series[p] = _invert_local(lf.coeffs, k_max)
-        included.append((p, lf.full_degree))
+        if any(n % p == 0 for n in moduli):
+            bad.append(p)
+        elif split is not None and p % split != 1:
+            omitted.append(p)
+        else:
+            k_max = 1
+            while p ** (k_max + 1) <= cutoff:
+                k_max += 1
+            for f in sorted(f for f in table_degrees(p, plan_rows) if f <= k_max):
+                check_table(p, f)
+            planned.append((p, k_max))
+    prime_series = {p: _invert_local(galois_factor(p, weight, rows, p ** k_max).coeffs, k_max)
+                    for p, k_max in planned}
     return LSeriesCoefficients(cutoff=cutoff, weight=weight,
                                values=tuple(_assemble(spf, prime_series)),
-                               included_primes=tuple(included),
-                               bad_primes=tuple(skipped[BAD]),
-                               omitted_primes=tuple(skipped[OMITTED]))
+                               included_primes=tuple(prime_series),
+                               bad_primes=tuple(bad), omitted_primes=tuple(omitted))
 
 
 # -- diagnostic partial sums -------------------------------------------------------

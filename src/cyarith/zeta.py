@@ -82,10 +82,14 @@ def expand_roots(classes, base: int, trunc: int | None) -> tuple[int, ...]:
     local factor are checked.
 
     Classes of one f with conjugate sums are merged (the quintic's 51
-    classes at p = 2 are all -64), and each merged class is checked three
+    classes at p = 2 are all -64), and each merged class is checked four
     ways (InvariantViolationError on a failure):
       - |J|^2 = base^f (RH, base = p^weight), which covers every conjugate,
         as sigma_l commutes with complex conjugation;
+      - a root of odd prime conductor l is 1 mod (1 - xi)^2 (Iwasawa's
+        congruence): with xi^k = 1 - k(1 - xi) mod (1 - xi)^2, sum(c) = 1
+        and sum(k c_k) = 0 mod l; the ideal is Galois-stable, so this too
+        covers every conjugate, and it pins the sum among those of its norm;
       - every n is a whole number of copies of the k conjugates;
       - its norm polynomial N(u) = prod (1 - c u) over them, expanded in
         Z[mu_m], lies in Z[u] (rational_value).
@@ -103,6 +107,9 @@ def expand_roots(classes, base: int, trunc: int | None) -> tuple[int, ...]:
         j, f = next(iter(left))
         if j * j.conj() != CycInt.from_int(j.m, base ** f):
             raise InvariantViolationError(f"|J|^2 != {base}^{f} for the root {j.coeffs}")
+        if j.m > 2 and len(j.coeffs) == j.m - 1 and (      # phi(m) = m - 1: m prime
+                (sum(j.coeffs) - 1) % j.m or sum(k * c for k, c in enumerate(j.coeffs)) % j.m):
+            raise InvariantViolationError(f"the root {j.coeffs} is not 1 mod (1 - xi)^2")
         conjugates = {j} | {j.galois(l) for l in range(2, j.m) if math.gcd(l, j.m) == 1}
         counts = [n for c in conjugates for n in left.pop((c, f), ())]
         k = len(conjugates)

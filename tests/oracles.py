@@ -17,6 +17,10 @@ sum per Galois class, and `class_roots` spells a factor's classes out as
 those roots.
 `predicted_count_direct` takes N_r from the roots' powers in Z[mu_M]
 instead of Newton's identities on the integer factor.
+`eta_product` expands a product of Dedekind eta functions from Euler's
+pentagonal series, and `kronecker` is the Kronecker symbol that twists
+one: the L-series oracles, independent of every Jacobi sum (Martin-Ono,
+"Eta-quotients and elliptic curves", Proc. AMS 125, 1997).
 `split_prime_ideals` labels the phi(m) primes above a totally split p by
 the residues c of xi, `power_residue_char` reads a prime's character off
 its label, and `ideal_jacobi_sums` takes the Jacobi sums ideal by ideal:
@@ -231,6 +235,60 @@ def predicted_count_direct(lf, r):
             acc = acc + f * (j ** (r // f)).lift(big_m)
         total += (-1) ** n * acc.rational_value()  # raises if not rational
     return total
+
+
+# -- eta products and the Kronecker symbol ----------------------------------------
+
+
+def eta_product(factors, cutoff):
+    """b_1..b_cutoff of prod eta(k z)^e over the pairs (k, e), e >= 0: the
+    integer q-series q^s prod_n (1 - q^(kn))^e, s = sum(k e) / 24 a positive
+    integer, each (1 - q^(kn)) product expanded by Euler's pentagonal series
+    sum_j (-1)^j q^(k j(3j-1)/2), j over Z, with no Jacobi sum or field."""
+    shift, rem = divmod(sum(k * e for k, e in factors), 24)
+    if rem or shift < 1:
+        raise ValidationError(f"q^({shift} + {rem}/24) does not start a q-series in q^1")
+    top = cutoff - shift
+    series = np.zeros(top + 1, dtype=object)    # Python ints: exact
+    series[0] = 1
+    for k, e in factors:
+        pentagonal, j = [(0, 1)], 1
+        while k * j * (3 * j - 1) // 2 <= top:
+            pentagonal += [(k * j * (3 * j + s) // 2, (-1) ** j) for s in (-1, 1)
+                           if k * j * (3 * j + s) // 2 <= top]
+            j += 1
+        for _ in range(e):
+            out = np.zeros(top + 1, dtype=object)
+            for g, c in pentagonal:
+                out[g:] += c * series[:top + 1 - g]
+            series = out
+    return [0] * (shift - 1) + series.tolist()
+
+
+def kronecker(a, n):
+    """The Kronecker symbol (a/n) for n >= 1: the Jacobi symbol at odd n,
+    by reciprocity, times (a/2) = 0 (a even), 1 (a = +-1 mod 8) or -1
+    (a = +-3 mod 8) for each factor 2 of n."""
+    if n < 1:
+        raise ValidationError(f"n={n} must be positive")
+    sign = 1
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            sign = -sign
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 # -- the primes above a split p, labelled one by one ----------------------------

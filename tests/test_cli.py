@@ -18,7 +18,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from cyarith import CycInt, DiagonalVariety, cache
+from cyarith import DiagonalVariety, cache
 from cyarith.cli import run
 from cyarith.commands import common
 from cyarith.errors import ValidationError
@@ -462,10 +462,15 @@ def _rehashed(entry, edit):
 
 
 def _bump_a_root(data):
-    # 1 + 3 xi_3 to 1 + 4 xi_3, of norm 13: |J|^2 = 7 fails.  (2 + 3 xi_3 has
-    # norm 7, and would load as the factor 1 - t + 7t^2.)
+    # 1 + 3 xi_3 to 1 + 4 xi_3, of norm 13: |J|^2 = 7 fails
     root = data["classes"][0]["coefficients"]
     root[-1] = str(int(root[-1]) + 1)
+
+
+def _swap_the_head(data):
+    # 1 + 3 xi_3 to 2 + 3 xi_3, another sum of norm 7: every check but
+    # Iwasawa's congruence holds, and it would load as 1 - t + 7t^2
+    data["classes"][0]["coefficients"] = ["2", "3"]
 
 
 def _add_a_root(data):
@@ -477,6 +482,7 @@ def _mark_truncated(data):
 
 
 @pytest.mark.parametrize("edit, reason", [(_bump_a_root, "|J|^2"),
+                                          (_swap_the_head, "not 1 mod (1 - xi)^2"),
                                           (_add_a_root, "not whole copies"),
                                           (_mark_truncated, "truncated"),
                                           ("[]", "not a JSON object"),
@@ -721,8 +727,9 @@ def test_match_range_skips_bad_and_non_split(capsys, tmp_path):
 
 
 def test_match_failure_exits_2(capsys, monkeypatch, tmp_path):
-    # one Hecke-side sum turned by xi breaks Weil's factorisation; the zeta
-    # factor is cached first, so the perturbed sums reach the Hecke side only
+    # one Hecke-side sum swapped for another class's breaks Weil's
+    # factorisation; the zeta factor is cached first, so the perturbed sums
+    # reach the Hecke side only
     import cyarith.zeta as zeta
     argv = ["match", "-d", "5", "-n", "3", "-p", "11", "--cache", str(tmp_path)]
     assert run(argv) == 0
@@ -731,7 +738,8 @@ def test_match_failure_exits_2(capsys, monkeypatch, tmp_path):
 
     def perturbed(field, rows):
         sums = real(field, rows)
-        return [sums[0] * CycInt.root(sums[0].m)] + sums[1:]
+        first = {sums[0].galois(l) for l in range(1, 5)}
+        return [next(j for j in sums if j not in first)] + sums[1:]
 
     monkeypatch.setattr(zeta, "unit_sums", perturbed)
     assert run(argv) == 2
@@ -859,11 +867,12 @@ def test_cft_verlinde_violation_exits_2(capsys, monkeypatch):
 
 
 def test_jacobi_norm_failure_exits_2(capsys, monkeypatch):
-    # the subcommand reads jacobi_sums off cyarith.charsum when it runs
+    # charsum.jacobi_sums checks the sums that unit_sums returns, so the
+    # stand-in goes under the check, not over it
     import cyarith.charsum as charsum
     import cyarith.hecke  # noqa: F401  (loaded first, so no module binds the stand-in)
-    real = charsum.jacobi_sums
-    monkeypatch.setattr(charsum, "jacobi_sums", lambda f, alphas: [j + 1 for j in real(f, alphas)])
+    real = charsum.unit_sums
+    monkeypatch.setattr(charsum, "unit_sums", lambda f, rows: [j + 1 for j in real(f, rows)])
     for fmt in ("--json", "--table"):
         assert run(["jacobi", "-d", "5", "-n", "3", "-p", "11", "--orbits", fmt]) == 2
         out = capsys.readouterr()

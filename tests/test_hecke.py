@@ -169,15 +169,17 @@ def test_match_hasse_weil_weights_classes_smaller_than_phi(exps, p, sizes):
 
 
 def test_match_hasse_weil_raises_on_mismatch(quintic, quintic_lf11, monkeypatch):
-    # xi times one Hecke-side sum keeps |J|^2 and an integral norm
-    # polynomial, but breaks Weil's factorisation against the kept factor,
-    # built before the sums that galois_factor reads are perturbed
+    # another class's sum in place of the first keeps |J|^2, Iwasawa's
+    # congruence and an integral norm polynomial, but breaks Weil's
+    # factorisation against the kept factor, built before the sums that
+    # galois_factor reads are perturbed
     import cyarith.zeta as zeta
     real = zeta.unit_sums
 
     def perturbed(field, rows):
         sums = real(field, rows)
-        return [sums[0] * CycInt.root(sums[0].m)] + sums[1:]
+        first = {sums[0].galois(l) for l in range(1, 5)}
+        return [next(j for j in sums if j not in first)] + sums[1:]
 
     monkeypatch.setattr(zeta, "unit_sums", perturbed)
     with pytest.raises(InvariantViolationError, match="disagree at p=11"):
@@ -265,7 +267,7 @@ def test_hecke_coefficients():
     coeffs = dirichlet_coefficients(chi, 35)
     assert coeffs.a(11) == 89
     assert coeffs.a(31) == 409
-    assert [p for p, _ in coeffs.included_primes] == [11, 31]
+    assert coeffs.included_primes == (11, 31)
     assert coeffs.bad_primes == (5,)
     assert 2 in coeffs.omitted_primes and 19 in coeffs.omitted_primes
     assert coeffs.a(22) == 0                   # 2 omitted kills the product
@@ -449,3 +451,28 @@ def test_partial_sums(quintic):
             partial_sum_eval(coeffs, s)
     res26 = partial_sum_eval(coeffs, 2.6)
     assert math.isinf(res26.tail_bound)       # converges, bound model does not
+
+
+@pytest.mark.parametrize("source", [DiagonalVariety.fermat(5, 3), HeckeCharacter(5, (1, 1, 1, 1))],
+                         ids=["quintic", "5;1,1,1,1"])
+def test_one_plan_builds_every_factor_from_rows(source, monkeypatch):
+    # either source is read as its Galois-class rows, and each planned prime's
+    # factor is one galois_factor call: no per-source factor path is taken
+    import cyarith.hecke as hecke
+
+    expected = dirichlet_coefficients(source, 500)
+    built, real = [], hecke.galois_factor
+
+    def counted(p, *args):
+        built.append(p)
+        return real(p, *args)
+
+    def refused(*args):
+        raise AssertionError("a per-source factor path was taken")
+
+    monkeypatch.setattr(hecke, "galois_factor", counted)
+    monkeypatch.setattr(hecke, "local_factor_middle", refused)
+    monkeypatch.setattr(HeckeCharacter, "local_factor", refused)
+    coeffs = dirichlet_coefficients(source, 500)
+    assert coeffs.values == expected.values
+    assert built == list(coeffs.included_primes) == list(expected.included_primes)

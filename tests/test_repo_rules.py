@@ -20,6 +20,7 @@ RULES = {
     "oracles": ("**/*.py", r"def [A-Za-z0-9_]*_direct\b|DIRECT_[A-Z0-9_]*_BUDGET", set()),
     # checks live where values are computed, not in the CLI
     "cli-tolerance": (CLI, r"^[A-Z0-9_]*_TOL\b", set()),
+    "cli-invariants": (CLI, r"raise InvariantViolationError", set()),
     # removed names stay gone
     "rh-report": ("**/*.py", r"def check_riemann_hypothesis\b|class RHReport\b", set()),
     "table-bounds": ("**/*.py", r"\b(PRIME_FIELD_BOUND|EXTENSION_FIELD_BOUND|table_bound"
