@@ -23,9 +23,10 @@ _EXPORTS = {
               "hecke_weight", "s_element"),
     "errors": ("BadReductionError", "CapacityError", "InvariantViolationError",
                "PrimalityError", "ValidationError"),
-    "ffield": ("FieldTable", "dlog", "is_prime", "make_field"),
+    "ffield": ("is_prime",),
     "hecke": ("HeckeCharacter", "LSeriesCoefficients", "MatchReport",
               "dirichlet_coefficients", "match_hasse_weil", "partial_sum_eval"),
+    "tables": ("FieldTable", "dlog", "make_field"),
     "zeta": ("LocalFactor", "expected_degrees", "local_factor_middle",
              "predicted_count"),
 }

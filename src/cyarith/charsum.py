@@ -19,9 +19,8 @@ conjugates of a generator pi of the degree-f prime of Z[mu_l] that the
 characters reduce modulo, raised to r/f (Hasse-Davenport).  pi is p itself
 when p is inert, and otherwise is found by Euclid's gcd; no field table is
 built (Ireland-Rosen ch. 14; Berndt-Evans-Williams ch. 11; Weil 1952).
-Every other sum (in_closed_form says which) is read off one
-(dlog(1-v), dlog v) class table per field, built from the field's Zech
-logarithms alone (the kernel).
+Every other sum (in_closed_form says which) is read off a table of the
+field by the table method's kernel, tables.kernel_sums.
 """
 from __future__ import annotations
 
@@ -32,15 +31,12 @@ from itertools import product
 
 from .cyclo import CycInt, cyclotomic_gcd, euler_phi, s_element
 from .errors import BadReductionError, InvariantViolationError, ValidationError
-from .ffield import field_order, is_prime, make_field, poly_rem, root_minimal_polynomial
+from .ffield import field_order, is_prime, poly_rem, root_minimal_polynomial
 from .record import Value
 
 TYPE_CHECKING = False    # true to type checkers; no run imports typing
 if TYPE_CHECKING:
-    import numpy as np
-
     from .counting import DiagonalVariety
-    from .ffield import FieldTable
 
 # odd primes l whose Z[mu_l] is norm-Euclidean, and at which the closed form
 # has been checked against the kernel at every split p < 10^4 and every
@@ -121,69 +117,6 @@ def frobenius_heads(orders: tuple[int, ...], p: int) -> tuple[AlphaTuple, ...]:
                  if all(a.nums <= tuple(n * u % den for n in a.nums) for u in units))
 
 
-# -- Jacobi sums: the kernel ---------------------------------------------------------
-
-def dlog_pair_table(f: FieldTable, M: int) -> np.ndarray:
-    """C[i, j] = #{v in F_q minus {0, 1} : dlog(1-v) = i, dlog(v) = j mod M}.
-
-    Every two-variable Jacobi sum with characters of order dividing M is a
-    weighted read of this table.  v -> 1-v permutes F_q minus {0, 1}, so
-    both marginals must equal the dlog class sizes less the excluded v = 1.
-    With v = g^e for e in 1..q-2, dlog(1-v) is the Zech logarithm zech[e].
-    """
-    import numpy as np
-
-    q = f.q
-    if (q - 1) % M:
-        raise ValidationError(f"character order {M} does not divide q-1 = {q - 1}")
-    flat = f.zech[1:] % M * M + np.arange(1, q - 1, dtype=np.int64) % M
-    table = np.bincount(flat, minlength=M * M).reshape(M, M)
-    sizes = (q - 1) // M - (np.arange(M) == 0)
-    if not (np.array_equal(table.sum(0), sizes) and np.array_equal(table.sum(1), sizes)):
-        raise InvariantViolationError("pair table marginals are not the dlog class sizes")
-    return table
-
-
-def _unit_sum(table: np.ndarray, q: int, m: int, exps) -> CycInt:
-    """One row of unit_sums on a table already folded to modulus m.
-
-    Weil's reduction to two-variable sums: with psi_k = chi_0 ... chi_k,
-    A_k = sum over u_0 + ... + u_k = 1 and Z_k = sum over u_0 + ... + u_k = 0
-    obey A_{k+1} = A_k J2(psi_k, chi_{k+1}) + Z_k and
-    Z_{k+1} = psi_k(-1) (q-1) A_k when psi_{k+1} is trivial, else 0.
-    """
-    import numpy as np
-
-    half = (q - 1) // 2 if q % 2 else 0          # dlog(-1)
-    k = np.arange(m)
-
-    def at_minus_one(e: int) -> int:
-        return 1 if e * half % m == 0 else -1
-
-    a, z, psi = CycInt.one(m), CycInt.zero(m), exps[0] % m
-    for e in exps[1:]:
-        classes = (psi * k[:, None] + e * k[None, :]) % m
-        j2 = np.zeros(m, dtype=np.int64)
-        np.add.at(j2, classes.ravel(), table.ravel())
-        nxt = (psi + e) % m
-        z_next = (q - 1) * at_minus_one(psi) * a if nxt == 0 else CycInt.zero(m)
-        a = a * CycInt.from_exponent_counts(m, j2.tolist()) + z
-        z, psi = z_next, nxt
-    return at_minus_one(psi) * a
-
-
-def _kernel_sums(p: int, r: int, heads) -> dict[tuple, CycInt]:
-    """_unit_sum at every head (m, exps) over F_{p^r}, from one pair table of
-    make_field(p, r), the one table a sum reads, built at the lcm of the
-    moduli and folded down to each."""
-    f = make_field(p, r)
-    big_m = math.lcm(*(m for m, _ in heads))
-    table = dlog_pair_table(f, big_m)
-    folded = {m: table.reshape(big_m // m, m, big_m // m, m).sum(axis=(0, 2))
-              for m in {m for m, _ in heads}}
-    return {(m, e): _unit_sum(folded[m], f.q, m, e) for m, e in heads}
-
-
 # -- Jacobi sums of prime conductor: Stickelberger's factorisation ---------------------
 
 def ord_m(p: int, m: int) -> int:
@@ -208,12 +141,16 @@ def in_closed_form(p: int, r: int, m: int, exps) -> bool:
             and all(e % m for e in exps) and sum(exps) % m != 0)
 
 
-def table_degrees(p: int, rows) -> set[int]:
-    """The degrees f of the tables F_{p^f} that unit_sums builds for the rows
-    (m, exps), each summed over its residue field, f = ord_m(p): the f of
-    every row not in_closed_form.  p must be prime to every m."""
+def check_tables(p: int, rows, k_max: int) -> None:
+    """tables.check_table, in increasing f <= k_max, at each table F_{p^f}
+    that unit_sums builds for the rows (m, exps), each summed over its
+    residue field, f = ord_m(p): the f of every row not in_closed_form.
+    p must be prime to every m; tables loads only if some row needs one."""
     orders = {m: ord_m(p, m) for m, _ in rows}
-    return {orders[m] for m, e in rows if not in_closed_form(p, orders[m], m, e)}
+    for f in sorted({orders[m] for m, e in rows if orders[m] <= k_max
+                     and not in_closed_form(p, orders[m], m, e)}):
+        from .tables import check_table
+        check_table(p, f)
 
 
 @lru_cache(maxsize=256)
@@ -296,13 +233,13 @@ def unit_sums(field: tuple[int, int], rows) -> list[CycInt]:
     u_0 + ... + u_k = -1 of prod_i xi_m^(e_i * dlog u_i), exact in Z[mu_m].
 
     field is the pair (p, r) for F_q, q = p^r, checked by field_order; dlog
-    is to base g of ffield.field_generator(p, r), make_field(p, r)'s own
+    is to base g of ffield.field_generator(p, r), tables.make_field's too
     (primitive_root(p) when r = 1).  Scaling a row by l in (Z/m)^* applies
     sigma_l to its sum (Ireland-Rosen ch. 8 and 14), so each Galois class
     is evaluated once, on its head, and every other row is read off as
     sigma_{l_inv} of its head's sum.  A head in_closed_form is computed by
-    _closed_sum with no table; the rest go to the kernel, which tabulates
-    F_q only if some head does.
+    _closed_sum with no table; the rest go to tables.kernel_sums, which
+    tabulates F_q, and this imports the table method only if some head does.
     """
     p, r = field
     field_order(p, r)
@@ -315,7 +252,8 @@ def unit_sums(field: tuple[int, int], rows) -> list[CycInt]:
             by_head[m, e] = _closed_sum(p, r, m, e, memo)
     kernel = [h for h in heads if h not in by_head]
     if kernel:
-        by_head.update(_kernel_sums(p, r, kernel))
+        from .tables import kernel_sums
+        by_head.update(kernel_sums(p, r, kernel))
     return [by_head[h] if l_inv == 1 else by_head[h].galois(l_inv) for h, l_inv in placed]
 
 

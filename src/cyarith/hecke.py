@@ -9,25 +9,24 @@ sums at these primes reproduce the middle local factor of the matching
 diagonal hypersurface (Weil's factorisation), which is the whole point of
 the exercise.  Where charsum.in_closed_form holds, the sum is
 Stickelberger's closed form and needs no table, so such a character has no
-prime bound; other characters read F_p's table, up to ffield.TABLE_BOUND.
+prime bound; other characters read F_p's table, up to tables.TABLE_BOUND.
 
 Every factor here (a variety's, a Jacobi-sum character's, match's Hecke
 side) comes from zeta.galois_factor as a LocalFactor, expanded in Z[t] and
 checked by its constructor, so every a_n is a plain int.
 dirichlet_coefficients reads either source as its weight and Galois-class
-rows, decides each prime once, by one plan (bad, omitted, or the table
-degrees charsum.table_degrees names), and builds every planned factor from
-the rows by galois_factor.
+rows, decides each prime once, by one plan (bad, omitted, or planned with
+its tables checked by charsum.check_tables), and builds every planned
+factor from the rows by galois_factor.
 """
 from __future__ import annotations
 
 import math
 
-from .charsum import check_good_prime, galois_heads, ord_m, table_degrees
+from .charsum import check_good_prime, check_tables, galois_heads, ord_m
 from .counting import DiagonalVariety
 from .cyclo import euler_phi, hecke_weight
 from .errors import InvariantViolationError, ValidationError
-from .ffield import check_table
 from .record import Record, Value
 from .zeta import LocalFactor, galois_factor, local_factor_middle
 
@@ -181,9 +180,9 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
     rows, the moduli whose prime divisors are bad (the exponents, or m) and
     the modulus a character splits by (None for a variety).  One plan decides
     each prime p up to the cutoff once: bad, omitted (a character's non-split
-    p) or planned; bad and omitted primes give a_n = 0.  check_table refuses
-    a planned table F_{p^f} with p^f <= cutoff beyond ffield.TABLE_BOUND
-    (charsum.table_degrees), naming the first such p, before any factor is
+    p) or planned; bad and omitted primes give a_n = 0.  charsum.check_tables
+    refuses a planned table F_{p^f} with p^f <= cutoff beyond
+    tables.TABLE_BOUND, naming the first such p, before any factor is
     built.  Each factor is zeta.galois_factor of the rows, exact through
     t^k_max, k_max the largest k with p^k <= cutoff.
     """
@@ -211,8 +210,7 @@ def dirichlet_coefficients(source: DiagonalVariety | HeckeCharacter,
             k_max = 1
             while p ** (k_max + 1) <= cutoff:
                 k_max += 1
-            for f in sorted(f for f in table_degrees(p, plan_rows) if f <= k_max):
-                check_table(p, f)
+            check_tables(p, plan_rows, k_max)
             planned.append((p, k_max))
     prime_series = {p: _invert_local(galois_factor(p, weight, rows, p ** k_max).coeffs, k_max)
                     for p, k_max in planned}

@@ -41,12 +41,12 @@ from itertools import product
 
 import numpy as np
 
-from cyarith.charsum import (AlphaTuple, _row, _unit_sum, dlog_pair_table, jacobi_sums, ord_m,
-                             unit_sums)
+from cyarith.charsum import AlphaTuple, _row, jacobi_sums, ord_m, unit_sums
 from cyarith.cyclo import CycInt, euler_phi
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
-from cyarith.ffield import FieldTable, is_prime, primitive_root
+from cyarith.ffield import is_prime, primitive_root
 from cyarith.record import Record
+from cyarith.tables import FieldTable, _unit_sum, dlog_pair_table
 
 DIRECT_SUM_BUDGET = 1 << 28     # (q-1)^s cap for the direct Jacobi summation
 DIRECT_ENUM_BUDGET = 1 << 25    # affine grid cells for the exhaustive count

@@ -8,9 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 import cyarith.charsum as charsum
 from cyarith import (AlphaTuple, CycInt, DiagonalVariety, FieldTable, count_affine, euler_phi,
                      jacobi_sum, make_field)
-from cyarith.charsum import (degree_set, dlog_pair_table, frobenius_heads, galois_class_head,
-                             jacobi_sums, ord_m, unit_sums)
+from cyarith.charsum import (degree_set, frobenius_heads, galois_class_head, jacobi_sums, ord_m,
+                             unit_sums)
 from cyarith.errors import InvariantViolationError, ValidationError
+from cyarith.tables import dlog_pair_table
 from cyarith.hecke import HeckeCharacter, match_hasse_weil
 from cyarith.zeta import local_factor_middle
 from oracles import (DIRECT_ENUM_BUDGET, DIRECT_SUM_BUDGET, count_affine_direct,
@@ -296,6 +297,7 @@ def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
     # one evaluation per Galois class, by the kernel or, at a prime of
     # conductor 5, by the closed form
     import cyarith.charsum as charsum
+    import cyarith.tables as tables
 
     lf = local_factor_middle(quintic, 11)
     calls = []
@@ -306,8 +308,8 @@ def test_one_kernel_row_per_galois_class(quintic, monkeypatch):
             return real(*args)
         return wrapped
 
-    for name in ("_unit_sum", "_closed_sum"):
-        monkeypatch.setattr(charsum, name, counting(getattr(charsum, name)))
+    for module, name in ((tables, "_unit_sum"), (charsum, "_closed_sum")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     tuples = degree_set(quintic.exponents)
     sums = jacobi_sums((11, 1), tuples)
     assert len(sums) == 204 and len(calls) == 51

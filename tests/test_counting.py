@@ -75,8 +75,8 @@ def test_field_checked_without_a_table(cubic, monkeypatch):
     # (p, r) is refused as make_field refuses it, also where no tuple would
     # survive (gcd(3, 9 - 1) = 1); with no tuple, no table is built at any
     # size: gcd(3, 100151 - 1) = 1, beyond the prime-field table bound
-    import cyarith.charsum as charsum
-    monkeypatch.setattr(charsum, "make_field", None)
+    import cyarith.tables as tables
+    monkeypatch.setattr(tables, "make_field", None)
     for call in (count_affine, count_projective):
         with pytest.raises(PrimalityError, match="^9 is not prime$"):
             call(cubic, 9)

@@ -16,7 +16,7 @@ from cyarith import (CycInt, DiagonalVariety, HeckeCharacter,
                      partial_sum_eval)
 from cyarith import ffield
 from cyarith.errors import CapacityError, InvariantViolationError, ValidationError
-from cyarith.charsum import unit_sums
+from cyarith.charsum import galois_heads, unit_sums
 from cyarith.hecke import _assemble, _smallest_prime_factors
 from oracles import (SplitPrimeIdeal, class_roots, expand_roots_direct, ideal_jacobi_sum,
                      ideal_jacobi_sums, power_residue_char, split_prime_ideals,
@@ -274,9 +274,8 @@ def test_hecke_coefficients():
 
 
 def _count_make_field(monkeypatch):
-    """The make_field calls from here on, through every module that binds it."""
-    import cyarith.charsum as charsum
-    import cyarith.ffield as ffield
+    """The make_field calls from here on."""
+    import cyarith.tables as tables
 
     calls = []
 
@@ -284,8 +283,7 @@ def _count_make_field(monkeypatch):
         calls.append(args)
         return make_field(*args, **kwargs)
 
-    for module in (ffield, charsum):
-        monkeypatch.setattr(module, "make_field", counting)
+    monkeypatch.setattr(tables, "make_field", counting)
     return calls
 
 
@@ -367,19 +365,41 @@ PLANNED_SOURCES = {
 @pytest.mark.parametrize("name", PLANNED_SOURCES)
 def test_planned_tables_are_the_tables_built(name, monkeypatch):
     # the plan checks against the table bound exactly the (p, f) whose
-    # tables the factors then build: no table unchecked, no check wasted
-    import cyarith.hecke as hecke
+    # tables the factors then build: no table unchecked, no check wasted.
+    # make_field checks its own table again; each check is filed by caller
+    import sys
 
-    checked = []
+    import cyarith.tables as tables
+
+    checked = {"check_tables": [], "make_field": []}
+    real = tables.check_table
 
     def check_table(p, f):
-        checked.append((p, f))
-        return ffield.check_table(p, f)
+        checked[sys._getframe(1).f_code.co_name].append((p, f))
+        return real(p, f)
 
-    monkeypatch.setattr(hecke, "check_table", check_table)
+    monkeypatch.setattr(tables, "check_table", check_table)
     built = _count_make_field(monkeypatch)
     dirichlet_coefficients(PLANNED_SOURCES[name], 3000)
-    assert sorted(checked) == sorted(built)
+    assert sorted(checked["check_tables"]) == sorted(built)
+    assert checked["make_field"] == built
+
+
+WEIL_VARIETIES = [(5, 5, 5, 5, 5), (3, 3, 3), (5, 5, 5), (4, 4, 4, 4), (2, 3, 6), (3, 3, 6, 6),
+                  (12, 12, 12), (11, 11, 11)]
+
+
+@pytest.mark.parametrize("exponents", WEIL_VARIETIES, ids=lambda e: ",".join(map(str, e)))
+def test_weil_factorisation_head_by_head(exponents):
+    # match compares expanded coefficients alone; here each Galois head's
+    # sum equals that of match's Hecke-side row, which drops the head's first
+    # character where the head drops its last, at split primes served by the
+    # closed form (conductors 3 and 5) and by the table kernel alike
+    heads = galois_heads(exponents)
+    rows = [(d, e[1:] + (-sum(e) % d,)) for d, e in heads]
+    m = math.lcm(*exponents)
+    for p in [p for p in range(m + 1, 1000, m) if is_prime(p)][:3]:
+        assert unit_sums((p, 1), heads) == unit_sums((p, 1), rows), p
 
 
 # (m, a) with sum(a) = 0 mod m (trivial character product, weight r - 2)

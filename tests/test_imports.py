@@ -46,22 +46,26 @@ def _cli(*argv: str) -> str:
 
 # no run imports typing, and one that opens no cache no pathlib
 NO_CACHE = {"typing", "pathlib"}
+# a run whose sums are all in closed form builds no table
+NO_TABLES = {"cyarith.tables", "numpy"}
 
 
 @pytest.mark.parametrize("code, absent", [
     ("import cyarith.cli",
-     {"cyarith.cache", "cyarith.zeta", "cyarith.hecke", "cyarith.cft", "numpy", "logging",
-      "dataclasses", "inspect", "datetime", "csv", "cyarith.commands", *NO_CACHE}),
+     {"cyarith.cache", "cyarith.zeta", "cyarith.hecke", "cyarith.cft", "logging",
+      "dataclasses", "inspect", "datetime", "csv", "cyarith.commands", *NO_TABLES, *NO_CACHE}),
     (_cli("count", "-d", "5", "-n", "3", "-p", "11"),
-     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", "numpy", *NO_CACHE}),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", *NO_TABLES, *NO_CACHE}),
     (_cli("count", "--exponents", "3,3,3", "-p", "2..71", "-r", "2"),
-     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", "numpy", *NO_CACHE}),
+     {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "cyarith.cft", *NO_TABLES, *NO_CACHE}),
     (_cli("jacobi", "-d", "5", "-n", "3", "-p", "11", "--orbits"),
-     {"cyarith.hecke", "cyarith.zeta", "cyarith.cache", "cyarith.cft", *NO_CACHE}),
+     {"cyarith.hecke", "cyarith.zeta", "cyarith.cache", "cyarith.cft", *NO_TABLES, *NO_CACHE}),
     (_cli("zeta", "-d", "5", "-n", "3", "-p", "2,3", "--no-cache", "--jobs", "1"),
-     {"cyarith.hecke", "cyarith.cft", "numpy", *NO_CACHE}),
+     {"cyarith.hecke", "cyarith.cft", *NO_TABLES, *NO_CACHE}),
     (_cli("hecke", "-m", "5", "--a", "1,1,1,1", "--cutoff", "200"),
-     {"cyarith.cache", "cyarith.cft", "hashlib", "numpy", *NO_CACHE}),
+     {"cyarith.cache", "cyarith.cft", "hashlib", *NO_TABLES, *NO_CACHE}),
+    (_cli("lseries", "-d", "5", "-n", "3", "--cutoff", "200"),
+     {"cyarith.cache", "cyarith.cft", "hashlib", *NO_TABLES, *NO_CACHE}),
     (_cli("cft", "--spectrum", "--level", "40"),
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy", *NO_CACHE}),
     (_cli("cft", "--fusion", "--level", "40"),
@@ -70,12 +74,19 @@ NO_CACHE = {"typing", "pathlib"}
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy", *NO_CACHE}),
     (_cli("cft", "--check", "kr", "--level", "40"),
      {"cyarith.zeta", "cyarith.cache", "cyarith.hecke", "numpy", *NO_CACHE}),
-], ids=["import", "count-quintic", "count", "jacobi", "zeta", "hecke", "cft-spectrum",
-        "cft-fusion", "cft-fusion-field", "cft-check-kr"])
+], ids=["import", "count-quintic", "count", "jacobi", "zeta", "hecke", "lseries",
+        "cft-spectrum", "cft-fusion", "cft-fusion-field", "cft-check-kr"])
 def test_a_subcommand_loads_only_what_it_runs(tmp_path, code, absent):
     loaded = _modules_after(code, tmp_path)
     assert "cyarith.cli" in loaded
     assert not loaded & absent
+
+
+def test_a_table_run_loads_the_table_method(tmp_path):
+    # conductor 4 has no closed form: its sums are read off a table of F_5
+    loaded = _modules_after(_cli("zeta", "--exponents", "4,4,4,4", "-p", "5", "--no-cache",
+                                 "--jobs", "1"), tmp_path)
+    assert NO_TABLES <= loaded
 
 
 @pytest.mark.parametrize("argv, ran", [
@@ -106,7 +117,7 @@ def test_a_cached_console_run_maps_no_openssl(tmp_path, warm):
     argv = ["match", *zeta[1:]] if warm else zeta
     loaded = _modules_after(_console(*argv), tmp_path)
     assert "cyarith.cache" in loaded
-    assert not loaded & {"hashlib", "_hashlib", "logging"}
+    assert not loaded & {"hashlib", "_hashlib", "logging", *NO_TABLES}
     assert entry.exists() and (not warm or entry.stat().st_mtime_ns == stamp)
 
 

@@ -14,8 +14,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CLI = ("cyarith/cli.py", "cyarith/commands/*.py")     # the front end and its subcommands
 
 RULES = {
-    # only ffield and charsum's kernel build a field table
-    "make-field": ("**/*.py", r"make_field\(", {"cyarith/ffield.py", "cyarith/charsum.py"}),
+    # the table method is one module: only tables builds a field table, and
+    # numpy loads there and in cyclo.delta_determinant's float determinant
+    "make-field": ("**/*.py", r"make_field\(", {"cyarith/tables.py"}),
+    "numpy": ("**/*.py", r"^\s*(import\s+[\w., ]*\b|from\s+)numpy\b",
+              {"cyarith/tables.py", "cyarith/cyclo.py"}),
     # brute-force oracles live in tests/
     "oracles": ("**/*.py", r"def [A-Za-z0-9_]*_direct\b|DIRECT_[A-Z0-9_]*_BUDGET", set()),
     # checks live where values are computed, not in the CLI
@@ -46,8 +49,9 @@ RULES = {
     "private-row": ("**/*.py", r"\b_row\b", {"cyarith/charsum.py"}),
     # only charsum decides which sums read a table
     "closed-form": ("**/*.py", r"in_closed_form\(", {"cyarith/charsum.py"}),
-    # one table rule, raised only by ffield
-    "capacity-error": ("**/*.py", r"raise CapacityError", {"cyarith/ffield.py"}),
+    # two bounds: ffield's FACTOR_BOUND and tables' TABLE_BOUND
+    "capacity-error": ("**/*.py", r"raise CapacityError",
+                       {"cyarith/ffield.py", "cyarith/tables.py"}),
     # records are __slots__ classes on cyarith.record: no process loads dataclasses
     "dataclasses": ("**/*.py", r"^\s*(import\s+[\w., ]*\b|from\s+)dataclasses\b", set()),
     # logging and hashlib load where a cache entry is read or written, and

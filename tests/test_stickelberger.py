@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cyarith.charsum as charsum
+import cyarith.tables as tables
 from cyarith import CycInt, is_prime, make_field
 from cyarith.charsum import (STICKELBERGER_CONDUCTORS, degree_set, galois_class_head,
                              in_closed_form, jacobi_sum, jacobi_sums, ord_m, unit_sums)
@@ -24,13 +25,13 @@ SPLIT_PRIMES = {l: [p for p in range(3, 2001) if is_prime(p) and p % l == 1]
 def _kernel_heads(monkeypatch):
     """The class heads that reach the table kernel from here on."""
     heads = []
-    real = charsum._kernel_sums
+    real = tables.kernel_sums
 
     def spying(p, r, kernel):
         heads.extend(kernel)
         return real(p, r, kernel)
 
-    monkeypatch.setattr(charsum, "_kernel_sums", spying)
+    monkeypatch.setattr(tables, "kernel_sums", spying)
     return heads
 
 
