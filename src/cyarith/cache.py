@@ -5,20 +5,21 @@ computes and stores it.
 
 One JSON file per (exponent vector, prime), laid out as in
 docs/schemas/cache.schema.json: a format version, a sha256 self-check of the
-canonical encoding of the data, and the data itself, the factor's Galois
-classes (one head Jacobi sum each, with its orbit length f and orbit count
-n) and its degrees.  The expanded coefficients are not stored: ``load``
-rebuilds them from the classes, as a fresh factor is built.  The self-check
-is computed by the interpreter's own sha256 (``_sha256``), not hashlib, so
-no run maps OpenSSL.  ``load`` trusts an entry only if the version, hash
-and key match, the factor is complete, and the LocalFactor rebuilt from the
-stored classes passes every check a fresh factor passes (RH, whole Galois
-classes, integrality, degree and the functional equation); else it is
-deleted with a warning on the ``cyarith.cache`` logger, and the caller
-recomputes and stores it.  Only such a discard imports logging, and the
-library sets none of it up: the CLI's ``before_warning`` does, just before
-the warning is logged.  So an entry of an earlier format version is
-discarded once and rewritten.
+canonical encoding of the data, and the data itself: only what the variety
+cannot give back, the key (exponents, p) and each Galois class's root as
+decimal strings, in the factor's class order.  ``load`` hands the roots to
+zeta.local_factor_middle, which builds the factor by the plan of a fresh
+one, roots in place of sums, so the conductors, orbits, degrees and Weil's
+sign come from the exponents and p.  The self-check is computed by the
+interpreter's own sha256 (``_sha256``), not hashlib, so no run maps
+OpenSSL.  ``load`` trusts an entry only if the version, hash and key match,
+it holds one root per class, and the factor rebuilt from them passes every
+check a fresh factor passes (RH, whole Galois classes, integrality, degree
+and the functional equation); else it is deleted with a warning on the
+``cyarith.cache`` logger, and the caller recomputes and stores it.  Only
+such a discard imports logging, and the library sets none of it up: the
+CLI's ``before_warning`` does, just before the warning is logged.  So an
+entry of an earlier format version (1 to 3) is discarded once and rewritten.
 ``store`` writes the entry as one compact JSON line (any layout of the same
 JSON loads) to a per-writer temp file and renames it into place, so
 concurrent writers of one entry never expose a half-written file.
@@ -30,7 +31,6 @@ import json
 import os
 
 from .counting import DiagonalVariety
-from .cyclo import CycInt
 from .errors import InvariantViolationError, ValidationError
 from .zeta import LocalFactor, local_factor_middle
 
@@ -38,7 +38,7 @@ TYPE_CHECKING = False    # true to type checkers; no run imports typing
 if TYPE_CHECKING:
     from pathlib import Path
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # None, or a function called with the logging module before a discard is
 # logged: the CLI's prints the warning on stderr as "warning: ..."
@@ -77,15 +77,8 @@ def _record_hash(data: dict) -> str:
 def _record_text(exps: tuple[int, ...], lf: LocalFactor) -> str:
     """The entry for lf as one compact JSON line, the canonical data encoded
     once for both the hash and the file."""
-    data = {
-        "exponents": list(exps),
-        "p": lf.p,
-        "cohomology_degree": lf.cohomology_degree,
-        "full_degree": lf.full_degree,
-        "classes": [{"m": j.m, "f": f, "n": n, "coefficients": [str(x) for x in j.coeffs]}
-                    for j, f, n in lf.classes],
-        "precision": lf.precision,
-    }
+    data = {"exponents": list(exps), "p": lf.p,
+            "roots": [[str(x) for x in j.coeffs] for j, _, _ in lf.classes]}
     blob = _canonical(data)
     digest = _sha256(blob)
     return f'{{"format_version":{FORMAT_VERSION},"self_check":"{digest}","data":{blob}}}\n'
@@ -122,12 +115,8 @@ def load(cache_dir: Path, exps: tuple[int, ...], p: int) -> LocalFactor | None:
             raise ValueError("self-check hash mismatch")
         if tuple(data["exponents"]) != tuple(exps) or data["p"] != p:
             raise ValueError("entry keyed to a different variety or prime")
-        if data["precision"] is not None:
-            raise ValueError("truncated factors are never cached")
-        classes = tuple((CycInt(c["m"], tuple(int(x) for x in c["coefficients"])),
-                         int(c["f"]), int(c["n"])) for c in data["classes"])
-        return LocalFactor(p=p, cohomology_degree=int(data["cohomology_degree"]),
-                           full_degree=int(data["full_degree"]), classes=classes)
+        roots = [[int(x) for x in root] for root in data["roots"]]
+        return local_factor_middle(DiagonalVariety(exps), p, roots=roots)
     except (OSError, ValueError, KeyError, TypeError, IndexError,
             InvariantViolationError) as exc:
         import logging  # only a discard logs

@@ -5,8 +5,9 @@ orbits of the degree set A of (1 - J t^f), where f is the orbit length and
 J the Jacobi sum of the orbit representative over F_{p^f}.  The n orbits
 of one Galois class carry the conjugates of one sum (Weil 1952), so a
 factor is held as classes (J_head, f, n), each expanded by its integer
-norm polynomial; galois_factor builds a variety's, a Hecke character's and
-match's Hecke side from one unit_sums row per class.  The point-count
+norm polynomial; galois_factor builds a variety's, a cached one's, a Hecke
+character's and match's Hecke side from one unit_sums row per class, read
+from its sum or, for a cache entry, from its stored root.  The point-count
 trace, RH and functional equation are exact self-checks: a LocalFactor
 checks its classes when built, and a complete one its functional
 equation, keeping its sign, so fresh, cached and Hecke factors pass one gate.
@@ -177,36 +178,46 @@ def _mul_in_power(a: list[int], b: list[int], f: int, trunc: int | None) -> list
     return out
 
 
-def galois_factor(p: int, weight: int, rows,
-                  max_root_field: int | None = None) -> LocalFactor:
+def galois_factor(p: int, weight: int, rows, max_root_field: int | None = None,
+                  roots=None) -> LocalFactor:
     """The LocalFactor of cohomology degree weight at p of the Galois classes
     whose unit_sums rows (d, exps) the sequence rows lists, one per class:
-    Weil's factorisation, and the one place a factor is built from sums.  A
-    class is phi(d)/f orbits of length f = ord_d(p), its root the row's sum
-    over F_{p^f} times Weil's sign (-1)^(len(exps)+1), pinned by the exact
-    point-count oracle at p=2,7,11; unit_sums runs once per f.  Classes with
-    p^f beyond max_root_field are skipped, and the factor is truncated to the
-    precision that stays exact."""
+    Weil's factorisation, and the one place a factor is built.  A class is
+    phi(d)/f orbits of length f = ord_d(p), its root the row's sum over
+    F_{p^f} times Weil's sign (-1)^(len(exps)+1), pinned by the exact
+    point-count oracle at p=2,7,11; unit_sums runs once per f.  roots, if
+    given, are the roots' coefficients in the factor's class order (a cache
+    entry's), read in place of the sums, one per row (ValidationError
+    naming both counts if not).  Classes with p^f beyond max_root_field are
+    skipped, and the factor is truncated to the precision that stays exact."""
+    if roots is not None and len(roots) != len(rows):
+        raise ValidationError(f"{len(roots)} roots for {len(rows)} Galois classes")
     by_f = {}
     for row in rows:
         by_f.setdefault(ord_m(p, row[0]), []).append(row)
     skipped = [f for f in by_f if max_root_field is not None and p ** f > max_root_field]
     precision = None if not skipped else min(skipped) - 1
+    stored = iter(roots or ())
     classes: list[tuple[CycInt, int, int]] = []
     for f in sorted(f for f in by_f if precision is None or f <= precision):
-        classes += [((-1) ** (len(exps) + 1) * j, f, euler_phi(d) // f)
-                    for (d, exps), j in zip(by_f[f], unit_sums((p, f), by_f[f]))]
+        group = by_f[f]
+        if roots is None:
+            js = [(-1) ** (len(exps) + 1) * j
+                  for (_, exps), j in zip(group, unit_sums((p, f), group))]
+        else:
+            js = [CycInt(d, tuple(next(stored))) for d, _ in group]
+        classes += [(j, f, euler_phi(d) // f) for (d, _), j in zip(group, js)]
     return LocalFactor(p=p, cohomology_degree=weight,
                        full_degree=sum(euler_phi(d) for d, _ in rows),
                        classes=tuple(classes), precision=precision)
 
 
-def local_factor_middle(v: DiagonalVariety, p: int,
-                        max_root_field: int | None = None) -> LocalFactor:
+def local_factor_middle(v: DiagonalVariety, p: int, max_root_field: int | None = None,
+                        roots=None) -> LocalFactor:
     """Middle local factor at a good prime: galois_factor of the Galois
-    classes of the degree set (charsum.galois_heads)."""
+    classes of charsum.galois_heads, from their sums or the given roots."""
     check_good_prime(v, p)
-    return galois_factor(p, v.complex_dim, galois_heads(v.exponents), max_root_field)
+    return galois_factor(p, v.complex_dim, galois_heads(v.exponents), max_root_field, roots)
 
 
 def predicted_count(lf: LocalFactor, r: int) -> int:

@@ -346,7 +346,7 @@ def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
     assert capsys.readouterr().out == first       # byte-identical reread
 
     rec = json.loads(entry.read_text())
-    rec["data"]["classes"][0]["coefficients"][1] = "999"   # hash no longer matches
+    rec["data"]["roots"][0][1] = "999"                     # hash no longer matches
     entry.write_text(json.dumps(rec))
     assert run(argv) == 0
     assert capsys.readouterr().out == first       # recomputed, same answer
@@ -354,9 +354,15 @@ def test_cache_roundtrip_and_corruption(capsys, caplog, tmp_path):
     assert entry.exists()                         # rewritten after recompute
 
 
-# the entry zeta -d 3 -n 1 -p 7 writes, byte for byte: format version 3,
-# the one Galois class (J, f, n) alone
+# the entry zeta -d 3 -n 1 -p 7 writes, byte for byte: format version 4,
+# the key and the root of the one Galois class alone
 CUBIC_P7_ENTRY = (
+    '{"format_version":4,'
+    '"self_check":"4cfbccb7e773d70ad31e04da20ab49147ae2b9ac9c1ca144b945f9e536931bce",'
+    '"data":{"exponents":[3,3,3],"p":7,"roots":[["1","3"]]}}\n')
+
+# the entry that format version 3 wrote for it, each class as (J, f, n)
+CUBIC_P7_ENTRY_V3 = (
     '{"format_version":3,'
     '"self_check":"09b00d1d37b274efd7b0dad21a2ccac4631c6ab755a1959f52e35798b5b1f7ec",'
     '"data":{"classes":[{"coefficients":["1","3"],"f":1,"m":3,"n":2}],'
@@ -396,11 +402,7 @@ def test_cache_entry_is_compact_and_the_indented_layout_loads(capsys, caplog, tm
     data = rec["data"]
     old = {"format_version": rec["format_version"], "self_check": rec["self_check"],
            "data": {"exponents": data["exponents"], "p": data["p"],
-                    "cohomology_degree": data["cohomology_degree"],
-                    "full_degree": data["full_degree"],
-                    "classes": [{"m": c["m"], "f": c["f"], "n": c["n"],
-                                 "coefficients": c["coefficients"]} for c in data["classes"]],
-                    "precision": data["precision"]}}
+                    "roots": [list(root) for root in data["roots"]]}}
     entry.write_text(json.dumps(old, indent=1) + "\n")
     assert run(argv) == 0
     assert capsys.readouterr().out == first
@@ -409,15 +411,16 @@ def test_cache_entry_is_compact_and_the_indented_layout_loads(capsys, caplog, tm
 
 
 def test_cache_version_1_entry_is_discarded_once_and_rewritten(capsys, caplog, tmp_path):
-    # an entry of an earlier format, 1 or 2, goes through the version check
-    # like any other: discarded with a warning, recomputed, and stored as
-    # version 3
+    # an entry of an earlier format, 1, 2 or 3, goes through the version
+    # check like any other: discarded with a warning, recomputed, and stored
+    # as version 4
     argv = ["zeta", "-d", "3", "-n", "1", "-p", "7", "--json", "--deterministic",
             "--cache", str(tmp_path)]
     assert run(argv[:-2] + ["--no-cache"]) == 0
     fresh = capsys.readouterr().out
     entry = cache.entry_path(tmp_path, (3, 3, 3), 7)
-    for version, old in ((1, CUBIC_P7_ENTRY_V1), (2, CUBIC_P7_ENTRY_V2)):
+    for version, old in ((1, CUBIC_P7_ENTRY_V1), (2, CUBIC_P7_ENTRY_V2),
+                         (3, CUBIC_P7_ENTRY_V3)):
         caplog.clear()
         entry.write_text(old)
         assert run(argv) == 0
@@ -431,15 +434,15 @@ def test_cache_version_1_entry_is_discarded_once_and_rewritten(capsys, caplog, t
 
 
 def test_cache_entry_holds_the_roots_alone(tmp_path):
-    # the quintic at p = 101: 51 class heads of a few digits each, where the
-    # factor's coefficients reach 614 digits (84,035 B with them stored,
-    # 12,604 B with all 204 roots)
+    # the quintic at p = 101: 51 class roots of a few digits each (1,543 B),
+    # where the factor's coefficients reach 614 digits (84,035 B with them
+    # stored, 12,604 B with all 204 roots, 3,387 B as format 3's classes)
     lf = cache.local_factor(tmp_path, DiagonalVariety.fermat(5, 3), 101)
     entry = cache.entry_path(tmp_path, (5,) * 5, 101)
     data = json.loads(entry.read_text())["data"]
-    assert "coefficients" not in data and len(data["classes"]) == 51
+    assert "coefficients" not in data and len(data["roots"]) == 51
     assert max(len(str(abs(c))) for c in lf.coeffs) == 614
-    assert entry.stat().st_size <= 4_000
+    assert entry.stat().st_size <= 2_000
 
 
 def test_cache_self_check_is_hashlibs_sha256(tmp_path, quintic, quintic_lf11):
@@ -463,28 +466,29 @@ def _rehashed(entry, edit):
 
 def _bump_a_root(data):
     # 1 + 3 xi_3 to 1 + 4 xi_3, of norm 13: |J|^2 = 7 fails
-    root = data["classes"][0]["coefficients"]
+    root = data["roots"][0]
     root[-1] = str(int(root[-1]) + 1)
 
 
 def _swap_the_head(data):
     # 1 + 3 xi_3 to 2 + 3 xi_3, another sum of norm 7: every check but
     # Iwasawa's congruence holds, and it would load as 1 - t + 7t^2
-    data["classes"][0]["coefficients"] = ["2", "3"]
+    data["roots"][0] = ["2", "3"]
 
 
 def _add_a_root(data):
-    data["classes"][0]["n"] += 1
+    data["roots"].append(list(data["roots"][0]))
 
 
 def _mark_truncated(data):
-    data["precision"] = 1
+    # a truncated factor holds fewer roots than the variety has classes
+    data["roots"].pop()
 
 
 @pytest.mark.parametrize("edit, reason", [(_bump_a_root, "|J|^2"),
                                           (_swap_the_head, "not 1 mod (1 - xi)^2"),
-                                          (_add_a_root, "not whole copies"),
-                                          (_mark_truncated, "truncated"),
+                                          (_add_a_root, "2 roots for 1 Galois classes"),
+                                          (_mark_truncated, "0 roots for 1 Galois classes"),
                                           ("[]", "not a JSON object"),
                                           ("null", "not a JSON object")])
 def test_cache_discards_tampered_but_rehashed_entry(capsys, caplog, tmp_path, edit, reason):
@@ -505,6 +509,63 @@ def test_cache_discards_tampered_but_rehashed_entry(capsys, caplog, tmp_path, ed
     assert {r.name for r in caplog.records} == {"cyarith.cache"}
     lf = cache.load(tmp_path, (3, 3, 3), 7)       # the rewritten entry is the true one
     assert (lf.coeffs, lf.precision) == ((1, 1, 7), None)
+
+
+def test_cache_discards_a_k3_entry_short_of_a_class(capsys, caplog, tmp_path):
+    # the K3 surface x^3 + y^3 + z^3 + w^3 at p = 7 has 3 Galois classes;
+    # with one root dropped and the entry re-hashed it is refused, not read
+    # as a degree-4 factor with N_1 = 85
+    argv = ["zeta", "--exponents", "3,3,3,3", "-p", "7", "--json", "--deterministic",
+            "--cache", str(tmp_path)]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    entry = cache.entry_path(tmp_path, (3, 3, 3, 3), 7)
+    _rehashed(entry, _mark_truncated)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert "discarding corrupt cache entry" in caplog.text
+    assert "2 roots for 3 Galois classes" in caplog.text
+    [r] = json.loads(first)["results"]
+    assert (r["degree"], r["predicted_counts"]["1"]) == (6, "99")
+
+
+def test_cache_discards_roots_swapped_across_orbit_lengths(caplog, tmp_path):
+    # (4,4,4,4) at p = 3: the classes of conductor 2 have f = 1, those of
+    # conductor 4 have f = 2; a root moved to the other's place is refused
+    from cyarith.zeta import local_factor_middle
+
+    v = DiagonalVariety((4, 4, 4, 4))
+    lf = local_factor_middle(v, 3)
+    fs = [f for _, f, _ in lf.classes]
+    i, k = fs.index(1), fs.index(2)
+    cache.store(tmp_path, v.exponents, lf)
+
+    def swap(data):
+        data["roots"][i], data["roots"][k] = data["roots"][k], data["roots"][i]
+
+    _rehashed(cache.entry_path(tmp_path, v.exponents, 3), swap)
+    assert cache.load(tmp_path, v.exponents, 3) is None
+    assert "discarding corrupt cache entry" in caplog.text
+    assert not cache.entry_path(tmp_path, v.exponents, 3).exists()
+
+
+@pytest.mark.parametrize("exps, primes", [((4, 4, 4, 4), (3, 5, 7)),
+                                          ((2, 3, 6), (5, 7, 11, 13)),
+                                          ((3, 3, 6, 6), (5, 7, 13)),
+                                          ((12, 12, 12), (5, 7, 11, 13)),
+                                          ((7, 7, 7), (2, 3, 13, 29)),
+                                          ((5,) * 5, (2, 19, 101))])
+def test_cache_round_trip_keeps_the_class_order(tmp_path, exps, primes):
+    # several orbit lengths f and composite conductors: the roots are stored
+    # in the factor's class order and read back into the same classes
+    from cyarith.zeta import local_factor_middle
+
+    v = DiagonalVariety(exps)
+    for p in primes:
+        lf = local_factor_middle(v, p)
+        cache.store(tmp_path, exps, lf)
+        loaded = cache.load(tmp_path, exps, p)
+        assert (loaded.coeffs, loaded.classes, loaded.sign) == (lf.coeffs, lf.classes, lf.sign)
 
 
 def test_cache_discard_warning_on_stderr(tmp_path):

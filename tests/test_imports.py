@@ -158,5 +158,5 @@ def test_package_exports_resolve_on_first_access(tmp_path):
         "import sys, cyarith\n"
         "assert not any(m.startswith('cyarith.') for m in sys.modules)\n"
         "assert cyarith.zeta.local_factor_middle is cyarith.local_factor_middle\n"
-        "assert cyarith.cache.FORMAT_VERSION == 3", tmp_path)
+        "assert cyarith.cache.FORMAT_VERSION == 4", tmp_path)
     assert "cyarith.hecke" not in loaded and "cyarith.cft" not in loaded

@@ -45,6 +45,8 @@ RULES = {
     "unit-sums": ("**/*.py", r"unit_sums\(",
                   {"cyarith/charsum.py", "cyarith/zeta.py", "cyarith/counting.py"}),
     "expand-roots": ("**/*.py", r"expand_roots\(", {"cyarith/zeta.py"}),
+    # a cached factor too: cache.load hands its roots to galois_factor
+    "local-factor": ("**/*.py", r"\bLocalFactor\(", {"cyarith/zeta.py"}),
     # a tuple's row is charsum's own: other modules read galois_heads' rows
     "private-row": ("**/*.py", r"\b_row\b", {"cyarith/charsum.py"}),
     # only charsum decides which sums read a table
