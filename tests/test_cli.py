@@ -163,6 +163,57 @@ def test_jobs_help_says_only_zeta_uses_workers(capsys):
             "the other subcommands run serially") in " ".join(capsys.readouterr().out.split())
 
 
+SUBCOMMAND_NAMES = ["count", "jacobi", "zeta", "lseries", "hecke", "cyclo", "cft", "match"]
+# the shared groups: output and execution everywhere, variety and -p where a variety is read
+SHARED = {"-h", "--help", "--json", "--csv", "--table", "--out", "--deterministic",
+          "--cache", "--no-cache", "--jobs"}
+VARIETY = {"-d", "--degree", "-n", "--dim", "--exponents"}
+PRIME = {"-p", "--prime"}
+OPTIONS = {
+    "count": SHARED | VARIETY | PRIME | {"-r", "--extension"},
+    "jacobi": SHARED | VARIETY | PRIME | {"-r", "--extension", "--alpha", "--den", "--orbits"},
+    "zeta": SHARED | VARIETY | PRIME | {"--max-root-field", "--predict"},
+    "lseries": SHARED | VARIETY | {"--cutoff", "--eval-at"},
+    "hecke": SHARED | {"-m", "--conductor", "--a", "--cutoff", "--eval-at"},
+    "cyclo": SHARED | PRIME | {"-m", "--conductor", "--units", "--delta", "--s-element", "--a"},
+    "cft": SHARED | {"--level", "--spectrum", "--check", "--m", "--fusion", "--fusion-field",
+                     "--gepner", "--central-charge", "--max-factors"},
+    "match": SHARED | VARIETY | PRIME,
+}
+
+
+def _help(capsys, monkeypatch, argv) -> str:
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_NAMES)
+def test_each_subcommand_lists_its_options(capsys, monkeypatch, name):
+    # an option line is indented two spaces, its invocation ends at the
+    # first double space; help layout differs across Pythons, the set not
+    listed = {opt for line in _help(capsys, monkeypatch, [name, "--help"]).splitlines()
+              if line.startswith("  -")
+              for opt in re.findall(r"(?:^|, )(-[\w-]+)", line.strip().split("  ")[0])}
+    assert listed == OPTIONS[name]
+
+
+def test_top_level_help_lists_the_subcommands(capsys, monkeypatch):
+    names = re.search(r"\{([\w,]+)\}", _help(capsys, monkeypatch, ["--help"])).group(1)
+    assert names.split(",") == SUBCOMMAND_NAMES
+
+
+def test_parser_errors_are_exact(capsys):
+    assert run(["nonsense"]) == 1
+    # newer Pythons print the choices unquoted
+    err = capsys.readouterr().err
+    assert err in {"error: argument subcommand: invalid choice: 'nonsense' (choose from "
+                   + ", ".join(quote(n) for n in SUBCOMMAND_NAMES) + ")\n"
+                   for quote in (repr, str)}
+    assert run(["zeta", "--bogus"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
+
+
 def test_missing_variety(capsys):
     assert run(["count", "-p", "11"]) == 1
     assert run(["count", "-d", "5", "-p", "11"]) == 1     # -n required with -d
