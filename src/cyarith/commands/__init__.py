@@ -1,4 +1,2 @@
-"""The CLI's subcommands, one module each (cyarith.commands.<name>, whose
-main(args) runs it), and common, the input and output helpers they share.
-cyarith.cli imports only the module of the subcommand it runs, and no module
-here imports cyarith.cli: under `python -m` that runs as __main__."""
+"""The CLI's subcommands, one module each, and common, the helpers and option
+groups they share; cyarith.cli says how a run reaches them."""

@@ -13,6 +13,26 @@ CFT_FORMATS = {"spectrum": ("csv", "json", "table"),
                "gepner": ("json", "table")}
 
 
+def add_arguments(parser) -> None:
+    common.add_arguments(parser)
+    parser.add_argument("--level", type=int, help="level k")
+    parser.add_argument("--spectrum", action="store_true",
+                        help="N=2 primary spectrum (l, q, s, Delta, Q)")
+    parser.add_argument("--check", choices=("kr", "kn"),
+                        help="central charge (kr) or dilogarithm (kn) sum rule")
+    parser.add_argument("--m", type=int, help="row index for --check kn")
+    parser.add_argument("--fusion", action="store_true",
+                        help="Verlinde fusion coefficients")
+    parser.add_argument("--fusion-field", dest="fusion_field", action="store_true",
+                        help="match quantum dimensions against cyclotomic units")
+    parser.add_argument("--gepner", action="store_true",
+                        help="enumerate level vectors with fixed central charge")
+    parser.add_argument("--central-charge", type=int, default=9,
+                        help="target central charge for --gepner (default 9)")
+    parser.add_argument("--max-factors", type=int, default=9,
+                        help="largest tensor length for --gepner (default 9)")
+
+
 def main(args) -> None:
     from .. import cft
     actions = [n for n in CFT_FORMATS if getattr(args, n)]

@@ -1,4 +1,4 @@
-"""Input and output helpers of the CLI's subcommands.
+"""Input and output helpers of the CLI's subcommands, and the option groups they share.
 
 Big integers are serialized as decimal strings in JSON so values survive any
 double-precision consumer; a run holds them as ints and makes each string as
@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from argparse import ArgumentTypeError
 from itertools import chain
 
 from ..errors import ValidationError
@@ -88,6 +89,46 @@ def good_primes(v: DiagonalVariety, spec: str | None) -> tuple[list[int], list[i
         raise ValidationError(
             f"p={skipped[0]} divides an exponent of {v.exponents} (bad reduction)")
     return good, skipped
+
+
+def _jobs(raw: str) -> int:
+    """The --jobs worker count, refused below 1."""
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise ArgumentTypeError(f"invalid int value: {raw!r}")
+    if jobs < 1:
+        raise ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
+def add_arguments(parser, variety: bool = False, prime: bool = False) -> None:
+    """The options the helpers here read: output (output_format, emit) and
+    execution (cache_dir, zeta's workers) for every subcommand, then the
+    variety group (variety) and -p (parse_primes) where asked."""
+    out = parser.add_argument_group("output")
+    out.add_argument("--json", action="store_true", help="JSON output")
+    out.add_argument("--csv", action="store_true", help="CSV output")
+    out.add_argument("--table", action="store_true", help="plain table output")
+    out.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
+    out.add_argument("--deterministic", action="store_true",
+                     help="suppress the timestamp field for byte-identical reruns")
+    run = parser.add_argument_group("execution")
+    run.add_argument("--cache", metavar="DIR",
+                     help=f"cache directory (default ${CACHE_ENV} or ./cache)")
+    run.add_argument("--no-cache", action="store_true", help="bypass the factor cache")
+    run.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1, metavar="W",
+                     help="parallel workers across primes for zeta (default the CPU "
+                          "count); the other subcommands run serially")
+    if variety:
+        group = parser.add_argument_group("variety")
+        group.add_argument("-d", "--degree", type=int, help="Fermat degree")
+        group.add_argument("-n", "--dim", type=int, help="complex dimension")
+        group.add_argument("--exponents", metavar="N1,N2,...",
+                           help="exponent vector of a diagonal hypersurface")
+    if prime:
+        parser.add_argument("-p", "--prime", metavar="P[,P...] or A..B",
+                            help="prime list (strict) or range (bad primes skipped)")
 
 
 def cache_dir(args) -> Path | None:

@@ -6,6 +6,12 @@ from ..errors import ValidationError
 from . import common
 
 
+def add_arguments(parser) -> None:
+    common.add_arguments(parser, variety=True, prime=True)
+    parser.add_argument("-r", "--extension", type=int, default=1,
+                        help="field extension degree (default 1)")
+
+
 def main(args) -> None:
     from ..counting import count_projective
     fmt = common.output_format(args, "table", "json", "csv")

@@ -7,6 +7,20 @@ from ..errors import ValidationError
 from . import common
 
 
+def add_arguments(parser) -> None:
+    common.add_arguments(parser)
+    parser.add_argument("-m", "--conductor", type=int)
+    parser.add_argument("-p", "--prime", metavar="P[,P...]")
+    parser.add_argument("--units", action="store_true",
+                        help="table of theta_j with numeric moduli")
+    parser.add_argument("--delta", action="store_true",
+                        help="truncated unit determinant at p")
+    parser.add_argument("--s-element", dest="s_element", action="store_true",
+                        help="group-ring element S(a) and its weight n_sigma + "
+                             "n_conj(sigma), 2 above hecke's when sum(a) = 0 mod m")
+    parser.add_argument("--a", metavar="A1,A2,...", help="exponent vector for --s-element")
+
+
 def main(args) -> None:
     from ..cyclo import cyclotomic_unit, delta_determinant, hecke_weight, s_element
     actions = [name for name in ("units", "delta", "s_element") if getattr(args, name)]

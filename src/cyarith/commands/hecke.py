@@ -4,6 +4,15 @@ from ..errors import ValidationError
 from . import common
 
 
+def add_arguments(parser) -> None:
+    common.add_arguments(parser)
+    parser.add_argument("-m", "--conductor", type=int, required=True)
+    parser.add_argument("--a", required=True, metavar="A1,A2,...",
+                        help="character exponent vector mod m")
+    parser.add_argument("--cutoff", type=int, metavar="N")
+    parser.add_argument("--eval-at", type=float, metavar="S")
+
+
 def main(args) -> None:
     from ..hecke import HeckeCharacter, dirichlet_coefficients
     fmt = common.dirichlet_format(args)

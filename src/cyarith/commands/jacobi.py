@@ -13,6 +13,16 @@ if TYPE_CHECKING:
     from ..charsum import AlphaTuple
 
 
+def add_arguments(parser) -> None:
+    common.add_arguments(parser, variety=True, prime=True)
+    parser.add_argument("-r", "--extension", type=int, default=1)
+    parser.add_argument("--alpha", metavar="A1,A2,...",
+                        help="single character tuple (numerators over --den)")
+    parser.add_argument("--den", type=int, help="denominator for --alpha")
+    parser.add_argument("--orbits", action="store_true",
+                        help="emit Frobenius orbit representatives only")
+
+
 def _parse_alpha(args, exps: tuple[int, ...]) -> AlphaTuple | None:
     from ..charsum import AlphaTuple
     if not args.alpha:

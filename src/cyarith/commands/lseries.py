@@ -4,6 +4,13 @@ from ..errors import ValidationError
 from . import common
 
 
+def add_arguments(parser) -> None:
+    common.add_arguments(parser, variety=True)
+    parser.add_argument("--cutoff", type=int, metavar="N", help="largest index n")
+    parser.add_argument("--eval-at", type=float, metavar="S",
+                        help="partial sum of a_n n^-s and a tail bound (--json, --table)")
+
+
 def main(args) -> None:
     from ..hecke import dirichlet_coefficients
     fmt = common.dirichlet_format(args)

@@ -6,6 +6,10 @@ from ..errors import ValidationError
 from . import common
 
 
+def add_arguments(parser) -> None:
+    common.add_arguments(parser, variety=True, prime=True)
+
+
 def main(args) -> None:
     from .. import cache
     from ..hecke import match_hasse_weil

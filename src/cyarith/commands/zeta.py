@@ -14,6 +14,14 @@ if TYPE_CHECKING:
     from pathlib import Path
 
 
+def add_arguments(parser) -> None:
+    common.add_arguments(parser, variety=True, prime=True)
+    parser.add_argument("--max-root-field", type=int, metavar="Q",
+                        help="skip orbits needing fields beyond Q (truncates)")
+    parser.add_argument("--predict", type=int, default=3, metavar="R",
+                        help="predict point counts over F_{p^r}, r <= R (default 3)")
+
+
 def _zeta_result(exps: tuple[int, ...], cap: int | None, predict: int,
                  cache_dir: Path | None, p: int) -> dict:
     """One prime's worth of zeta JSON; module-level so workers can pickle it."""

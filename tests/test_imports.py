@@ -143,6 +143,22 @@ def test_a_console_run_compiles_one_handler(tmp_path, name):
     assert "cyarith.cli" not in loaded
 
 
+LIBRARY = {f"cyarith.{name}" for name in
+           ("counting", "charsum", "cyclo", "ffield", "zeta", "cache", "hecke", "cft")}
+
+
+@pytest.mark.parametrize("argv, handlers", [
+    (["--help"], set()),
+    (["zeta", "--help"], {"cyarith.commands.zeta", "cyarith.commands.common"}),
+], ids=["top", "zeta"])
+def test_a_help_run_loads_no_library_module(tmp_path, argv, handlers):
+    # the top level lists the subcommands without their handlers, and a
+    # subcommand's help builds that one handler's parser
+    loaded = _modules_after(_console(*argv), tmp_path)
+    assert {m for m in loaded if m.startswith("cyarith.commands.")} == handlers
+    assert not loaded & LIBRARY
+
+
 def test_package_exports_resolve_on_first_access(tmp_path):
     import cyarith
 

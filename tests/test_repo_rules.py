@@ -66,6 +66,9 @@ RULES = {
     # with it OpenSSL) only as the fallback of a build that lacks it
     "hashlib": ("**/*.py", r"^\s*(import\s+[\w., ]*\b|from\s+)hashlib\b",
                 {"cyarith/cache.py"}),
+    # the front end declares no option: each subcommand's module declares
+    # its own, and commands/common.py the groups they share
+    "cli-options": ("cyarith/cli.py", r"\.add_argument(_group)?\(", set()),
     # the CLI writes its output in batches as it is made, never as one string
     "whole-output": (CLI, r"json\.dumps\(|getvalue\(|write_text\(", set()),
 }
